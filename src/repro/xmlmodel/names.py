@@ -10,6 +10,7 @@ plus the handful of well-known namespaces of the ECA framework.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "QName",
@@ -66,19 +67,9 @@ class QName:
         ``namespaces`` maps prefixes to URIs; ``default`` is the default
         namespace applied to unprefixed names (attributes pass ``None``).
         """
-        if text.startswith("{"):
-            uri, _, local = text[1:].partition("}")
-            return cls(uri or None, local)
-        prefix, sep, local = text.partition(":")
-        if not sep:
-            return cls(default, text)
-        if prefix == "xml":
-            return cls(XML_NS, local)
-        if prefix == "xmlns":
-            return cls(XMLNS_NS, local)
-        if namespaces is None or prefix not in namespaces:
-            raise NamespaceError(f"undeclared namespace prefix: {prefix!r}")
-        return cls(namespaces[prefix], local)
+        if default is None and (namespaces is None or ":" not in text):
+            return _parse_context_free(text)
+        return _parse(text, namespaces, default)
 
     @property
     def clark(self) -> str:
@@ -87,3 +78,33 @@ class QName:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.clark
+
+
+def _parse(text: str, namespaces: dict[str, str] | None,
+           default: str | None) -> QName:
+    if text.startswith("{"):
+        uri, _, local = text[1:].partition("}")
+        return QName(uri or None, local)
+    prefix, sep, local = text.partition(":")
+    if not sep:
+        return QName(default, text)
+    if prefix == "xml":
+        return QName(XML_NS, local)
+    if prefix == "xmlns":
+        return QName(XMLNS_NS, local)
+    if namespaces is None or prefix not in namespaces:
+        raise NamespaceError(f"undeclared namespace prefix: {prefix!r}")
+    return QName(namespaces[prefix], local)
+
+
+@lru_cache(maxsize=512)
+def _parse_context_free(text: str) -> QName:
+    """:meth:`QName.parse` of a name that means the same everywhere.
+
+    ``element.get("kind")``, ``find("answer")`` and every unprefixed
+    attribute the parser meets spell the same few dozen names over and
+    over; remembering them saves building an equal ``QName`` each time.
+    ``QName`` is immutable, so sharing one is safe; the bound keeps hostile
+    input from growing the memo.
+    """
+    return _parse(text, None, None)

@@ -8,9 +8,19 @@ and numeric character references.  DTDs are not supported (a leading
 
 The parser reports errors with line/column positions, which matters in
 practice because rule authors hand-write ECA-ML documents.
+
+It is one iterative tokenizer: compiled regular expressions recognise a
+whole start tag, attribute or end tag at a time, ``str.find`` skips over
+character data, and an explicit stack of open elements replaces recursion.
+Every message between the engine, the GRH and the language services passes
+through here several times, so the well-formed case is the fast one; when
+a pattern does not match, a ``*_fault`` helper replays the checks one at a
+time to name the first violation and where it is.
 """
 
 from __future__ import annotations
+
+import re
 
 from .names import NamespaceError, QName, XMLNS_NS, XML_NS
 from .nodes import Comment, Document, Element, ProcessingInstruction, Text
@@ -21,9 +31,30 @@ _PREDEFINED_ENTITIES = {
     "lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"',
 }
 
-_NAME_START = set("_:") | set(chr(c) for c in range(ord("a"), ord("z") + 1)) \
-    | set(chr(c) for c in range(ord("A"), ord("Z") + 1))
-_WHITESPACE = set(" \t\r\n")
+#: Open elements a document may nest.  ``serialize``, ``Element.copy`` and
+#: ``Element.__eq__`` recurse once or twice per level, so the bound sits
+#: well under the interpreter's default recursion limit (1000): every tree
+#: the parser accepts can still be written, copied and compared.
+_MAX_DEPTH = 256
+
+# XML white space is exactly these four characters (not ``\s``).  A name
+# starts with a letter, "_" or ":" and continues with ASCII alphanumerics,
+# "_:.-" or anything beyond ASCII.  No character class says "non-ASCII
+# letter", so the patterns admit any non-ASCII first character and
+# _name_fault() applies ``str.isalpha`` to the names that have one.
+_WS = r"[ \t\r\n]"
+_NAME = (r"[:A-Z_a-z\x80-\U0010ffff]"
+         r"[-.0-9:A-Z_a-z\x80-\U0010ffff]*")
+_TAG_END = rf"(?:{_WS}*(/?>))?"
+
+_SPACE = re.compile(rf"{_WS}*")
+_NAME_RE = re.compile(_NAME)
+#: ``<name``, and the end of the tag when no attribute intervenes.
+_OPEN = re.compile(rf"<({_NAME}){_TAG_END}")
+#: One ``name="value"`` (either quote), and the end of the tag if it follows.
+_ATTRIBUTE = re.compile(
+    rf"""{_WS}+({_NAME}){_WS}*={_WS}*(?:"([^"]*)"|'([^']*)'){_TAG_END}""")
+_CLOSE = re.compile(rf"</({_NAME}){_WS}*>")
 
 
 class XMLSyntaxError(ValueError):
@@ -35,312 +66,358 @@ class XMLSyntaxError(ValueError):
         self.column = column
 
 
-class _Scanner:
-    """Character-level scanner with position tracking."""
+def _error(text: str, pos: int, message: str) -> XMLSyntaxError:
+    line = text.count("\n", 0, pos) + 1
+    column = pos - text.rfind("\n", 0, pos)
+    return XMLSyntaxError(message, line, column)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
 
-    def error(self, message: str) -> XMLSyntaxError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        last_nl = self.text.rfind("\n", 0, self.pos)
-        column = self.pos - last_nl
-        return XMLSyntaxError(message, line, column)
+def _skip_space(text: str, pos: int) -> int:
+    return _SPACE.match(text, pos).end()
 
-    @property
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
 
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos:self.pos + n]
+# -- faults: which check failed, and where ------------------------------------
 
-    def advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
+def _name_fault(text: str, pos: int) -> XMLSyntaxError | None:
+    """What is wrong with the name at ``pos``; ``None`` if it may start there."""
+    if pos >= len(text):
+        return _error(text, pos, "expected name, found end of input")
+    first = text[pos]
+    if first.isalpha() or first in "_:":
+        return None
+    return _error(text, pos, f"invalid name start character {first!r}")
 
-    def match(self, literal: str) -> bool:
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
 
-    def expect(self, literal: str) -> None:
-        if not self.match(literal):
-            raise self.error(f"expected {literal!r}")
+def _read_name(text: str, pos: int) -> int:
+    """The offset after the name that starts at ``pos``."""
+    fault = _name_fault(text, pos)
+    if fault is not None:
+        raise fault
+    return _NAME_RE.match(text, pos).end()
 
-    def skip_whitespace(self) -> int:
-        start = self.pos
-        while not self.eof and self.text[self.pos] in _WHITESPACE:
-            self.pos += 1
-        return self.pos - start
 
-    def read_until(self, terminator: str, what: str) -> str:
-        end = self.text.find(terminator, self.pos)
+def _attribute_fault(text: str, pos: int) -> XMLSyntaxError:
+    """Why neither an attribute nor the end of the start tag is at ``pos``."""
+    name_start = _skip_space(text, pos)
+    if name_start == pos:
+        return _error(text, pos, "expected whitespace before attribute")
+    fault = _name_fault(text, name_start)
+    if fault is not None:
+        return fault
+    pos = _skip_space(text, _NAME_RE.match(text, name_start).end())
+    if not text.startswith("=", pos):
+        return _error(text, pos, "expected '='")
+    pos = _skip_space(text, pos + 1) + 1        # just past the opening quote
+    if text[pos - 1:pos] not in "'\"":
+        return _error(text, pos, "attribute value must be quoted")
+    return _error(text, pos, "unterminated attribute value")
+
+
+def _end_tag_fault(text: str, pos: int, open_name: str) -> XMLSyntaxError:
+    """Why the ``</`` at ``pos`` does not close ``<open_name>``."""
+    name_end = _read_name(text, pos + 2)
+    tag_end = _skip_space(text, name_end)
+    if not text.startswith(">", tag_end):
+        return _error(text, tag_end, "expected '>'")
+    return _error(text, tag_end + 1, f"mismatched end tag "
+                  f"</{text[pos + 2:name_end]}> for <{open_name}>")
+
+
+# -- pieces ---------------------------------------------------------------------
+
+def _decode_entities(raw: str, text: str, pos: int) -> str:
+    """``raw`` with its references expanded; faults are reported at ``pos``."""
+    out: list[str] = []
+    start = 0
+    while True:
+        ampersand = raw.find("&", start)
+        if ampersand < 0:
+            out.append(raw[start:])
+            return "".join(out)
+        out.append(raw[start:ampersand])
+        end = raw.find(";", ampersand + 1)
         if end < 0:
-            raise self.error(f"unterminated {what}")
-        chunk = self.text[self.pos:end]
-        self.pos = end + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.eof:
-            raise self.error("expected name, found end of input")
-        first = self.text[self.pos]
-        if first not in _NAME_START and not first.isalpha():
-            raise self.error(f"invalid name start character {first!r}")
-        self.pos += 1
-        while not self.eof:
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch in "_:.-" or ord(ch) > 127:
-                self.pos += 1
-            else:
-                break
-        return self.text[start:self.pos]
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        if text.startswith("﻿"):
-            text = text[1:]
-        self.scanner = _Scanner(text)
-
-    # -- entry points -------------------------------------------------------
-
-    def parse_document(self) -> Document:
-        document = Document()
-        scanner = self.scanner
-        self._skip_prolog(document)
-        element = self._parse_element({"xml": XML_NS})
-        document.append(element)
-        scanner.skip_whitespace()
-        while not scanner.eof:
-            if scanner.peek(4) == "<!--":
-                scanner.advance(4)
-                document.append(Comment(scanner.read_until("-->", "comment")))
-            elif scanner.peek(2) == "<?":
-                document.append(self._parse_pi())
-            else:
-                raise scanner.error("content after document element")
-            scanner.skip_whitespace()
-        return document
-
-    def parse_fragment(self, namespaces: dict[str, str] | None = None) -> Element:
-        scanner = self.scanner
-        scanner.skip_whitespace()
-        scope = {"xml": XML_NS}
-        scope.update(namespaces or {})
-        element = self._parse_element(scope)
-        scanner.skip_whitespace()
-        if not scanner.eof:
-            raise scanner.error("trailing content after fragment")
-        # Give the fragment a Document parent so absolute XPath expressions
-        # ("/a/b") work on parsed trees.
-        Document([element])
-        return element
-
-    # -- pieces -------------------------------------------------------------
-
-    def _skip_prolog(self, document: Document) -> None:
-        scanner = self.scanner
-        scanner.skip_whitespace()
-        if scanner.peek(5) == "<?xml":
-            scanner.advance(5)
-            scanner.read_until("?>", "XML declaration")
-            scanner.skip_whitespace()
-        while True:
-            if scanner.peek(4) == "<!--":
-                scanner.advance(4)
-                document.append(Comment(scanner.read_until("-->", "comment")))
-            elif scanner.peek(9) == "<!DOCTYPE":
-                scanner.advance(9)
-                depth = 1
-                while depth and not scanner.eof:
-                    ch = scanner.advance()
-                    if ch == "<":
-                        depth += 1
-                    elif ch == ">":
-                        depth -= 1
-                if depth:
-                    raise scanner.error("unterminated DOCTYPE")
-            elif scanner.peek(2) == "<?":
-                document.append(self._parse_pi())
-            else:
-                return
-            scanner.skip_whitespace()
-
-    def _parse_pi(self) -> ProcessingInstruction:
-        scanner = self.scanner
-        scanner.expect("<?")
-        target = scanner.read_name()
-        scanner.skip_whitespace()
-        data = scanner.read_until("?>", "processing instruction")
-        return ProcessingInstruction(target, data)
-
-    def _parse_element(self, scope: dict[str, str]) -> Element:
-        scanner = self.scanner
-        scanner.expect("<")
-        raw_name = scanner.read_name()
-        attributes_raw: list[tuple[str, str]] = []
-        nsdecls: dict[str, str] = {}
-        while True:
-            had_space = scanner.skip_whitespace()
-            if scanner.match("/>"):
-                return self._build_element(raw_name, attributes_raw, nsdecls,
-                                           scope, children=None)
-            if scanner.match(">"):
-                break
-            if not had_space:
-                raise scanner.error("expected whitespace before attribute")
-            attr_name = scanner.read_name()
-            scanner.skip_whitespace()
-            scanner.expect("=")
-            scanner.skip_whitespace()
-            quote = scanner.advance()
-            if quote not in "'\"":
-                raise scanner.error("attribute value must be quoted")
-            value = self._decode_entities(
-                scanner.read_until(quote, "attribute value"))
-            if attr_name == "xmlns":
-                nsdecls[""] = value
-            elif attr_name.startswith("xmlns:"):
-                prefix = attr_name[6:]
-                if not value:
-                    raise scanner.error(
-                        f"cannot bind prefix {prefix!r} to empty URI")
-                nsdecls[prefix] = value
-            else:
-                if any(existing == attr_name for existing, _ in attributes_raw):
-                    raise scanner.error(f"duplicate attribute {attr_name!r}")
-                attributes_raw.append((attr_name, value))
-        children = self._parse_content(raw_name,
-                                       self._child_scope(scope, nsdecls))
-        return self._build_element(raw_name, attributes_raw, nsdecls, scope,
-                                   children)
-
-    @staticmethod
-    def _child_scope(scope: dict[str, str],
-                     nsdecls: dict[str, str]) -> dict[str, str]:
-        if not nsdecls:
-            return scope
-        merged = dict(scope)
-        merged.update(nsdecls)
-        return merged
-
-    def _build_element(self, raw_name: str,
-                       attributes_raw: list[tuple[str, str]],
-                       nsdecls: dict[str, str],
-                       outer_scope: dict[str, str],
-                       children: list | None) -> Element:
-        scope = self._child_scope(outer_scope, nsdecls)
-        default = scope.get("")
-        try:
-            name = QName.parse(raw_name, scope, default=default or None)
-        except NamespaceError as exc:
-            raise self.scanner.error(str(exc)) from None
-        attributes: dict[QName, str] = {}
-        for attr_raw, value in attributes_raw:
+            raise _error(text, pos, "unterminated entity reference")
+        body = raw[ampersand + 1:end]
+        char = _PREDEFINED_ENTITIES.get(body)
+        if char is None:
+            if not body.startswith("#"):
+                raise _error(text, pos, f"unknown entity &{body};")
             try:
-                attr_name = QName.parse(attr_raw, scope, default=None)
-            except NamespaceError as exc:
-                raise self.scanner.error(str(exc)) from None
-            if attr_name.uri == XMLNS_NS:
-                raise self.scanner.error("xmlns is not a usable prefix")
-            if attr_name in attributes:
-                raise self.scanner.error(
-                    f"duplicate expanded attribute {attr_name.clark!r}")
-            attributes[attr_name] = value
-        element = Element(name, attributes, nsdecls=nsdecls)
-        for child in children or ():
-            element.append(child)
-        return element
+                char = chr(int(body[2:], 16) if body[1:2] in ("x", "X")
+                           else int(body[1:]))
+            except (ValueError, OverflowError):
+                raise _error(
+                    text, pos, f"invalid character reference &{body};") from None
+        out.append(char)
+        start = end + 1
 
-    def _parse_content(self, open_name: str, scope: dict[str, str]) -> list:
-        scanner = self.scanner
-        children: list = []
-        text_parts: list[str] = []
 
-        def flush() -> None:
-            if text_parts:
-                children.append(Text("".join(text_parts)))
-                text_parts.clear()
+def _after_value(match: re.Match) -> int:
+    """The offset after the closing quote of an ``_ATTRIBUTE`` match, where
+    faults in the value are reported."""
+    return max(match.end(2), match.end(3)) + 1
 
-        while True:
-            if scanner.eof:
-                raise scanner.error(f"unclosed element <{open_name}>")
-            if scanner.peek(2) == "</":
-                scanner.advance(2)
-                closing = scanner.read_name()
-                scanner.skip_whitespace()
-                scanner.expect(">")
-                if closing != open_name:
-                    raise scanner.error(
-                        f"mismatched end tag </{closing}> for <{open_name}>")
-                flush()
-                return children
-            if scanner.peek(4) == "<!--":
-                scanner.advance(4)
-                flush()
-                children.append(Comment(scanner.read_until("-->", "comment")))
-            elif scanner.peek(9) == "<![CDATA[":
-                scanner.advance(9)
-                text_parts.append(scanner.read_until("]]>", "CDATA section"))
-            elif scanner.peek(2) == "<?":
-                flush()
-                children.append(self._parse_pi())
-            elif scanner.peek() == "<":
-                flush()
-                children.append(self._parse_element(scope))
-            else:
-                raw = self._read_text()
-                text_parts.append(raw)
-        # unreachable
 
-    def _read_text(self) -> str:
-        scanner = self.scanner
-        start = scanner.pos
-        while not scanner.eof and scanner.peek() != "<":
-            scanner.advance()
-        return self._decode_entities(scanner.text[start:scanner.pos])
+def _comment(text: str, pos: int) -> tuple[Comment, int]:
+    """The ``<!--`` at ``pos`` as a node, and the offset after its ``-->``."""
+    end = text.find("-->", pos + 4)
+    if end < 0:
+        raise _error(text, pos + 4, "unterminated comment")
+    return Comment(text[pos + 4:end]), end + 3
 
-    def _decode_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        out: list[str] = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
+
+def _processing_instruction(text: str,
+                            pos: int) -> tuple[ProcessingInstruction, int]:
+    """The ``<?`` at ``pos`` as a node, and the offset after its ``?>``."""
+    target_end = _read_name(text, pos + 2)
+    data_start = _skip_space(text, target_end)
+    end = text.find("?>", data_start)
+    if end < 0:
+        raise _error(text, data_start, "unterminated processing instruction")
+    return ProcessingInstruction(text[pos + 2:target_end],
+                                 text[data_start:end]), end + 2
+
+
+class _ScopeNames(dict):
+    """Raw name → :class:`QName` under one namespace scope, filled on demand.
+
+    A message repeats a handful of names (``log:tuple``, ``name``, …) many
+    times; each is resolved against the scope once per parse.  Element and
+    attribute names are kept apart because only the former take the default
+    namespace and only the latter may not live in the ``xmlns`` namespace.
+    """
+
+    __slots__ = ("scope", "attributes")
+
+    def __init__(self, scope: dict[str, str], attributes: bool) -> None:
+        self.scope = scope
+        self.attributes = attributes
+
+    def __missing__(self, raw: str) -> QName:
+        if self.attributes:
+            name = QName.parse(raw, self.scope, default=None)
+            if name.uri == XMLNS_NS:
+                raise NamespaceError("xmlns is not a usable prefix")
+        else:
+            name = QName.parse(raw, self.scope,
+                               default=self.scope.get("") or None)
+        self[raw] = name
+        return name
+
+
+def _parse_element(text: str, pos: int, scope: dict[str, str],
+                   document: Document) -> int:
+    """Parse the element at ``pos`` (in-scope prefixes ``scope``) as the next
+    child of ``document``; return the offset after its end tag."""
+    find, startswith = text.find, text.startswith
+    open_tag, attribute, close_tag = _OPEN.match, _ATTRIBUTE.match, _CLOSE.match
+    if open_tag(text, pos) is None:     # only a start tag may come first
+        raise (_name_fault(text, pos + 1) if startswith("<", pos)
+               else _error(text, pos, "expected '<'"))
+    # Nodes are made without their constructors (which re-parse names, copy
+    # the dicts and run ``append``'s re-parenting checks): a measured sixth
+    # of the parse.  Every slot of nodes.py's classes is assigned here.
+    new = object.__new__
+
+    element_names = _ScopeNames(scope, attributes=False)
+    attribute_names = _ScopeNames(scope, attributes=True)
+    # One entry per open element: the state of its *parent* to return to.
+    stack: list[tuple] = []
+    parent: Element | Document = document
+    siblings = document.children
+    open_name = None            # raw name of `parent`, for its end tag
+    fault = None                # unresolvable name in `parent`'s start tag
+    pending = None              # character data not yet made a Text node
+
+    while True:
+        markup = find("<", pos)
+        if markup != pos:
+            end = markup if markup >= 0 else len(text)
+            chunk = text[pos:end]
+            if "&" in chunk:
+                chunk = _decode_entities(chunk, text, end)
+            if markup < 0:
+                raise _error(text, end, f"unclosed element <{open_name}>")
+            pending = chunk if pending is None else pending + chunk
+            pos = markup
+        # Character data, references and CDATA sections run together into
+        # one Text node, which ends at any other markup.
+        if pending is not None and not startswith("<![CDATA[", pos):
+            node = new(Text)
+            node.parent = parent
+            node.value = pending
+            siblings.append(node)
+            pending = None
+
+        match = open_tag(text, pos)
+        if match is not None:
+            raw_name, closer = match.groups()
+            if not raw_name.isascii():
+                name_fault = _name_fault(text, pos + 1)
+                if name_fault is not None:
+                    raise name_fault
+            if len(stack) >= _MAX_DEPTH:
+                raise _error(text, pos,
+                             f"element nesting deeper than {_MAX_DEPTH}")
+            pos = match.end()
+            nsdecls: dict[str, str] = {}
+            raw_attributes: dict[str, str] = {}
+            while closer is None:
+                match = attribute(text, pos)
+                if match is None:
+                    raise _attribute_fault(text, pos)
+                name, value, single_quoted, closer = match.groups()
+                if value is None:
+                    value = single_quoted
+                if not name.isascii():
+                    name_fault = _name_fault(text, match.start(1))
+                    if name_fault is not None:
+                        raise name_fault
+                pos = match.end()
+                if "&" in value:
+                    value = _decode_entities(value, text, _after_value(match))
+                if name.startswith("xmlns") and name[5:6] in ("", ":"):
+                    if len(name) > 5 and not value:
+                        raise _error(
+                            text, _after_value(match),
+                            f"cannot bind prefix {name[6:]!r} to empty URI")
+                    nsdecls[name[6:]] = value
+                elif name in raw_attributes:
+                    raise _error(text, _after_value(match),
+                                 f"duplicate attribute {name!r}")
+                else:
+                    raw_attributes[name] = value
+
+            outer_names = element_names, attribute_names
+            if nsdecls:
+                inner = {**element_names.scope, **nsdecls}
+                element_names = _ScopeNames(inner, attributes=False)
+                attribute_names = _ScopeNames(inner, attributes=True)
+            # A name that does not resolve is reported where the element
+            # *ends*, after any fault in its content, as it always was.
+            tag_fault = None
+            attributes: dict[QName, str] = {}
+            try:
+                qname = element_names[raw_name]
+                for raw, value in raw_attributes.items():
+                    name = attribute_names[raw]
+                    if attributes and name in attributes:
+                        tag_fault = ("duplicate expanded attribute "
+                                     f"{name.clark!r}")
+                        break
+                    attributes[name] = value
+            except ValueError as exc:
+                qname, tag_fault = None, str(exc)
+
+            element = new(Element)
+            element.parent = parent
+            element.name = qname
+            element.attributes = attributes
+            element.nsdecls = nsdecls
+            element.children = []
+            siblings.append(element)
+
+            if closer == "/>":
+                if tag_fault is not None:
+                    raise _error(text, pos, tag_fault)
+                element_names, attribute_names = outer_names
+                if not stack:
+                    return pos
                 continue
-            end = raw.find(";", i + 1)
-            if end < 0:
-                raise self.scanner.error("unterminated entity reference")
-            body = raw[i + 1:end]
-            if body.startswith("#x") or body.startswith("#X"):
-                out.append(chr(int(body[2:], 16)))
-            elif body.startswith("#"):
-                out.append(chr(int(body[1:])))
-            elif body in _PREDEFINED_ENTITIES:
-                out.append(_PREDEFINED_ENTITIES[body])
-            else:
-                raise self.scanner.error(f"unknown entity &{body};")
-            i = end + 1
-        return "".join(out)
+            stack.append((parent, siblings, open_name, fault, outer_names))
+            parent, siblings = element, element.children
+            open_name, fault = raw_name, tag_fault
+            continue
 
+        if startswith("</", pos):
+            match = close_tag(text, pos)
+            if match is None or match.group(1) != open_name:
+                raise _end_tag_fault(text, pos, open_name)
+            pos = match.end()
+            if fault is not None:
+                raise _error(text, pos, fault)
+            (parent, siblings, open_name, fault,
+             (element_names, attribute_names)) = stack.pop()
+            if not stack:
+                return pos
+        elif startswith("<!--", pos):
+            comment, pos = _comment(text, pos)
+            parent.append(comment)
+        elif startswith("<![CDATA[", pos):
+            end = find("]]>", pos + 9)
+            if end < 0:
+                raise _error(text, pos + 9, "unterminated CDATA section")
+            chunk = text[pos + 9:end]
+            pending = chunk if pending is None else pending + chunk
+            pos = end + 3
+        elif startswith("<?", pos):
+            instruction, pos = _processing_instruction(text, pos)
+            parent.append(instruction)
+        else:
+            raise _name_fault(text, pos + 1)
+
+
+# -- entry points ---------------------------------------------------------------
 
 def parse_document(text: str) -> Document:
     """Parse a complete XML document (prolog + one root element)."""
-    return _Parser(text).parse_document()
+    text = text.removeprefix("\ufeff")
+    document = Document()
+    pos = _skip_space(text, 0)
+    if text.startswith("<?xml", pos):
+        end = text.find("?>", pos + 5)
+        if end < 0:
+            raise _error(text, pos + 5, "unterminated XML declaration")
+        pos = _skip_space(text, end + 2)
+    while True:
+        if text.startswith("<!--", pos):
+            comment, pos = _comment(text, pos)
+            document.append(comment)
+        elif text.startswith("<!DOCTYPE", pos):
+            pos += 9
+            depth = 1
+            while depth and pos < len(text):
+                if text[pos] == "<":
+                    depth += 1
+                elif text[pos] == ">":
+                    depth -= 1
+                pos += 1
+            if depth:
+                raise _error(text, pos, "unterminated DOCTYPE")
+        elif text.startswith("<?", pos):
+            instruction, pos = _processing_instruction(text, pos)
+            document.append(instruction)
+        else:
+            break
+        pos = _skip_space(text, pos)
+    pos = _skip_space(text, _parse_element(text, pos, {"xml": XML_NS},
+                                           document))
+    while pos < len(text):
+        if text.startswith("<!--", pos):
+            node, pos = _comment(text, pos)
+        elif text.startswith("<?", pos):
+            node, pos = _processing_instruction(text, pos)
+        else:
+            raise _error(text, pos, "content after document element")
+        document.append(node)
+        pos = _skip_space(text, pos)
+    return document
 
 
 def parse_fragment(text: str,
                    namespaces: dict[str, str] | None = None) -> Element:
     """Parse a single element, optionally inside pre-declared prefixes."""
-    return _Parser(text).parse_fragment(namespaces)
+    text = text.removeprefix("\ufeff")
+    # The fragment gets a Document parent so absolute XPath expressions
+    # ("/a/b") work on parsed trees.
+    document = Document()
+    pos = _parse_element(text, _skip_space(text, 0),
+                         {"xml": XML_NS, **(namespaces or {})}, document)
+    pos = _skip_space(text, pos)
+    if pos < len(text):
+        raise _error(text, pos, "trailing content after fragment")
+    return document.children[0]
 
 
 def parse(text: str, namespaces: dict[str, str] | None = None) -> Element:

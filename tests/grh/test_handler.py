@@ -209,6 +209,22 @@ class TestUnawareAdaptation:
         (binding,) = result
         assert binding["Avail"] == "Polo"
 
+    @pytest.mark.parametrize("response", [
+        pytest.param("<car m='&#xZZ;'/>", id="reference-not-hex"),
+        pytest.param("<car>&#;</car>", id="reference-empty"),
+        pytest.param("<car>&#1114112;</car>", id="reference-out-of-range"),
+        pytest.param("<car><unclosed></car>", id="unclosed"),
+        pytest.param("<c>" * 2000 + "</c>" * 2000, id="nested-2000-deep"),
+    ])
+    def test_unparseable_response_is_a_classified_error(self, response):
+        # A misbehaving framework-unaware service must surface as GRHError:
+        # bad character references used to escape as a bare ValueError, and
+        # deep nesting as RecursionError, from inside the parser.
+        grh, _ = self.setup_grh({"q": response})
+        spec = ComponentSpec("query", "urn:exist", opaque="q", bind_to="Car")
+        with pytest.raises(GRHError, match="unparseable service response"):
+            grh.evaluate_query("r::q1", spec, Relation.unit())
+
     def test_markup_component_for_unaware_language_rejected(self):
         grh, _ = self.setup_grh({})
         spec = ComponentSpec("query", "urn:exist",

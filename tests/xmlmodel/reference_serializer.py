@@ -1,18 +1,14 @@
-"""Serialization of the XML node model back to markup.
-
-Two modes are provided:
-
-* :func:`serialize` — compact output reusing the prefixes recorded at parse
-  time where possible, inventing ``ns0``, ``ns1``, … prefixes otherwise.
-* :func:`canonicalize` — deterministic output (sorted attributes, fixed
-  prefix generation, no insignificant whitespace) used by the tests that
-  byte-compare messages across transports (DESIGN.md §5).
+"""``repro.xmlmodel.serializer`` as it stood before ``_write_element``
+stopped copying the scope and re-creating its closure for every element,
+kept unmodified so ``test_parser_differential.py`` can require the
+rewritten function's output to be byte-identical.
 """
 
 from __future__ import annotations
 
-from .names import QName, XMLNS_NS, XML_NS
-from .nodes import Comment, Document, Element, Node, ProcessingInstruction, Text
+from repro.xmlmodel.names import QName, XMLNS_NS, XML_NS
+from repro.xmlmodel.nodes import (Comment, Document, Element, Node,
+                                  ProcessingInstruction, Text)
 
 __all__ = ["serialize", "canonicalize"]
 
@@ -42,85 +38,56 @@ class _PrefixAllocator:
                 return candidate
 
 
-def _bound_prefix(name: QName, is_attribute: bool,
-                  scope: dict[str, str]) -> str | None:
-    """The tag prefix (``""`` or ``"p:"``) that ``scope`` already gives
-    ``name``, or ``None`` when the element must declare one first."""
-    uri = name.uri
-    if uri is None:
-        # An unprefixed attribute has no namespace; an unprefixed element
-        # must not be captured by a default namespace declaration.
-        if not is_attribute and scope.get("") not in (None, ""):
-            return None
-        return ""
-    if uri == XML_NS:
-        return "xml:"
-    for prefix, bound in scope.items():
-        if bound == uri and (prefix or not is_attribute):
-            return f"{prefix}:" if prefix else ""
-    return None
-
-
-def _declare(name: QName, is_attribute: bool, scope: dict[str, str],
-             new_decls: dict[str, str], allocator: _PrefixAllocator) -> str:
-    """Bind a prefix for ``name`` on the element being written (``scope``
-    and ``new_decls`` are updated) and return its tag prefix."""
-    uri = name.uri
-    if uri is None:
-        prefix, uri = "", ""            # un-declare the default namespace
-    elif not is_attribute and scope.get("") in (None, ""):
-        prefix = ""
-    else:
-        prefix = allocator.fresh(scope)
-    new_decls[prefix] = scope[prefix] = uri
-    return f"{prefix}:" if prefix else ""
-
-
 def _write_element(element: Element, out: list[str], scope: dict[str, str],
                    allocator: _PrefixAllocator, indent: str | None,
                    depth: int) -> None:
     # Determine declarations needed on this element: start from the ones the
     # author wrote, then add whatever the element/attribute names require.
-    # Most elements need none and write under their parent's scope as it is;
-    # the first declaration copies it.
     new_decls: dict[str, str] = {}
-    if element.nsdecls:
-        new_decls = {prefix: uri
-                     for prefix, uri in sorted(element.nsdecls.items())
-                     if scope.get(prefix) != uri}
-    local_scope = {**scope, **new_decls} if new_decls else scope
+    local_scope = dict(scope)
+    for prefix, uri in sorted(element.nsdecls.items()):
+        if local_scope.get(prefix) != uri:
+            new_decls[prefix] = uri
+            local_scope[prefix] = uri
 
-    name = element.name
-    tag_prefix = _bound_prefix(name, False, local_scope)
-    if tag_prefix is None:
-        if local_scope is scope:
-            local_scope = dict(scope)
-        tag_prefix = _declare(name, False, local_scope, new_decls, allocator)
-    tag = tag_prefix + name.local
+    def prefix_for(name: QName, is_attribute: bool) -> str:
+        if name.uri is None:
+            # An unprefixed attribute has no namespace; an unprefixed element
+            # must not be captured by a default namespace declaration.
+            if not is_attribute and local_scope.get("") not in (None, ""):
+                new_decls[""] = ""
+                local_scope[""] = ""
+            return ""
+        if name.uri == XML_NS:
+            return "xml:"
+        for prefix, uri in local_scope.items():
+            if uri == name.uri and (prefix or not is_attribute):
+                return f"{prefix}:" if prefix else ""
+        if not is_attribute and local_scope.get("") in (None, ""):
+            new_decls[""] = name.uri
+            local_scope[""] = name.uri
+            return ""
+        fresh = allocator.fresh(local_scope)
+        new_decls[fresh] = name.uri
+        local_scope[fresh] = name.uri
+        return f"{fresh}:"
+
+    tag = prefix_for(element.name, is_attribute=False) + element.name.local
     attribute_parts: list[tuple[str, str]] = []
     attribute_items = element.attributes.items()
     if allocator.deterministic:
         attribute_items = sorted(attribute_items,
                                  key=lambda kv: (kv[0].uri or "", kv[0].local))
     for name, value in attribute_items:
-        if name.uri is None:
-            attribute_parts.append((name.local, value))
-            continue
         if name.uri == XMLNS_NS:
             continue
-        attr_prefix = _bound_prefix(name, True, local_scope)
-        if attr_prefix is None:
-            if local_scope is scope:
-                local_scope = dict(scope)
-            attr_prefix = _declare(name, True, local_scope, new_decls,
-                                   allocator)
-        attribute_parts.append((attr_prefix + name.local, value))
+        attribute_parts.append(
+            (prefix_for(name, is_attribute=True) + name.local, value))
 
     out.append(f"<{tag}")
-    if new_decls:
-        for prefix, uri in sorted(new_decls.items()):
-            attr = "xmlns" if not prefix else f"xmlns:{prefix}"
-            out.append(f' {attr}="{_escape_attribute(uri)}"')
+    for prefix, uri in sorted(new_decls.items()):
+        attr = "xmlns" if not prefix else f"xmlns:{prefix}"
+        out.append(f' {attr}="{_escape_attribute(uri)}"')
     for attr_tag, value in attribute_parts:
         out.append(f' {attr_tag}="{_escape_attribute(value)}"')
 
@@ -128,10 +95,8 @@ def _write_element(element: Element, out: list[str], scope: dict[str, str],
         out.append("/>")
         return
     out.append(">")
-    pad = None
-    if indent is not None and not all(isinstance(child, Text)
-                                      for child in element.children):
-        pad = indent * (depth + 1)
+    only_text = all(isinstance(child, Text) for child in element.children)
+    pad = None if indent is None or only_text else indent * (depth + 1)
     for child in element.children:
         if pad is not None:
             out.append(f"\n{pad}")
