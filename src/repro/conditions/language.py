@@ -20,8 +20,8 @@ from ..xmlmodel import Document, Element
 from ..xpath.ast import (And, Arithmetic, Comparison, ContextItem, Expr,
                          Filter, FunctionCall, Literal, Negate, NumberLiteral,
                          Or, Path, Root, Union, VariableRef)
-from ..xpath.evaluator import (Context, XPathEvaluationError, as_boolean,
-                               evaluate_expr)
+from ..xpath.evaluator import (Focus, XPathEvaluationError, as_boolean,
+                               compile_expr)
 from ..xpath.parser import parse_xpath, XPathSyntaxError
 
 __all__ = ["TestExpression", "TestSyntaxError", "TestEvaluationError",
@@ -111,6 +111,7 @@ class TestExpression:
         except XPathSyntaxError as exc:
             raise TestSyntaxError(str(exc)) from exc
         _reject_free_paths(self._expr)
+        self._evaluate = compile_expr(self._expr)
         self.source = source
         self.namespaces = dict(namespaces or {})
         names: set[str] = set()
@@ -134,10 +135,9 @@ class TestExpression:
                 converted[name] = float(value)
             else:
                 converted[name] = value
-        context = Context(node=Document([]), variables=converted,
-                          namespaces=self.namespaces)
+        focus = Focus(Document([]), converted, self.namespaces)
         try:
-            return as_boolean(evaluate_expr(self._expr, context))
+            return as_boolean(self._evaluate(focus))
         except XPathEvaluationError as exc:
             raise TestEvaluationError(
                 f"cannot evaluate test {self.source!r}: {exc}") from exc

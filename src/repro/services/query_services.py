@@ -18,6 +18,8 @@ Four services demonstrating the paper's two query-language styles
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..bindings import Binding, Relation, Uri, binding_to_answer
 from ..datalog import DatalogEngine, DatalogError
 from ..grh.messages import Request
@@ -36,6 +38,10 @@ XQ_LANG = "http://www.semwebtech.org/languages/2006/xquery-lite"
 EXIST_LANG = "http://www.semwebtech.org/languages/2006/exist-like"
 SPARQL_LANG = "http://www.semwebtech.org/languages/2006/sparql-lite"
 DATALOG_LANG = "http://www.semwebtech.org/languages/2006/datalog"
+
+#: how many of its latest query strings an :class:`ExistLikeService`
+#: remembers in ``request_log``
+REQUEST_LOG_SIZE = 1024
 
 
 _PLACEHOLDER_RE = __import__("re").compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -136,7 +142,7 @@ class ExistLikeService:
 
     def __init__(self, documents: dict[str, Element] | None = None) -> None:
         self.documents = dict(documents or {})
-        self.request_log: list[str] = []
+        self.request_log: deque[str] = deque(maxlen=REQUEST_LOG_SIZE)
 
     def add_document(self, name: str, root: Element) -> None:
         self.documents[name] = root

@@ -172,7 +172,16 @@ class InProcessTransport:
               timeout: float | None = None) -> str:
         if address not in self._opaque:
             raise TransportError(f"no opaque service bound at {address!r}")
-        return self._opaque[address](query)
+        try:
+            return self._opaque[address](query)
+        except (ConnectionError, TransportError):
+            # a (simulated) crash or a transport fault: transient
+            raise
+        except Exception as exc:
+            # the same verdict the HTTP path reaches through a 500: the
+            # service ran and refused this query — deterministic, so the
+            # GRH reports it instead of retrying (PROTOCOL.md §11)
+            raise ServiceStatusError(500, str(exc)) from exc
 
     def supports_batch(self, address: str) -> bool:
         """Batching works against any aware handler via the shim."""

@@ -8,6 +8,8 @@ literals and function calls.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .ast import (And, Arithmetic, Comparison, ContextItem, Expr, Filter,
                   FunctionCall, KindTest, Literal, NameTest, Negate, NodeTest,
                   NumberLiteral, Or, Path, Root, Step, Union, VariableRef)
@@ -288,8 +290,18 @@ class XPathParser:
         return expr
 
 
+#: how many parsed expressions :func:`parse_xpath` keeps (by text)
+PARSE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_xpath(text: str) -> Expr:
-    """Parse an XPath expression string into an AST."""
+    """Parse an XPath expression string into an AST.
+
+    Cached by text: the AST is immutable, so one tree serves every caller
+    of the same string.  A syntax error is not cached; it is raised anew,
+    with the same message, each time.
+    """
     try:
         return XPathParser(Lexer(text)).parse_complete()
     except TokenError as exc:

@@ -6,9 +6,9 @@ variables via ``<eca:variable>`` wrappers (Fig. 8).
 """
 
 from .ast import Query
-from .evaluator import (Sequence, XQEvaluationError, evaluate_parsed_query,
-                        evaluate_query)
+from .evaluator import (Sequence, XQEvaluationError, compile_query,
+                        evaluate_parsed_query, evaluate_query)
 from .parser import XQSyntaxError, parse_query
 
-__all__ = ["parse_query", "XQSyntaxError", "evaluate_query",
+__all__ = ["parse_query", "XQSyntaxError", "compile_query", "evaluate_query",
            "evaluate_parsed_query", "XQEvaluationError", "Query", "Sequence"]

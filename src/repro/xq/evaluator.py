@@ -7,25 +7,37 @@ produces one ``log:answer`` per result.
 
 Documents are provided by name through a small registry so that queries
 can say ``doc('cars.xml')/...`` without any filesystem or network access.
+
+Like the XPath layer underneath, a query is **compiled once** into
+closures (:func:`compile_query`, cached by AST; the text is cached by
+:func:`~repro.xq.parser.parse_query`): one per FLWOR, conditional,
+sequence and constructor, with the embedded XPath expressions compiled by
+:func:`repro.xpath.evaluator.compile_expr`.  All of them run against one
+:class:`~repro.xpath.evaluator.Focus` whose ``variables`` a FLWOR swaps
+per tuple.  The interpreter this replaced is the differential oracle
+``tests/xq/reference_evaluator.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from functools import lru_cache
+from typing import Any, Callable
 
 from ..xmlmodel import Document, Element, QName, Text
-from ..xpath.evaluator import (Context, XPathEvaluationError, as_boolean,
-                               as_number, as_string, evaluate_expr)
+from ..xpath.evaluator import (Focus, XPathEvaluationError, as_boolean,
+                               as_number, as_string, compile_expr)
 from ..xpath.nodeops import string_value, XPathNode
 from .ast import (AttributeTemplate, ElementTemplate, FLWOR, ForClause,
-                  IfExpr, LetClause, Prolog, Query, SequenceExpr,
-                  TextTemplate)
+                  IfExpr, Query, SequenceExpr, TextTemplate)
 from .parser import parse_query
 
 __all__ = ["XQEvaluationError", "evaluate_query", "evaluate_parsed_query",
-           "Sequence"]
+           "compile_query", "Sequence"]
 
 Sequence = list  # a sequence of items (nodes or atomic values)
+
+#: how many compiled queries :func:`compile_query` keeps (by AST)
+COMPILE_CACHE_SIZE = 512
 
 
 class XQEvaluationError(ValueError):
@@ -58,200 +70,226 @@ def _is_number(text: str) -> bool:
     return True
 
 
-class _XQRuntime:
-    def __init__(self, prolog: Prolog, context: Context,
-                 documents: dict[str, Element] | None) -> None:
-        namespaces = dict(context.namespaces)
-        namespaces.update(dict(prolog.namespaces))
-        functions = dict(context.functions)
-        documents = documents or {}
+def _effective_boolean(sequence: Sequence) -> bool:
+    if len(sequence) == 1 and not _is_node(sequence[0]):
+        return as_boolean(sequence[0])
+    return as_boolean(sequence)
 
-        def fn_doc(_context: Context, args: list) -> list:
-            name = as_string(args[0])
-            if name not in documents:
-                raise XQEvaluationError(f"unknown document {name!r}")
-            return [documents[name]]
 
-        functions.setdefault("doc", fn_doc)
-        default_ns = (prolog.default_element_namespace
-                      or context.default_element_namespace)
-        self.base_context = Context(
-            node=context.node, position=context.position, size=context.size,
-            variables=dict(context.variables), namespaces=namespaces,
-            default_element_namespace=default_ns, functions=functions)
-        self.prolog_namespaces = namespaces
-        self.default_ns = prolog.default_element_namespace
-        self._scope_stack: list[dict[str, str]] = [{}]
+# -- the compiler ----------------------------------------------------------------
+#
+# ``_compile`` turns one expression into ``run(focus) -> Sequence``.  The
+# namespace scope of the enclosing direct constructors is lexical (XQ-lite
+# has no user functions), so it is resolved here and not tracked at run
+# time; only a prefix that no constructor declares is looked up per
+# evaluation, in the prolog's and the caller's namespaces.
 
-    # -- expression dispatch ---------------------------------------------------
+Compiled = Callable[[Focus], Sequence]
 
-    def evaluate(self, expr, variables: dict[str, Any]) -> Sequence:
-        if isinstance(expr, FLWOR):
-            return self._flwor(expr, variables)
-        if isinstance(expr, IfExpr):
-            condition = self._effective_boolean(expr.condition, variables)
-            branch = expr.then if condition else expr.otherwise
-            return self.evaluate(branch, variables)
-        if isinstance(expr, SequenceExpr):
+
+def _compile(expr, scope: dict[str, str], default_ns: str | None) -> Compiled:
+    if isinstance(expr, FLWOR):
+        return _compile_flwor(expr, scope, default_ns)
+    if isinstance(expr, IfExpr):
+        condition = _compile(expr.condition, scope, default_ns)
+        then = _compile(expr.then, scope, default_ns)
+        otherwise = _compile(expr.otherwise, scope, default_ns)
+        return lambda focus: (then(focus)
+                              if _effective_boolean(condition(focus))
+                              else otherwise(focus))
+    if isinstance(expr, SequenceExpr):
+        items = tuple(_compile(item, scope, default_ns)
+                      for item in expr.items)
+
+        def sequence(focus: Focus) -> Sequence:
             out: Sequence = []
-            for item in expr.items:
-                out.extend(self.evaluate(item, variables))
+            for item in items:
+                out.extend(item(focus))
             return out
-        if isinstance(expr, ElementTemplate):
-            # constructors inside embedded { ... } expressions inherit the
-            # namespace scope of their enclosing constructor
-            return [self._construct(expr, variables, self._scope_stack[-1])]
-        value = evaluate_expr(expr, self._context(variables))
-        return _to_sequence(value)
+        return sequence
+    if isinstance(expr, ElementTemplate):
+        construct = _compile_constructor(expr, scope, default_ns)
+        return lambda focus: [construct(focus)]
+    # uncached: compile_query keeps the whole query, so an entry per
+    # embedded expression would only push other callers' out of the LRU
+    path = compile_expr.__wrapped__(expr)
+    return lambda focus: _to_sequence(path(focus))
 
-    def _context(self, variables: dict[str, Any]) -> Context:
-        merged = dict(self.base_context.variables)
-        merged.update(variables)
-        return Context(node=self.base_context.node, position=1, size=1,
-                       variables=merged,
-                       namespaces=self.base_context.namespaces,
-                       default_element_namespace=(
-                           self.base_context.default_element_namespace),
-                       functions=self.base_context.functions)
 
-    def _effective_boolean(self, expr, variables: dict[str, Any]) -> bool:
-        sequence = self.evaluate(expr, variables)
-        if len(sequence) == 1 and not _is_node(sequence[0]):
-            return as_boolean(sequence[0])
-        return as_boolean(sequence)
+def _compile_flwor(expr: FLWOR, scope: dict[str, str],
+                   default_ns: str | None) -> Compiled:
+    clauses = tuple(
+        (isinstance(clause, ForClause), clause.variable,
+         _compile(clause.source if isinstance(clause, ForClause)
+                  else clause.value, scope, default_ns))
+        for clause in expr.clauses)
+    where = None if expr.where is None \
+        else _compile(expr.where, scope, default_ns)
+    order_by = None if expr.order_by is None \
+        else _compile(expr.order_by, scope, default_ns)
+    descending = expr.descending
+    body = _compile(expr.body, scope, default_ns)
 
-    # -- FLWOR --------------------------------------------------------------------
-
-    def _flwor(self, expr: FLWOR, variables: dict[str, Any]) -> Sequence:
-        tuples: list[dict[str, Any]] = [dict(variables)]
-        for clause in expr.clauses:
-            if isinstance(clause, ForClause):
+    def flwor(focus: Focus) -> Sequence:
+        outer = focus.variables
+        tuples: list[dict[str, Any]] = [dict(outer)]
+        for is_for, variable, source in clauses:
+            if is_for:
                 next_tuples = []
                 for current in tuples:
-                    for item in self.evaluate(clause.source, current):
+                    focus.variables = current
+                    for item in source(focus):
                         extended = dict(current)
-                        extended[clause.variable] = item
+                        extended[variable] = item
                         next_tuples.append(extended)
                 tuples = next_tuples
             else:
-                assert isinstance(clause, LetClause)
                 for current in tuples:
-                    sequence = self.evaluate(clause.value, current)
-                    current[clause.variable] = _to_variable_value(sequence)
-        if expr.where is not None:
-            tuples = [current for current in tuples
-                      if self._effective_boolean(expr.where, current)]
-        if expr.order_by is not None:
-            tuples = self._order(tuples, expr.order_by, expr.descending)
+                    focus.variables = current
+                    current[variable] = _to_variable_value(source(focus))
+        if where is not None:
+            kept = []
+            for current in tuples:
+                focus.variables = current
+                if _effective_boolean(where(focus)):
+                    kept.append(current)
+            tuples = kept
+        if order_by is not None:
+            tuples = _order(tuples, order_by, descending, focus)
         out: Sequence = []
         for current in tuples:
-            out.extend(self.evaluate(expr.body, current))
+            focus.variables = current
+            out.extend(body(focus))
+        focus.variables = outer
         return out
+    return flwor
 
-    def _order(self, tuples: list[dict[str, Any]], key_expr,
-               descending: bool) -> list[dict[str, Any]]:
-        keyed = []
-        for current in tuples:
-            sequence = self.evaluate(key_expr, current)
-            if not sequence:
-                key_value: Any = ""
-            else:
-                item = sequence[0]
-                key_value = string_value(item) if _is_node(item) else item
-            keyed.append((key_value, current))
-        numeric = all(isinstance(key, (int, float))
-                      or (isinstance(key, str) and _is_number(key))
-                      for key, _ in keyed)
-        if numeric:
-            keyed.sort(key=lambda pair: as_number(pair[0]),
-                       reverse=descending)
+
+def _order(tuples: list[dict[str, Any]], key: Compiled, descending: bool,
+           focus: Focus) -> list[dict[str, Any]]:
+    keyed = []
+    for current in tuples:
+        focus.variables = current
+        sequence = key(focus)
+        if not sequence:
+            key_value: Any = ""
         else:
-            keyed.sort(key=lambda pair: as_string(pair[0]),
-                       reverse=descending)
-        return [current for _, current in keyed]
+            item = sequence[0]
+            key_value = string_value(item) if _is_node(item) else item
+        keyed.append((key_value, current))
+    numeric = all(isinstance(key_value, (int, float))
+                  or (isinstance(key_value, str) and _is_number(key_value))
+                  for key_value, _ in keyed)
+    if numeric:
+        keyed.sort(key=lambda pair: as_number(pair[0]), reverse=descending)
+    else:
+        keyed.sort(key=lambda pair: as_string(pair[0]), reverse=descending)
+    return [current for _, current in keyed]
 
-    # -- constructors ------------------------------------------------------------------
 
-    def _construct(self, template: ElementTemplate,
-                   variables: dict[str, Any],
-                   scope: dict[str, str]) -> Element:
-        local_scope = dict(scope)
-        nsdecls = dict(template.nsdecls)
-        local_scope.update(nsdecls)
-        self._scope_stack.append(local_scope)
-        try:
-            return self._construct_in_scope(template, variables, local_scope,
-                                            nsdecls)
-        finally:
-            self._scope_stack.pop()
+# -- constructors ------------------------------------------------------------------
 
-    def _construct_in_scope(self, template: ElementTemplate,
-                            variables: dict[str, Any],
-                            local_scope: dict[str, str],
-                            nsdecls: dict[str, str]) -> Element:
-        name = self._resolve(template.name, local_scope, is_attribute=False)
-        element = Element(name, nsdecls={prefix: uri for prefix, uri
-                                         in nsdecls.items()})
-        for attribute in template.attributes:
-            attr_name = self._resolve(attribute.name, local_scope,
-                                      is_attribute=True)
-            element.set(attr_name, self._attribute_value(attribute, variables))
-        last_was_atomic = False
-        for item in template.content:
-            if isinstance(item, TextTemplate):
-                if item.value.strip():
-                    element.append(Text(item.value))
-                last_was_atomic = False
-            elif isinstance(item, ElementTemplate):
-                element.append(self._construct(item, variables, local_scope))
-                last_was_atomic = False
-            else:
-                for value in self.evaluate(item, variables):
-                    if _is_node(value):
-                        node = value
-                        if hasattr(node, "owner"):  # attribute node
-                            element.append(Text(node.value))
-                        elif isinstance(node, Document):
-                            element.append(node.root_element.copy())
-                        elif isinstance(node, Text):
-                            element.append(Text(node.value))
-                        else:
-                            element.append(node.copy())
-                        last_was_atomic = False
-                    else:
-                        text = as_string(value)
-                        if last_was_atomic:
-                            text = " " + text
-                        element.append(Text(text))
-                        last_was_atomic = True
-        return element
 
-    def _attribute_value(self, attribute: AttributeTemplate,
-                         variables: dict[str, Any]) -> str:
-        parts: list[str] = []
-        for part in attribute.parts:
-            if isinstance(part, str):
-                parts.append(part)
-            else:
-                sequence = self.evaluate(part, variables)
-                parts.append(" ".join(
-                    string_value(item) if _is_node(item) else as_string(item)
-                    for item in sequence))
-        return "".join(parts)
+def _compile_name(raw: str, scope: dict[str, str], default_ns: str | None,
+                  is_attribute: bool) -> Callable[[Focus], QName]:
+    prefix, sep, local = raw.partition(":")
+    if not sep:
+        uri = None if is_attribute else scope.get("") or default_ns
+        name = QName(uri, raw)
+        return lambda focus: name
+    declared = scope.get(prefix)
 
-    def _resolve(self, raw: str, scope: dict[str, str],
-                 is_attribute: bool) -> QName:
-        prefix, sep, local = raw.partition(":")
-        if not sep:
-            if is_attribute:
-                return QName(None, raw)
-            uri = scope.get("") or self.default_ns
-            return QName(uri, raw)
-        uri = scope.get(prefix) or self.prolog_namespaces.get(prefix)
+    def resolve(focus: Focus) -> QName:
+        uri = declared or focus.namespaces.get(prefix)
         if uri is None:
             raise XQEvaluationError(
                 f"undeclared prefix {prefix!r} in constructor")
         return QName(uri, local)
+    return resolve
+
+
+def _compile_attribute_value(attribute: AttributeTemplate,
+                             scope: dict[str, str],
+                             default_ns: str | None) -> Callable[[Focus], str]:
+    parts = tuple(part if isinstance(part, str)
+                  else _compile(part, scope, default_ns)
+                  for part in attribute.parts)
+
+    def value(focus: Focus) -> str:
+        return "".join(
+            part if isinstance(part, str) else " ".join(
+                string_value(item) if _is_node(item) else as_string(item)
+                for item in part(focus))
+            for part in parts)
+    return value
+
+
+def _compile_constructor(template: ElementTemplate, scope: dict[str, str],
+                         default_ns: str | None) -> Callable[[Focus], Element]:
+    nsdecls = dict(template.nsdecls)
+    # constructors nested in this one — directly or inside an embedded
+    # { ... } expression — inherit its namespace scope
+    scope = {**scope, **nsdecls}
+    name = _compile_name(template.name, scope, default_ns,
+                         is_attribute=False)
+    attributes = tuple(
+        (_compile_name(attribute.name, scope, default_ns, is_attribute=True),
+         _compile_attribute_value(attribute, scope, default_ns))
+        for attribute in template.attributes)
+    # (literal text | None, nested constructor | None, embedded expr | None)
+    content = []
+    for item in template.content:
+        if isinstance(item, TextTemplate):
+            content.append((item.value if item.value.strip() else None,
+                            None, None))
+        elif isinstance(item, ElementTemplate):
+            content.append((None, _compile_constructor(item, scope,
+                                                       default_ns), None))
+        else:
+            content.append((None, None, _compile(item, scope, default_ns)))
+
+    def construct(focus: Focus) -> Element:
+        element = Element(name(focus), nsdecls=nsdecls)
+        for attribute_name, attribute_value in attributes:
+            element.set(attribute_name(focus), attribute_value(focus))
+        last_was_atomic = False
+        for literal, nested, embedded in content:
+            if embedded is None:
+                if nested is not None:
+                    element.append(nested(focus))
+                elif literal is not None:
+                    element.append(Text(literal))
+                last_was_atomic = False
+                continue
+            for value in embedded(focus):
+                if _is_node(value):
+                    if hasattr(value, "owner"):  # attribute node
+                        element.append(Text(value.value))
+                    elif isinstance(value, Document):
+                        element.append(value.root_element.copy())
+                    elif isinstance(value, Text):
+                        element.append(Text(value.value))
+                    else:
+                        element.append(value.copy())
+                    last_was_atomic = False
+                else:
+                    text = as_string(value)
+                    if last_was_atomic:
+                        text = " " + text
+                    element.append(Text(text))
+                    last_was_atomic = True
+        return element
+    return construct
+
+
+# -- entry points ------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def compile_query(query: Query) -> Compiled:
+    """The closure that evaluates ``query``'s body given a
+    :class:`~repro.xpath.evaluator.Focus`; cached by AST."""
+    return _compile(query.body, {}, query.prolog.default_element_namespace)
 
 
 def evaluate_parsed_query(query: Query, context_node: XPathNode | None = None,
@@ -259,13 +297,22 @@ def evaluate_parsed_query(query: Query, context_node: XPathNode | None = None,
                           documents: dict[str, Element] | None = None,
                           namespaces: dict[str, str] | None = None) -> Sequence:
     """Evaluate a parsed query; see :func:`evaluate_query`."""
-    if context_node is None:
-        context_node = Document([])
-    context = Context(node=context_node, variables=dict(variables or {}),
-                      namespaces=dict(namespaces or {}))
-    runtime = _XQRuntime(query.prolog, context, documents)
+    documents = documents or {}
+
+    def fn_doc(_focus: Focus, args: list) -> list:
+        name = as_string(args[0])
+        if name not in documents:
+            raise XQEvaluationError(f"unknown document {name!r}")
+        return [documents[name]]
+
+    in_scope = dict(namespaces or {})
+    in_scope.update(query.prolog.namespaces)
+    focus = Focus(Document([]) if context_node is None else context_node,
+                  dict(variables or {}), in_scope,
+                  query.prolog.default_element_namespace or None,
+                  {"doc": fn_doc})
     try:
-        return runtime.evaluate(query.body, {})
+        return compile_query(query)(focus)
     except XPathEvaluationError as exc:
         raise XQEvaluationError(str(exc)) from exc
 

@@ -17,6 +17,8 @@ like real XQuery grammars do.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..xpath.lexer import Lexer, TokenError
 from ..xpath.parser import XPathParser, XPathSyntaxError
 from .ast import (AttributeTemplate, ElementTemplate, FLWOR, ForClause,
@@ -405,8 +407,17 @@ def _only_literal(parts: list, scanner: _ConstructorScanner) -> str:
     raise scanner.error("namespace declarations must be literal")
 
 
+#: how many parsed queries :func:`parse_query` keeps (by text)
+PARSE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_query(text: str) -> Query:
-    """Parse an XQ-lite query (prolog + expression)."""
+    """Parse an XQ-lite query (prolog + expression).
+
+    Cached by text (the AST is immutable); a syntax error is not cached
+    and is raised anew, with the same message, each time.
+    """
     try:
         return XQParser(Lexer(text)).parse_query()
     except XQSyntaxError:

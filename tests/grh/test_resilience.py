@@ -215,7 +215,10 @@ class TestRetryMediation:
             def execute(self, query):
                 calls.append(query)
                 if len(calls) <= 2:
-                    raise RuntimeError("opaque outage")
+                    # a crash, not a verdict on the query: any other
+                    # exception is the service's own report (§11) and
+                    # is not retried, in process as over HTTP
+                    raise ConnectionError("opaque outage")
                 return "value"
 
         grh = GenericRequestHandler(LanguageRegistry(), InProcessTransport(),
@@ -227,6 +230,62 @@ class TestRetryMediation:
         result = grh.evaluate_query("r::q0", spec, Relation.unit())
         assert [b["X"] for b in result] == ["value"]
         assert len(calls) == 3
+
+
+class TestOpaqueServiceReportsItsOwnErrors:
+    """A framework-unaware service that ran and refused the query gave a
+    deterministic verdict: executed once and "reported", whichever
+    transport carried it (PROTOCOL.md §11)."""
+
+    BAD_QUERY = "doc('d.xml')//["
+
+    def run_bad_query(self, transport, register):
+        from repro.services import ExistLikeService
+        manager = ResilienceManager(retry=RetryPolicy(max_attempts=3),
+                                    sleep=lambda s: None)
+        grh = GenericRequestHandler(LanguageRegistry(), transport,
+                                    resilience=manager)
+        service = ExistLikeService()
+        descriptor = LanguageDescriptor("urn:exist", "query", "exist",
+                                        framework_aware=False)
+        register(grh, descriptor, service)
+        spec = ComponentSpec("query", "urn:exist", opaque=self.BAD_QUERY,
+                             bind_to="X")
+        with pytest.raises(GRHError, match="reported") as raised:
+            grh.evaluate_query("r::q0", spec, Relation.unit())
+        assert "unreachable or crashed" not in str(raised.value)
+        assert list(service.request_log) == [self.BAD_QUERY]
+        assert grh.stats["retries"] == 0
+
+    def test_in_process(self):
+        self.run_bad_query(
+            InProcessTransport(),
+            lambda grh, descriptor, service:
+                grh.add_service(descriptor, service))
+
+    def test_over_http(self):
+        from repro.services import HttpServiceServer, HybridTransport
+        servers = []
+
+        def register(grh, descriptor, service):
+            server = HttpServiceServer(opaque_handler=service.execute)
+            servers.append(server)
+            grh.add_remote_language(descriptor, server.start())
+
+        try:
+            self.run_bad_query(HybridTransport(), register)
+        finally:
+            for server in servers:
+                server.stop()
+
+    def test_a_crash_in_process_is_still_transient(self):
+        transport = InProcessTransport()
+
+        def crashing(query):
+            raise ConnectionResetError("gone")
+        transport.bind_opaque("svc:o", crashing)
+        with pytest.raises(ConnectionResetError):
+            transport.fetch("svc:o", "q")
 
 
 class TestBreakerMediation:

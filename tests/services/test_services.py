@@ -36,6 +36,15 @@ class TestXQService:
         assert is_error(response)
         assert "xq-lite" in error_text(response)
 
+    def test_numeric_corner_is_a_result_not_a_crash(self):
+        # round(Infinity) used to raise OverflowError, which is neither
+        # of the errors query() turns into a log:error
+        response = XQService().handle(query_request(
+            "<q>(round(1 div 0), substring('abc', number('x')))</q>"))
+        assert not is_error(response)
+        relation = answers_to_relation(response)
+        assert len(relation) == 1
+
     def test_unsupported_kind(self):
         service = XQService()
         response = service.handle(request_to_xml(
@@ -59,6 +68,17 @@ class TestExistLikeService:
         service = ExistLikeService({"classes.xml": classes_document()})
         service.execute("doc('classes.xml')//entry[1]")
         assert len(service.request_log) == 1
+
+    def test_request_log_is_bounded(self):
+        from repro.services.query_services import REQUEST_LOG_SIZE
+        service = ExistLikeService({"classes.xml": classes_document()})
+        for index in range(REQUEST_LOG_SIZE + 10):
+            service.execute(f"{index}")
+        assert len(service.request_log) == REQUEST_LOG_SIZE
+        assert service.request_log[-1] == str(REQUEST_LOG_SIZE + 9)
+        assert service.request_log[0] == "10"
+        service.request_log.clear()
+        assert len(service.request_log) == 0
 
 
 class TestSparqlService:

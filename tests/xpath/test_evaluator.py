@@ -186,6 +186,46 @@ class TestFunctions:
     def test_core_functions(self, expr, expected):
         assert evaluate(expr, DOC) == expected
 
+    @pytest.mark.parametrize("expr", [
+        "floor(number('x'))", "ceiling(number('x'))", "round(number('x'))",
+    ])
+    def test_rounding_nan_is_nan(self, expr):
+        assert math.isnan(evaluate(expr, DOC))
+
+    @pytest.mark.parametrize("expr,expected", [
+        ("floor(1 div 0)", math.inf), ("floor(-1 div 0)", -math.inf),
+        ("ceiling(1 div 0)", math.inf), ("round(1 div 0)", math.inf),
+        ("round(-1 div 0)", -math.inf),
+        # XPath 1.0 §4.2's own examples
+        ("substring('12345', 1.5, 2.6)", "234"),
+        ("substring('12345', 0, 3)", "12"),
+        ("substring('12345', 0 div 0, 3)", ""),
+        ("substring('12345', 1, 0 div 0)", ""),
+        ("substring('12345', -42, 1 div 0)", "12345"),
+        ("substring('12345', -1 div 0, 1 div 0)", ""),
+        ("substring('abc', number('x'))", ""),
+        ("substring('abc', 1 div 0)", ""),
+        ("substring('abc', 2, 1 div 0)", "bc"),
+    ])
+    def test_numeric_corner_cases(self, expr, expected):
+        # these used to escape as bare ValueError / OverflowError
+        assert evaluate(expr, DOC) == expected
+
+    def test_distinct_values_keeps_first_occurrences_in_order(self):
+        assert evaluate("distinct-values(//@year)", DOC) == ["2003", "2005"]
+        many = parse("<r>" + "".join(f"<v>{i % 7}</v>" for i in range(500))
+                     + "</r>")
+        assert evaluate("distinct-values(v)", many) \
+            == [str(i) for i in range(7)]
+
+    def test_string_value_of_an_empty_document(self):
+        from repro.xmlmodel import Document
+        empty = Document([])
+        assert string_value(empty) == ""
+        assert evaluate("string(/)", empty) == ""
+        assert evaluate("string-length()", empty) == 0.0
+        assert evaluate("normalize-space()", empty) == ""
+
     def test_string_of_nodeset_takes_first(self):
         assert evaluate("string(book/title)", DOC) == "Semantic Web Grundlagen"
 

@@ -51,3 +51,19 @@ class TestSequenceFunctions:
             "for $k in distinct-values(//car/@class) "
             "return <class name='{$k}'/>", DOC)
         assert [node.get("name") for node in result] == ["B", "C"]
+
+
+class TestDefaultContextNode:
+    """Without a context node a query runs against an empty document,
+    whose string-value is the empty string."""
+
+    def test_string_functions_on_the_empty_document(self):
+        assert evaluate_query("string(/)") == [""]
+        assert evaluate_query("string-length()") == [0.0]
+        assert evaluate_query("normalize-space()") == [""]
+        assert evaluate_query("string(.)") == [""]
+
+    def test_numeric_corner_cases_are_values_not_crashes(self):
+        assert evaluate_query("round(1 div 0)") == [math.inf]
+        assert evaluate_query("substring('abc', 1 div 0)") == [""]
+        assert math.isnan(evaluate_query("floor(number('x'))")[0])
