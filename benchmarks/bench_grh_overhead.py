@@ -11,7 +11,9 @@ The same business logic runs on four configurations:
 
 Plus the aware-vs-unaware adaptation cost: the framework-unaware path
 issues one request *per input tuple* (Fig. 9), so its cost grows with
-the tuple count while the aware path sends one request total.
+the tuple count while the aware path sends one request total — and what
+the GRH's opaque-request cache buys back on that path when most
+substituted queries repeat (BENCH-A3).
 
 Expected shape: 1 < 2 < 3 < 4, with serialization dominating the
 modularity overhead and HTTP adding per-request latency.
@@ -153,11 +155,12 @@ class TestArchitectureAblation:
 class TestAdaptationCost:
     """Aware = one request per component; unaware = one per tuple."""
 
-    def _grh_with_query_services(self):
+    def _grh_with_query_services(self, cache=False):
         from repro.services import (ExistLikeService, XQService, EXIST_LANG,
                                     XQ_LANG, InProcessTransport)
         registry = LanguageRegistry()
-        grh = GenericRequestHandler(registry, InProcessTransport())
+        grh = GenericRequestHandler(registry, InProcessTransport(),
+                                    cache_opaque_requests=cache)
         documents = {"classes.xml": synthetic_classes()}
         grh.add_service(LanguageDescriptor(XQ_LANG, "query", "xq"),
                         XQService(documents))
@@ -189,3 +192,23 @@ class TestAdaptationCost:
             bind_to="Class")
         relation = Relation({"OwnCar": "Golf", "N": i} for i in range(tuples))
         benchmark(grh.evaluate_query, "b::q", spec, relation)
+
+    @pytest.mark.parametrize("cache", [False, True],
+                             ids=["no-cache", "cached"])
+    def test_unaware_duplicate_heavy_tuple_stream(self, benchmark, cache):
+        """BENCH-A3: 100 tuples over only 3 distinct models (97%
+        duplicates); caching trades memory for transport round-trips."""
+        grh = self._grh_with_query_services(cache)
+        from repro.services import EXIST_LANG
+        spec = ComponentSpec(
+            "query", EXIST_LANG,
+            opaque="doc('classes.xml')//entry[@model = '{OwnCar}']/@class",
+            bind_to="Class")
+        relation = Relation({"OwnCar": ["Golf", "Polo", "Clio"][i % 3],
+                             "N": i} for i in range(100))
+
+        def run():
+            grh.clear_opaque_cache()
+            return grh.evaluate_query("b::q", spec, relation)
+
+        assert len(benchmark(run)) == 100

@@ -1,8 +1,9 @@
 """BENCH-M1: discrimination-network matching vs the linear scan.
 
 Registers a zipf-skewed pattern population (event types follow a
-power-law, like real subscription workloads) on both event-service
-paths and drives the same seeded event storm through each:
+power-law, like real subscription workloads) on the event service and
+on its offer-to-all oracle (``tests/match/linear_oracle.py``) and
+drives the same seeded event storm through each:
 
 * sweep mode (default) registers 1k → 1M patterns, reports network
   matching throughput at each size, linear-baseline throughput up to
@@ -28,14 +29,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.bindings import Relation
 from repro.grh.messages import Request
 from repro.services.event_service import AtomicEventService
 from repro.xmlmodel import Element, QName
+from tests.match.linear_oracle import linear
 
 try:
     from reporting import summarize, write_bench_json
@@ -90,12 +95,11 @@ def make_event(rng: random.Random) -> Element:
     return element
 
 
-def build_service(patterns: int, seed: int,
-                  use_network: bool) -> tuple[AtomicEventService, int]:
+def build_service(patterns: int, seed: int, service_cls=AtomicEventService
+                  ) -> tuple[AtomicEventService, int]:
     """Register ``patterns`` components; returns (service, seconds)."""
     sink = _CountingSink()
-    service = AtomicEventService(sink, incarnation="",
-                                 use_network=use_network)
+    service = service_cls(sink, incarnation="")
     service._bench_sink = sink  # keep the counter reachable
     rng = random.Random(seed)
     started = time.perf_counter()
@@ -137,7 +141,7 @@ def run(patterns: int, *, seed: int, network_events: int,
         linear_events: int, with_linear: bool) -> dict:
     """One population size: network series, optional linear baseline."""
     results: dict = {"patterns": patterns}
-    service, register_s = build_service(patterns, seed, use_network=True)
+    service, register_s = build_service(patterns, seed)
     results["register_s"] = round(register_s, 3)
     summary, detections = drive(service, network_events, seed + 1)
     stats = service.network.stats()
@@ -148,10 +152,9 @@ def run(patterns: int, *, seed: int, network_events: int,
         stats["alpha_tests"] / max(1, stats["events_routed"]), 2)
     results["network"] = summary
     if with_linear:
-        linear, linear_register_s = build_service(patterns, seed,
-                                                  use_network=False)
-        results["linear_register_s"] = round(linear_register_s, 3)
-        summary, detections = drive(linear, linear_events, seed + 1)
+        oracle, _ = build_service(patterns, seed,
+                                  linear(AtomicEventService))
+        summary, detections = drive(oracle, linear_events, seed + 1)
         summary["detections"] = detections
         results["linear"] = summary
         results["speedup"] = round(results["network"]["ops_per_s"]
@@ -202,8 +205,7 @@ def main(argv=None) -> int:
 
     # registration-at-scale leg: the million-rule story must *load*
     big = options.registration_scale
-    big_service, register_s = build_service(big, options.seed,
-                                            use_network=True)
+    big_service, register_s = build_service(big, options.seed)
     stats = big_service.network.stats()
     big_summary, _ = drive(big_service, min(options.events, 200),
                            options.seed + 1)

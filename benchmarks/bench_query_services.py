@@ -4,7 +4,7 @@
 
 * **XPath** directly over the XML fleet document,
 * **XQ-lite** (FLWOR) over the same document,
-* **SPARQL-lite** over the RDF fleet graph,
+* **SPARQL** over the RDF fleet store,
 * **Datalog** over an equivalent fact base,
 
 each measured standalone (language engine only) and through the full
@@ -22,9 +22,11 @@ from repro.datalog import DatalogEngine
 from repro.domain import WorkloadConfig, synthetic_fleet, CLASS_NAMES
 from repro.grh import (ComponentSpec, GenericRequestHandler,
                        LanguageDescriptor, LanguageRegistry)
-from repro.rdf import Graph, Literal, Namespace, select
+from repro.rdf import Literal, Namespace
 from repro.services import (DATALOG_LANG, DatalogService, InProcessTransport,
-                            SPARQL_LANG, SparqlService, XQ_LANG, XQService)
+                            XQ_LANG, XQService)
+from repro.sparql import (RDF_SPARQL_LANG, SparqlQueryService, TripleStore,
+                          plan_query, run_select)
 from repro.xmlmodel import serialize
 from repro.xpath import evaluate
 from repro.xq import evaluate_query
@@ -40,7 +42,7 @@ def fleet_xml():
 
 @pytest.fixture(scope="module")
 def fleet_rdf(fleet_xml):
-    graph = Graph()
+    graph = TripleStore()
     for car in fleet_xml.elements():
         subject = FLEET[car.get("id")]
         graph.add(subject, FLEET.model, Literal(car.get("model")))
@@ -74,10 +76,11 @@ class TestStandaloneEngines:
         result = benchmark(evaluate_query, query, fleet_xml)
         assert result
 
-    def test_sparql_lite(self, benchmark, fleet_rdf):
-        query = ("PREFIX f: <urn:fleet#> SELECT ?m WHERE { "
-                 "?c f:location 'Paris' ; f:carClass 'B' ; f:model ?m }")
-        result = benchmark(select, fleet_rdf, query)
+    def test_sparql(self, benchmark, fleet_rdf):
+        plan = plan_query(fleet_rdf, (
+            "PREFIX f: <urn:fleet#> SELECT ?m WHERE { "
+            "?c f:location 'Paris' ; f:carClass 'B' ; f:model ?m }"))
+        result, _stats = benchmark(run_select, fleet_rdf, plan)
         assert result
 
     def test_datalog(self, benchmark, fleet_datalog):
@@ -105,11 +108,12 @@ class TestThroughServiceStack:
         assert result
 
     def test_sparql_service(self, benchmark, fleet_rdf):
-        grh = self._grh(LanguageDescriptor(SPARQL_LANG, "query", "sparql"),
-                        SparqlService(fleet_rdf, prefixes={"f": str(FLEET)}))
+        grh = self._grh(
+            LanguageDescriptor(RDF_SPARQL_LANG, "query", "sparql"),
+            SparqlQueryService(fleet_rdf, prefixes={"f": str(FLEET)}))
         spec = ComponentSpec(
-            "query", SPARQL_LANG,
-            content=_content(SPARQL_LANG,
+            "query", RDF_SPARQL_LANG,
+            content=_content(RDF_SPARQL_LANG,
                              "SELECT ?Model WHERE { ?c f:location 'Paris' ; "
                              "f:carClass 'B' ; f:model ?Model }"))
         result = benchmark(grh.evaluate_query, "b::q", spec, Relation.unit())

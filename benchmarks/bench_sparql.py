@@ -1,13 +1,13 @@
-"""BENCH-S1: the planned/indexed SPARQL backend vs the naive evaluator.
+"""BENCH-S1: the planned/indexed SPARQL backend vs the backtracking oracle.
 
 Builds a synthetic social graph (100k+ triples by default), then runs
 three legs:
 
 * **planned vs naive** — 3–5-pattern queries written in deliberately
-  bad textual order, timed through the naive backtracking evaluator
-  (``rdf.sparql.select``) and through the ``repro.sparql``
-  planner/executor; the planner must reorder by selectivity and win by
-  ``--min-speedup`` (default 20×);
+  bad textual order, timed through the backtracking oracle
+  (``tests/sparql/reference_evaluator.py``, "naive" below) and through
+  the ``repro.sparql`` planner/executor; the planner must reorder by
+  selectivity and win by ``--min-speedup`` (default 20×);
 * **pushdown vs per-tuple** — the same query pushed through
   :class:`SparqlQueryService` with an input relation of ``--bindings``
   tuples (default 100), once via textual ``{Var}`` substitution (one
@@ -41,10 +41,12 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from repro.bindings import Relation, Uri
 from repro.grh.messages import Request
 from repro.rdf import Graph, Literal, URIRef, XSD
-from repro.rdf.sparql import parse_sparql, select
+from repro.rdf.sparql import parse_sparql
 from repro.sparql import SparqlQueryService, TripleStore, plan_query, \
-    run_select
+    run_ask, run_select
 from repro.xmlmodel import E
+from tests.sparql.gen import random_query, random_triples, solution_multiset
+from tests.sparql.reference_evaluator import ask, select
 
 from reporting import summarize, write_bench_json
 
@@ -93,12 +95,6 @@ def build_store(people: int, cities: int, seed: int) -> TripleStore:
     return store
 
 
-def multiset(solutions):
-    from collections import Counter
-    return Counter(tuple(sorted(solution.items()))
-                   for solution in solutions)
-
-
 def time_rounds(callable_, rounds: int) -> list[float]:
     # the collector's gen-2 passes walk the whole 100k-triple store and
     # land as ~100ms spikes inside arbitrary rounds; collect once up
@@ -125,8 +121,8 @@ def planned_vs_naive(store: TripleStore, planned_rounds: int,
     for label, text in QUERIES:
         parsed = parse_sparql(PROLOGUE + text)
         plan = plan_query(store, parsed)
-        expected = multiset(run_select(store, plan)[0])
-        assert expected == multiset(select(store, parsed)), label
+        expected = solution_multiset(run_select(store, plan)[0])
+        assert expected == solution_multiset(select(store, parsed)), label
         planned = summarize(time_rounds(
             lambda: run_select(store, plan), planned_rounds))
         naive = summarize(time_rounds(
@@ -173,11 +169,6 @@ def pushdown_vs_per_tuple(store: TripleStore, bindings: int,
 
 
 def differential(queries_per_seed: int) -> int:
-    from tests.sparql.gen import (random_query, random_triples,
-                                  solution_multiset)
-    from repro.rdf.sparql import ask as naive_ask
-    from repro.sparql import run_ask
-
     checked = 0
     for seed in range(10):
         rng = random.Random(seed)
@@ -188,7 +179,7 @@ def differential(queries_per_seed: int) -> int:
             parsed = parse_sparql(random_query(rng))
             plan = plan_query(store, parsed)
             if parsed.form == "ASK":
-                assert run_ask(store, plan)[0] == naive_ask(graph, parsed)
+                assert run_ask(store, plan)[0] == ask(graph, parsed)
             else:
                 assert solution_multiset(run_select(store, plan)[0]) == \
                     solution_multiset(select(graph, parsed))

@@ -51,7 +51,7 @@ OFFER_RULE = f"""
 def main() -> None:
     graph = fleet_graph()
     deployment = standard_deployment(graph=graph)
-    service = deployment.rdf_sparql
+    service = deployment.sparql
     service.prefixes["fleet"] = FLEET_NS
 
     engine = ECAEngine(deployment.grh)

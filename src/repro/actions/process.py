@@ -12,30 +12,18 @@ templates inside actions are instantiated with the tuple first.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence as Seq
 
-from ..bindings import Binding, value_to_text
+from ..bindings import PLACEHOLDER, Binding
 from ..conditions import TestExpression
 from ..rdf import Literal, URIRef
 from ..xmlmodel import Element
 from .runtime import ActionError, ActionRuntime
-from .templates import TemplateError, instantiate, template_variables
+from .templates import instantiate, substitute_text, template_variables
 
 __all__ = ["Action", "Send", "Insert", "Delete", "AssertTriple",
            "RetractTriple", "Raise", "Sequence", "Parallel", "If"]
-
-_PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
-def _substitute_string(text: str, binding: Binding) -> str:
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in binding:
-            raise TemplateError(f"unbound template variable {name!r}")
-        return value_to_text(binding[name])
-    return _PLACEHOLDER_RE.sub(replace, text)
 
 
 class Action:
@@ -57,12 +45,12 @@ class Send(Action):
     template: Element
 
     def perform(self, runtime: ActionRuntime, binding: Binding) -> None:
-        recipient = _substitute_string(self.recipient, binding)
+        recipient = substitute_text(self.recipient, binding)
         runtime.send(recipient, instantiate(self.template, binding))
 
     def variables(self) -> set[str]:
         return (template_variables(self.template)
-                | set(_PLACEHOLDER_RE.findall(self.recipient)))
+                | set(PLACEHOLDER.findall(self.recipient)))
 
 
 @dataclass(frozen=True)
@@ -89,14 +77,14 @@ class Delete(Action):
     path: str
 
     def perform(self, runtime: ActionRuntime, binding: Binding) -> None:
-        runtime.delete(self.document, _substitute_string(self.path, binding))
+        runtime.delete(self.document, substitute_text(self.path, binding))
 
     def variables(self) -> set[str]:
-        return set(_PLACEHOLDER_RE.findall(self.path))
+        return set(PLACEHOLDER.findall(self.path))
 
 
 def _rdf_term(raw: str, binding: Binding):
-    text = _substitute_string(raw, binding)
+    text = substitute_text(raw, binding)
     scheme, sep, _ = text.partition(":")
     if sep and scheme.isalnum() and not scheme.isdigit():
         return URIRef(text)
@@ -124,7 +112,7 @@ class AssertTriple(Action):
     def variables(self) -> set[str]:
         names: set[str] = set()
         for raw in (self.subject, self.predicate, self.obj):
-            names.update(_PLACEHOLDER_RE.findall(raw))
+            names.update(PLACEHOLDER.findall(raw))
         return names
 
 

@@ -9,14 +9,11 @@ patterns).
 
 from __future__ import annotations
 
-import re
-
-from ..bindings import Binding, value_to_text
+from ..bindings import PLACEHOLDER, Binding, substitute
 from ..xmlmodel import Element, Text
 
-__all__ = ["instantiate", "template_variables", "TemplateError"]
-
-_PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+__all__ = ["instantiate", "substitute_text", "template_variables",
+           "TemplateError"]
 
 
 class TemplateError(ValueError):
@@ -28,47 +25,43 @@ def template_variables(template: Element) -> set[str]:
     names: set[str] = set()
     for element in template.iter():
         for value in element.attributes.values():
-            names.update(_PLACEHOLDER_RE.findall(value))
+            names.update(PLACEHOLDER.findall(value))
         for child in element.children:
             if isinstance(child, Text):
-                names.update(_PLACEHOLDER_RE.findall(child.value))
+                names.update(PLACEHOLDER.findall(child.value))
     return names
 
 
-def _substitute(text: str, binding: Binding, allow_fragment: bool):
-    """Replace placeholders; a lone ``{Var}`` bound to XML yields the
-    fragment itself when ``allow_fragment`` is true."""
-    lone = _PLACEHOLDER_RE.fullmatch(text.strip())
-    if lone and allow_fragment:
-        name = lone.group(1)
-        if name not in binding:
-            raise TemplateError(f"unbound template variable {name!r}")
-        value = binding[name]
-        if isinstance(value, Element):
-            return value.copy()
-        return text.replace(lone.group(0), value_to_text(value))
+def _unbound_variable(name: str) -> TemplateError:
+    return TemplateError(f"unbound template variable {name!r}")
 
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in binding:
-            raise TemplateError(f"unbound template variable {name!r}")
-        return value_to_text(binding[name])
 
-    return _PLACEHOLDER_RE.sub(replace, text)
+def substitute_text(text: str, binding: Binding) -> str:
+    """``text`` with its ``{Var}`` placeholders replaced by the tuple's
+    values; an unbound one raises :class:`TemplateError`."""
+    return substitute(text, binding, _unbound_variable)
+
+
+def _substitute_node(text: str, binding: Binding) -> str | Element:
+    """Replace placeholders in text content; a lone ``{Var}`` bound to
+    XML yields a copy of the fragment itself."""
+    lone = PLACEHOLDER.fullmatch(text.strip())
+    value = binding.get(lone.group(1)) if lone else None
+    if isinstance(value, Element):
+        return value.copy()
+    return substitute_text(text, binding)
 
 
 def instantiate(template: Element, binding: Binding) -> Element:
     """A deep copy of ``template`` with all placeholders substituted."""
     out = Element(template.name, nsdecls=dict(template.nsdecls))
     for name, value in template.attributes.items():
-        substituted = _substitute(value, binding, allow_fragment=False)
-        out.attributes[name] = substituted
+        out.attributes[name] = substitute_text(value, binding)
     for child in template.children:
         if isinstance(child, Element):
             out.append(instantiate(child, binding))
         elif isinstance(child, Text):
-            substituted = _substitute(child.value, binding,
-                                      allow_fragment=True)
+            substituted = _substitute_node(child.value, binding)
             if isinstance(substituted, Element):
                 out.append(substituted)
             else:

@@ -18,6 +18,9 @@ return one ``<log:result>`` per functional result inside each answer;
 
 from __future__ import annotations
 
+import re
+from typing import Callable
+
 from ..xmlmodel import Element, LOG_NS, QName, Text
 from .relation import Binding, BindingError, Relation
 from .values import Uri, Value
@@ -27,6 +30,7 @@ __all__ = [
     "relation_to_answers", "answers_to_relation",
     "binding_to_answer", "answer_to_binding",
     "value_to_element", "element_to_value", "value_to_text",
+    "PLACEHOLDER", "substitute",
     "results_from_answer", "MarkupError",
 ]
 
@@ -53,6 +57,24 @@ def value_to_text(value: Value) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
+
+
+#: the ``{Var}`` placeholder of opaque components (Fig. 9), LP-style
+#: query texts and action templates; group 1 is the variable name
+PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+
+
+def substitute(text: str, binding: Binding,
+               unbound: Callable[[str], Exception]) -> str:
+    """``text`` with every ``{Var}`` replaced by the tuple's value as
+    text; ``unbound(name)`` builds the error raised for a placeholder
+    the tuple does not bind."""
+    def replace(match: re.Match) -> str:
+        name = match.group(1)
+        if name not in binding:
+            raise unbound(name)
+        return value_to_text(binding[name])
+    return PLACEHOLDER.sub(replace, text)
 
 
 def value_to_element(name: str, value: Value) -> Element:

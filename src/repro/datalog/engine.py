@@ -91,23 +91,14 @@ def _stratify(program: Program) -> list[set[tuple[str, int]]]:
 
 
 class DatalogEngine:
-    """Evaluates a program to a fixpoint and answers queries.
-
-    ``strategy`` selects the iteration scheme: ``"semi-naive"`` (default)
-    re-derives only from the previous round's delta; ``"naive"``
-    re-applies every rule to the full fact set each round.  Both reach
-    the same fixpoint; the naive mode exists as the ablation baseline
-    for the benchmark suite.
+    """Evaluates a program to a fixpoint (semi-naive: each round
+    re-derives only from the previous round's delta) and answers queries.
     """
 
-    def __init__(self, program: Program | str,
-                 strategy: str = "semi-naive") -> None:
+    def __init__(self, program: Program | str) -> None:
         if isinstance(program, str):
             program = parse_program(program)
-        if strategy not in ("semi-naive", "naive"):
-            raise DatalogError(f"unknown evaluation strategy {strategy!r}")
         self.program = program
-        self.strategy = strategy
         self.rounds = 0
         for rule in program.rules:
             _check_safety(rule)
@@ -148,9 +139,6 @@ class DatalogEngine:
         return True
 
     def _fixpoint(self, rules: list[Rule]) -> None:
-        if self.strategy == "naive":
-            self._naive_fixpoint(rules)
-            return
         # semi-naive: track per-signature deltas between rounds
         delta: dict[tuple, set[tuple]] = {
             signature: set(facts) for signature, facts in self._facts.items()}
@@ -177,21 +165,6 @@ class DatalogEngine:
                 return
             delta = new_delta
             first_round = False
-
-    def _naive_fixpoint(self, rules: list[Rule]) -> None:
-        """Re-derive everything from the full fact set each round."""
-        while True:
-            self.rounds += 1
-            changed = False
-            for rule in rules:
-                positive = [item for item in rule.body
-                            if isinstance(item, BodyLiteral)
-                            and not item.negated]
-                for values in self._apply_rule(rule, positive, {}, None):
-                    if self._store(rule.head.signature, values):
-                        changed = True
-            if not changed:
-                return
 
     def _apply_rule(self, rule: Rule, positive: list[BodyLiteral],
                     delta: dict[tuple, set[tuple]],

@@ -9,20 +9,18 @@ Sec. 3/Fig. 8.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
+from ..bindings import PLACEHOLDER
 from ..xmlmodel import Element
 
 __all__ = ["ComponentSpec", "opaque_placeholders"]
-
-_PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def opaque_placeholders(text: str) -> set[str]:
     """The ``{Var}`` input variables of an opaque component (Fig. 9:
     "Variables in the query string are replaced by their values")."""
-    return set(_PLACEHOLDER_RE.findall(text))
+    return set(PLACEHOLDER.findall(text))
 
 
 @dataclass(frozen=True)

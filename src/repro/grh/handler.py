@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..bindings import (Binding, BindingError, Relation, answer_to_binding,
-                        answers_to_relation, results_from_answer,
-                        value_to_text)
+                        answers_to_relation, results_from_answer, substitute)
 from ..obs.attribution import pop_wait_scope, push_wait_scope
 from ..obs.metrics import Counter
 from ..obs.trace import (SPANS_QNAME, pop_span_sink, push_span_sink,
@@ -514,7 +513,7 @@ class GenericRequestHandler:
         out: list[Binding] = []
         addresses = self._addresses_of(descriptor)
         for binding in bindings:
-            query = _substitute(spec.opaque, binding)
+            query = substitute(spec.opaque, binding, _unbound_variable)
             if self.cache_opaque_requests:
                 # cache key stays on the primary address: replicas serve
                 # the same data, so one entry covers the set
@@ -738,14 +737,5 @@ def _opaque_element(spec: ComponentSpec) -> Element:
     return element
 
 
-def _substitute(text: str, binding: Binding) -> str:
-    from .component import _PLACEHOLDER_RE
-
-    def replace(match):
-        name = match.group(1)
-        if name not in binding:
-            raise GRHError(f"opaque component uses unbound variable "
-                           f"{name!r}")
-        return value_to_text(binding[name])
-
-    return _PLACEHOLDER_RE.sub(replace, text)
+def _unbound_variable(name: str) -> GRHError:
+    return GRHError(f"opaque component uses unbound variable {name!r}")

@@ -7,7 +7,7 @@ against.
 
 from .graph import Graph, Triple
 from .sparql import (SparqlEvaluationError, SparqlQuery, SparqlSyntaxError,
-                     ask, parse_sparql, select)
+                     parse_sparql)
 from .terms import BNode, Literal, Namespace, RDF, RDFS, Term, URIRef, XSD
 from .rdfxml import (RDF_SYNTAX_NS, RdfXmlError, describe_subject,
                      graph_to_rdfxml, rdfxml_to_graph)
@@ -19,6 +19,6 @@ __all__ = [
     "parse_turtle", "to_ntriples", "TurtleSyntaxError",
     "graph_to_rdfxml", "rdfxml_to_graph", "describe_subject",
     "RDF_SYNTAX_NS", "RdfXmlError",
-    "parse_sparql", "select", "ask", "SparqlQuery", "SparqlSyntaxError",
+    "parse_sparql", "SparqlQuery", "SparqlSyntaxError",
     "SparqlEvaluationError",
 ]

@@ -1,4 +1,4 @@
-"""A SPARQL subset: SELECT / ASK with basic graph patterns.
+"""A SPARQL subset: the language front end (SELECT / ASK).
 
 Supports: ``PREFIX`` prologue, ``SELECT [DISTINCT] ?vars|* WHERE``,
 ``ASK``, triple patterns with ``;`` / ``,`` lists and ``a``, ``FILTER``
@@ -6,25 +6,23 @@ expressions (comparisons, ``&&`` ``||`` ``!``, ``BOUND``, ``REGEX``,
 ``STR``, arithmetic), ``OPTIONAL`` groups, braced subgroups joined by
 ``UNION``, ``ORDER BY`` and ``LIMIT``.
 
-Evaluation is backtracking BGP matching with greedy selectivity-based
-pattern ordering over the graph's hash indexes.  Within one group the
+This module is the tokenizer, the parser, the AST, filter-expression
+evaluation and the solution modifiers; :mod:`repro.sparql` plans and
+executes the AST over an indexed store.  Within one group the
 evaluation order is fixed: basic patterns, then ``UNION`` blocks (in
-textual order), then ``OPTIONAL`` groups, then ``FILTER``\\ s — the
-:mod:`repro.sparql` planner reproduces exactly this semantics over an
-indexed store and is differentially tested against this evaluator.
+textual order), then ``OPTIONAL`` groups, then ``FILTER``\\ s.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import lru_cache
 
-from .graph import Graph
 from .terms import BNode, Literal, RDF, Term, URIRef, XSD
 
 __all__ = ["SparqlSyntaxError", "SparqlEvaluationError", "parse_sparql",
-           "SparqlQuery", "Solution", "select", "ask", "finalize_select",
+           "SparqlQuery", "Solution", "filter_passes", "finalize_select",
            "Variable", "TriplePattern", "GroupPattern", "OptionalGroup",
            "UnionGroup", "FilterExpr", "Expr", "BinOp", "NotOp", "VarExpr",
            "TermExpr", "Call"]
@@ -489,60 +487,18 @@ class _SparqlParser:
         raise self.error("invalid filter expression")
 
 
+@lru_cache(maxsize=512)
 def parse_sparql(text: str) -> SparqlQuery:
-    """Parse a SPARQL-subset query."""
+    """Parse a SPARQL-subset query.
+
+    Bounded LRU by query text: the per-tuple ``{Var}`` path re-submits
+    the same substituted texts, and the AST is immutable.  A syntax
+    error raises and is not cached.
+    """
     return _SparqlParser(text).parse()
 
 
-# -- evaluation -------------------------------------------------------------------------
-
-
-def _substitute(term: PatternTerm, solution: Solution) -> PatternTerm:
-    if isinstance(term, Variable) and term.name in solution:
-        return solution[term.name]
-    return term
-
-
-def _match_bgp(graph: Graph, patterns: list[TriplePattern],
-               solution: Solution, reorder: bool = True) -> Iterator[Solution]:
-    if not patterns:
-        yield dict(solution)
-        return
-    if reorder:
-        # greedy: evaluate the most selective pattern first
-        def selectivity(pattern: TriplePattern) -> int:
-            s = _substitute(pattern.subject, solution)
-            p = _substitute(pattern.predicate, solution)
-            o = _substitute(pattern.obj, solution)
-            return graph.count(None if isinstance(s, Variable) else s,
-                               None if isinstance(p, Variable) else p,
-                               None if isinstance(o, Variable) else o)
-
-        best_index = min(range(len(patterns)),
-                         key=lambda i: selectivity(patterns[i]))
-    else:
-        best_index = 0  # textual order (the ablation baseline)
-    pattern = patterns[best_index]
-    rest = patterns[:best_index] + patterns[best_index + 1:]
-    s = _substitute(pattern.subject, solution)
-    p = _substitute(pattern.predicate, solution)
-    o = _substitute(pattern.obj, solution)
-    for triple in graph.triples(None if isinstance(s, Variable) else s,
-                                None if isinstance(p, Variable) else p,
-                                None if isinstance(o, Variable) else o):
-        extended = dict(solution)
-        consistent = True
-        for pattern_term, value in zip((pattern.subject, pattern.predicate,
-                                        pattern.obj), triple):
-            if isinstance(pattern_term, Variable):
-                bound = extended.get(pattern_term.name)
-                if bound is None:
-                    extended[pattern_term.name] = value
-                elif bound != value:
-                    consistent = False
-                    break
-        if consistent:
-            yield from _match_bgp(graph, rest, extended, reorder)
+# -- filter expressions and solution modifiers ---------------------------------
 
 
 def _truth(value) -> bool:
@@ -677,64 +633,19 @@ def _eval_call(call: Call, solution: Solution) -> object:
     raise SparqlEvaluationError(f"unknown function {call.name}")
 
 
-def _evaluate_group(graph: Graph, group: GroupPattern,
-                    base: Solution, reorder: bool = True) -> Iterator[Solution]:
-    for solution in _match_bgp(graph, list(group.patterns), base, reorder):
-        # UNION joins each solution against every branch; duplicates
-        # produced by different branches are preserved (multiset union),
-        # and a solution no branch extends is dropped (inner join).
-        extended = [solution]
-        for union in group.unions:
-            next_round: list[Solution] = []
-            for current in extended:
-                for branch in union.branches:
-                    next_round.extend(_evaluate_group(graph, branch,
-                                                      current, reorder))
-            extended = next_round
-        # OPTIONAL is a left outer join: keep the solution unextended when
-        # the optional group finds no match.
-        for optional in group.optionals:
-            next_round = []
-            for current in extended:
-                matches = list(_evaluate_group(graph, optional.group,
-                                               current, reorder))
-                next_round.extend(matches if matches else [current])
-            extended = next_round
-        for current in extended:
-            yield from _apply_filters(group, current)
-
-
-def _apply_filters(group: GroupPattern,
-                   solution: Solution) -> Iterator[Solution]:
-    for filter_expr in group.filters:
-        try:
-            if not _truth(_eval_filter(filter_expr.expression, solution)):
-                return
-        except SparqlEvaluationError:
-            return  # errors in filters eliminate the solution (SPARQL spec)
-    yield solution
-
-
-def select(graph: Graph, query: str | SparqlQuery,
-           reorder: bool = True) -> list[Solution]:
-    """Run a SELECT query and return solutions as dicts (var → term).
-
-    ``reorder=False`` disables selectivity-based pattern ordering and
-    evaluates patterns in textual order (the ablation baseline).
-    """
-    parsed = parse_sparql(query) if isinstance(query, str) else query
-    if parsed.form != "SELECT":
-        raise SparqlEvaluationError("select() requires a SELECT query")
-    solutions = list(_evaluate_group(graph, parsed.where, {}, reorder))
-    return finalize_select(parsed, solutions)
+def filter_passes(expression: Expr, solution: Solution) -> bool:
+    """Whether ``solution`` survives ``FILTER(expression)``: an
+    evaluation error eliminates the solution (SPARQL spec)."""
+    try:
+        return _truth(_eval_filter(expression, solution))
+    except SparqlEvaluationError:
+        return False
 
 
 def finalize_select(parsed: SparqlQuery,
                     solutions: list[Solution]) -> list[Solution]:
     """Apply the solution-sequence modifiers (projection, DISTINCT,
-    ORDER BY, LIMIT) to raw group solutions.  Shared by this evaluator
-    and the :mod:`repro.sparql` planned executor so the two paths are
-    modifier-for-modifier identical."""
+    ORDER BY, LIMIT) to raw group solutions."""
     if parsed.variables:
         solutions = [{name: solution[name] for name in parsed.variables
                       if name in solution}
@@ -765,13 +676,3 @@ def _sort_key(term: Term | None):
             return (1, float(python))
         return (2, str(python))
     return (3, str(term))
-
-
-def ask(graph: Graph, query: str | SparqlQuery) -> bool:
-    """Run an ASK query."""
-    parsed = parse_sparql(query) if isinstance(query, str) else query
-    if parsed.form != "ASK":
-        raise SparqlEvaluationError("ask() requires an ASK query")
-    for _ in _evaluate_group(graph, parsed.where, {}):
-        return True
-    return False

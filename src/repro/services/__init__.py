@@ -6,10 +6,10 @@ from .defaults import Deployment, standard_deployment
 from .event_service import (AtomicEventService, EventDetectionService,
                             SnoopService, XChangeService)
 from .query_services import (DATALOG_LANG, DatalogService, EXIST_LANG,
-                             ExistLikeService, SPARQL_LANG, SparqlService,
-                             XQ_LANG, XQService)
+                             ExistLikeService, SPARQL_LANG, XQ_LANG,
+                             XQService)
 from .test_service import TestLanguageService
-from .transports import (HttpServiceServer, HttpTransport, HybridTransport,
+from .transports import (HttpServiceServer, HybridTransport,
                          InProcessTransport, PooledHttpTransport,
                          ServiceStatusError, TransportError)
 
@@ -17,11 +17,10 @@ __all__ = [
     "LanguageService", "ServiceError",
     "EventDetectionService", "AtomicEventService", "SnoopService",
     "XChangeService",
-    "XQService", "ExistLikeService", "SparqlService", "DatalogService",
+    "XQService", "ExistLikeService", "DatalogService",
     "XQ_LANG", "EXIST_LANG", "SPARQL_LANG", "DATALOG_LANG",
     "TestLanguageService", "ActionExecutionService",
-    "InProcessTransport", "HttpTransport", "HybridTransport",
-    "PooledHttpTransport",
+    "InProcessTransport", "HybridTransport", "PooledHttpTransport",
     "HttpServiceServer",
     "TransportError", "ServiceStatusError",
     "Deployment", "standard_deployment",

@@ -2,10 +2,10 @@
 
 This is the "variety of such engines, including sample domain services"
 the paper's conclusion mentions, assembled in one call: three event
-languages, five query languages (two functional — one aware, one unaware
-— and three LP-style, including the planned/indexed SPARQL backend),
-the test language and the action language, all reachable only through
-the Generic Request Handler.
+languages, four query languages (two functional — one aware, one unaware
+— and two LP-style: SPARQL, answering under both of its URIs, and
+Datalog), the test language and the action language, all reachable only
+through the Generic Request Handler.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from ..xmlmodel import Element
 from .action_service import ActionExecutionService
 from .event_service import (AtomicEventService, SnoopService, XChangeService)
 from .query_services import (DATALOG_LANG, DatalogService, EXIST_LANG,
-                             ExistLikeService, SPARQL_LANG, SparqlService,
-                             XQ_LANG, XQService)
+                             ExistLikeService, SPARQL_LANG, XQ_LANG,
+                             XQService)
 from .test_service import TestLanguageService
 from .transports import InProcessTransport
 
@@ -45,8 +45,7 @@ class Deployment:
     xchange: XChangeService
     xq: XQService
     exist: ExistLikeService
-    sparql: SparqlService
-    rdf_sparql: SparqlQueryService
+    sparql: SparqlQueryService
     datalog: DatalogService
     tests: TestLanguageService
     actions: ActionExecutionService
@@ -94,12 +93,11 @@ def standard_deployment(serialize_messages: bool = True,
 
     xq = XQService()
     exist = ExistLikeService()
-    # one shared RDF world: the naive sparql-lite service, the planned
-    # rdf-sparql service and the action runtime all mutate/query the
-    # same object — a plain Graph is upgraded in place (identity
-    # preserved, so caller-held references stay live); a TripleStore
-    # passes through; an exotic Graph subclass is copied as a last
-    # resort (its mutations would then not reach the SPARQL services)
+    # one shared RDF world: the SPARQL service and the action runtime
+    # mutate/query the same object — a plain Graph is upgraded in place
+    # (identity preserved, so caller-held references stay live); a
+    # TripleStore passes through; an exotic Graph subclass is copied as
+    # a last resort (its mutations would then not reach the service)
     if graph is None:
         store = TripleStore()
     elif isinstance(graph, TripleStore):
@@ -108,8 +106,7 @@ def standard_deployment(serialize_messages: bool = True,
         store = TripleStore.adopt(graph)
     else:
         store = TripleStore.from_graph(graph)
-    sparql = SparqlService(store)
-    rdf_sparql = SparqlQueryService(store)
+    sparql = SparqlQueryService(store)
     datalog = DatalogService(datalog_program)
     tests = TestLanguageService()
     actions = ActionExecutionService(runtime)
@@ -122,10 +119,11 @@ def standard_deployment(serialize_messages: bool = True,
     grh.add_service(LanguageDescriptor(XQ_LANG, "query", "xquery-lite"), xq)
     grh.add_service(LanguageDescriptor(EXIST_LANG, "query", "exist-like",
                                        framework_aware=False), exist)
+    # one language, one service, two URIs: …/sparql-lite is the alias
     grh.add_service(LanguageDescriptor(SPARQL_LANG, "query", "sparql-lite"),
                     sparql)
     grh.add_service(LanguageDescriptor(RDF_SPARQL_LANG, "query",
-                                       "rdf-sparql"), rdf_sparql)
+                                       "rdf-sparql"), sparql)
     grh.add_service(LanguageDescriptor(DATALOG_LANG, "query", "datalog"),
                     datalog)
     grh.add_service(LanguageDescriptor(TEST_NS, "test", "test"), tests)
@@ -134,4 +132,4 @@ def standard_deployment(serialize_messages: bool = True,
 
     return Deployment(registry, transport, grh, stream, runtime,
                       atomic_events, snoop, xchange, xq, exist, sparql,
-                      rdf_sparql, datalog, tests, actions)
+                      datalog, tests, actions)

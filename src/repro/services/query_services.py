@@ -1,6 +1,6 @@
-"""Query-component services: XQ-lite, eXist-like, SPARQL, Datalog.
+"""Query-component services: XQ-lite, eXist-like, Datalog.
 
-Four services demonstrating the paper's two query-language styles
+Three services demonstrating the paper's two query-language styles
 (Sec. 3) and both integration modes (Sec. 4.4):
 
 * :class:`XQService` — *functional-style*, **framework-aware**: the
@@ -10,32 +10,34 @@ Four services demonstrating the paper's two query-language styles
 * :class:`ExistLikeService` — *functional-style*, **framework-UNaware**:
   the eXist node of Fig. 9.  Plain query string in, raw serialized
   results out; all adaptation happens in the GRH.
-* :class:`SparqlService` — *LP-style* over an RDF graph: returns a
-  relation of variable bindings which the engine joins.
 * :class:`DatalogService` — *LP-style* over a Datalog program: goal in,
   relation of substitutions out.
+
+The LP-style service over an RDF graph is
+:class:`repro.sparql.SparqlQueryService`; it answers both
+:data:`SPARQL_LANG` and :data:`repro.sparql.RDF_SPARQL_LANG`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from ..bindings import Binding, Relation, Uri, binding_to_answer
+from ..bindings import (PLACEHOLDER, Binding, Relation, Uri,
+                        binding_to_answer, substitute)
 from ..datalog import DatalogEngine, DatalogError
 from ..grh.messages import Request
-from ..rdf import Graph, Literal, URIRef
-from ..rdf import select as sparql_select
 from ..xmlmodel import Element, LOG_NS, QName
 from ..xq import XQEvaluationError, XQSyntaxError, evaluate_query
 from .base import LanguageService, ServiceError
 
-__all__ = ["XQService", "ExistLikeService", "SparqlService",
-           "DatalogService", "XQ_LANG", "EXIST_LANG", "SPARQL_LANG",
-           "DATALOG_LANG"]
+__all__ = ["XQService", "ExistLikeService", "DatalogService", "XQ_LANG",
+           "EXIST_LANG", "SPARQL_LANG", "DATALOG_LANG"]
 
 #: Language URIs (the resources of Fig. 1's language model).
 XQ_LANG = "http://www.semwebtech.org/languages/2006/xquery-lite"
 EXIST_LANG = "http://www.semwebtech.org/languages/2006/exist-like"
+#: the SPARQL language's first URI, kept as an alias: a deployment
+#: registers it onto the same service object as ``RDF_SPARQL_LANG``
 SPARQL_LANG = "http://www.semwebtech.org/languages/2006/sparql-lite"
 DATALOG_LANG = "http://www.semwebtech.org/languages/2006/datalog"
 
@@ -44,36 +46,25 @@ DATALOG_LANG = "http://www.semwebtech.org/languages/2006/datalog"
 REQUEST_LOG_SIZE = 1024
 
 
-_PLACEHOLDER_RE = __import__("re").compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
-def _substitute(text: str, binding: Binding) -> str:
-    """Replace ``{Var}`` placeholders with the tuple's values.
-
-    Framework-aware LP-style services receive the input bindings in the
-    request (Sec. 4.4); placeholders let a query mention them inline the
-    same way opaque components do.
-    """
-    from ..bindings import value_to_text
-
-    def replace(match):
-        name = match.group(1)
-        if name not in binding:
-            raise ServiceError(f"unbound input variable {name!r}")
-        return value_to_text(binding[name])
-
-    return _PLACEHOLDER_RE.sub(replace, text)
+def _unbound_variable(name: str) -> ServiceError:
+    return ServiceError(f"unbound input variable {name!r}")
 
 
 def _per_tuple_lp_evaluation(source: str, bindings: Relation,
                              evaluate_once) -> Relation:
     """Evaluate an LP-style query, per input tuple when it uses
-    placeholders, once otherwise; merge solutions with their input tuple."""
-    if not _PLACEHOLDER_RE.search(source):
+    placeholders, once otherwise; merge solutions with their input tuple.
+
+    Framework-aware LP-style services receive the input bindings in the
+    request (Sec. 4.4); ``{Var}`` placeholders let a query mention them
+    inline the same way opaque components do.
+    """
+    if not PLACEHOLDER.search(source):
         return evaluate_once(source)
     out = []
     for binding in bindings:
-        for solution in evaluate_once(_substitute(source, binding)):
+        text = substitute(source, binding, _unbound_variable)
+        for solution in evaluate_once(text):
             if binding.compatible(solution):
                 out.append(binding.merged(solution))
     return Relation(out)
@@ -158,45 +149,6 @@ class ExistLikeService:
             else:
                 parts.append(str(_atomize(item)))
         return "\n".join(parts)
-
-
-class SparqlService(LanguageService):
-    """LP-style query service over an RDF graph."""
-
-    service_name = "sparql-lite"
-
-    def __init__(self, graph: Graph | None = None,
-                 prefixes: dict[str, str] | None = None) -> None:
-        self.graph = graph if graph is not None else Graph()
-        self.prefixes = dict(prefixes or {})
-
-    def query(self, request: Request) -> Relation:
-        source = self.component_text(request)
-        prologue = "".join(f"PREFIX {prefix}: <{uri}>\n"
-                           for prefix, uri in self.prefixes.items())
-
-        def evaluate_once(query_text: str) -> Relation:
-            try:
-                solutions = sparql_select(self.graph, prologue + query_text)
-            except Exception as exc:
-                raise ServiceError(str(exc)) from exc
-            tuples = []
-            for solution in solutions:
-                data = {}
-                for name, term in solution.items():
-                    if term is None:
-                        continue
-                    if isinstance(term, URIRef):
-                        data[name] = Uri(str(term))
-                    elif isinstance(term, Literal):
-                        data[name] = term.to_python()
-                    else:
-                        data[name] = str(term)
-                tuples.append(data)
-            return Relation(tuples)
-
-        return _per_tuple_lp_evaluation(source, request.bindings,
-                                        evaluate_once)
 
 
 class DatalogService(LanguageService):

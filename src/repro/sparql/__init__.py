@@ -10,8 +10,8 @@ Four layers over one store:
   pushdown, per-subgroup seeding) with ``explain`` output;
 * :mod:`repro.sparql.exec` — the vectorized executor joining whole
   binding sets (index nested-loop with substitution, hash-join-back for
-  ``UNION``/``OPTIONAL``), differentially tested against the naive
-  evaluator;
+  ``UNION``/``OPTIONAL``), differentially tested against the
+  backtracking evaluator in ``tests/sparql/reference_evaluator.py``;
 * :mod:`repro.sparql.service` — :class:`SparqlQueryService`, the
   framework-aware component language with binding-set pushdown,
   registered under :data:`RDF_SPARQL_LANG`.

@@ -1,22 +1,21 @@
 """Vectorized plan execution over whole binding sets.
 
-Where the naive :mod:`repro.rdf.sparql` evaluator backtracks one
-solution dict at a time (copying the dict per candidate triple), this
-executor pushes an entire binding *set* — a :class:`Table` of tuple
-rows — through the plan:
+Rather than backtracking one solution dict at a time (copying the dict
+per candidate triple), this executor pushes an entire binding *set* — a
+:class:`Table` of tuple rows — through the plan:
 
 * **Scan** — index nested-loop join with binding substitution: for each
   input row, the pattern's bound positions are substituted and the
   store's matching index (SPO/POS/OSP) is probed once; matches append
   the fresh columns to the row tuple.  No per-candidate dict copies.
-* **Filter** — compiled against the mentioned columns only, reusing the
-  naive evaluator's expression semantics verbatim (evaluation errors
-  eliminate the row, SPARQL spec).
-* **Union / Optional** — the subplan is executed *once* over the
-  distinct seed projections of the outer table, then hash-joined back
-  (inner join for ``UNION``, left outer for ``OPTIONAL``).  Rows whose
-  seed variables are only maybe-bound (absent in that row) fall back to
-  the naive evaluator per row, so semantics never diverge.
+* **Filter** — evaluated against the mentioned columns only, through
+  :func:`repro.rdf.sparql.filter_passes` (evaluation errors eliminate
+  the row, SPARQL spec).
+* **Union / Optional** — the subplan is executed over the distinct seed
+  projections of the outer table, then hash-joined back (inner join for
+  ``UNION``, left outer for ``OPTIONAL``): once when every row carries
+  every shared column, otherwise once per set of shared columns the
+  rows actually carry, the absent ones staying bindable.
 
 ``_ABSENT`` marks a column with no binding in a given row (OPTIONAL
 that didn't match, UNION branch that binds different variables,
@@ -31,8 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..rdf.sparql import (SparqlEvaluationError, Solution, Variable,
-                          _eval_filter, _evaluate_group, _truth,
-                          finalize_select)
+                          filter_passes, finalize_select)
 from .plan import (FilterStep, GroupPlan, OptionalStep, QueryPlan, ScanStep,
                    UnionStep)
 from .store import TripleStore
@@ -80,7 +78,6 @@ class ExecStats:
     probes: dict[str, int] = field(default_factory=dict)
     rows_in: int = 0
     rows_out: int = 0
-    fallback_rows: int = 0
 
 
 def table_from_solutions(solutions: list[Solution],
@@ -298,8 +295,7 @@ def _run_filter(step: FilterStep, table: Table) -> Table:
     out_rows = []
     # the verdict depends only on the mentioned columns, and their
     # value combinations repeat heavily in joined tables: evaluate each
-    # distinct combination once (per-row evaluation is where the naive
-    # per-solution evaluator spends its filter time)
+    # distinct combination once
     verdicts: dict = {}
     if len(needed) == 1:
         (name, position), = needed
@@ -308,11 +304,7 @@ def _run_filter(step: FilterStep, table: Table) -> Table:
             verdict = verdicts.get(value)
             if verdict is None:
                 env = {} if value is ABSENT else {name: value}
-                try:
-                    verdict = _truth(_eval_filter(expression, env))
-                except SparqlEvaluationError:
-                    verdict = False
-                verdicts[value] = verdict
+                verdict = verdicts[value] = filter_passes(expression, env)
             if verdict:
                 out_rows.append(row)
         return Table(table.columns, out_rows, table.sure)
@@ -322,12 +314,7 @@ def _run_filter(step: FilterStep, table: Table) -> Table:
         if verdict is None:
             env: Solution = {name: value for (name, _p), value
                              in zip(needed, key) if value is not ABSENT}
-            try:
-                verdict = _truth(_eval_filter(expression, env))
-            except SparqlEvaluationError:
-                # evaluation errors eliminate the solution (SPARQL spec)
-                verdict = False
-            verdicts[key] = verdict
+            verdict = verdicts[key] = filter_passes(expression, env)
         if verdict:
             out_rows.append(row)
     return Table(table.columns, out_rows, table.sure)
@@ -335,59 +322,54 @@ def _run_filter(step: FilterStep, table: Table) -> Table:
 
 def _join_subgroup(store: TripleStore, subplan: GroupPlan, table: Table,
                    stats: ExecStats, outer: bool) -> Table:
-    """Execute a UNION branch / OPTIONAL group once over the distinct
-    seed projections of ``table`` and hash-join the results back.
+    """Execute a UNION branch / OPTIONAL group over the distinct seed
+    projections of ``table`` and hash-join the results back.
 
     ``outer=True`` keeps unmatched rows (OPTIONAL's left outer join).
     """
     columns = table.columns
     mentioned = subplan.mentioned
-    shared = [(name, position) for position, name in enumerate(columns)
-              if name in mentioned]
-    shared_names = tuple(name for name, _ in shared)
-    shared_positions = [position for _, position in shared]
+    shared_positions = tuple(position for position, name
+                             in enumerate(columns) if name in mentioned)
     extra = tuple(sorted(mentioned - set(columns)))
     out_columns = columns + extra
     out_index = {name: position for position, name in enumerate(out_columns)}
     pad = (ABSENT,) * len(extra)
     out_rows: list[tuple] = []
 
-    # rows with every shared column present run vectorized; the rest
-    # (shared column absent: the variable is still bindable) fall back
-    # to the naive evaluator so semantics match exactly
-    full_rows: list[tuple] = []
-    ragged_rows: list[tuple] = []
-    if set(shared_names) <= table.sure:
-        full_rows = table.rows
+    # a shared column ABSENT in a row is a variable the subgroup may
+    # still bind for that row, so rows are partitioned by which shared
+    # columns they carry and each partition seeds the subplan with
+    # exactly those (usually there is one partition: every column present)
+    partitions: dict[tuple, list[tuple]] = {}
+    if all(columns[position] in table.sure for position in shared_positions):
+        partitions[shared_positions] = table.rows
     else:
         for row in table.rows:
-            if any(row[position] is ABSENT
-                   for position in shared_positions):
-                ragged_rows.append(row)
-            else:
-                full_rows.append(row)
-    stats.fallback_rows += len(ragged_rows)
+            present = tuple(position for position in shared_positions
+                            if row[position] is not ABSENT)
+            partitions.setdefault(present, []).append(row)
 
-    if full_rows:
-        seeds = {tuple(row[position] for position in shared_positions)
-                 for row in full_rows}
-        seed_table = Table(shared_names, [seed for seed in seeds],
-                           frozenset(shared_names))
+    for present, rows in partitions.items():
+        seed_names = tuple(columns[position] for position in present)
+        seeds = {tuple(row[position] for position in present)
+                 for row in rows}
+        seed_table = Table(seed_names, list(seeds), frozenset(seed_names))
         produced = _run_group(store, subplan, seed_table, stats)
         # group the subplan's output by its seed projection
         produced_index = {name: position for position, name
                           in enumerate(produced.columns)}
-        key_positions = [produced_index[name] for name in shared_names]
+        key_positions = [produced_index[name] for name in seed_names]
         extension_positions = [(position, out_index[name])
                                for position, name
                                in enumerate(produced.columns)
-                               if name not in shared_names]
+                               if name not in seed_names]
         matches: dict[tuple, list] = {}
         for row in produced.rows:
             key = tuple(row[position] for position in key_positions)
             matches.setdefault(key, []).append(row)
-        for row in full_rows:
-            key = tuple(row[position] for position in shared_positions)
+        for row in rows:
+            key = tuple(row[position] for position in present)
             extensions = matches.get(key)
             if extensions:
                 for extension in extensions:
@@ -397,21 +379,6 @@ def _join_subgroup(store: TripleStore, subplan: GroupPlan, table: Table,
                     out_rows.append(tuple(merged))
             elif outer:
                 out_rows.append(row + pad)
-
-    for row in ragged_rows:
-        solution = {name: value for name, value in zip(columns, row)
-                    if value is not ABSENT}
-        extended = False
-        for match in _evaluate_group(store, subplan.group, solution):
-            merged = [ABSENT] * len(out_columns)
-            for name, value in match.items():
-                position = out_index.get(name)
-                if position is not None:
-                    merged[position] = value
-            out_rows.append(tuple(merged))
-            extended = True
-        if outer and not extended:
-            out_rows.append(row + pad)
 
     # certainty: subgroup-certain variables survive the join for every
     # row except where certainty depended on a maybe-bound seed column
@@ -502,8 +469,8 @@ def run_plan(store: TripleStore, plan: QueryPlan,
 def run_select(store: TripleStore, plan: QueryPlan,
                seed: Table | None = None
                ) -> tuple[list[Solution], ExecStats]:
-    """SELECT through the plan; modifier semantics shared with the
-    naive evaluator via :func:`repro.rdf.sparql.finalize_select`."""
+    """SELECT through the plan, then the solution modifiers
+    (:func:`repro.rdf.sparql.finalize_select`)."""
     if plan.query.form != "SELECT":
         raise SparqlEvaluationError("run_select() requires a SELECT plan")
     table, stats = run_plan(store, plan, seed)

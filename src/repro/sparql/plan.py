@@ -16,8 +16,9 @@ TripleStore`'s O(1) statistics:
 * **Filter placement** — a ``FILTER`` runs at the earliest step at
   which every variable it mentions is either certainly bound or can no
   longer become bound in this group.  A filter mentioning a variable
-  that a ``UNION``/``OPTIONAL`` may still bind stays after those (the
-  naive evaluator's position); everything else sinks into the scan
+  that a ``UNION``/``OPTIONAL`` may still bind stays after those (its
+  position in the group's fixed evaluation order); everything else
+  sinks into the scan
   pipeline right where its variables complete, discarding rows before
   they fan out.
 * **Subgroups** — every ``UNION`` branch and ``OPTIONAL`` group is planned
@@ -34,9 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..rdf.sparql import (Expr, FilterExpr, GroupPattern, SparqlQuery,
-                          TriplePattern, Variable, expression_variables,
-                          parse_sparql)
+from ..rdf.sparql import (Expr, GroupPattern, SparqlQuery, TriplePattern,
+                          Variable, expression_variables, parse_sparql)
 from .store import TripleStore
 
 __all__ = ["PlanError", "ScanStep", "FilterStep", "UnionStep",
@@ -115,8 +115,6 @@ class GroupPlan:
     seed_vars: tuple[str, ...]
     certain: frozenset[str]
     estimate: float
-    #: the AST group this plan compiles (executor fallback + seeding)
-    group: GroupPattern = None
     #: every variable the group can mention (runtime seed discovery)
     mentioned: frozenset[str] = frozenset()
 
@@ -266,7 +264,7 @@ def _plan_group(store: TripleStore, group: GroupPattern,
         bgp_vars |= pattern.variables()
 
     # variables a union/optional of this group may still bind: filters
-    # touching them must keep the naive evaluator's trailing position
+    # touching them must keep their trailing position
     late_vars: set[str] = set()
     for union in group.unions:
         for branch in union.branches:
@@ -357,7 +355,7 @@ def _plan_group(store: TripleStore, group: GroupPattern,
             rows *= _FILTER_SELECTIVITY
 
     return GroupPlan(tuple(steps), tuple(sorted(seed_vars)),
-                     frozenset(bound), rows, group,
+                     frozenset(bound), rows,
                      frozenset(group.mentioned_variables()))
 
 

@@ -1,8 +1,8 @@
 """The framework-aware SPARQL component-language service.
 
-:class:`SparqlQueryService` is the planned/indexed counterpart of the
-naive :class:`repro.services.SparqlService`: an LP-style query service
-registered under its own language URI (:data:`RDF_SPARQL_LANG`) whose
+:class:`SparqlQueryService` is the LP-style query service over an RDF
+graph, registered under :data:`RDF_SPARQL_LANG` (and, as an alias, the
+older ``…/sparql-lite`` URI :data:`repro.services.SPARQL_LANG`), whose
 ``query`` hook compiles the component text once (LRU plan cache keyed
 on query text + seed signature, invalidated by the store's version
 counter) and executes it vectorized over the *whole* input binding set.
@@ -30,18 +30,18 @@ cached), so existing opaque-style components keep working unchanged.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import replace
 
-from ..bindings import Relation, Uri
+from ..bindings import PLACEHOLDER, Relation, Uri
 from ..grh.messages import Request
 from ..obs.trace import current_span_sink
 from ..rdf import Graph, Literal, URIRef, XSD
-from ..rdf.sparql import Solution
+from ..rdf.sparql import Solution, finalize_select, parse_sparql
 from ..services.base import LanguageService, ServiceError
-from ..services.query_services import (_PLACEHOLDER_RE,
-                                       _per_tuple_lp_evaluation)
+from ..services.query_services import _per_tuple_lp_evaluation
 from .exec import run_plan, solutions_from_table, table_from_solutions
 from .instrument import install_sparql_metrics, register_service
 from .plan import QueryPlan, explain, plan_query
@@ -49,8 +49,7 @@ from .store import TripleStore
 
 __all__ = ["SparqlQueryService", "RDF_SPARQL_LANG"]
 
-#: language URI of the planned/indexed SPARQL backend (the naive
-#: sparql-lite URI stays registered for the unoptimized service)
+#: language URI of the SPARQL component language
 RDF_SPARQL_LANG = "http://www.semwebtech.org/languages/2006/rdf-sparql"
 
 
@@ -75,7 +74,7 @@ def _term_for(value):
 
 
 def _value_for(term):
-    """Term → engine value (same rules as the naive SparqlService)."""
+    """Term → engine value."""
     if isinstance(term, URIRef):
         return Uri(str(term))
     if isinstance(term, Literal):
@@ -87,9 +86,6 @@ class SparqlQueryService(LanguageService):
     """LP-style query service over an indexed, planned triple store."""
 
     service_name = "rdf-sparql"
-    #: this service understands ``log:batch`` envelopes natively (the
-    #: transport shim applies; declared for registry introspection)
-    supports_batch = True
 
     def __init__(self, store: Graph | None = None,
                  prefixes: dict[str, str] | None = None, *,
@@ -103,11 +99,13 @@ class SparqlQueryService(LanguageService):
         self.prefixes = dict(prefixes or {})
         self.plan_cache_size = plan_cache_size
         self._plans: "OrderedDict[tuple, QueryPlan]" = OrderedDict()
+        #: runtime lanes call an inline service concurrently: the cache's
+        #: lookup + recency bump + eviction is one critical section
+        self._plans_lock = threading.Lock()
         #: most recent executed plans with estimates and actuals, newest
         #: last — the ``/introspect/sparql`` recent-plans view
         self.recent_plans: deque = deque(maxlen=recent_limit)
-        self.stats = {"queries": 0, "cache_hits": 0, "pushdown_queries": 0,
-                      "fallback_rows": 0}
+        self.stats = {"queries": 0, "cache_hits": 0, "pushdown_queries": 0}
         self._instruments = (install_sparql_metrics(metrics)
                              if metrics is not None else None)
         register_service(self)
@@ -128,16 +126,18 @@ class SparqlQueryService(LanguageService):
         version they were costed against: any mutation invalidates.
         """
         key = (text, tuple(sorted(seed_vars)))
-        cached = self._plans.get(key)
-        if cached is not None and cached.store_version == self.store.version:
+        with self._plans_lock:
+            cached = self._plans.get(key)
+            if cached is not None \
+                    and cached.store_version == self.store.version:
+                self._plans.move_to_end(key)
+                return cached, True
+            plan = plan_query(self.store, text, seed_vars)
+            self._plans[key] = plan
             self._plans.move_to_end(key)
-            return cached, True
-        plan = plan_query(self.store, text, seed_vars)
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.plan_cache_size:
-            self._plans.popitem(last=False)
-        return plan, False
+            while len(self._plans) > self.plan_cache_size:
+                self._plans.popitem(last=False)
+            return plan, False
 
     def explain(self, text: str,
                 seed_vars: frozenset[str] = frozenset()) -> str:
@@ -167,7 +167,7 @@ class SparqlQueryService(LanguageService):
 
     def query(self, request: Request) -> Relation:
         source = self.component_text(request)
-        if _PLACEHOLDER_RE.search(source):
+        if PLACEHOLDER.search(source):
             # compatibility path: textual {Var} substitution, one
             # (planned, cached) evaluation per input tuple
             return _per_tuple_lp_evaluation(
@@ -200,7 +200,6 @@ class SparqlQueryService(LanguageService):
                 extras = tuple(name for name in seed_table.columns
                                if name not in query.variables)
                 query = replace(query, variables=query.variables + extras)
-            from ..rdf.sparql import finalize_select
             solutions = finalize_select(query, solutions)
             result = Relation([
                 {name: _value_for(term) for name, term in solution.items()}
@@ -212,7 +211,7 @@ class SparqlQueryService(LanguageService):
 
     def _prepare(self, text: str, bindings: Relation):
         """Parse + seed + plan; split out so protocol errors are clean."""
-        parsed = parse_sparql_cached(text)
+        parsed = parse_sparql(text)
         seeds: list[Solution] = []
         seed_table = None
         if len(bindings):
@@ -231,7 +230,6 @@ class SparqlQueryService(LanguageService):
             self.stats["cache_hits"] += 1
         if seeds:
             self.stats["pushdown_queries"] += 1
-        self.stats["fallback_rows"] += stats.fallback_rows
         sink = current_span_sink()
         if sink is not None:
             # co-located traced caller: one child span per plan stage,
@@ -272,23 +270,3 @@ class SparqlQueryService(LanguageService):
                            "capacity": self.plan_cache_size},
             "recent_plans": list(self.recent_plans),
         }
-
-
-# parsing is cheap relative to execution but not free on the per-tuple
-# compatibility path, where the same substituted text repeats; a tiny
-# LRU mirrors the plan cache's keying without its version sensitivity
-_PARSE_CACHE: "OrderedDict[str, object]" = OrderedDict()
-_PARSE_CACHE_SIZE = 512
-
-
-def parse_sparql_cached(text: str):
-    from ..rdf.sparql import parse_sparql
-    cached = _PARSE_CACHE.get(text)
-    if cached is not None:
-        _PARSE_CACHE.move_to_end(text)
-        return cached
-    parsed = parse_sparql(text)
-    _PARSE_CACHE[text] = parsed
-    while len(_PARSE_CACHE) > _PARSE_CACHE_SIZE:
-        _PARSE_CACHE.popitem(last=False)
-    return parsed

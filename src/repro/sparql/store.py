@@ -33,10 +33,9 @@ PROBE_KINDS = ("spo", "pos", "osp", "scan")
 class TripleStore(Graph):
     """A :class:`~repro.rdf.Graph` that keeps planner statistics.
 
-    Fully substitutable for a plain graph (Turtle/RDF-XML parsers,
-    the naive ``rdf.sparql`` evaluator and every service accepting a
-    graph work unchanged); the extra bookkeeping is two dict updates
-    per mutation.
+    Fully substitutable for a plain graph (Turtle/RDF-XML parsers and
+    every service accepting a graph work unchanged); the extra
+    bookkeeping is two dict updates per mutation.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:

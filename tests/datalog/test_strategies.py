@@ -1,9 +1,11 @@
-"""Evaluation strategies agree; semi-naive does less work."""
+"""The semi-naive engine reaches the naive oracle's fixpoint with no
+more work."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog import DatalogEngine, DatalogError, evaluate
+from repro.datalog import DatalogEngine, evaluate
+
+from .reference_fixpoint import NaiveDatalogEngine
 
 TC_RULES = """
     path(X, Y) :- edge(X, Y).
@@ -17,20 +19,16 @@ def closure_program(edges):
 
 
 class TestStrategyEquivalence:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(DatalogError, match="strategy"):
-            DatalogEngine("p(1).", strategy="psychic")
-
     def test_same_fixpoint_on_chain(self):
         program = closure_program([(i, i + 1) for i in range(20)])
         semi = DatalogEngine(program)
-        naive = DatalogEngine(program, strategy="naive")
+        naive = NaiveDatalogEngine(program)
         assert semi.facts("path", 2) == naive.facts("path", 2)
 
     def test_semi_naive_uses_fewer_or_equal_derivation_rounds(self):
         program = closure_program([(i, i + 1) for i in range(15)])
         semi = DatalogEngine(program)
-        naive = DatalogEngine(program, strategy="naive")
+        naive = NaiveDatalogEngine(program)
         semi.facts("path", 2)
         naive.facts("path", 2)
         assert semi.rounds <= naive.rounds
@@ -43,7 +41,7 @@ class TestStrategyEquivalence:
             return
         program = closure_program(sorted(edges))
         semi = DatalogEngine(program)
-        naive = DatalogEngine(program, strategy="naive")
+        naive = NaiveDatalogEngine(program)
         assert semi.facts("path", 2) == naive.facts("path", 2)
 
 

@@ -82,8 +82,7 @@ def test_churn_hammer(service_cls):
     # table and index ended consistent: every surviving component still
     # receives matching events, removed ones receive nothing
     survivors = set(service.registered_ids)
-    if service.network is not None:
-        assert set(service.network.component_ids) == survivors
+    assert set(service.network.component_ids) == survivors
     with delivered_lock:
         delivered.clear()
     for kind in range(4):

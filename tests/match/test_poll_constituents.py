@@ -15,6 +15,7 @@ from repro.grh.messages import Request, xml_to_detection
 from repro.services.event_service import SnoopService
 from repro.xmlmodel import parse
 
+from .linear_oracle import linear
 from .storm import DOMAIN_NS
 
 D = f'xmlns:d="{DOMAIN_NS}"'
@@ -28,12 +29,11 @@ PERIODIC = f"""
 """
 
 
-@pytest.mark.parametrize("use_network", [True, False],
+@pytest.mark.parametrize("service_cls", [SnoopService, linear(SnoopService)],
                          ids=["network", "linear"])
-def test_periodic_poll_carries_constituents(use_network):
+def test_periodic_poll_carries_constituents(service_cls):
     delivered = []
-    service = SnoopService(delivered.append, incarnation="",
-                           use_network=use_network)
+    service = service_cls(delivered.append, incarnation="")
     service.register_event(Request("register-event", "tick::event",
                                    parse(PERIODIC), Relation.unit()))
     opener = parse(f'<d:open {D} job="j1"/>')

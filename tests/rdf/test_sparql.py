@@ -3,8 +3,9 @@
 import pytest
 
 from repro.rdf import (Graph, Literal, Namespace, SparqlEvaluationError,
-                       SparqlSyntaxError, URIRef, ask, parse_sparql,
-                       parse_turtle, select)
+                       SparqlSyntaxError, URIRef, parse_sparql, parse_turtle)
+
+from .both_paths import ask, select
 
 DATA = """
 @prefix ex: <http://example.org/> .

@@ -1,17 +1,19 @@
 """Regression suite for evaluator corners the planner must preserve.
 
-These pin the naive evaluator's semantics — unbound variables in
-filters, typed-literal comparisons, duplicate solutions, ``UNION``
-multiset behaviour — as the reference the ``repro.sparql`` differential
-suite (tests/sparql/) checks the planned executor against.
+These pin the SPARQL subset's semantics — unbound variables in filters,
+typed-literal comparisons, duplicate solutions, ``UNION`` multiset
+behaviour — on both the backtracking oracle and the planned executor
+(``both_paths``): the hand-written anchor of the seeded differential
+suite in tests/sparql/.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.rdf import (Graph, Literal, Namespace, XSD, ask, parse_turtle,
-                       select)
+from repro.rdf import Graph, Literal, Namespace, XSD, parse_turtle
+
+from .both_paths import ask, select
 
 EX = Namespace("http://example.org/")
 PREFIX = "PREFIX ex: <http://example.org/>\n"

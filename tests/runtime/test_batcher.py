@@ -12,8 +12,8 @@ from repro.grh.messages import (MessageError, Request, batch_results_to_xml,
                                 batch_to_xml, is_batch, request_to_xml,
                                 xml_to_batch, xml_to_batch_results)
 from repro.runtime import DispatchBatcher, Runtime
-from repro.services import (HttpServiceServer, HttpTransport,
-                            HybridTransport, InProcessTransport)
+from repro.services import (HttpServiceServer, HybridTransport,
+                            InProcessTransport, PooledHttpTransport)
 from repro.services.transports import handle_batch
 from repro.xmlmodel import parse, serialize
 
@@ -93,12 +93,13 @@ class TestTransportBatchSupport:
             return relation_to_answers(Relation([{"Q": request.get("id")}]))
 
         server = HttpServiceServer(aware_handler=handler)
+        transport = PooledHttpTransport(timeout=5.0)
         url = server.start()
         try:
-            transport = HttpTransport(timeout=5.0)
             assert transport.supports_batch(url)
             response = transport.send_batch(url, batch_to_xml(_payloads(3)))
         finally:
+            transport.close()
             server.stop()
         results = xml_to_batch_results(response, expected=3)
         assert calls == ["c0", "c1", "c2"]       # one POST, three handles

@@ -1,5 +1,5 @@
 """PooledHttpTransport: keep-alive reuse, pool bounds, reconnects —
-and the PROTOCOL.md §11 failure taxonomy on both HTTP transports."""
+and the PROTOCOL.md §11 failure taxonomy."""
 
 import http.client
 import socket
@@ -14,9 +14,8 @@ from repro.grh import (GenericRequestHandler, LanguageDescriptor,
 from repro.grh.handler import GRHError
 from repro.grh.messages import Request, request_to_xml
 from repro.grh.resilience import BreakerPolicy
-from repro.services import (HttpServiceServer, HttpTransport,
-                            PooledHttpTransport, ServiceStatusError,
-                            TransportError)
+from repro.services import (HttpServiceServer, PooledHttpTransport,
+                            ServiceStatusError, TransportError)
 from repro.services.transports import _raise_for_status
 from repro.xmlmodel import parse, serialize
 
@@ -268,14 +267,12 @@ class TestStaleSocketReconnect:
 
 
 class TestHttpStatusTaxonomy:
-    @pytest.mark.parametrize("transport_cls",
-                             [HttpTransport, PooledHttpTransport])
-    def test_service_exception_is_service_reported(self, transport_cls):
+    def test_service_exception_is_service_reported(self):
         def handler(message):
             raise RuntimeError("deterministic boom")
 
         with HttpServiceServer(aware_handler=handler) as url:
-            transport = transport_cls()
+            transport = PooledHttpTransport()
             with pytest.raises(ServiceStatusError) as excinfo:
                 transport.send(url, parse("<x/>"))
             assert excinfo.value.status == 500
@@ -283,16 +280,13 @@ class TestHttpStatusTaxonomy:
             # the log:error body carries the service's own message
             assert "deterministic boom" in str(excinfo.value)
 
-    @pytest.mark.parametrize("transport_cls",
-                             [HttpTransport, PooledHttpTransport])
     @pytest.mark.parametrize("status_line", ["502 Bad Gateway",
                                              "503 Service Unavailable",
                                              "504 Gateway Timeout"])
-    def test_gateway_statuses_stay_transient(self, transport_cls,
-                                             status_line):
+    def test_gateway_statuses_stay_transient(self, status_line):
         server = _RawHttpServer(responses=[(status_line, "down")])
         with server as url:
-            transport = transport_cls(timeout=2.0)
+            transport = PooledHttpTransport(timeout=2.0)
             with pytest.raises(TransportError) as excinfo:
                 transport.send(url, parse("<x/>"))
             assert not isinstance(excinfo.value, ServiceStatusError)

@@ -8,7 +8,8 @@ from repro.grh import (Request, error_text, is_error, request_to_xml,
                        xml_to_detection)
 from repro.services import (ActionExecutionService, AtomicEventService,
                             DatalogService, ExistLikeService, SnoopService,
-                            SparqlService, TestLanguageService, XQService)
+                            TestLanguageService, XQService)
+from repro.sparql import SparqlQueryService
 from repro.xmlmodel import E, parse, serialize
 
 
@@ -83,9 +84,8 @@ class TestExistLikeService:
 
 class TestSparqlService:
     def test_lp_style_relation(self):
-        service = SparqlService(fleet_graph(),
-                                prefixes={"fleet":
-                                          "http://example.org/fleet#"})
+        service = SparqlQueryService(
+            fleet_graph(), prefixes={"fleet": "http://example.org/fleet#"})
         response = service.handle(query_request(
             "<q>SELECT ?Avail ?Class WHERE { "
             "?c fleet:location 'Paris' ; fleet:model ?Avail ; "
@@ -95,7 +95,7 @@ class TestSparqlService:
             ("Polo", "B"), ("Espace", "D")}
 
     def test_uri_terms_become_uri_values(self):
-        service = SparqlService(fleet_graph())
+        service = SparqlQueryService(fleet_graph())
         response = service.handle(query_request(
             "<q>PREFIX fleet: &lt;http://example.org/fleet#&gt; "
             "SELECT ?Car WHERE { ?Car fleet:location 'Paris' }</q>"))
@@ -103,7 +103,7 @@ class TestSparqlService:
         assert all(isinstance(b["Car"], Uri) for b in relation)
 
     def test_bad_query_reported(self):
-        service = SparqlService(fleet_graph())
+        service = SparqlQueryService(fleet_graph())
         assert is_error(service.handle(query_request("<q>SELECT</q>")))
 
 

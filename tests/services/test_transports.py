@@ -3,9 +3,16 @@
 import pytest
 
 from repro.bindings import Relation, relation_to_answers
-from repro.services import (HttpServiceServer, HttpTransport,
-                            InProcessTransport, TransportError)
+from repro.services import (HttpServiceServer, InProcessTransport,
+                            PooledHttpTransport, TransportError)
 from repro.xmlmodel import canonicalize, parse, serialize
+
+
+@pytest.fixture
+def http():
+    transport = PooledHttpTransport()
+    yield transport
+    transport.close()
 
 
 def echo_handler(message):
@@ -52,37 +59,34 @@ class TestInProcessTransport:
 
 
 class TestHttpTransport:
-    def test_aware_post_roundtrip(self):
+    def test_aware_post_roundtrip(self, http):
         def handler(message):
             return relation_to_answers(Relation([{"Got": message.name.local}]))
 
         with HttpServiceServer(aware_handler=handler) as url:
-            transport = HttpTransport()
-            response = transport.send(url, parse("<ping/>"))
+            response = http.send(url, parse("<ping/>"))
             assert "Got" in serialize(response)
 
-    def test_opaque_get_roundtrip(self):
+    def test_opaque_get_roundtrip(self, http):
         with HttpServiceServer(opaque_handler=lambda q: f"<r q='{q}'/>") as url:
-            transport = HttpTransport()
-            assert transport.fetch(url, "the query") == "<r q='the query'/>"
+            assert http.fetch(url, "the query") == "<r q='the query'/>"
 
-    def test_unreachable_endpoint(self):
-        transport = HttpTransport(timeout=0.5)
+    def test_unreachable_endpoint(self, http):
         with pytest.raises(TransportError):
-            transport.send("http://127.0.0.1:1/", parse("<x/>"))
+            http.send("http://127.0.0.1:1/", parse("<x/>"), timeout=0.5)
 
-    def test_service_exception_becomes_transport_error(self):
+    def test_service_exception_becomes_transport_error(self, http):
         def handler(message):
             raise RuntimeError("boom")
 
         with HttpServiceServer(aware_handler=handler) as url:
             with pytest.raises(TransportError):
-                HttpTransport().send(url, parse("<x/>"))
+                http.send(url, parse("<x/>"))
 
-    def test_wrong_method_rejected(self):
+    def test_wrong_method_rejected(self, http):
         with HttpServiceServer(aware_handler=lambda m: m) as url:
             with pytest.raises(TransportError):
-                HttpTransport().fetch(url, "q")
+                http.fetch(url, "q")
 
 
 class TestHttpServiceServerLifecycle:
@@ -104,13 +108,12 @@ class TestHttpServiceServerLifecycle:
 
 
 class TestPerRequestTimeouts:
-    def test_http_send_accepts_timeout_override(self):
+    def test_http_send_accepts_timeout_override(self, http):
         def handler(message):
             return parse("<ok/>")
 
         with HttpServiceServer(aware_handler=handler) as url:
-            transport = HttpTransport(timeout=10.0)
-            response = transport.send(url, parse("<x/>"), timeout=2.0)
+            response = http.send(url, parse("<x/>"), timeout=2.0)
             assert response.name.local == "ok"
 
     def test_in_process_accepts_and_ignores_timeout(self):
@@ -144,7 +147,7 @@ class TestPerRequestTimeouts:
 class TestWireEquivalence:
     """DESIGN.md §5: identical canonical bytes over both transports."""
 
-    def test_same_message_bytes_in_process_and_http(self):
+    def test_same_message_bytes_in_process_and_http(self, http):
         message = relation_to_answers(Relation([{"Person": "John Doe",
                                                  "Class": "B"}]))
         captured = {}
@@ -162,6 +165,6 @@ class TestWireEquivalence:
             return parse("<ok/>")
 
         with HttpServiceServer(aware_handler=capture_http) as url:
-            HttpTransport().send(url, message)
+            http.send(url, message)
 
         assert captured["inproc"] == captured["http"]

@@ -2,12 +2,17 @@
 
 Shared by ``tests/sparql/test_differential.py`` and
 ``benchmarks/bench_sparql.py``: the planner/executor must produce the
-same solution *multisets* as the naive ``rdf.sparql`` evaluator on
-every seed, so the generator deliberately avoids the two evaluator-
-order-sensitive modifiers (``ORDER BY``, ``LIMIT``) and covers
-everything else: chains and stars of patterns, typed literals, filters
-(including over variables that may be unbound), ``OPTIONAL``,
-``UNION`` and ``DISTINCT``.
+same solution *multisets* as the backtracking oracle
+(``reference_evaluator.py``) on every seed, so the generator
+deliberately avoids the two evaluator-order-sensitive modifiers
+(``ORDER BY``, ``LIMIT``) and covers everything else: chains and stars
+of patterns, typed literals, filters (including over variables that may
+be unbound), ``OPTIONAL``, ``UNION`` and ``DISTINCT``.
+
+:func:`random_query` rarely sends a *ragged* row — one with a shared
+column absent — into a ``UNION``/``OPTIONAL`` boundary; the executor
+partitions such rows by which shared columns they carry, and
+:func:`ragged_query` / :func:`ragged_seeds` exist to reach that code.
 """
 
 import random
@@ -107,6 +112,55 @@ def random_query(rng: random.Random) -> str:
                         rng.sample(selected, count))
     distinct = "DISTINCT " if rng.random() < 0.3 else ""
     return f"{PROLOGUE}SELECT {distinct}{head} WHERE {{ {where} }}"
+
+
+def ragged_query(rng: random.Random) -> str:
+    """One random ``SELECT *`` in which a ``UNION``/``OPTIONAL`` group
+    shares a variable with rows that only *may* have bound it."""
+    age = rng.randrange(10, 70)
+    shape = rng.randrange(6)
+    if shape == 0:
+        # two OPTIONALs sharing a maybe-bound variable: where the first
+        # found nothing, the second binds ?b itself
+        where = ("?a ex:lives ?c OPTIONAL { ?a ex:knows ?b } "
+                 "OPTIONAL { ?b ex:score ?s }")
+    elif shape == 1:
+        # the same, with a filter inside the group over the shared column
+        where = ("?a ex:vip true OPTIONAL { ?a ex:knows ?b } "
+                 f"OPTIONAL {{ ?b ex:age ?d FILTER(?d > {age}) }}")
+    elif shape == 2:
+        # a UNION whose branches bind different variables, then an
+        # OPTIONAL over one of them
+        where = ("?a ex:lives ?c { ?a ex:knows ?u } UNION { ?a ex:vip ?v } "
+                 "OPTIONAL { ?u ex:score ?s }")
+    elif shape == 3:
+        # a UNION over a column an earlier UNION left half-bound
+        where = ("{ ?a ex:knows ?u } UNION { ?a ex:vip ?v } "
+                 "{ ?u ex:vip ?w } UNION { ?a ex:score ?s }")
+    elif shape == 4:
+        # two shared columns absent in different combinations
+        where = ("?a ex:lives ?c OPTIONAL { ?a ex:knows ?b } "
+                 "OPTIONAL { ?a ex:score ?s } "
+                 f"OPTIONAL {{ ?b ex:score ?s . ?b ex:age ?d "
+                 f"FILTER(?d < {age + 20}) }}")
+    else:
+        # a nested OPTIONAL leaves ?s maybe-bound for the outer one, and
+        # the trailing filter reads it
+        where = ("?a ex:vip true "
+                 "OPTIONAL { ?a ex:knows ?b OPTIONAL { ?b ex:score ?s } } "
+                 "OPTIONAL { ?a ex:score ?s } FILTER(BOUND(?s) || ?a != ?b)")
+    return f"{PROLOGUE}SELECT * WHERE {{ {where} }}"
+
+
+def ragged_seeds(rng: random.Random, triples: list[tuple]) -> list[dict]:
+    """A pushed-down input table with missing values: twelve term-valued
+    rows over ``?a`` / ``?b`` / ``?u``, each variable left out of about
+    a third of them."""
+    people = sorted({subject for subject, _p, _o in triples
+                     if str(subject).startswith(EX + "p")}, key=str)
+    return [{name: rng.choice(people) for name in ("a", "b", "u")
+             if rng.random() < 0.65}
+            for _ in range(12)]
 
 
 def solution_multiset(solutions) -> Counter:

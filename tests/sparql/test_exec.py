@@ -1,12 +1,15 @@
-"""The vectorized executor: tables, absent columns, fallbacks, stats."""
+"""The vectorized executor: tables, absent columns, ragged rows, stats."""
 
 import pytest
 
 from repro.rdf import Literal, URIRef
-from repro.rdf.sparql import SparqlEvaluationError
+from repro.rdf.sparql import SparqlEvaluationError, parse_sparql
 from repro.sparql import (ABSENT, Table, TripleStore, plan_query, run_ask,
                           run_plan, run_select, solutions_from_table,
                           table_from_solutions)
+
+from .gen import solution_multiset
+from .reference_evaluator import evaluate_group
 
 EX = "http://example.org/"
 PROLOGUE = f"PREFIX ex: <{EX}>\n"
@@ -77,20 +80,23 @@ class TestSeededExecution:
         solutions, _stats = run_select(store, plan, seed)
         assert solutions == [{"n": Literal("name1")}]
 
-    def test_ragged_subgroup_rows_fall_back(self):
-        """Rows whose shared columns are ABSENT at a UNION/OPTIONAL
-        boundary are evaluated naively and counted."""
+    def test_ragged_subgroup_rows_equal_the_oracle(self):
+        """A row whose shared column is ABSENT at an OPTIONAL boundary
+        leaves the variable bindable inside the group: the unseeded row
+        fans out over every score, the seeded one keeps its ?p."""
         store = build_store()
-        plan = plan_query(store, PROLOGUE + (
-            "SELECT * WHERE { OPTIONAL { ?p ex:score ?s } }"),
-            seed_vars=frozenset())
-        seed = table_from_solutions([{"p": term("p1")}, {}])
-        table, stats = run_plan(store, plan, seed)
-        assert stats.fallback_rows >= 1
+        parsed = parse_sparql(PROLOGUE + (
+            "SELECT * WHERE { OPTIONAL { ?p ex:score ?s } }"))
+        seeds = [{"p": term("p1")}, {}, {"p": term("p0")}]
+        table, _stats = run_plan(store, plan_query(store, parsed),
+                                 table_from_solutions(seeds))
         solutions = solutions_from_table(table)
-        assert {"p": term("p1"), "s": Literal(
-            "1", datatype=URIRef(
-                "http://www.w3.org/2001/XMLSchema#integer"))} in solutions
+        assert solution_multiset(solutions) == solution_multiset(
+            solution for seed in seeds
+            for solution in evaluate_group(store, parsed.where, seed))
+        # p1 extended, the empty row once per scored person, p0 kept bare
+        assert len(solutions) == 1 + 3 + 1
+        assert {"p": term("p0")} in solutions
 
 
 class TestStats:

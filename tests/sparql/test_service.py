@@ -1,11 +1,16 @@
 """SparqlQueryService: pushdown, caching, metrics, introspection."""
 
+import sys
+import threading
+
 from repro.bindings import Relation, Uri
-from repro.grh import Request, is_error, request_to_xml
+from repro.grh import ComponentSpec, Request, is_error, request_to_xml
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ops.admin import IntrospectionSurface
 from repro.rdf import Graph, Literal, URIRef
-from repro.sparql import SparqlQueryService, TripleStore, live_snapshots
+from repro.services import SPARQL_LANG, standard_deployment
+from repro.sparql import (RDF_SPARQL_LANG, SparqlQueryService, TripleStore,
+                          live_snapshots)
 from repro.xmlmodel import parse
 
 EX = "http://example.org/"
@@ -133,6 +138,42 @@ class TestPlanCache:
                 f"SELECT ?n WHERE {{ ex:p{index} ex:name ?n }}"))
         assert len(service._plans) == 2
 
+    def test_concurrent_lookups_survive_eviction(self):
+        """Runtime lanes call one inline service concurrently, and the
+        per-tuple ``{Var}`` path fills the cache with distinct texts: a
+        lookup's recency bump must not race another thread's eviction
+        (it used to raise ``KeyError``, surfaced as a ``ServiceError``)."""
+        service = SparqlQueryService(build_store(), prefixes={"ex": EX},
+                                     plan_cache_size=2)
+        texts = [f"PREFIX ex: <{EX}>\n"
+                 f"SELECT ?n WHERE {{ ex:p{index} ex:name ?n }}"
+                 for index in range(3)]
+        errors = []
+
+        def lane(offset):
+            try:
+                for step in range(8000):
+                    plan, _hit = service.plan_for(
+                        texts[(offset + step) % len(texts)])
+                    assert plan.query.form == "SELECT"
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lane, args=(offset,))
+                   for offset in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-7)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(service._plans) <= 2
+
 
 class TestObservability:
     def test_metrics_registered_and_driven(self):
@@ -190,5 +231,83 @@ class TestConstruction:
         service = SparqlQueryService(graph)
         assert isinstance(service.store, TripleStore)
 
-    def test_supports_batch_declared(self):
-        assert SparqlQueryService.supports_batch is True
+
+class TestSparqlLiteAlias:
+    """``…/sparql-lite`` is an alias URI of the one SPARQL service
+    (PROTOCOL.md §15).  It used to name a service that ran the query
+    unseeded and left the join with the input tuples to the engine; a
+    rule under the alias that has input bindings and no ``{Var}``
+    placeholder now sees binding-set pushdown — one test per observable
+    difference."""
+
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+
+    def evaluate(self, uri, text, bindings, store=None):
+        deployment = standard_deployment(
+            graph=store if store is not None else build_store())
+        deployment.sparql.prefixes["ex"] = EX
+        spec = ComponentSpec("query", uri, content=parse(f"<q>{text}</q>"))
+        relation = Relation(bindings)
+        return relation, deployment.grh.evaluate_query("r::q", spec,
+                                                       relation)
+
+    def test_both_uris_reach_the_same_service_object(self):
+        deployment = standard_deployment(graph=build_store())
+        deployment.sparql.prefixes["ex"] = EX
+        spec = {uri: ComponentSpec("query", uri, content=parse(
+            "<q>SELECT ?n WHERE { ex:p1 ex:name ?n }</q>"))
+            for uri in (SPARQL_LANG, RDF_SPARQL_LANG)}
+        for uri in spec:
+            answer = deployment.grh.evaluate_query("r::q", spec[uri],
+                                                   Relation.unit())
+            assert [row["n"] for row in answer] == ["name1"]
+        assert deployment.sparql.stats["queries"] == 2
+        assert deployment.sparql.stats["cache_hits"] == 1  # one plan cache
+
+    def test_seeded_join_is_term_equality(self):
+        """Input ``5`` seeds ``"5"^^xsd:integer``, which is not the
+        stored ``"5.0"^^xsd:double``; the engine's value join (5 == 5.0)
+        used to let the pair through."""
+        store = build_store()
+        store.add(term("thing"), term("size"),
+                  Literal("5.0", datatype=URIRef(self.XSD + "double")))
+        for uri in (SPARQL_LANG, RDF_SPARQL_LANG):
+            relation, answer = self.evaluate(
+                uri, "SELECT ?s WHERE { ?s ex:size ?V }", [{"V": 5}], store)
+            assert len(relation.join(answer)) == 0
+            relation, answer = self.evaluate(
+                uri, "SELECT ?s WHERE { ?s ex:size ?V }", [{"V": 5.5}],
+                store)
+            assert len(relation.join(answer)) == 0
+        # unseeded, the value comes back as the number and the engine's
+        # join accepts it: the placeholder-free query without the input
+        _relation, answer = self.evaluate(
+            SPARQL_LANG, "SELECT ?s ?V WHERE { ?s ex:size ?V }", [{}], store)
+        assert len(Relation([{"V": 5}]).join(answer)) == 1
+
+    def test_modifiers_apply_after_the_seeded_join(self):
+        """``ORDER BY … LIMIT 1`` keeps the best row *among the input
+        tuples' matches*; unseeded it kept the store-wide best row,
+        which the engine's join then discarded."""
+        relation, answer = self.evaluate(
+            SPARQL_LANG,
+            "SELECT ?p ?a WHERE { ?p ex:age ?a } ORDER BY DESC(?a) LIMIT 1",
+            [{"p": Uri(EX + "p2")}, {"p": Uri(EX + "p4")}])
+        assert [(str(row["p"]), row["a"])
+                for row in relation.join(answer)] == [(EX + "p4", 24)]
+        # DISTINCT likewise sees the seeded rows: two inputs living in
+        # the same city stay two answers, told apart by their seed
+        relation, answer = self.evaluate(
+            SPARQL_LANG, "SELECT DISTINCT ?c WHERE { ?p ex:lives ?c }",
+            [{"p": Uri(EX + "p2")}, {"p": Uri(EX + "p4")}])
+        assert len(answer) == 2
+
+    def test_answers_carry_the_seeded_columns(self):
+        """A projection that leaves the seeded variable out still
+        answers it, so each answer joins only its own input tuple."""
+        relation, answer = self.evaluate(
+            SPARQL_LANG, "SELECT ?n WHERE { ?p ex:name ?n }",
+            [{"p": Uri(EX + "p1")}, {"p": Uri(EX + "p3")}])
+        assert sorted((str(row["p"]), row["n"]) for row in answer) == [
+            (EX + "p1", "name1"), (EX + "p3", "name3")]
+        assert len(relation.join(answer)) == 2  # not the 2 x 2 product
