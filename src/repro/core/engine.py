@@ -723,8 +723,9 @@ class ECAEngine:
         if failure is not None and not isinstance(failure,
                                                   ActionExecutionError):
             # park the detection for replay_dead_letters(); action-phase
-            # failures are dead-lettered per-tuple by the GRH instead
-            # (replaying the whole detection would re-run executed actions)
+            # failures are dead-lettered by the GRH instead, as the
+            # unexecuted suffix of the action's relation (replaying the
+            # whole detection would re-run executed actions)
             self.grh.dead_letter_detection(detection, failure)
         if durability is not None:
             durability.current_detection = None
@@ -883,8 +884,11 @@ class ECAEngine:
             summary["replayed"] += 1
             if letter.kind == "action":
                 try:
+                    # the letter is its own exactly-once guard: it hands
+                    # back the keys its tuples were first dispatched under
                     executed = self.grh.execute_action(
-                        letter.component_id, letter.spec, letter.bindings)
+                        letter.component_id, letter.spec, letter.bindings,
+                        guard=letter)
                 except GRHError as exc:
                     # execute_action re-parked the still-failing tuples;
                     # partial progress still counts as executed actions

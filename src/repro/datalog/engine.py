@@ -216,13 +216,16 @@ class DatalogEngine:
         if isinstance(goal, str):
             goal = parse_atom(goal)
         self._ensure_evaluated()
-        facts = self._facts.get(goal.signature, set())
+        # unify first, order only the answers: a point lookup matches a
+        # handful of a predicate's facts, and the key is the same one, so
+        # the answer order is what sorting every fact first gave
+        matches = [(values, solution)
+                   for values in self._facts.get(goal.signature, ())
+                   if (solution := _unify(goal, values, {})) is not None]
+        matches.sort(key=lambda match: _sort_key(match[0]))
         out: list[Substitution] = []
         seen: set[tuple] = set()
-        for values in sorted(facts, key=_sort_key):
-            solution = _unify(goal, values, {})
-            if solution is None:
-                continue
+        for _values, solution in matches:
             key = tuple(sorted(solution.items()))
             if key not in seen:
                 seen.add(key)

@@ -57,11 +57,13 @@ class _InFlight:
 
 
 class _ActionGuard:
-    """Per-(instance, action) exactly-once guard for the GRH's tuple loop.
+    """Per-(instance, action) exactly-once guard for the GRH's one
+    action request.
 
     :meth:`begin` journals *one* ``exec`` intent record carrying every
-    distinct tuple key of the relation, before the first dispatch, and
-    hands back the wire ``dedup`` key for each tuple.  Recovery treats
+    distinct tuple key of the relation, before the dispatch, and hands
+    back the wire ``dedup`` key for each tuple (stamped on the tuple's
+    ``log:answer``).  Recovery treats
     every journaled key of an instance without a ``done`` record as
     *uncertain*: the re-driven instance re-dispatches them under the
     same wire keys (journaled instance id + positional action index +
@@ -82,7 +84,7 @@ class _ActionGuard:
     def begin(self, tuples) -> list:
         """Journal the intent record; returns one ``dedup`` key per
         tuple, ``None`` for a duplicate tuple (one effect per distinct
-        tuple — the caller skips it)."""
+        tuple — the caller leaves it out of the request)."""
         instance_id = self._instance_id
         action_index = self._action_index
         prefix = f"{instance_id}:{action_index}:"

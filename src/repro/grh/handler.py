@@ -34,7 +34,8 @@ from ..obs.trace import (SPANS_QNAME, pop_span_sink, push_span_sink,
 from ..xmlmodel import Element, LOG_NS, QName, XMLSyntaxError, parse
 from .component import ComponentSpec
 from .messages import (Detection, MessageError, Request, detection_to_xml,
-                       error_text, is_error, request_to_xml, xml_to_detection)
+                       error_executed, error_text, is_error, request_to_xml,
+                       xml_to_detection)
 from .registry import (HealthProber, LanguageDescriptor, LanguageRegistry,
                        RegistryError)
 from .resilience import (ActionExecutionError, DeadLetter, GRHError,
@@ -289,7 +290,8 @@ class GenericRequestHandler:
             span = obs.tracer.begin("grh.request",
                                     {"kind": request.kind,
                                      "component": request.component_id,
-                                     "language": descriptor.name})
+                                     "language": descriptor.name,
+                                     "tuples": len(request.bindings)})
             if not inline and span.traceparent is not None:
                 payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
         timeout = self.resilience.timeout_for(descriptor)
@@ -331,7 +333,12 @@ class GenericRequestHandler:
                 self._strip_spans(response, obs)
             if is_error(response):
                 # a clean log:error from a healthy service: not transient
-                raise ServiceReportedError(error_text(response))
+                try:
+                    executed = error_executed(response)
+                except MessageError as exc:
+                    raise GRHError(f"service {descriptor.name!r} answered "
+                                   f"a malformed log:error: {exc}") from exc
+                raise ServiceReportedError(error_text(response), executed)
             return response
 
         batcher = self.batcher
@@ -341,11 +348,12 @@ class GenericRequestHandler:
                                None) is not None
                    and self.transport.supports_batch(addresses[0]))
         # failover is always safe for read-only kinds; an action may
-        # only retarget when its dedup key makes re-dispatch exactly
-        # once on the service side (PROTOCOL.md §12)
+        # only retarget when every tuple's dedup key makes re-dispatch
+        # exactly once on the service side (PROTOCOL.md §12)
         read_only = request.kind in ("query", "test", "register-event",
                                      "unregister-event")
-        failover_ok = read_only or request.dedup is not None
+        failover_ok = read_only or (request.dedups is not None
+                                    and None not in request.dedups)
         # a wait scope collects where this dispatch blocked (batcher
         # park, pool acquisition, backoff, hedge race); the layers
         # below record into it and _finish_request_span copies the
@@ -653,48 +661,53 @@ class GenericRequestHandler:
                        bindings: Relation, guard=None) -> int:
         """Execute the action once per tuple; returns the execution count.
 
-        A mid-loop failure raises :class:`ActionExecutionError` carrying
-        the count of tuples that *did* execute (so the engine's audit
-        trail stays truthful) and parks the failed tuple plus every
-        not-yet-attempted tuple in the dead letter queue for replay.
+        The component travels **once**, with every tuple in its
+        ``log:answers``; the service runs them in relation order and
+        stops at the first that fails (*ordered prefix commits, suffix is
+        parked*, PROTOCOL.md §7).  A failure raises
+        :class:`ActionExecutionError` carrying the count of tuples the
+        service reported as run (so the engine's audit trail stays
+        truthful) and parks the failed tuple plus every tuple after it in
+        the dead letter queue for replay.  When no answer came back at
+        all, every tuple is uncertain: none is credited and all are
+        parked.
 
         ``guard`` is the durability layer's exactly-once hook: before
         anything is dispatched, ``guard.begin(tuples)`` journals every
         tuple's idempotency key in one intent record and returns the
         wire ``dedup`` key per tuple (``None`` marks a duplicate tuple,
-        which is skipped — one effect per distinct tuple; it neither
-        re-executes nor counts in the return value).
+        which is left out of the request — one effect per distinct tuple;
+        it neither executes nor counts in the return value).
         """
         descriptor = self._descriptor_for(spec)
         content = spec.content if spec.content is not None \
             else _opaque_element(spec)
-        count = 0
         tuples = list(bindings)
         dedups = guard.begin(tuples) if guard is not None else None
-        for index, binding in enumerate(tuples):
-            dedup = None
-            if dedups is not None:
-                dedup = dedups[index]
-                if dedup is None:
-                    continue
-            try:
-                self._send(descriptor, Request("action", component_id,
-                                               content, Relation([binding]),
-                                               dedup=dedup))
-            except GRHError as exc:
-                remaining = Relation(tuples[index:])
-                self.resilience.dead_letters.append(DeadLetter(
-                    kind="action", error=str(exc),
-                    enqueued_at=self.resilience.clock(),
-                    component_id=component_id, spec=spec, content=content,
-                    bindings=remaining))
-                observer = self.resilience.observer
-                if observer is not None:
-                    observer("dead_letter", component_id)
-                raise ActionExecutionError(str(exc), executed=count,
-                                           remaining=remaining) from exc
-            count += 1
-        return count
+        if dedups is not None:
+            tuples = [binding for binding, dedup in zip(tuples, dedups)
+                      if dedup is not None]
+            dedups = tuple(dedup for dedup in dedups if dedup is not None)
+        if not tuples:
+            return 0
+        try:
+            self._send(descriptor, Request("action", component_id, content,
+                                           Relation(tuples), dedups=dedups))
+        except GRHError as exc:
+            executed = _reported_prefix(exc, len(tuples))
+            remaining = Relation(tuples[executed:])
+            self.resilience.dead_letters.append(DeadLetter(
+                kind="action", error=str(exc),
+                enqueued_at=self.resilience.clock(),
+                component_id=component_id, spec=spec, content=content,
+                bindings=remaining,
+                dedups=dedups[executed:] if dedups is not None else None))
+            observer = self.resilience.observer
+            if observer is not None:
+                observer("dead_letter", component_id)
+            raise ActionExecutionError(str(exc), executed=executed,
+                                       remaining=remaining) from exc
+        return len(tuples)
 
     # -- resilience surface --------------------------------------------------
 
@@ -726,6 +739,16 @@ def _log_dispatch_failure(obs, kind: str, language: str, exc) -> None:
     if log is not None:
         log.warning("grh.request.failed", kind=kind, language=language,
                     error=str(exc))
+
+
+def _reported_prefix(exc: GRHError, sent: int) -> int:
+    """How many of the ``sent`` action tuples the service reported as run
+    before the failing one.  No answer, a ``log:error`` without the count
+    or one that does not fit the request leave every tuple uncertain: 0."""
+    cause = exc.__cause__
+    executed = cause.executed if isinstance(cause, ServiceReportedError) \
+        else None
+    return executed if executed is not None and executed < sent else 0
 
 
 def _opaque_element(spec: ComponentSpec) -> Element:

@@ -5,12 +5,15 @@ the component-language services is XML (Figs. 5–9).  Four message kinds:
 
 * ``log:request`` — engine → service: register/unregister an event
   component, evaluate a query, execute an action.  Carries the component
-  content and the relevant input variable bindings.
+  content and the relevant input variable bindings — the whole input
+  relation in one request, whatever the kind.
 * ``log:answers`` — service → engine: tuples of variable bindings
   (defined in :mod:`repro.bindings.markup`).
 * ``log:detection`` — event service → engine: an event component matched;
   carries the component id, the occurrence interval and the bindings.
-* ``log:ok`` / ``log:error`` — acknowledgements.
+* ``log:ok`` / ``log:error`` — acknowledgements.  The ``log:error`` of an
+  action request says how many tuples ran before the one that failed
+  (``executed``, PROTOCOL.md §7).
 
 Messages are plain elements; transports serialize them (the in-process
 broker can optionally skip serialization, the HTTP transport cannot —
@@ -22,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bindings import (MarkupError, Relation, answers_to_relation,
-                        relation_to_answers)
+from ..bindings import (ANSWER, MarkupError, Relation, answer_to_binding,
+                        answers_to_relation, relation_to_answers)
 from ..xmlmodel import Element, LOG_NS, QName, Text
 
 __all__ = ["Request", "Detection", "request_to_xml", "xml_to_request",
            "detection_to_xml", "xml_to_detection", "ok_message",
-           "error_message", "is_error", "error_text", "dead_letter_to_xml",
+           "error_message", "is_error", "error_text", "error_executed",
+           "dead_letter_to_xml",
            "xml_to_dead_letter", "MessageError", "REQUEST_KINDS",
            "batch_to_xml", "xml_to_batch", "is_batch",
            "batch_results_to_xml", "xml_to_batch_results"]
@@ -47,6 +51,8 @@ _DEADLETTER = QName(LOG_NS, "deadletter")
 _BATCH = QName(LOG_NS, "batch")
 _BATCHRESULTS = QName(LOG_NS, "batchresults")
 _RESULT = QName(LOG_NS, "result")
+_DEDUP = QName(None, "dedup")
+_EXECUTED = QName(None, "executed")
 
 
 class MessageError(ValueError):
@@ -57,11 +63,13 @@ class MessageError(ValueError):
 class Request:
     """One request from the engine/GRH to a component service.
 
-    ``dedup`` is an optional idempotency key (the ``dedup`` attribute on
-    the wire), stamped on per-tuple action requests by a durable engine.
-    A service that honours it answers ``log:ok`` without re-executing a
-    key it has already completed, closing the last crash-replay
-    ambiguity window (PROTOCOL.md §7); services that ignore it degrade
+    ``dedups`` holds the optional idempotency keys of an action request,
+    one per tuple of ``bindings`` in relation order (the ``dedup``
+    attribute of each ``log:answer`` on the wire; ``None`` for a tuple
+    without a key, ``None`` altogether when no tuple has one).  A durable
+    engine stamps them.  A service that honours them skips, tuple by
+    tuple, a key it has already completed, closing the last crash-replay
+    ambiguity window (PROTOCOL.md §7); services that ignore them degrade
     to at-least-once for that one window.
 
     ``traceparent`` is the optional trace-context of the GRH request
@@ -76,12 +84,17 @@ class Request:
     component_id: str
     content: Element | None
     bindings: Relation
-    dedup: str | None = None
+    dedups: tuple[str | None, ...] | None = None
     traceparent: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in REQUEST_KINDS:
             raise MessageError(f"unknown request kind {self.kind!r}")
+        if self.dedups is not None \
+                and len(self.dedups) != len(self.bindings):
+            raise MessageError(
+                f"{len(self.dedups)} idempotency keys for "
+                f"{len(self.bindings)} tuples")
 
 
 @dataclass(frozen=True)
@@ -109,8 +122,6 @@ class Detection:
 def request_to_xml(request: Request) -> Element:
     attributes = {QName(None, "kind"): request.kind,
                   QName(None, "id"): request.component_id}
-    if request.dedup is not None:
-        attributes[QName(None, "dedup")] = request.dedup
     if request.traceparent is not None:
         attributes[QName(None, "traceparent")] = request.traceparent
     element = Element(_REQUEST, attributes, nsdecls={"log": LOG_NS})
@@ -118,8 +129,29 @@ def request_to_xml(request: Request) -> Element:
         wrapper = Element(_COMPONENT)
         wrapper.append(request.content.copy())
         element.append(wrapper)
-    element.append(relation_to_answers(request.bindings))
+    answers = relation_to_answers(request.bindings)
+    if request.dedups is not None:
+        for answer, key in zip(answers.children, request.dedups):
+            if key is not None:
+                answer.attributes[_DEDUP] = key
+    element.append(answers)
     return element
+
+
+def _keyed_relation(answers: Element) -> tuple[Relation, tuple | None]:
+    """The tuples of an action request with the key each one carries.
+
+    A relation drops repeated tuples, so the keys are paired with the
+    tuples while parsing (the first occurrence's key stands) and not by
+    position afterwards."""
+    keyed = {}
+    for answer in answers.findall(ANSWER):
+        keyed.setdefault(answer_to_binding(answer),
+                         answer.attributes.get(_DEDUP))
+    dedups = tuple(keyed.values())
+    if all(key is None for key in dedups):
+        dedups = None
+    return Relation(keyed), dedups
 
 
 def xml_to_request(element: Element) -> Request:
@@ -138,10 +170,14 @@ def xml_to_request(element: Element) -> Request:
         content = inner[0].copy()
     answers = element.find(_ANSWERS)
     try:
-        bindings = (answers_to_relation(answers) if answers is not None
-                    else Relation.unit())
-        return Request(kind, component_id, content, bindings,
-                       dedup=element.get("dedup"),
+        dedups = None
+        if answers is None:
+            bindings = Relation.unit()
+        elif kind == "action":
+            bindings, dedups = _keyed_relation(answers)
+        else:
+            bindings = answers_to_relation(answers)
+        return Request(kind, component_id, content, bindings, dedups=dedups,
                        traceparent=element.get("traceparent"))
     except MarkupError as exc:
         raise MessageError(str(exc)) from exc
@@ -198,8 +234,13 @@ def ok_message() -> Element:
     return Element(_OK, nsdecls={"log": LOG_NS})
 
 
-def error_message(text: str) -> Element:
+def error_message(text: str, executed: int | None = None) -> Element:
+    """``log:error``; ``executed`` is set by action requests only: the
+    number of tuples, counted from the front of the request's relation,
+    that ran before the one that failed."""
     element = Element(_ERROR, nsdecls={"log": LOG_NS})
+    if executed is not None:
+        element.attributes[_EXECUTED] = str(executed)
     element.append(Text(text))
     return element
 
@@ -209,7 +250,8 @@ def dead_letter_to_xml(kind: str, error: str, attempts: int,
     """``log:deadletter`` — a failed unit of work parked for replay.
 
     ``payload`` is the original ``log:detection`` (failed instance) or
-    ``log:request`` (failed per-tuple action loop), so a dead letter is
+    ``log:request`` (the unexecuted suffix of a failed action request,
+    each ``log:answer`` still under its ``dedup`` key), so a dead letter is
     self-contained: archiving it preserves everything needed to replay.
     """
     element = Element(_DEADLETTER, {QName(None, "kind"): kind,
@@ -258,6 +300,16 @@ def is_error(element: Element) -> bool:
 
 def error_text(element: Element) -> str:
     return element.text()
+
+
+def error_executed(element: Element) -> int | None:
+    """The ``executed`` count of a ``log:error`` (``None`` when absent)."""
+    text = element.attributes.get(_EXECUTED)
+    if text is None:
+        return None
+    if not (text.isascii() and text.isdigit()):
+        raise MessageError(f"invalid log:error executed count {text!r}")
+    return int(text)
 
 
 # -- batch envelopes (PROTOCOL.md §10) ---------------------------------------

@@ -13,8 +13,8 @@ service traffic passes through — the Generic Request Handler:
 * :class:`CircuitBreaker` — per-endpoint closed → open → half-open
   breaker that sheds load to services that keep failing instead of
   stacking timeouts onto every rule instance;
-* :class:`DeadLetterQueue` — failed detections and failed per-tuple
-  action requests are captured for later replay via
+* :class:`DeadLetterQueue` — failed detections and the unexecuted suffix
+  of failed action requests are captured for later replay via
   :meth:`repro.core.ECAEngine.replay_dead_letters`;
 * :class:`ResilienceManager` — owns the policies, breakers, counters and
   the injectable ``clock``/``sleep`` used by all of the above.
@@ -64,12 +64,15 @@ class CircuitOpenError(GRHError):
 
 
 class ActionExecutionError(GRHError):
-    """An action component failed part-way through its per-tuple loop.
+    """An action component's request failed.
 
-    ``executed`` is the number of tuples whose action request succeeded
-    before the failure; ``remaining`` holds the failed tuple and every
-    tuple not yet attempted (the same relation is captured in the dead
-    letter queue for replay).
+    The service runs the request's tuples in relation order and stops at
+    the first that fails: ``executed`` is the length of the prefix it
+    reported as run (0 when no answer came back — then every tuple is
+    uncertain); ``remaining`` holds the failed tuple and every tuple
+    after it (the same relation is captured in the dead letter queue for
+    replay).  ``executed + len(remaining)`` is the number of distinct
+    tuples of the component's relation (PROTOCOL.md §7).
     """
 
     def __init__(self, message: str, executed: int = 0,
@@ -85,7 +88,16 @@ class TransientServiceFailure(RuntimeError):
 
 class ServiceReportedError(RuntimeError):
     """Internal: the service answered ``log:error`` — an application
-    error from a healthy service (not retried by default)."""
+    error from a healthy service (not retried by default).
+
+    ``executed`` is the ``log:error``'s count of action tuples that ran
+    before the failing one (``None`` when it carries none).  A report of
+    partial progress is never retried: the same request would run the
+    committed prefix again."""
+
+    def __init__(self, message: str, executed: int | None = None) -> None:
+        super().__init__(message)
+        self.executed = executed
 
 
 @dataclass(frozen=True)
@@ -239,9 +251,9 @@ class DeadLetter:
     """One failed unit of work, parked for replay.
 
     ``kind`` is ``"detection"`` (a rule instance whose evaluation failed
-    — replay re-runs the whole instance) or ``"action"`` (a per-tuple
-    action loop that failed part-way — replay executes the failed tuple
-    and every tuple after it, never the ones that already ran).
+    — replay re-runs the whole instance) or ``"action"`` (an action
+    request that failed part-way — replay executes the failed tuple and
+    every tuple after it, never the ones the service reported as run).
     """
 
     kind: str
@@ -260,6 +272,18 @@ class DeadLetter:
     spec: "ComponentSpec | None" = None
     content: "Element | None" = None
     bindings: "Relation | None" = None
+    #: the idempotency key each tuple of ``bindings`` was dispatched
+    #: under (``None`` when the engine is not durable): replay sends them
+    #: again, so a tuple whose effect landed but whose answer was lost is
+    #: suppressed by the service instead of running twice
+    dedups: "tuple[str | None, ...] | None" = None
+
+    def begin(self, tuples) -> "tuple[str | None, ...] | None":
+        """The exactly-once guard of a replay (``guard.begin`` of
+        :meth:`~repro.grh.GenericRequestHandler.execute_action`): the keys
+        the parked tuples already have.  Their intent record was
+        journaled before the first dispatch, so nothing is written."""
+        return self.dedups
 
     def to_xml(self) -> "Element":
         """``log:deadletter`` markup, for archiving or monitoring UIs."""
@@ -269,7 +293,8 @@ class DeadLetter:
             payload = detection_to_xml(self.detection)
         elif self.kind == "action" and self.bindings is not None:
             payload = request_to_xml(Request("action", self.component_id,
-                                             self.content, self.bindings))
+                                             self.content, self.bindings,
+                                             dedups=self.dedups))
         return dead_letter_to_xml(self.kind, self.error, self.attempts,
                                   payload)
 
@@ -308,7 +333,8 @@ class DeadLetter:
                                  content=content)
         return cls(kind="action", error=error, attempts=attempts,
                    component_id=request.component_id, spec=spec,
-                   content=content, bindings=request.bindings)
+                   content=content, bindings=request.bindings,
+                   dedups=request.dedups)
 
 
 class DeadLetterQueue:
@@ -681,12 +707,12 @@ class ResilienceManager:
                 shed = breaker is not None and breaker.state == "open"
                 if passes >= policy.max_attempts or shed:
                     raise
-            except ServiceReportedError:
+            except ServiceReportedError as exc:
                 with self._lock:
                     self._record(address, ok=False)
                 if board is not None:
                     board.record_error(address)
-                if passes >= policy.max_attempts or \
+                if passes >= policy.max_attempts or exc.executed or \
                         not policy.retry_on_service_errors:
                     raise
             else:

@@ -14,7 +14,9 @@ Scope is deliberately narrow:
 
 * only ``query`` and ``test`` requests batch — they are read-only, so
   retrying a whole envelope after a transient failure re-evaluates but
-  never re-effects.  Actions keep their per-tuple dedup-keyed path.
+  never re-effects.  An action is already one request per component
+  (every tuple in its ``log:answers``, each under its own dedup key) and
+  is never put into an envelope with other requests.
 * only non-inline addresses batch — an in-process service is a plain
   function call, there is no round-trip to amortize.
 * resilience is per-envelope: the batch goes through

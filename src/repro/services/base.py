@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from ..bindings import Relation, relation_to_answers
+from ..bindings import Binding, Relation, relation_to_answers
 from ..grh.messages import (MessageError, Request, error_message, is_error,
                             ok_message, xml_to_request)
 from ..obs.trace import (current_span_sink, next_annotation_id,
@@ -30,12 +30,17 @@ class ServiceError(RuntimeError):
 class LanguageService:
     """Dispatches ``log:request`` messages to per-kind hooks.
 
-    Action requests carrying a ``dedup`` idempotency key are executed at
-    most once per key: a repeated key answers ``log:ok`` without calling
-    the :meth:`action` hook again.  A durable engine stamps these keys
-    so that crash-replay cannot double-execute an effect even when the
-    journal cannot tell whether the original dispatch completed
-    (PROTOCOL.md §7).  The memory is a bounded FIFO of recent keys.
+    An action request carries every surviving tuple of its component
+    (PROTOCOL.md §2).  The tuples run **in relation order** through the
+    :meth:`action` hook, one call per tuple; the first failing tuple
+    stops the request and the ``log:error`` says how many ran before it
+    (``executed``) — *ordered prefix commits, suffix is left to the
+    caller* (PROTOCOL.md §7).  A tuple carrying a ``dedup`` idempotency
+    key is executed at most once per key: a key already completed counts
+    as run without calling the hook again.  A durable engine stamps
+    these keys so that crash-replay cannot double-execute an effect even
+    when the journal cannot tell whether the original dispatch completed.
+    The memory is a bounded FIFO of recent keys.
     """
 
     #: human-readable name used in error messages
@@ -117,18 +122,26 @@ class LanguageService:
             if request.kind == "test":
                 return relation_to_answers(self.test(request))
             if request.kind == "action":
-                if request.dedup is not None and \
-                        self._action_key_seen(request.dedup):
-                    return ok_message()
-                self.action(request)
-                if request.dedup is not None:
-                    self._action_key_done(request.dedup)
-                return ok_message()
+                return self._run_action(request)
             return error_message(
                 f"{self.service_name}: unsupported request kind "
                 f"{request.kind!r}")
         except Exception as exc:
             return error_message(f"{self.service_name}: {exc}")
+
+    def _run_action(self, request: Request) -> Element:
+        keys = request.dedups or (None,) * len(request.bindings)
+        for executed, (binding, key) in enumerate(zip(request.bindings,
+                                                      keys)):
+            if key is None or not self._action_key_seen(key):
+                try:
+                    self.action(request, binding)
+                except Exception as exc:
+                    return error_message(f"{self.service_name}: {exc}",
+                                         executed=executed)
+                if key is not None:
+                    self._action_key_done(key)
+        return ok_message()
 
     # -- hooks (override per language family) --------------------------------
 
@@ -144,7 +157,8 @@ class LanguageService:
     def test(self, request: Request) -> Relation:
         raise ServiceError("this service does not evaluate tests")
 
-    def action(self, request: Request) -> None:
+    def action(self, request: Request, binding: Binding) -> None:
+        """Execute the request's action component for one of its tuples."""
         raise ServiceError("this service does not execute actions")
 
     @staticmethod

@@ -9,8 +9,8 @@ plus the handful of well-known namespaces of the ECA framework.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 __all__ = [
     "QName",
@@ -43,21 +43,34 @@ class NamespaceError(ValueError):
     """Raised for undeclared prefixes or invalid namespace declarations."""
 
 
-@dataclass(frozen=True, slots=True)
-class QName:
+class QName(tuple):
     """An expanded XML name: a namespace URI (or ``None``) plus local part.
 
     Equality and hashing ignore the prefix a name was written with, as
     required by XML Namespaces: ``a:booking`` and ``b:booking`` are the same
     name when ``a`` and ``b`` are bound to the same URI.
+
+    The value *is* the pair ``(uri, local)``: every attribute lookup,
+    ``find`` and name test hashes or compares a name, and a ``tuple``
+    does both in C where a dataclass would run a Python frame each time.
     """
 
-    uri: str | None
-    local: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.local:
+    def __new__(cls, uri: str | None, local: str) -> "QName":
+        if not local:
             raise ValueError("QName local part must be non-empty")
+        return tuple.__new__(cls, (uri, local))
+
+    def __getnewargs__(self):
+        # pickle/copy rebuild through __new__(cls, uri, local)
+        return tuple(self)
+
+    uri = property(itemgetter(0), doc="Namespace URI, or ``None``.")
+    local = property(itemgetter(1), doc="Local part (never empty).")
+
+    def __repr__(self) -> str:
+        return f"QName(uri={self[0]!r}, local={self[1]!r})"
 
     @classmethod
     def parse(cls, text: str, namespaces: dict[str, str] | None = None,

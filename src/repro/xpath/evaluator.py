@@ -428,10 +428,49 @@ def _build_and(expr: And) -> Compiled:
                           and as_boolean(right(focus)))
 
 
+def _bare_attribute(expr: Expr) -> QName | None:
+    """The attribute's name when ``expr`` is exactly ``@name``: one
+    ``attribute::name`` step from the context node, unprefixed, not ``*``,
+    no predicates."""
+    if isinstance(expr, Path) and expr.start is None and len(expr.steps) == 1:
+        expr = expr.steps[0]
+    if isinstance(expr, Step) and expr.axis == "attribute" \
+            and not expr.predicates and isinstance(expr.test, NameTest) \
+            and expr.test.prefix is None and expr.test.local != "*":
+        return QName(None, expr.test.local)
+    return None
+
+
 def _build_comparison(expr: Comparison) -> Compiled:
     atoms = _ATOM_COMPARATORS[expr.op]
     left, right = _compile(expr.left), _compile(expr.right)
-    return lambda focus: _compare(atoms, left(focus), right(focus))
+
+    def compare(focus: Focus) -> bool:
+        return _compare(atoms, left(focus), right(focus))
+
+    if expr.op != "=":
+        return compare
+    # ``[@a = 'lit']`` / ``[@a = $v]`` (either way round): on an element
+    # and a string the existential comparison is one dictionary probe —
+    # no AttributeNode, no node list.  ``@a`` cannot raise there, so
+    # evaluating the other operand first meets the same error; any other
+    # node or value type takes the general comparison
+    for attribute, operand, other in ((expr.left, expr.right, right),
+                                      (expr.right, expr.left, left)):
+        name = _bare_attribute(attribute)
+        if name is not None and isinstance(operand, (Literal, VariableRef)):
+            break
+    else:
+        return compare
+
+    def probe(focus: Focus) -> bool:
+        node = focus.node
+        if isinstance(node, Element):
+            value = other(focus)
+            if type(value) is str:
+                return node.attributes.get(name) == value
+        return compare(focus)
+    return probe
 
 
 def _divide(left: float, right: float) -> float:

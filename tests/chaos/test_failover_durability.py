@@ -30,7 +30,7 @@ class EffectfulActionService(LanguageService):
     def __init__(self):
         self.effects = 0
 
-    def action(self, request):
+    def action(self, request, binding):
         self.effects += 1
 
 
@@ -115,3 +115,51 @@ class TestActionFailoverDedup:
             grh.close()
         assert service.effects == 1  # the effect ran once, no replay
         assert grh.resilience.failovers == 0
+
+
+class TestWideActionOverHttp:
+    """The same guarantees when the one request carries several tuples."""
+
+    THREE = Relation([{"N": "1"}, {"N": "2"}, {"N": "3"}])
+
+    def test_lost_ack_of_a_three_tuple_request_runs_each_tuple_once(self):
+        grh, service, servers = replicated_action_world()
+        try:
+            count = grh.execute_action("c1", action_spec(), self.THREE,
+                                       guard=SequenceGuard())
+        finally:
+            for server in servers:
+                server.stop()
+            grh.close()
+        # replica 0 ran all three and dropped the ack; every tuple of the
+        # re-dispatch was suppressed by its own key on replica 1
+        assert count == 3
+        assert service.effects == 3
+        assert grh.resilience.failovers == 1
+        assert grh.request_count == 1       # one logical request
+
+    def test_executed_count_survives_the_wire(self):
+        class FailsOnSecond(EffectfulActionService):
+            def action(self, request, binding):
+                if binding["N"] == "2":
+                    raise RuntimeError("tuple 2 refused")
+                super().action(request, binding)
+
+        service = FailsOnSecond()
+        server = HttpServiceServer(aware_handler=service.handle)
+        grh = GenericRequestHandler(LanguageRegistry(),
+                                    HybridTransport(timeout=2.0))
+        grh.add_remote_language(
+            LanguageDescriptor(ACTION_URI, "action", "chaos-action"),
+            server.start())
+        try:
+            with pytest.raises(GRHError) as raised:
+                grh.execute_action("c1", action_spec(), self.THREE)
+        finally:
+            server.stop()
+            grh.close()
+        assert raised.value.executed == 1
+        assert list(raised.value.remaining) == list(self.THREE)[1:]
+        assert service.effects == 1
+        (letter,) = grh.resilience.dead_letters
+        assert letter.bindings == raised.value.remaining

@@ -9,11 +9,15 @@ fixpoint the semi-naive engine must reach.
 
 Parsing, stratification, rule application and fact storage are the
 engine's own (they were not replaced); the iteration below is the code
-as it was.
+as it was.  So is ``query``: it orders *every* fact of the goal's
+predicate and then unifies them one by one, where the engine now unifies
+first and orders only the matches — the answer lists must be equal,
+order included.
 """
 
-from repro.datalog import DatalogEngine
+from repro.datalog import DatalogEngine, parse_atom
 from repro.datalog.ast import BodyLiteral, Rule
+from repro.datalog.engine import _sort_key, _unify
 
 
 class NaiveDatalogEngine(DatalogEngine):
@@ -30,3 +34,20 @@ class NaiveDatalogEngine(DatalogEngine):
                         changed = True
             if not changed:
                 return
+
+    def query(self, goal):
+        if isinstance(goal, str):
+            goal = parse_atom(goal)
+        self._ensure_evaluated()
+        facts = self._facts.get(goal.signature, set())
+        out = []
+        seen = set()
+        for values in sorted(facts, key=_sort_key):
+            solution = _unify(goal, values, {})
+            if solution is None:
+                continue
+            key = tuple(sorted(solution.items()))
+            if key not in seen:
+                seen.add(key)
+                out.append(solution)
+        return out

@@ -45,6 +45,45 @@ class TestStrategyEquivalence:
         assert semi.facts("path", 2) == naive.facts("path", 2)
 
 
+class TestQueryAnswerOrder:
+    """``query`` unifies first and orders only the matches; the answers
+    come out as when every fact was ordered first."""
+
+    ENTITLED = """
+        entitled(doe, b). entitled(doe, a). entitled(roe, c).
+        entitled(doe, 10). entitled(doe, 9). entitled(doe, 2.5).
+        entitled(doe, "B"). entitled(poe, a). entitled(doe, c).
+    """
+
+    def test_order_of_a_goal_with_several_matches_is_pinned(self):
+        engine = DatalogEngine(self.ENTITLED)
+        # by type name, then by the value's text: floats, ints ("10"
+        # before "9"), strings
+        assert [answer["C"] for answer in engine.query("entitled(doe, C)")] \
+            == [2.5, 10, 9, "B", "a", "b", "c"]
+        assert [answer["P"] for answer in engine.query("entitled(P, a)")] \
+            == ["doe", "poe"]
+        assert engine.query("entitled(doe, b)") == [{}]
+        assert engine.query("entitled(moe, C)") == []
+
+    def test_repeated_variable_answers_are_deduplicated_in_order(self):
+        engine = DatalogEngine("e(b, b). e(a, a). e(a, b). e(c, c).")
+        assert engine.query("e(X, X)") == [{"X": "a"}, {"X": "b"},
+                                           {"X": "c"}]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                   min_size=1, max_size=20), st.integers(0, 8))
+    def test_same_answers_in_the_same_order_as_the_oracle(self, edges,
+                                                           node):
+        program = closure_program(sorted(edges))
+        semi = DatalogEngine(program)
+        naive = NaiveDatalogEngine(program)
+        for goal in ("path(X, Y)", f"path(n{node}, Y)", f"path(X, n{node})",
+                     "path(X, X)", f"path(n{node}, n{node})", "edge(X, Y)"):
+            assert semi.query(goal) == naive.query(goal), goal
+
+
 class TestAgainstNetworkxReference:
     """Transitive closure must equal the networkx reference result."""
 

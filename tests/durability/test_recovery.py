@@ -141,10 +141,11 @@ class TestInFlightReplay:
         assert world.effects() == {"out": ['<pong n="1"/>']}
 
     def test_journaled_exec_keys_are_not_reexecuted(self, directory):
-        # a two-tuple detection, crash during the second tuple's
-        # dispatch: the intent record covers both keys, the first tuple
-        # really executed, the second never ran; recovery re-dispatches
-        # both under their journaled wire keys and the service-side
+        # a two-tuple detection, crash while the service runs the second
+        # tuple of the request: the intent record covers both keys, the
+        # first tuple really executed, the second never ran; recovery
+        # re-dispatches both under their journaled wire keys and the
+        # service-side
         # dedup memory suppresses the first — each effect lands exactly
         # once
         from repro.bindings import Binding, Relation
@@ -156,11 +157,11 @@ class TestInFlightReplay:
         real_action = world.actions.action
         calls = {"n": 0}
 
-        def crashing_action(request):
+        def crashing_action(request, binding):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise SimulatedCrash("second dispatch")
-            real_action(request)
+                raise SimulatedCrash("second tuple")
+            real_action(request, binding)
 
         world.actions.action = crashing_action
         detection = Detection("ok::event", 0.0, 0.0,
@@ -220,6 +221,52 @@ class TestDeadLetterDurability:
         assert len(world.grh.resilience.dead_letters) == 0
         assert serialize(world.runtime.documents["missing"]) == \
             '<x><y n="7"/></x>'
+
+    def lose_first_action_answer(self, world):
+        handle = world.actions.handle
+        pending = [1]
+
+        def lossy(message):
+            response = handle(message)
+            if pending:
+                pending.pop()
+                raise ConnectionResetError("answer lost (simulated)")
+            return response
+        world.grh.transport.bind("svc:actions", lossy)
+
+    def test_replay_sends_the_keys_the_tuples_were_parked_with(
+            self, directory):
+        # the service executes, the transport loses the answer: the
+        # tuple is parked as uncertain *under its key*, so the replay is
+        # suppressed by the service instead of running the effect twice
+        world = CrashWorld(directory)
+        world.boot()
+        world.setup_rules((OK_RULE,))
+        self.lose_first_action_answer(world)
+        world.run_script((E("ping", {"n": "1"}),))
+        assert world.effects() == {"out": ['<pong n="1"/>']}
+        assert world.engine.stats["actions"] == 0       # nobody heard
+        (letter,) = world.grh.resilience.dead_letters
+        assert letter.dedups is not None and all(letter.dedups)
+        summary = world.engine.replay_dead_letters()
+        assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
+                           "actions": 1}
+        assert world.effects() == {"out": ['<pong n="1"/>']}    # once
+
+    def test_parked_keys_survive_checkpoint_and_recovery(self, directory):
+        world = CrashWorld(directory)
+        world.boot()
+        world.setup_rules((OK_RULE,))
+        self.lose_first_action_answer(world)
+        world.run_script((E("ping", {"n": "1"}),))
+        (letter,) = world.grh.resilience.dead_letters
+        world.engine.durability.checkpoint()
+        world.crash()
+        world.boot()
+        (restored,) = world.grh.resilience.dead_letters
+        assert restored.dedups == letter.dedups
+        assert world.engine.replay_dead_letters()["succeeded"] == 1
+        assert world.effects() == {"out": ['<pong n="1"/>']}    # once
 
     def test_drained_letters_stay_drained(self, directory):
         world = CrashWorld(directory)

@@ -6,7 +6,7 @@ from repro.bindings import Binding, Relation, relation_to_answers
 from repro.grh import (ComponentSpec, GenericRequestHandler, GRHError,
                        LanguageDescriptor, LanguageRegistry, error_message,
                        ok_message, xml_to_request)
-from repro.services import InProcessTransport
+from repro.services import InProcessTransport, LanguageService
 from repro.xmlmodel import Element, LOG_NS, QName, Text, parse, serialize
 from repro.bindings import binding_to_answer
 
@@ -235,8 +235,21 @@ class TestUnawareAdaptation:
 
 class TestActionsAndEvents:
     def test_action_request_per_tuple(self):
+        """The action travels once per relation and runs once per tuple."""
         grh = make_grh()
-        service = _RecordingService()
+
+        class Effects(LanguageService):
+            def __init__(self):
+                self.requests, self.effects = [], []
+
+            def handle(self, message):
+                self.requests.append(message)
+                return super().handle(message)
+
+            def action(self, request, binding):
+                self.effects.append(binding["X"])
+
+        service = Effects()
         grh.add_service(LanguageDescriptor("urn:act", "action", "act"),
                         service)
         spec = ComponentSpec("action", "urn:act",
@@ -244,7 +257,11 @@ class TestActionsAndEvents:
         count = grh.execute_action("r::a0", spec,
                                    Relation([{"X": 1}, {"X": 2}]))
         assert count == 2
-        assert len(service.requests) == 2
+        (request,) = service.requests
+        (answers,) = request.findall(QName(LOG_NS, "answers"))
+        assert len(answers.findall(QName(LOG_NS, "answer"))) == 2
+        assert service.effects == [1, 2]        # relation order
+        assert grh.request_count == 1
 
     def test_event_component_must_be_event_family(self):
         grh = make_grh()

@@ -43,3 +43,55 @@ class TestQNameParsing:
     def test_same_local_different_uri_differ(self):
         assert QName("urn:one", "x") != QName("urn:two", "x")
         assert QName(None, "x") != QName("urn:one", "x")
+
+
+class TestQNameIsAValue:
+    """The name is the pair (uri, local): hashed and compared in C, and
+    as immutable, picklable and prefix-blind as it always was."""
+
+    def test_no_python_level_hash_or_eq(self):
+        assert QName.__hash__ is tuple.__hash__
+        assert QName.__eq__ is tuple.__eq__
+
+    def test_empty_local_rejected_without_a_namespace_too(self):
+        with pytest.raises(ValueError):
+            QName(None, "")
+        with pytest.raises(ValueError):
+            QName(uri=None, local="")
+
+    def test_fields_by_name_and_keyword_construction(self):
+        name = QName(uri="urn:t", local="booking")
+        assert (name.uri, name.local) == ("urn:t", "booking")
+        assert QName(None, "x").uri is None
+
+    def test_attribute_assignment_raises(self):
+        name = QName("urn:t", "booking")
+        with pytest.raises(AttributeError):
+            name.uri = "urn:other"
+        with pytest.raises(AttributeError):
+            name.local = "other"
+        with pytest.raises(AttributeError):
+            name.prefix = "t"           # no instance dictionary either
+        assert not hasattr(name, "__dict__")
+
+    def test_pickle_and_copy_round_trip(self):
+        import copy
+        import pickle
+        for name in (QName("urn:t", "booking"), QName(None, "x")):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                clone = pickle.loads(pickle.dumps(name, protocol))
+                assert clone == name and type(clone) is QName
+            for clone in (copy.copy(name), copy.deepcopy(name)):
+                assert clone == name and type(clone) is QName
+
+    def test_dict_key_equal_to_one_parsed_from_text(self):
+        attributes = {QName(None, "name"): "John", QName("urn:t", "k"): "v"}
+        assert attributes[QName.parse("name")] == "John"
+        assert attributes[QName.parse("a:k", {"a": "urn:t"})] == "v"
+        assert attributes[QName.parse("{urn:t}k")] == "v"
+        assert QName.parse("k") not in attributes
+
+    def test_repr_shape(self):
+        assert repr(QName("urn:t", "x")) == "QName(uri='urn:t', local='x')"
+        assert repr(QName(None, "x")) == "QName(uri=None, local='x')"
+        assert str(QName("urn:t", "x")) == "{urn:t}x"

@@ -178,11 +178,14 @@ def envelopes(seed):
                         for _ in range(rng.randrange(0, 5)))
 
     def request():
+        bindings = relation()
         return request_to_xml(Request(
             rng.choice(["query", "action", "test", "register-event"]),
             f"rule{rng.randrange(50)}#q{rng.randrange(4)}",
-            rng.choice(payloads + [None]), relation(),
-            dedup=rng.choice([None, "i7/2&3"]),
+            rng.choice(payloads + [None]), bindings,
+            dedups=rng.choice([None, tuple(
+                rng.choice([None, f"i7/2&{index}"])
+                for index in range(len(bindings)))]),
             traceparent=rng.choice([None, "00-ab-cd-01"])))
 
     messages = [relation_to_answers(relation()) for _ in range(6)]

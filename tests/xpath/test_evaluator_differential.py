@@ -353,3 +353,79 @@ def test_overriding_a_core_function_disables_the_fused_scan():
     for evaluator in (compiled, reference):
         result = evaluator.evaluate_expr(expr, context)
         assert len(result) == 1 and result[0] is root.children[1]
+
+
+# -- [@a = 'lit'] / [@a = $v] is a dictionary probe, and only on Element + str -------
+
+PROBE_SHAPES = [
+    # probed: bare unprefixed attribute against a literal or a variable
+    "//x[@k = $v]", "//x[$v = @k]", "//x[@k = '1']", "//x['1' = @k]",
+    "//*[@k = $v][@j = '2']", "@k = $v", "@k = '1'", "//x[@missing = $v]",
+    "//x[@k = $unbound]", "//nothing[@k = $unbound]", "@k = $unbound",
+    # the same words, but not the probed shape: the general comparison
+    "//x[@k != 'x']", "//x[@k != $v]", "//x[@t:k = 'x']", "//x[@t:k = $v]",
+    "//x[@u:k = 'x']", "//x[@* = '1']", "//x[@k[1] = '1']", "//x[@k = @j]",
+    "//x[@k = 1]", "//x[@k = y]", "//x[../@k = '1']", "//x[@k < $v]",
+]
+
+
+def probe_values(root, rng):
+    elements = [node for node in every_node(root)
+                if isinstance(node, Element)]
+    return {
+        "string": "1", "other string": "x", "empty string": "",
+        "number": 1.0, "integer": 2, "nan": math.nan,
+        "true": True, "false": False,
+        "node-set": rng.sample(elements, min(len(elements), 4)),
+        "empty node-set": [],
+        "single element": rng.choice(elements),
+        "attribute node": AttributeNode(root, QName(None, "k"), "1"),
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_attribute_probe_agrees_for_every_value_type(seed):
+    document, root = random_document(seed)
+    rng = random.Random(f"xpath-differential:probe:{seed}")
+    contexts = [document, root] + [
+        node for node in every_node(root)
+        if isinstance(node, (Text, Comment, ProcessingInstruction))][:3]
+    contexts.append(AttributeNode(root, QName(None, "k"), "1"))
+    for value in probe_values(root, rng).values():
+        for expression in PROBE_SHAPES:
+            for node in contexts:
+                assert_same(expression, node, {"v": value})
+    for expression in PROBE_SHAPES:           # $v itself unbound
+        assert_same(expression.replace("$unbound", "$v"), root, {})
+
+
+def test_fig4_predicates_allocate_no_attribute_node(monkeypatch):
+    root = Element("fleet")
+    for index in range(6):
+        root.append(Element("car", {QName(None, "location"): f"city{index % 2}",
+                                    QName(None, "class"): "AB"[index % 2],
+                                    QName(None, "model"): f"m{index}"}))
+    made = []
+
+    class Counted(AttributeNode):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(compiled, "AttributeNode", Counted)
+    compiled.compile_expr.cache_clear()     # closures capture the class
+    try:
+        cars = evaluate("//car[@location = 'city1'][@class = $Class]", root,
+                        variables={"Class": "B"})
+        assert [car.get("model") for car in cars] == ["m1", "m3", "m5"]
+        assert made == []
+        # ... while the same predicate on the general path makes one per
+        # candidate that has the attribute (a number is not probed)
+        evaluate("//car[@location = 1]", root)
+        assert len(made) == 6
+        # and the step that *selects* attributes still yields real nodes
+        made.clear()
+        models = evaluate("//car[@class = 'A']/@model", root)
+        assert [node.value for node in models] == ["m0", "m2", "m4"]
+        assert len(made) == 3
+    finally:
+        compiled.compile_expr.cache_clear()
