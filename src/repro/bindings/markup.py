@@ -22,6 +22,7 @@ import re
 from typing import Callable
 
 from ..xmlmodel import Element, LOG_NS, QName, Text
+from ..xmlmodel.nodes import trusted_element
 from .relation import Binding, BindingError, Relation
 from .values import Uri, Value
 
@@ -77,79 +78,101 @@ def substitute(text: str, binding: Binding,
     return PLACEHOLDER.sub(replace, text)
 
 
+def _typed_text(value: Value) -> tuple[str | None, str]:
+    """The ``type`` tag (``None`` for a plain string) and the text of a
+    value that is not XML — one encoding for variables and results."""
+    if isinstance(value, bool):
+        return "boolean", "true" if value else "false"
+    if isinstance(value, Uri):
+        return "uri", str(value)
+    if isinstance(value, (int, float)):
+        return "number", value_to_text(value)
+    return None, str(value)
+
+
+def _typed_element(tag: QName, attributes: dict[QName, str],
+                   value: Value) -> Element:
+    """``value`` as the one child of a ``tag`` element; its ``type`` joins
+    ``attributes`` (which becomes the element's own)."""
+    if isinstance(value, Element):
+        attributes[_TYPE] = "xml"
+        child = value.copy()
+    else:
+        kind, text = _typed_text(value)
+        if kind is not None:
+            attributes[_TYPE] = kind
+        child = Text(text)
+    return trusted_element(tag, attributes, {}, [child])
+
+
 def value_to_element(name: str, value: Value) -> Element:
     """Wrap one binding as a ``log:variable`` element."""
-    element = Element(VARIABLE, {_NAME: name})
-    if isinstance(value, Element):
-        element.set(_TYPE, "xml")
-        element.append(value.copy())
-    elif isinstance(value, bool):
-        element.set(_TYPE, "boolean")
-        element.append(Text("true" if value else "false"))
-    elif isinstance(value, Uri):
-        element.set(_TYPE, "uri")
-        element.append(Text(str(value)))
-    elif isinstance(value, (int, float)):
-        element.set(_TYPE, "number")
-        element.append(Text(value_to_text(value)))
-    else:
-        element.append(Text(str(value)))
-    return element
+    return _typed_element(VARIABLE, {_NAME: name}, value)
+
+
+def _typed_value(kind: str, text: str) -> Value:
+    """Read the text of a ``log:variable`` or ``log:result`` of a type
+    other than ``xml`` — one decoding for both."""
+    if kind == "string":
+        return text
+    if kind == "uri":
+        return Uri(text)
+    if kind == "boolean":
+        if text not in ("true", "false"):
+            raise MarkupError(f"invalid boolean value {text!r}")
+        return text == "true"
+    if kind == "number":
+        try:
+            return int(text)
+        except ValueError:
+            try:
+                return float(text)
+            except ValueError:
+                raise MarkupError(f"invalid number value {text!r}") from None
+    raise MarkupError(f"unknown variable type {kind!r}")
+
+
+def _text_of(element: Element) -> str:
+    """``element.text()``, without the walk when all it holds is one text
+    node — which is what every encoder here writes."""
+    children = element.children
+    if len(children) == 1 and type(children[0]) is Text:
+        return children[0].value
+    return element.text()
+
+
+def _only_element(element: Element) -> Element | None:
+    """The element child of an ``xml``-typed wrapper, if it has just one."""
+    inner = list(element.elements())
+    return inner[0] if len(inner) == 1 else None
 
 
 def element_to_value(element: Element) -> tuple[str, Value]:
     """Read one ``log:variable`` element back into (name, value)."""
     if element.name != VARIABLE:
         raise MarkupError(f"expected log:variable, got {element.name.clark}")
-    name = element.get(_NAME)
+    attributes = element.attributes
+    name = attributes.get(_NAME)
     if not name:
         raise MarkupError("log:variable without name attribute")
-    kind = element.get(_TYPE, "string")
+    kind = attributes.get(_TYPE, "string")
     if kind == "xml":
-        children = list(element.elements())
-        if len(children) != 1:
+        inner = _only_element(element)
+        if inner is None:
             raise MarkupError(
                 f"xml-typed variable {name!r} must contain exactly one element")
-        return name, children[0].copy()
-    text = element.text()
-    if kind == "string":
-        return name, text
-    if kind == "uri":
-        return name, Uri(text)
-    if kind == "boolean":
-        if text not in ("true", "false"):
-            raise MarkupError(f"invalid boolean value {text!r}")
-        return name, text == "true"
-    if kind == "number":
-        try:
-            return name, int(text)
-        except ValueError:
-            try:
-                return name, float(text)
-            except ValueError:
-                raise MarkupError(f"invalid number value {text!r}") from None
-    raise MarkupError(f"unknown variable type {kind!r}")
+        return name, inner.copy()
+    return name, _typed_value(kind, _text_of(element))
 
 
 def binding_to_answer(binding: Binding,
                       results: list[Value] | None = None) -> Element:
     """Wrap one tuple as a ``log:answer`` element."""
-    answer = Element(ANSWER)
-    for name in sorted(binding):
-        answer.append(value_to_element(name, binding[name]))
+    children = [value_to_element(name, binding[name])
+                for name in sorted(binding)]
     for result in results or ():
-        wrapper = Element(RESULT)
-        if isinstance(result, Element):
-            wrapper.set(_TYPE, "xml")
-            wrapper.append(result.copy())
-        else:
-            # Reuse the variable encoding to pick the right type tag.
-            encoded = value_to_element("_", result)
-            if encoded.get(_TYPE):
-                wrapper.set(_TYPE, encoded.get(_TYPE))
-            wrapper.append(Text(encoded.text()))
-        answer.append(wrapper)
-    return answer
+        children.append(_typed_element(RESULT, {}, result))
+    return trusted_element(ANSWER, {}, {}, children)
 
 
 def answer_to_binding(answer: Element) -> Binding:
@@ -157,11 +180,12 @@ def answer_to_binding(answer: Element) -> Binding:
     if answer.name != ANSWER:
         raise MarkupError(f"expected log:answer, got {answer.name.clark}")
     data: dict[str, Value] = {}
-    for child in answer.findall(VARIABLE):
-        name, value = element_to_value(child)
-        if name in data:
-            raise MarkupError(f"duplicate variable {name!r} in answer")
-        data[name] = value
+    for child in answer.children:
+        if isinstance(child, Element) and child.name == VARIABLE:
+            name, value = element_to_value(child)
+            if name in data:
+                raise MarkupError(f"duplicate variable {name!r} in answer")
+            data[name] = value
     try:
         return Binding(data)
     except BindingError as exc:
@@ -171,34 +195,25 @@ def answer_to_binding(answer: Element) -> Binding:
 def results_from_answer(answer: Element) -> list[Value]:
     """The ``log:result`` values of one answer (functional components)."""
     results: list[Value] = []
-    for child in answer.findall(RESULT):
-        kind = child.get(_TYPE, "string")
+    for child in answer.children:
+        if not (isinstance(child, Element) and child.name == RESULT):
+            continue
+        kind = child.attributes.get(_TYPE, "string")
         if kind == "xml":
-            inner = list(child.elements())
-            if len(inner) != 1:
+            inner = _only_element(child)
+            if inner is None:
                 raise MarkupError("xml-typed result must contain one element")
-            results.append(inner[0].copy())
-        elif kind == "number":
-            text = child.text()
-            try:
-                results.append(int(text))
-            except ValueError:
-                results.append(float(text))
-        elif kind == "boolean":
-            results.append(child.text() == "true")
-        elif kind == "uri":
-            results.append(Uri(child.text()))
+            results.append(inner.copy())
         else:
-            results.append(child.text())
+            results.append(_typed_value(kind, _text_of(child)))
     return results
 
 
 def relation_to_answers(relation: Relation) -> Element:
     """Serialize a whole relation as a ``log:answers`` message."""
-    answers = Element(ANSWERS, nsdecls={"log": LOG_NS})
-    for binding in relation:
-        answers.append(binding_to_answer(binding))
-    return answers
+    return trusted_element(ANSWERS, {}, {"log": LOG_NS},
+                           [binding_to_answer(binding)
+                            for binding in relation])
 
 
 def answers_to_relation(answers: Element) -> Relation:
@@ -206,4 +221,5 @@ def answers_to_relation(answers: Element) -> Relation:
     if answers.name != ANSWERS:
         raise MarkupError(f"expected log:answers, got {answers.name.clark}")
     return Relation(answer_to_binding(child)
-                    for child in answers.findall(ANSWER))
+                    for child in answers.children
+                    if isinstance(child, Element) and child.name == ANSWER)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..bindings import (ANSWER, MarkupError, Relation, answer_to_binding,
                         answers_to_relation, relation_to_answers)
 from ..xmlmodel import Element, LOG_NS, QName, Text
+from ..xmlmodel.nodes import trusted_element
 
 __all__ = ["Request", "Detection", "request_to_xml", "xml_to_request",
            "detection_to_xml", "xml_to_detection", "ok_message",
@@ -53,6 +54,14 @@ _BATCHRESULTS = QName(LOG_NS, "batchresults")
 _RESULT = QName(LOG_NS, "result")
 _DEDUP = QName(None, "dedup")
 _EXECUTED = QName(None, "executed")
+_KIND = QName(None, "kind")
+_ID = QName(None, "id")
+_TRACEPARENT = QName(None, "traceparent")
+_START = QName(None, "start")
+_END = QName(None, "end")
+_DETECTION_ID = QName(None, "detection-id")
+_ATTEMPTS = QName(None, "attempts")
+_N = QName(None, "n")
 
 
 class MessageError(ValueError):
@@ -120,22 +129,20 @@ class Detection:
 
 
 def request_to_xml(request: Request) -> Element:
-    attributes = {QName(None, "kind"): request.kind,
-                  QName(None, "id"): request.component_id}
+    attributes = {_KIND: request.kind, _ID: request.component_id}
     if request.traceparent is not None:
-        attributes[QName(None, "traceparent")] = request.traceparent
-    element = Element(_REQUEST, attributes, nsdecls={"log": LOG_NS})
+        attributes[_TRACEPARENT] = request.traceparent
+    children = []
     if request.content is not None:
-        wrapper = Element(_COMPONENT)
-        wrapper.append(request.content.copy())
-        element.append(wrapper)
+        children.append(trusted_element(_COMPONENT, {}, {},
+                                        [request.content.copy()]))
     answers = relation_to_answers(request.bindings)
     if request.dedups is not None:
         for answer, key in zip(answers.children, request.dedups):
             if key is not None:
                 answer.attributes[_DEDUP] = key
-    element.append(answers)
-    return element
+    children.append(answers)
+    return trusted_element(_REQUEST, attributes, {"log": LOG_NS}, children)
 
 
 def _keyed_relation(answers: Element) -> tuple[Relation, tuple | None]:
@@ -145,30 +152,47 @@ def _keyed_relation(answers: Element) -> tuple[Relation, tuple | None]:
     tuples while parsing (the first occurrence's key stands) and not by
     position afterwards."""
     keyed = {}
-    for answer in answers.findall(ANSWER):
-        keyed.setdefault(answer_to_binding(answer),
-                         answer.attributes.get(_DEDUP))
+    for answer in answers.children:
+        if isinstance(answer, Element) and answer.name == ANSWER:
+            keyed.setdefault(answer_to_binding(answer),
+                             answer.attributes.get(_DEDUP))
     dedups = tuple(keyed.values())
     if all(key is None for key in dedups):
         dedups = None
     return Relation(keyed), dedups
 
 
+def _first_children(element: Element, first: QName,
+                    second: QName) -> tuple[Element | None, Element | None]:
+    """``(element.find(first), element.find(second))`` in one walk."""
+    found_first = found_second = None
+    for child in element.children:
+        if isinstance(child, Element):
+            name = child.name
+            if found_first is None and name == first:
+                found_first = child
+            elif found_second is None and name == second:
+                found_second = child
+    return found_first, found_second
+
+
 def xml_to_request(element: Element) -> Request:
     if element.name != _REQUEST:
         raise MessageError(f"expected log:request, got {element.name.clark}")
-    kind = element.get("kind")
-    component_id = element.get("id")
+    attributes = element.attributes
+    kind = attributes.get(_KIND)
+    component_id = attributes.get(_ID)
     if not kind or not component_id:
         raise MessageError("log:request needs kind and id attributes")
-    wrapper = element.find(_COMPONENT)
+    wrapper, answers = _first_children(element, _COMPONENT, _ANSWERS)
     content = None
     if wrapper is not None:
         inner = list(wrapper.elements())
         if len(inner) != 1:
             raise MessageError("log:component must hold exactly one element")
+        # A copy, not a detach: over an unserialized transport, a retry or
+        # a hedge, this is the caller's own tree and is read again.
         content = inner[0].copy()
-    answers = element.find(_ANSWERS)
     try:
         dedups = None
         if answers is None:
@@ -178,35 +202,33 @@ def xml_to_request(element: Element) -> Request:
         else:
             bindings = answers_to_relation(answers)
         return Request(kind, component_id, content, bindings, dedups=dedups,
-                       traceparent=element.get("traceparent"))
+                       traceparent=attributes.get(_TRACEPARENT))
     except MarkupError as exc:
         raise MessageError(str(exc)) from exc
 
 
 def detection_to_xml(detection: Detection) -> Element:
-    attributes = {QName(None, "id"): detection.component_id,
-                  QName(None, "start"): _number(detection.start),
-                  QName(None, "end"): _number(detection.end)}
+    attributes = {_ID: detection.component_id,
+                  _START: _number(detection.start),
+                  _END: _number(detection.end)}
     if detection.detection_id is not None:
-        attributes[QName(None, "detection-id")] = detection.detection_id
-    element = Element(_DETECTION, attributes, nsdecls={"log": LOG_NS})
-    element.append(relation_to_answers(detection.bindings))
+        attributes[_DETECTION_ID] = detection.detection_id
+    children = [relation_to_answers(detection.bindings)]
     if detection.events:
-        wrapper = Element(_EVENTS)
-        for payload in detection.events:
-            wrapper.append(payload.copy())
-        element.append(wrapper)
-    return element
+        children.append(trusted_element(
+            _EVENTS, {}, {}, [payload.copy() for payload in detection.events]))
+    return trusted_element(_DETECTION, attributes, {"log": LOG_NS}, children)
 
 
 def xml_to_detection(element: Element) -> Detection:
     if element.name != _DETECTION:
         raise MessageError(
             f"expected log:detection, got {element.name.clark}")
-    component_id = element.get("id")
+    attributes = element.attributes
+    component_id = attributes.get(_ID)
     if not component_id:
         raise MessageError("log:detection needs an id attribute")
-    answers = element.find(_ANSWERS)
+    answers, events_wrapper = _first_children(element, _ANSWERS, _EVENTS)
     if answers is None:
         raise MessageError("log:detection needs log:answers content")
     try:
@@ -214,16 +236,15 @@ def xml_to_detection(element: Element) -> Detection:
     except MarkupError as exc:
         raise MessageError(str(exc)) from exc
     try:
-        start = float(element.get("start", "0"))
-        end = float(element.get("end", "0"))
+        start = float(attributes.get(_START, "0"))
+        end = float(attributes.get(_END, "0"))
     except ValueError as exc:
         raise MessageError("invalid detection interval") from exc
-    events_wrapper = element.find(_EVENTS)
     events: tuple[Element, ...] = ()
     if events_wrapper is not None:
         events = tuple(child.copy() for child in events_wrapper.elements())
     return Detection(component_id, start, end, bindings, events,
-                     detection_id=element.get("detection-id"))
+                     detection_id=attributes.get(_DETECTION_ID))
 
 
 def _number(value: float) -> str:
@@ -231,18 +252,15 @@ def _number(value: float) -> str:
 
 
 def ok_message() -> Element:
-    return Element(_OK, nsdecls={"log": LOG_NS})
+    return trusted_element(_OK, {}, {"log": LOG_NS}, [])
 
 
 def error_message(text: str, executed: int | None = None) -> Element:
     """``log:error``; ``executed`` is set by action requests only: the
     number of tuples, counted from the front of the request's relation,
     that ran before the one that failed."""
-    element = Element(_ERROR, nsdecls={"log": LOG_NS})
-    if executed is not None:
-        element.attributes[_EXECUTED] = str(executed)
-    element.append(Text(text))
-    return element
+    attributes = {} if executed is None else {_EXECUTED: str(executed)}
+    return trusted_element(_ERROR, attributes, {"log": LOG_NS}, [Text(text)])
 
 
 def dead_letter_to_xml(kind: str, error: str, attempts: int,
@@ -254,15 +272,12 @@ def dead_letter_to_xml(kind: str, error: str, attempts: int,
     each ``log:answer`` still under its ``dedup`` key), so a dead letter is
     self-contained: archiving it preserves everything needed to replay.
     """
-    element = Element(_DEADLETTER, {QName(None, "kind"): kind,
-                                    QName(None, "attempts"): str(attempts)},
-                      nsdecls={"log": LOG_NS})
-    error_element = Element(_ERROR)
-    error_element.append(Text(error))
-    element.append(error_element)
+    children = [trusted_element(_ERROR, {}, {}, [Text(error)])]
     if payload is not None:
-        element.append(payload.copy())
-    return element
+        children.append(payload.copy())
+    return trusted_element(_DEADLETTER,
+                           {_KIND: kind, _ATTEMPTS: str(attempts)},
+                           {"log": LOG_NS}, children)
 
 
 def xml_to_dead_letter(element: Element) -> tuple[str, str, int,
@@ -277,11 +292,11 @@ def xml_to_dead_letter(element: Element) -> tuple[str, str, int,
     if element.name != _DEADLETTER:
         raise MessageError(
             f"expected log:deadletter, got {element.name.clark}")
-    kind = element.get("kind")
+    kind = element.attributes.get(_KIND)
     if kind not in ("detection", "action"):
         raise MessageError(f"unknown dead letter kind {kind!r}")
     try:
-        attempts = int(element.get("attempts", "1"))
+        attempts = int(element.attributes.get(_ATTEMPTS, "1"))
     except ValueError as exc:
         raise MessageError("invalid dead letter attempts") from exc
     error_element = element.find(_ERROR)
@@ -326,8 +341,9 @@ def error_executed(element: Element) -> int | None:
 
 def batch_to_xml(requests: list[Element]) -> Element:
     """Wrap ``log:request`` elements into one ``log:batch`` envelope."""
-    element = Element(_BATCH, {QName(None, "n"): str(len(requests))},
-                      nsdecls={"log": LOG_NS})
+    element = trusted_element(_BATCH, {_N: str(len(requests))},
+                              {"log": LOG_NS}, [])
+    # the requests are the caller's trees, not ours: `append` checks them
     for request in requests:
         element.append(request)
     return element
@@ -343,7 +359,7 @@ def xml_to_batch(element: Element) -> list[Element]:
         raise MessageError(f"expected log:batch, got {element.name.clark}")
     children = list(element.elements())
     try:
-        declared = int(element.get("n", ""))
+        declared = int(element.attributes.get(_N, ""))
     except ValueError as exc:
         raise MessageError("log:batch needs an integer n attribute") from exc
     if declared != len(children):
@@ -365,14 +381,14 @@ def batch_results_to_xml(results: list[Element]) -> Element:
     in its own ``log:result`` wrapper at the position of the request it
     answers.
     """
-    element = Element(_BATCHRESULTS,
-                      {QName(None, "n"): str(len(results))},
-                      nsdecls={"log": LOG_NS})
+    wrappers = []
     for result in results:
-        wrapper = Element(_RESULT)
+        wrapper = trusted_element(_RESULT, {}, {}, [])
+        # a handler's response is its tree, not ours: `append` checks it
         wrapper.append(result)
-        element.append(wrapper)
-    return element
+        wrappers.append(wrapper)
+    return trusted_element(_BATCHRESULTS, {_N: str(len(results))},
+                           {"log": LOG_NS}, wrappers)
 
 
 def xml_to_batch_results(element: Element,
@@ -388,7 +404,7 @@ def xml_to_batch_results(element: Element,
             f"expected log:batchresults, got {element.name.clark}")
     wrappers = list(element.elements())
     try:
-        declared = int(element.get("n", ""))
+        declared = int(element.attributes.get(_N, ""))
     except ValueError as exc:
         raise MessageError(
             "log:batchresults needs an integer n attribute") from exc

@@ -14,7 +14,9 @@ from typing import Iterable, Iterator, Union
 from .names import QName
 
 __all__ = ["Node", "Element", "Text", "Comment", "ProcessingInstruction",
-           "Document", "Child"]
+           "Document", "Child", "trusted_element"]
+
+_new = object.__new__
 
 
 class Node:
@@ -44,7 +46,7 @@ class Text(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        super().__init__()
+        self.parent = None
         self.value = value
 
     def __repr__(self) -> str:
@@ -63,7 +65,7 @@ class Comment(Node):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        super().__init__()
+        self.parent = None
         self.value = value
 
     def __repr__(self) -> str:
@@ -82,7 +84,7 @@ class ProcessingInstruction(Node):
     __slots__ = ("target", "data")
 
     def __init__(self, target: str, data: str = "") -> None:
-        super().__init__()
+        self.parent = None
         self.target = target
         self.data = data
 
@@ -115,7 +117,7 @@ class Element(Node):
                  attributes: dict[QName, str] | None = None,
                  children: Iterable[Child | str] | None = None,
                  nsdecls: dict[str, str] | None = None) -> None:
-        super().__init__()
+        self.parent = None
         if isinstance(name, str):
             name = QName.parse(name)
         self.name = name
@@ -162,18 +164,19 @@ class Element(Node):
 
     def copy(self) -> "Element":
         """A deep copy, detached from any parent."""
-        clone = Element(self.name, dict(self.attributes),
-                        nsdecls=dict(self.nsdecls))
+        children: list[Child] = []
         for child in self.children:
             if isinstance(child, Element):
-                clone.append(child.copy())
+                children.append(child.copy())
             elif isinstance(child, Text):
-                clone.append(Text(child.value))
+                children.append(Text(child.value))
             elif isinstance(child, Comment):
-                clone.append(Comment(child.value))
+                children.append(Comment(child.value))
             else:
-                clone.append(ProcessingInstruction(child.target, child.data))
-        return clone
+                children.append(
+                    ProcessingInstruction(child.target, child.data))
+        return trusted_element(self.name, dict(self.attributes),
+                               dict(self.nsdecls), children)
 
     # -- accessors ---------------------------------------------------------
 
@@ -270,6 +273,37 @@ class Element(Node):
         return f"<Element {self.name.clark} attrs={len(self.attributes)} children={len(self.children)}>"
 
 
+def trusted_element(name: QName, attributes: dict[QName, str],
+                    nsdecls: dict[str, str],
+                    children: list[Child]) -> Element:
+    """An element made of parts the caller hands over for good.
+
+    For code that builds a whole tree it has just made itself —
+    :meth:`Element.copy` and the envelope builders of
+    :mod:`repro.bindings.markup` and :mod:`repro.grh.messages`, where
+    ``Element(...)`` plus one ``append`` per child was a measured half of
+    the cost.  Nothing is converted, copied or detached: ``name`` is a
+    :class:`QName` already, both dicts and the list become the element's
+    own (the caller keeps no reference), every child is a node — never a
+    ``str`` — without a parent, not even a parsed fragment's ``Document``.
+    A child that has one is refused as ``append`` refuses it.
+    """
+    element = _new(Element)
+    element.parent = None
+    element.name = name
+    element.attributes = attributes
+    element.nsdecls = nsdecls
+    element.children = children
+    for child in children:
+        if child.parent is not None:
+            for adopted in children:
+                if adopted.parent is element:
+                    adopted.parent = None
+            raise ValueError("node already has a parent; detach it first")
+        child.parent = element
+    return element
+
+
 def _significant(children: list[Child]) -> list[Child]:
     """Children normalized for comparison.
 
@@ -298,7 +332,7 @@ class Document(Node):
     __slots__ = ("children",)
 
     def __init__(self, children: Iterable[Child] | None = None) -> None:
-        super().__init__()
+        self.parent = None
         self.children: list[Child] = []
         for child in children or ():
             self.append(child)

@@ -179,13 +179,26 @@ def _processing_instruction(text: str,
                                  text[data_start:end]), end + 2
 
 
+#: Bounds of the name memo below: scopes remembered (the table is emptied
+#: when full), names remembered per scope and kind (further ones are
+#: resolved each time they occur), and the longest name, prefix and URI
+#: remembered.  A deployment uses a dozen scopes of a dozen names; input
+#: that sets out to fill all of it reaches some 20 MB and stops there.
+_MAX_SCOPES = 256
+_MAX_NAMES = 128
+_MAX_NAME_LENGTH = 64
+_MAX_URI_LENGTH = 256
+
+
 class _ScopeNames(dict):
     """Raw name → :class:`QName` under one namespace scope, filled on demand.
 
     A message repeats a handful of names (``log:tuple``, ``name``, …) many
-    times; each is resolved against the scope once per parse.  Element and
-    attribute names are kept apart because only the former take the default
-    namespace and only the latter may not live in the ``xmlns`` namespace.
+    times, and every message of a protocol repeats the same ones under the
+    same declarations; each is resolved against the scope once.  Element
+    and attribute names are kept apart because only the former take the
+    default namespace and only the latter may not live in the ``xmlns``
+    namespace.  A name that does not resolve raises and is not stored.
     """
 
     __slots__ = ("scope", "attributes")
@@ -202,8 +215,34 @@ class _ScopeNames(dict):
         else:
             name = QName.parse(raw, self.scope,
                                default=self.scope.get("") or None)
-        self[raw] = name
+        if len(self) < _MAX_NAMES and len(raw) <= _MAX_NAME_LENGTH:
+            self[raw] = name
         return name
+
+
+#: The (element names, attribute names) tables of every scope met so far,
+#: by the scope's declarations in the order they were made.  Shared by all
+#: parses on all threads without a lock: a table is an append-only cache of
+#: a pure function of its key and the raw name, so two threads that miss
+#: together store equal values, and a parse that holds a pair keeps using it
+#: after the table was emptied.
+_SCOPES: dict[tuple, tuple[_ScopeNames, _ScopeNames]] = {}
+
+
+def _scope_names(scope: dict[str, str]) -> tuple[_ScopeNames, _ScopeNames]:
+    """The shared name tables of ``scope`` (which they keep: do not
+    mutate it afterwards)."""
+    key = tuple(scope.items())
+    names = _SCOPES.get(key)
+    if names is None:
+        names = (_ScopeNames(scope, attributes=False),
+                 _ScopeNames(scope, attributes=True))
+        if all(len(prefix) <= _MAX_NAME_LENGTH and len(uri) <= _MAX_URI_LENGTH
+               for prefix, uri in key):
+            if len(_SCOPES) >= _MAX_SCOPES:
+                _SCOPES.clear()
+            _SCOPES[key] = names
+    return names
 
 
 def _parse_element(text: str, pos: int, scope: dict[str, str],
@@ -220,8 +259,7 @@ def _parse_element(text: str, pos: int, scope: dict[str, str],
     # of the parse.  Every slot of nodes.py's classes is assigned here.
     new = object.__new__
 
-    element_names = _ScopeNames(scope, attributes=False)
-    attribute_names = _ScopeNames(scope, attributes=True)
+    element_names, attribute_names = _scope_names(scope)
     # One entry per open element: the state of its *parent* to return to.
     stack: list[tuple] = []
     parent: Element | Document = document
@@ -291,9 +329,8 @@ def _parse_element(text: str, pos: int, scope: dict[str, str],
 
             outer_names = element_names, attribute_names
             if nsdecls:
-                inner = {**element_names.scope, **nsdecls}
-                element_names = _ScopeNames(inner, attributes=False)
-                attribute_names = _ScopeNames(inner, attributes=True)
+                element_names, attribute_names = _scope_names(
+                    {**element_names.scope, **nsdecls})
             # A name that does not resolve is reported where the element
             # *ends*, after any fault in its content, as it always was.
             tag_fault = None

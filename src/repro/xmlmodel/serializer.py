@@ -11,7 +11,7 @@ Two modes are provided:
 
 from __future__ import annotations
 
-from .names import QName, XMLNS_NS, XML_NS
+from .names import XMLNS_NS, XML_NS
 from .nodes import Comment, Document, Element, Node, ProcessingInstruction, Text
 
 __all__ = ["serialize", "canonicalize"]
@@ -42,11 +42,10 @@ class _PrefixAllocator:
                 return candidate
 
 
-def _bound_prefix(name: QName, is_attribute: bool,
+def _bound_prefix(uri: str | None, is_attribute: bool,
                   scope: dict[str, str]) -> str | None:
     """The tag prefix (``""`` or ``"p:"``) that ``scope`` already gives
-    ``name``, or ``None`` when the element must declare one first."""
-    uri = name.uri
+    names in ``uri``, or ``None`` when the element must declare one first."""
     if uri is None:
         # An unprefixed attribute has no namespace; an unprefixed element
         # must not be captured by a default namespace declaration.
@@ -61,11 +60,10 @@ def _bound_prefix(name: QName, is_attribute: bool,
     return None
 
 
-def _declare(name: QName, is_attribute: bool, scope: dict[str, str],
+def _declare(uri: str | None, is_attribute: bool, scope: dict[str, str],
              new_decls: dict[str, str], allocator: _PrefixAllocator) -> str:
-    """Bind a prefix for ``name`` on the element being written (``scope``
-    and ``new_decls`` are updated) and return its tag prefix."""
-    uri = name.uri
+    """Bind a prefix for names in ``uri`` on the element being written
+    (``scope`` and ``new_decls`` are updated) and return its tag prefix."""
     if uri is None:
         prefix, uri = "", ""            # un-declare the default namespace
     elif not is_attribute and scope.get("") in (None, ""):
@@ -76,6 +74,12 @@ def _declare(name: QName, is_attribute: bool, scope: dict[str, str],
     return f"{prefix}:" if prefix else ""
 
 
+def _by_prefix(decls: dict[str, str]):
+    """The declarations in the order they are written (most elements that
+    have any have one)."""
+    return sorted(decls.items()) if len(decls) > 1 else decls.items()
+
+
 def _write_element(element: Element, out: list[str], scope: dict[str, str],
                    allocator: _PrefixAllocator, indent: str | None,
                    depth: int) -> None:
@@ -84,45 +88,47 @@ def _write_element(element: Element, out: list[str], scope: dict[str, str],
     # Most elements need none and write under their parent's scope as it is;
     # the first declaration copies it.
     new_decls: dict[str, str] = {}
-    if element.nsdecls:
-        new_decls = {prefix: uri
-                     for prefix, uri in sorted(element.nsdecls.items())
+    nsdecls = element.nsdecls
+    if nsdecls:
+        new_decls = {prefix: uri for prefix, uri in _by_prefix(nsdecls)
                      if scope.get(prefix) != uri}
     local_scope = {**scope, **new_decls} if new_decls else scope
 
-    name = element.name
-    tag_prefix = _bound_prefix(name, False, local_scope)
+    uri, local = element.name
+    tag_prefix = _bound_prefix(uri, False, local_scope)
     if tag_prefix is None:
         if local_scope is scope:
             local_scope = dict(scope)
-        tag_prefix = _declare(name, False, local_scope, new_decls, allocator)
-    tag = tag_prefix + name.local
-    attribute_parts: list[tuple[str, str]] = []
+        tag_prefix = _declare(uri, False, local_scope, new_decls, allocator)
+    tag = tag_prefix + local
+    # The attributes are written after the declarations they may add to.
+    written: list[str] = []
     attribute_items = element.attributes.items()
     if allocator.deterministic:
         attribute_items = sorted(attribute_items,
                                  key=lambda kv: (kv[0].uri or "", kv[0].local))
     for name, value in attribute_items:
-        if name.uri is None:
-            attribute_parts.append((name.local, value))
+        uri, local = name
+        if uri is None:
+            written.append(f' {local}="{_escape_attribute(value)}"')
             continue
-        if name.uri == XMLNS_NS:
+        if uri == XMLNS_NS:
             continue
-        attr_prefix = _bound_prefix(name, True, local_scope)
+        attr_prefix = _bound_prefix(uri, True, local_scope)
         if attr_prefix is None:
             if local_scope is scope:
                 local_scope = dict(scope)
-            attr_prefix = _declare(name, True, local_scope, new_decls,
+            attr_prefix = _declare(uri, True, local_scope, new_decls,
                                    allocator)
-        attribute_parts.append((attr_prefix + name.local, value))
+        written.append(
+            f' {attr_prefix}{local}="{_escape_attribute(value)}"')
 
     out.append(f"<{tag}")
     if new_decls:
-        for prefix, uri in sorted(new_decls.items()):
+        for prefix, uri in _by_prefix(new_decls):
             attr = "xmlns" if not prefix else f"xmlns:{prefix}"
             out.append(f' {attr}="{_escape_attribute(uri)}"')
-    for attr_tag, value in attribute_parts:
-        out.append(f' {attr_tag}="{_escape_attribute(value)}"')
+    out += written
 
     if not element.children:
         out.append("/>")

@@ -4,8 +4,9 @@ import pytest
 
 from repro.bindings import Binding, Relation, relation_to_answers
 from repro.grh import (ComponentSpec, GenericRequestHandler, GRHError,
-                       LanguageDescriptor, LanguageRegistry, error_message,
-                       ok_message, xml_to_request)
+                       LanguageDescriptor, LanguageRegistry, Request,
+                       ResilienceManager, RetryPolicy, error_message,
+                       ok_message, request_to_xml, xml_to_request)
 from repro.services import InProcessTransport, LanguageService
 from repro.xmlmodel import Element, LOG_NS, QName, Text, parse, serialize
 from repro.bindings import binding_to_answer
@@ -127,6 +128,46 @@ class TestFunctionalBinding:
                              bind_to="OwnCar")
         result = grh.evaluate_query("r::q0", spec, Relation.unit())
         assert result == Relation.empty()
+
+
+    @pytest.mark.parametrize("kind, text, complaint", [
+        ("boolean", "maybe", "invalid boolean value 'maybe'"),
+        ("number", "12 apples", "invalid number value '12 apples'"),
+        ("blob", "z", "unknown variable type 'blob'"),
+    ])
+    def test_malformed_result_is_a_classified_error(self, kind, text,
+                                                    complaint):
+        """``log:result`` is typed as ``log:variable`` is: what the one
+        refuses the other does not read as ``False`` or as a string."""
+        grh = make_grh()
+        answers = parse(
+            f'<log:answers xmlns:log="{LOG_NS}"><log:answer>'
+            f'<log:variable name="Person">John Doe</log:variable>'
+            f'<log:result type="{kind}">{text}</log:result>'
+            f'</log:answer></log:answers>')
+
+        class Functional:
+            def handle(self, message):
+                return answers
+
+        grh.add_service(LanguageDescriptor("urn:xq", "query", "xq"),
+                        Functional())
+        spec = ComponentSpec("query", "urn:xq",
+                             content=parse("<q xmlns='urn:xq'/>"),
+                             bind_to="OwnCar")
+        with pytest.raises(GRHError, match="malformed answer") as caught:
+            grh.evaluate_query("r::q0", spec,
+                               Relation([{"Person": "John Doe"}]))
+        assert complaint in str(caught.value)
+        # the same text as a variable is refused in the same words
+        as_variable = parse(
+            f'<log:answers xmlns:log="{LOG_NS}"><log:answer>'
+            f'<log:variable name="X" type="{kind}">{text}</log:variable>'
+            f'</log:answer></log:answers>')
+        with pytest.raises(GRHError, match="malformed answers") as caught:
+            grh._relation_from_answers(
+                as_variable, ComponentSpec("query", "urn:xq", opaque="q"))
+        assert complaint in str(caught.value)
 
 
 class TestUnawareAdaptation:
@@ -278,3 +319,80 @@ class TestActionsAndEvents:
         grh.evaluate_query("r::q0", spec, Relation.unit())
         grh.evaluate_query("r::q0", spec, Relation.unit())
         assert grh.request_count == 2
+
+
+class TestDecodersCopy:
+    """``xml_to_request`` copies what it takes out of the envelope.
+
+    Over an unserialized transport the handler is given the caller's own
+    tree, and a retry (or a hedge) gives it the same tree again: a decoder
+    that detached the component or a value instead of copying it would
+    leave the second delivery an envelope with nothing in it.
+    """
+
+    @staticmethod
+    def payload():
+        car = parse('<car xmlns="urn:cars" class="B"><model>Golf</model></car>')
+        return request_to_xml(Request(
+            "query", "r::q0", parse("<q xmlns='urn:ql'><part>x</part></q>"),
+            Relation([{"Person": "John Doe", "OwnCar": car, "N": 3}])))
+
+    def test_one_payload_handled_twice_over_an_unserialized_transport(self):
+        payload = self.payload()
+        wire = serialize(payload)
+        decoded = []
+        transport = InProcessTransport(serialize_messages=False)
+
+        def handler(message):
+            assert message is payload       # the caller's tree, as it is
+            decoded.append(xml_to_request(message))
+            return ok_message()
+
+        transport.bind("svc:q", handler)
+        transport.send("svc:q", payload)
+        transport.send("svc:q", payload)
+        assert decoded[0] == decoded[1]
+        assert decoded[0].content == parse(
+            "<q xmlns='urn:ql'><part>x</part></q>")
+        assert serialize(payload) == wire
+        # what a handler does to its request stays its own business
+        decoded[0].content.set("touched", "yes")
+        (binding,) = decoded[0].bindings
+        binding["OwnCar"].set("touched", "yes")
+        assert serialize(payload) == wire
+        assert xml_to_request(payload) == decoded[1]
+
+    def test_one_payload_retried_after_a_lost_answer(self):
+        class FlakyTransport(InProcessTransport):
+            """Delivers, then loses the first answer on the way back."""
+
+            def __init__(self):
+                super().__init__(serialize_messages=False)
+                self.sent = []
+
+            def send(self, address, message, timeout=None):
+                self.sent.append((message, serialize(message)))
+                response = super().send(address, message, timeout=timeout)
+                if len(self.sent) == 1:
+                    raise ConnectionResetError("answer lost")
+                return response
+
+        transport = FlakyTransport()
+        grh = GenericRequestHandler(
+            LanguageRegistry(), transport,
+            resilience=ResilienceManager(
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)))
+        service = _RecordingService(Relation([{"X": 1}]))
+        grh.add_service(LanguageDescriptor("urn:ql", "query", "ql"), service)
+        spec = ComponentSpec("query", "urn:ql", content=parse(
+            "<q xmlns='urn:ql'><part>x</part></q>"))
+        car = parse('<car xmlns="urn:cars" class="B"/>')
+        result = grh.evaluate_query(
+            "r::q0", spec, Relation([{"Person": "John Doe", "OwnCar": car}]))
+        assert result == Relation([{"X": 1}])
+        (first, first_wire), (second, second_wire) = transport.sent
+        assert first is second              # the retry re-sends the payload
+        assert first_wire == second_wire == serialize(first)
+        handled = [xml_to_request(message) for message in service.requests]
+        assert len(handled) == 2 and handled[0] == handled[1]
+        assert handled[0].content == spec.content

@@ -1,5 +1,7 @@
-"""What one Fig. 4 detection costs in mediated requests — counted, not
-timed, so a structural regression fails on any machine.
+"""What one detection costs in mediated requests — counted, not timed, so a
+structural regression fails on any machine.  Two rule sets: the paper's
+Fig. 4 (below), and a fan-out of constant-pattern E→A rules (further down)
+whose every byte on the wire is pinned as well.
 
 The rule has the paper's shape: one framework-aware XQ-lite query, two
 framework-unaware eXist-like queries (Fig. 9: one plain request per input
@@ -12,6 +14,7 @@ the sink still sees one message per surviving tuple.  Sending the action
 once per tuple again would add (survivors − 1) requests per event.
 """
 
+import hashlib
 import random
 
 from repro.actions import ACTION_NS
@@ -122,3 +125,76 @@ def test_one_action_request_per_event_whatever_the_tuple_count():
     # the guard is not vacuous: most events carry several tuples
     assert wide >= 20
     assert engine.stats["failed"] == 0
+
+
+# -- fan-out: N constant-pattern E→A rules, k of which match an event ---------
+
+FANOUT_CITIES = 10
+FANOUT_PER_CITY = 4
+
+#: sha256 over every message the transport serialized — the registrations,
+#: then 200 events' requests and responses, in order — recorded at the commit
+#: before the envelope builders and the parser were made cheaper.  Making
+#: them cheaper may not change a byte; a change that means to alter the wire
+#: format re-records this.
+FANOUT_WIRE_SHA256 = "57a70c80b2e87950cb22455187c1d63790281da30bc05bf87be04573347c4cf4"
+
+
+def fanout_rule(rule_id, city):
+    return f"""
+    <eca:rule xmlns:eca="{ECA_NS}" xmlns:act="{ACTION_NS}" id="{rule_id}">
+      <eca:event><booking person="{{Person}}" to="{city}" id="{{Id}}"/></eca:event>
+      <eca:action>
+        <act:send to="sink">
+          <seen id="{{Id}}" rule="{rule_id}" person="{{Person}}"/>
+        </act:send>
+      </eca:action>
+    </eca:rule>
+    """
+
+
+def test_fanout_k_requests_4k_codec_passes_and_the_recorded_bytes(monkeypatch):
+    from repro.services import transports
+
+    digest = hashlib.sha256()
+    passes = [0]
+    serialize, parse = transports.serialize, transports.parse
+
+    def counting_serialize(node, *args, **kwargs):
+        text = serialize(node, *args, **kwargs)
+        passes[0] += 1
+        digest.update(text.encode("utf-8"))
+        return text
+
+    def counting_parse(text, *args, **kwargs):
+        passes[0] += 1
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(transports, "serialize", counting_serialize)
+    monkeypatch.setattr(transports, "parse", counting_parse)
+
+    rng = random.Random(2006)
+    deployment = standard_deployment()
+    engine = ECAEngine(deployment.grh, keep_instances=False)
+    targets = [f"city{index % FANOUT_CITIES}"
+               for index in range(FANOUT_CITIES * FANOUT_PER_CITY)]
+    rng.shuffle(targets)
+    for index, city in enumerate(targets):
+        engine.register_rule(fanout_rule(f"r{index}", city))
+    grh = deployment.grh
+    for index in range(200):
+        city = f"city{rng.randrange(FANOUT_CITIES)}"
+        requests_before, passes_before = grh.request_count, passes[0]
+        seen_before = len(deployment.runtime.messages("sink"))
+        deployment.stream.emit(E("booking", {
+            "person": f"person{rng.randrange(50)}", "to": city,
+            "id": f"b{index}"}))
+        sent = deployment.runtime.messages("sink")[seen_before:]
+        assert sorted(message.content.get("rule") for message in sent) \
+            == sorted(f"r{slot}" for slot, target in enumerate(targets)
+                      if target == city)
+        assert grh.request_count - requests_before == FANOUT_PER_CITY
+        # request out, request in, response out, response in
+        assert passes[0] - passes_before == 4 * FANOUT_PER_CITY
+    assert engine.stats["failed"] == 0
+    assert digest.hexdigest() == FANOUT_WIRE_SHA256
