@@ -173,16 +173,6 @@ class ChaosTransport:
         self._after(decision)
         return result
 
-    def supports_batch(self, address: str) -> bool:
-        return self.inner.supports_batch(address)
-
-    def send_batch(self, address: str, envelope: Element,
-                   timeout: float | None = None) -> Element:
-        decision = self._perturb(address)
-        result = self.inner.send_batch(address, envelope, timeout=timeout)
-        self._after(decision)
-        return result
-
     def pool_stats(self) -> dict[str, dict]:
         stats = getattr(self.inner, "pool_stats", None)
         return stats() if stats is not None else {}

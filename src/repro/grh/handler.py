@@ -33,9 +33,8 @@ from ..obs.trace import (SPANS_QNAME, pop_span_sink, push_span_sink,
                          xml_to_span_dicts)
 from ..xmlmodel import Element, LOG_NS, QName, XMLSyntaxError, parse
 from .component import ComponentSpec
-from .messages import (Detection, MessageError, Request, detection_to_xml,
-                       error_executed, error_text, is_error, request_to_xml,
-                       xml_to_detection)
+from .messages import (Detection, MessageError, Request, error_executed,
+                       error_text, is_error, request_to_xml, xml_to_detection)
 from .registry import (HealthProber, LanguageDescriptor, LanguageRegistry,
                        RegistryError)
 from .resilience import (ActionExecutionError, DeadLetter, GRHError,
@@ -115,9 +114,9 @@ class GenericRequestHandler:
         #: a :class:`repro.runtime.DispatchBatcher`, installed by a
         #: concurrent runtime built with ``batching=True``; ``None``
         #: (the default) sends every request on its own round-trip.
-        #: When present, ``query``/``test`` requests to non-inline,
-        #: batch-capable addresses coalesce into ``log:batch``
-        #: envelopes (PROTOCOL.md §10)
+        #: When present, ``query``/``test`` requests to non-inline
+        #: addresses coalesce into ``log:batch`` envelopes, which the
+        #: transport carries like any other message (PROTOCOL.md §10)
         self.batcher = None
 
     @property
@@ -294,117 +293,123 @@ class GenericRequestHandler:
                                      "tuples": len(request.bindings)})
             if not inline and span.traceparent is not None:
                 payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
-        timeout = self.resilience.timeout_for(descriptor)
-
-        def attempt_once(address: str) -> Element:
-            # a sink catches server-side span records from co-located
-            # services without them riding the serialized response; a
-            # real remote service annotates the response instead and is
-            # handled by _strip_spans below.  an unsampled request span
-            # pushes no sink at all: the service sees no tracing caller
-            # and skips capture, mirroring how remote services skip it
-            # on the traceparent ``-00`` flags (PROTOCOL.md §9)
-            sink = push_span_sink() if obs is not None and span.sampled \
-                else None
-            try:
-                if timeout is not None:
-                    response = self.transport.send(address, payload,
-                                                   timeout=timeout)
-                else:
-                    response = self.transport.send(address, payload)
-            except GRHError:
-                raise
-            except Exception as exc:
-                if getattr(exc, "service_reported", False):
-                    # an HTTP error status from a *live* service (the
-                    # transport taxonomy of PROTOCOL.md §11): the
-                    # service's own report — deterministic, so not
-                    # retried by default and never breaker-counted
-                    raise ServiceReportedError(str(exc)) from exc
-                # a crash on the other side of the transport is a service
-                # failure: transient, retryable, counted by the breaker
-                raise TransientServiceFailure(str(exc)) from exc
-            finally:
-                if sink is not None:
-                    pop_span_sink()
-            if obs is not None:
-                if sink:
-                    obs.tracer.adopt_children(span, sink)
-                self._strip_spans(response, obs)
-            if is_error(response):
-                # a clean log:error from a healthy service: not transient
-                try:
-                    executed = error_executed(response)
-                except MessageError as exc:
-                    raise GRHError(f"service {descriptor.name!r} answered "
-                                   f"a malformed log:error: {exc}") from exc
-                raise ServiceReportedError(error_text(response), executed)
-            return response
-
+        kind = request.kind
         batcher = self.batcher
-        batched = (batcher is not None and not inline
-                   and request.kind in ("query", "test")
-                   and getattr(self.transport, "supports_batch",
-                               None) is not None
-                   and self.transport.supports_batch(addresses[0]))
-        # failover is always safe for read-only kinds; an action may
-        # only retarget when every tuple's dedup key makes re-dispatch
-        # exactly once on the service side (PROTOCOL.md §12)
-        read_only = request.kind in ("query", "test", "register-event",
-                                     "unregister-event")
-        failover_ok = read_only or (request.dedups is not None
-                                    and None not in request.dedups)
-        # a wait scope collects where this dispatch blocked (batcher
-        # park, pool acquisition, backoff, hedge race); the layers
-        # below record into it and _finish_request_span copies the
-        # totals onto the span for the critical-path analyzer
+        if batcher is not None and not inline and kind in ("query", "test"):
+            # read-only request under a concurrent runtime: park it with
+            # the batcher, which ships one log:batch per language/window
+            # through the same routing, retry and failover a single
+            # request gets, and fans the log:batchresults back per caller
+            def dispatch() -> Element:
+                result = batcher.submit(addresses, descriptor, payload)
+                if obs is not None:
+                    self._strip_spans(result, obs)
+                return result
+        else:
+            # failover is always safe for read-only kinds; an action may
+            # only retarget when every tuple's dedup key makes
+            # re-dispatch exactly once on the service side (PROTOCOL.md
+            # §12)
+            failover_ok = kind != "action" or (
+                request.dedups is not None and None not in request.dedups)
+            timeout = self.resilience.timeout_for(descriptor)
+
+            def attempt_once(address: str) -> Element:
+                return self.exchange(self.transport.send, address, payload,
+                                     timeout, descriptor, span)
+
+            def dispatch() -> Element:
+                return self.resilience.call_routed(
+                    addresses, descriptor, attempt_once, kind=kind,
+                    failover_ok=failover_ok,
+                    hedge_ok=kind in ("query", "test"))
+        return self._mediate(kind, descriptor, span, dispatch)
+
+    def exchange(self, call, address: str, argument, timeout: float | None,
+                 descriptor: LanguageDescriptor, span=None):
+        """One transport round-trip with its outcome classified — the
+        one place the §6/§11 failure taxonomy is applied.
+
+        ``call`` is the transport's ``send`` or ``fetch``; ``timeout`` is
+        passed only when set, so transports without the parameter keep
+        working.  An exception marked ``service_reported`` (an HTTP error
+        status from a *live* service) becomes
+        :class:`ServiceReportedError` — deterministic, not retried by
+        default, never breaker-counted; any other exception is a crash on
+        the far side, :class:`TransientServiceFailure`.  A ``log:error``
+        reply is the service's own report, carrying its ``executed``
+        count.  With a request ``span``, co-located services hand their
+        span records to a sink and remote ones annotate the reply; both
+        are adopted before the reply is judged.
+        """
+        obs = self.observability
+        # an unsampled request span pushes no sink at all: the service
+        # sees no tracing caller and skips capture, mirroring how remote
+        # services skip it on the traceparent ``-00`` flags (PROTOCOL.md
+        # §9)
+        sink = push_span_sink() if span is not None and span.sampled \
+            else None
+        try:
+            if timeout is None:
+                reply = call(address, argument)
+            else:
+                reply = call(address, argument, timeout=timeout)
+        except GRHError:
+            raise
+        except Exception as exc:
+            if getattr(exc, "service_reported", False):
+                raise ServiceReportedError(str(exc)) from exc
+            raise TransientServiceFailure(str(exc)) from exc
+        finally:
+            if sink is not None:
+                pop_span_sink()
+        if not isinstance(reply, Element):
+            return reply
+        if span is not None:
+            if sink:
+                obs.tracer.adopt_children(span, sink)
+            self._strip_spans(reply, obs)
+        if is_error(reply):
+            try:
+                executed = error_executed(reply)
+            except MessageError as exc:
+                raise GRHError(f"service {descriptor.name!r} answered "
+                               f"a malformed log:error: {exc}") from exc
+            raise ServiceReportedError(error_text(reply), executed)
+        return reply
+
+    def _mediate(self, kind: str, descriptor: LanguageDescriptor, span,
+                 dispatch: Callable[[], object]):
+        """Run one dispatch under its request span and turn its failure
+        into the caller's :class:`GRHError`.
+
+        A wait scope collects where the dispatch blocked (batcher park,
+        pool acquisition, backoff, hedge race); the layers below record
+        into it and :func:`_finish_request_span` copies the totals onto
+        the span for the critical-path analyzer.
+        """
+        obs = self.observability
         scope = push_wait_scope() if span is not None else None
         try:
             try:
-                if batched:
-                    # read-only request under a concurrent runtime: park
-                    # it with the batcher, which ships one log:batch per
-                    # address/window through the same resilience path
-                    # and fans the log:batchresults back per caller; the
-                    # envelope's address is routed once, at submit time
-                    result = batcher.submit(
-                        self.resilience.route(addresses, descriptor),
-                        descriptor, payload)
-                    if obs is not None:
-                        self._strip_spans(result, obs)
-                else:
-                    result = self.resilience.call_routed(
-                        addresses, descriptor, attempt_once,
-                        kind=request.kind, failover_ok=failover_ok,
-                        hedge_ok=request.kind in ("query", "test"))
-            except TransientServiceFailure as exc:
+                result = dispatch()
+            except (TransientServiceFailure, ServiceReportedError,
+                    GRHError) as exc:
                 if span is not None:
-                    _log_dispatch_failure(obs, request.kind,
-                                          descriptor.name, exc)
-                    _finish_request_span(obs, span, request.kind, scope,
+                    _log_dispatch_failure(obs, kind, descriptor.name, exc)
+                    _finish_request_span(obs, span, kind, scope,
                                          status="error")
-                raise GRHError(f"service {descriptor.name!r} unreachable "
-                               f"or crashed: {exc}") from exc
-            except ServiceReportedError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, request.kind,
-                                          descriptor.name, exc)
-                    _finish_request_span(obs, span, request.kind, scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} reported: "
+                if isinstance(exc, GRHError):
+                    raise
+                verdict = "reported" if isinstance(
+                    exc, ServiceReportedError) else "unreachable or crashed"
+                raise GRHError(f"service {descriptor.name!r} {verdict}: "
                                f"{exc}") from exc
-            except GRHError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, request.kind,
-                                          descriptor.name, exc)
-                    _finish_request_span(obs, span, request.kind, scope,
-                                         status="error")
-                raise
         finally:
             if scope is not None:
                 pop_wait_scope()
         if span is not None:
-            _finish_request_span(obs, span, request.kind, scope)
+            _finish_request_span(obs, span, kind, scope)
         return result
 
     def _probe_inline(self, address: str) -> bool:
@@ -552,54 +557,14 @@ class GenericRequestHandler:
                                     {"language": descriptor.name})
 
         def attempt_once(address: str) -> str:
-            try:
-                if timeout is not None:
-                    return self.transport.fetch(address, query,
-                                                timeout=timeout)
-                return self.transport.fetch(address, query)
-            except GRHError:
-                raise
-            except Exception as exc:
-                if getattr(exc, "service_reported", False):
-                    # §11 taxonomy: error status from a live service
-                    raise ServiceReportedError(str(exc)) from exc
-                raise TransientServiceFailure(str(exc)) from exc
+            return self.exchange(self.transport.fetch, address, query,
+                                 timeout, descriptor)
 
-        scope = push_wait_scope() if span is not None else None
-        try:
-            try:
-                result = self.resilience.call_routed(
-                    addresses, descriptor, attempt_once, kind="fetch",
-                    failover_ok=True, hedge_ok=True)
-            except TransientServiceFailure as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, "fetch", descriptor.name,
-                                          exc)
-                    _finish_request_span(obs, span, "fetch", scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} unreachable "
-                               f"or crashed: {exc}") from exc
-            except ServiceReportedError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, "fetch", descriptor.name,
-                                          exc)
-                    _finish_request_span(obs, span, "fetch", scope,
-                                         status="error")
-                raise GRHError(f"service {descriptor.name!r} reported: "
-                               f"{exc}") from exc
-            except GRHError as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, "fetch", descriptor.name,
-                                          exc)
-                    _finish_request_span(obs, span, "fetch", scope,
-                                         status="error")
-                raise
-        finally:
-            if scope is not None:
-                pop_wait_scope()
-        if span is not None:
-            _finish_request_span(obs, span, "fetch", scope)
-        return result
+        def dispatch() -> str:
+            return self.resilience.call_routed(
+                addresses, descriptor, attempt_once, kind="fetch",
+                failover_ok=True, hedge_ok=True)
+        return self._mediate("fetch", descriptor, span, dispatch)
 
     def _bind_raw_results(self, raw: str, binding: Binding,
                           spec: ComponentSpec) -> list[Binding]:

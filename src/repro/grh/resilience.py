@@ -36,7 +36,7 @@ import threading
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 from ..obs.attribution import (bind_wait_scope, current_wait_scope,
@@ -525,14 +525,13 @@ class ResilienceManager:
              attempt_once: Callable[[], object]):
         """Run one logical service request under retry + breaker.
 
-        The legacy single-address entry (the batcher and external
-        callers use it): no failover, no hedging — the pre-replica
-        semantics.  ``attempt_once`` raises
-        :class:`TransientServiceFailure` for transport-level failures
-        (retryable, breaker-counted) or :class:`ServiceReportedError`
-        for clean ``log:error`` responses (retried only when the policy
-        opts in, never breaker-counted); anything else propagates
-        untouched.
+        The legacy single-address entry for external callers: no
+        failover, no hedging — the pre-replica semantics.
+        ``attempt_once`` raises :class:`TransientServiceFailure` for
+        transport-level failures (retryable, breaker-counted) or
+        :class:`ServiceReportedError` for clean ``log:error`` responses
+        (retried only when the policy opts in, never breaker-counted);
+        anything else propagates untouched.
         """
         return self._call_failover((address,), descriptor,
                                    lambda _address: attempt_once(),
@@ -859,28 +858,6 @@ class ResilienceManager:
         finally:
             record_wait("hedge_wait", self.clock() - hedged_from)
         raise first_error
-
-    def route(self, addresses: Sequence[str],
-              descriptor: "LanguageDescriptor | None" = None) -> str:
-        """One-shot replica selection without dispatching (the batcher
-        picks its envelope's address here): p2c over live replicas, no
-        breaker admission consumed."""
-        addresses = tuple(addresses)
-        if len(addresses) == 1:
-            return addresses[0]
-        board = self.health
-        candidates = board.live(addresses) if board is not None \
-            else list(addresses)
-        if len(candidates) == 1:
-            return candidates[0]
-        with self._lock:
-            turn = self._route_turn
-            self._route_turn += 1
-        first = candidates[turn % len(candidates)]
-        second = candidates[(turn + 1) % len(candidates)]
-        if board is not None and board.score(second) < board.score(first):
-            return second
-        return first
 
     # -- lifecycle -----------------------------------------------------------
 

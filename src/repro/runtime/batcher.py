@@ -5,10 +5,11 @@ the same language service at nearly the same moment.  Each one is a
 full transport round-trip — and for HTTP endpoints the round-trip, not
 the evaluation, dominates.  :class:`DispatchBatcher` parks outgoing
 ``query``/``test`` requests for up to a *window* and ships every
-request bound for the same address as one ``log:batch`` envelope
+request bound for the same language as one ``log:batch`` envelope
 (PROTOCOL.md §10); the ``log:batchresults`` answer fans back
 positionally, waking each blocked caller with exactly its own
-response.
+response.  The envelope is a message like any other: it travels
+through the transport's one ``send``.
 
 Scope is deliberately narrow:
 
@@ -20,10 +21,11 @@ Scope is deliberately narrow:
 * only non-inline addresses batch — an in-process service is a plain
   function call, there is no round-trip to amortize.
 * resilience is per-envelope: the batch goes through
-  ``ResilienceManager.call`` like any single request, so retry
-  policies and circuit breakers see batch failures exactly as they see
-  single-request failures.  A per-request ``log:error`` *inside* a
-  successful envelope is scoped to its one caller.
+  ``ResilienceManager.call_routed`` like any single request, so
+  replica routing, failover, retry policies and circuit breakers see
+  batch failures exactly as they see single-request failures.  A
+  per-request ``log:error`` *inside* a successful envelope is scoped
+  to its one caller.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class _Entry:
 
 
 class _Bucket:
-    """Requests accumulating for one address within one window."""
+    """Requests accumulating for one language within one window."""
 
     __slots__ = ("descriptor", "deadline", "entries")
 
@@ -91,7 +93,7 @@ class _Bucket:
 
 
 class DispatchBatcher:
-    """Coalesces same-address GRH requests into ``log:batch`` envelopes.
+    """Coalesces same-language GRH requests into ``log:batch`` envelopes.
 
     A bucket flushes when it reaches *max_batch* requests (flushed by
     the submitting thread, zero added latency) or when its *window*
@@ -114,7 +116,7 @@ class DispatchBatcher:
         #: than a single request, capped at this factor (PROTOCOL.md §10)
         self.max_timeout_scale = max_timeout_scale
         self._lock = threading.Lock()
-        self._buckets: dict[str, _Bucket] = {}
+        self._buckets: dict[tuple[str, ...], _Bucket] = {}
         self._stop = False
         # lifetime counters (monitoring snapshots); mutated under
         # ``_lock`` — submitters and the flusher increment concurrently,
@@ -129,9 +131,11 @@ class DispatchBatcher:
 
     # -- caller side ---------------------------------------------------------
 
-    def submit(self, address: str, descriptor: "LanguageDescriptor",
+    def submit(self, addresses: tuple[str, ...],
+               descriptor: "LanguageDescriptor",
                payload: "Element") -> "Element":
-        """Park *payload* for *address*; block until its batch answers.
+        """Park *payload* for the language served at *addresses* (its
+        replica set); block until its batch answers.
 
         Returns this request's own response element, or raises its
         scoped error (``ServiceReportedError`` for a per-request
@@ -142,18 +146,18 @@ class DispatchBatcher:
         with self._lock:
             if self._stop:
                 raise TransientServiceFailure("dispatch batcher is stopped")
-            bucket = self._buckets.get(address)
+            bucket = self._buckets.get(addresses)
             if bucket is None:
                 bucket = _Bucket(descriptor,
                                  time.monotonic() + self.window)
-                self._buckets[address] = bucket
+                self._buckets[addresses] = bucket
             bucket.entries.append(entry)
             if len(bucket.entries) >= self.max_batch:
-                del self._buckets[address]
+                del self._buckets[addresses]
                 self.size_flushes += 1
                 ripe = bucket
         if ripe is not None:
-            self._flush_bucket(address, ripe)
+            self._flush_bucket(addresses, ripe)
         while not entry.event.wait(1.0):
             if self._stop:
                 raise TransientServiceFailure(
@@ -173,17 +177,18 @@ class DispatchBatcher:
         while not self._stop:
             time.sleep(pause)
             now = time.monotonic()
-            due: list[tuple[str, _Bucket]] = []
+            due: list[tuple[tuple[str, ...], _Bucket]] = []
             with self._lock:
-                for address, bucket in list(self._buckets.items()):
+                for addresses, bucket in list(self._buckets.items()):
                     if bucket.deadline <= now:
-                        del self._buckets[address]
+                        del self._buckets[addresses]
                         self.deadline_flushes += 1
-                        due.append((address, bucket))
-            for address, bucket in due:
-                self._flush_bucket(address, bucket)
+                        due.append((addresses, bucket))
+            for addresses, bucket in due:
+                self._flush_bucket(addresses, bucket)
 
-    def _flush_bucket(self, address: str, bucket: _Bucket) -> None:
+    def _flush_bucket(self, addresses: tuple[str, ...],
+                      bucket: _Bucket) -> None:
         grh = self.grh
         entries = bucket.entries
         descriptor = bucket.descriptor
@@ -200,26 +205,18 @@ class DispatchBatcher:
             # is held to a single request's deadline (PROTOCOL.md §10)
             timeout *= min(len(entries), self.max_timeout_scale)
 
-        def attempt_once():
-            try:
-                if timeout is not None:
-                    response = grh.transport.send_batch(
-                        address, envelope, timeout=timeout)
-                else:
-                    response = grh.transport.send_batch(address, envelope)
-            except Exception as exc:
-                if getattr(exc, "service_reported", False):
-                    # §11 taxonomy: an HTTP error status from a live
-                    # service refused the whole envelope cleanly
-                    raise ServiceReportedError(str(exc)) from exc
-                raise TransientServiceFailure(str(exc)) from exc
-            if is_error(response):
-                # the whole envelope was refused by a healthy service
-                raise ServiceReportedError(error_text(response))
+        def attempt_once(address: str) -> list:
+            # the envelope is a message like any other: one send, the
+            # GRH's one failure taxonomy
+            response = grh.exchange(grh.transport.send, address, envelope,
+                                    timeout, descriptor)
             return xml_to_batch_results(response, expected=len(entries))
 
         try:
-            results = grh.resilience.call(address, descriptor, attempt_once)
+            # read-only requests only: failing over to another replica
+            # re-evaluates, never re-effects
+            results = grh.resilience.call_routed(addresses, descriptor,
+                                                 attempt_once)
         except BaseException as exc:
             for entry in entries:
                 entry.error = _scoped_copy(exc)
@@ -240,8 +237,8 @@ class DispatchBatcher:
         with self._lock:
             due = list(self._buckets.items())
             self._buckets.clear()
-        for address, bucket in due:
-            self._flush_bucket(address, bucket)
+        for addresses, bucket in due:
+            self._flush_bucket(addresses, bucket)
 
     def stop(self) -> None:
         """Flush residuals and stop the flusher thread."""
@@ -252,8 +249,8 @@ class DispatchBatcher:
         with self._lock:
             residual = list(self._buckets.items())
             self._buckets.clear()
-        for address, bucket in residual:
-            self._flush_bucket(address, bucket)
+        for addresses, bucket in residual:
+            self._flush_bucket(addresses, bucket)
 
     def counters(self) -> dict:
         """Lifetime batching counters (monitoring snapshot)."""

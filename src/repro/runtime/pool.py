@@ -6,10 +6,10 @@ independently (Section 4) — instances never share binding tables, so
 they are natural units of parallelism.  :class:`Runtime` exploits that:
 each admitted detection is hashed to a fixed shard, and the whole
 instance evaluation (Query ≤ Test ≤ Action, including every GRH
-round-trip) runs on that shard's worker thread.  Per-instance component
-ordering is therefore preserved *trivially* — one thread executes the
-instance start to finish — while distinct instances proceed in
-parallel on other shards.
+round-trip) runs on one of that shard's lane threads.  Per-instance
+component ordering is therefore preserved *trivially* — one thread
+executes the instance start to finish — while distinct instances
+proceed in parallel on other lanes and shards.
 
 Admission control is a bounded global queue with three policies:
 
@@ -27,23 +27,24 @@ Admission control is a bounded global queue with three policies:
 reflects: a saturated runtime reports not-ready so load balancers stop
 routing events at it before the queue policy has to fire.
 
-In-flight window (``inflight > 1``)
------------------------------------
+In-flight window
+----------------
 
 One thread per shard means one component request in flight per shard —
 and the HTTP-bound workload is round-trip bound, not CPU bound, so the
-workers mostly sleep inside ``urlopen``.  With ``inflight=n`` each
-shard runs a *dispatcher* thread that pops its queue in order and hands
-detections to ``n`` *lane* threads.  The PROTOCOL.md §10 per-source
-ordering contract survives because the dispatcher is the only consumer
-of the shard queue and classifies atomically: a detection whose source
-key (``component_id#detection_id``) is already executing is chained
-behind the running one in a busy map, and the finishing lane executes
-the chain in pop order.  Distinct sources proceed concurrently up to
-the window.  A per-shard semaphore holds one permit per popped-but-
-incomplete detection, so a dispatcher can never drain its whole queue
-into memory — hot shards degrade to at most ``inflight`` popped
-detections and the capacity gate stays honest.
+thread mostly sleeps in the socket.  Every shard therefore runs
+``inflight`` *lane* threads (one by default — the window of one is the
+classic thread per shard) and nothing else.  A lane takes a permit,
+then pops the shard queue and classifies the detection in one step:
+a detection whose source key (``component_id#detection_id``) is
+already executing is chained behind the running one in a busy map,
+otherwise the lane marks the key busy, runs the detection and then the
+chain behind it in pop order.  Because no two lanes of a shard pop and
+classify at once, the PROTOCOL.md §10 per-source ordering contract
+holds while distinct sources proceed concurrently up to the window.
+The permits — one per popped-but-incomplete detection — keep lanes
+from draining a hot shard's queue into chains: at most ``inflight``
+detections leave the queue, and the capacity gate stays honest.
 """
 
 from __future__ import annotations
@@ -73,24 +74,21 @@ class BackpressureError(RuntimeError):
     """
 
 
-class _ShardDispatch:
-    """Per-shard state for the in-flight window (``inflight > 1``).
+class _Shard:
+    """Per-shard lane state.
 
-    ``busy`` maps an executing source key to the deque of detections
-    chained behind it; ``ready`` holds classified detections waiting
-    for a lane; ``permits`` bounds popped-but-incomplete detections.
+    ``pop`` is held by the one lane popping and classifying; ``busy``
+    maps an executing source key to the deque of detections chained
+    behind it (guarded by the runtime's lock); ``permits`` bounds
+    popped-but-incomplete detections.
     """
 
-    __slots__ = ("lock", "work", "busy", "ready", "permits",
-                 "dispatcher_done")
+    __slots__ = ("pop", "busy", "permits")
 
     def __init__(self, inflight: int) -> None:
-        self.lock = threading.Lock()
-        self.work = threading.Condition(self.lock)
+        self.pop = threading.Lock()
         self.busy: dict[object, deque] = {}
-        self.ready: deque = deque()
         self.permits = threading.Semaphore(inflight)
-        self.dispatcher_done = False
 
 
 class Runtime:
@@ -107,9 +105,10 @@ class Runtime:
     Parameters
     ----------
     workers:
-        number of shards / worker threads.  Detections hash to a fixed
-        shard by ``crc32(component_id # detection_id)``, so redelivery
-        of the same detection lands on the same worker.
+        number of shards, each run by ``inflight`` lane threads.
+        Detections hash to a fixed shard by
+        ``crc32(component_id # detection_id)``, so redelivery of the
+        same detection lands on the same shard.
     queue_capacity:
         bound on the total queued (not yet executing) detections across
         all shards; the *backpressure* policy applies beyond it.
@@ -127,11 +126,11 @@ class Runtime:
         batcher tuning — how long a request may wait for co-travellers
         and the envelope size that forces an immediate flush.
     inflight:
-        per-shard in-flight window.  ``1`` (the default) keeps the
-        classic one-thread-per-shard path.  ``n > 1`` runs a dispatcher
-        plus ``n`` lane threads per shard so up to ``n`` *distinct*
-        sources execute concurrently while same-source detections stay
-        serialized in pop order (PROTOCOL.md §11).
+        per-shard in-flight window: the number of lane threads each
+        shard runs, so up to ``inflight`` *distinct* sources execute
+        concurrently while same-source detections stay serialized in
+        pop order (PROTOCOL.md §11).  ``1`` (the default) is one thread
+        per shard.
 
     Ordering guarantees: within one shard, detections run in priority
     order (FIFO per level) and detections sharing a source key
@@ -169,8 +168,7 @@ class Runtime:
 
         from ..core.engine import _DetectionQueue
         self._queues = [_DetectionQueue() for _ in range(workers)]
-        self._shards = ([_ShardDispatch(inflight) for _ in range(workers)]
-                        if inflight > 1 else [])
+        self._shards = [_Shard(inflight) for _ in range(workers)]
         self._threads: list[threading.Thread] = []
         #: per-thread flag set inside worker threads; an ident set would
         #: outlive the thread and misclassify a producer whose OS-reused
@@ -234,22 +232,10 @@ class Runtime:
                 max_batch=self.max_batch)
             engine.grh.batcher = self.batcher
         for index in range(self.workers):
-            if self.inflight > 1:
+            for lane in range(self.inflight):
                 thread = threading.Thread(
-                    target=self._dispatcher, args=(index,),
-                    name=f"eca-runtime-{index}", daemon=True)
-                self._threads.append(thread)
-                thread.start()
-                for lane in range(self.inflight):
-                    worker = threading.Thread(
-                        target=self._lane, args=(index,),
-                        name=f"eca-runtime-{index}-lane{lane}", daemon=True)
-                    self._threads.append(worker)
-                    worker.start()
-            else:
-                thread = threading.Thread(
-                    target=self._worker, args=(index,),
-                    name=f"eca-runtime-{index}", daemon=True)
+                    target=self._lane, args=(index,),
+                    name=f"eca-runtime-{index}-lane{lane}", daemon=True)
                 self._threads.append(thread)
                 thread.start()
 
@@ -340,47 +326,101 @@ class Runtime:
 
     # -- execution -----------------------------------------------------------
 
-    def _worker(self, index: int) -> None:
+    def _source_key(self, detection: "Detection") -> object:
+        """Serialization key for the §10/§11 per-source ordering contract.
+
+        Matches the shard hash input; a detection without a stable
+        identity gets a unique key and never serializes with anything.
+        """
+        key = detection.detection_id
+        if key is None:
+            return object()
+        return f"{detection.component_id}#{key}"
+
+    def _lane(self, index: int) -> None:
+        """One of shard *index*'s ``inflight`` execution lanes.
+
+        Popping and classifying happen in one step under the shard's
+        pop lock, which is what preserves per-source order: by the time
+        a second same-source detection is popped, the first is already
+        registered in the busy map, so the second chains behind it
+        instead of racing to another lane.
+        """
         queue = self._queues[index]
+        shard = self._shards[index]
         self._worker_local.is_worker = True
         while True:
-            detection = queue.wait(timeout=self._poll_interval)
-            if detection is None:
+            # one permit per popped-but-incomplete detection (released
+            # when it completes); bounds memory and keeps the capacity
+            # gate honest — _size drops at pop, so popping without bound
+            # would report a drained queue that is really a pile of
+            # chained work
+            if not shard.permits.acquire(timeout=self._poll_interval):
                 if self._stop and not queue:
                     return
                 continue
-            start = time.monotonic()
-            with self._lock:
-                # the detection leaves the queued count at pickup, not
-                # at completion: _size is what the capacity gate and
-                # /readyz reflect, and counting executing detections
-                # made small capacities permanently "full" (shed() then
-                # found nothing to drop and submit over-admitted)
-                self._size -= 1
-                self._active += 1
-                self._inflight += 1
-                self._shard_inflight[index] += 1
-                waited = start - self._enqueued_at.pop(id(detection), start)
-                self._space.notify()
+            chain = None
+            with shard.pop:
+                detection = queue.wait(
+                    timeout=0 if self._stop else self._poll_interval)
+                if detection is not None:
+                    key = self._source_key(detection)
+                    start = time.monotonic()
+                    with self._lock:
+                        # the detection leaves the queued count at
+                        # pickup, not at completion: _size is what the
+                        # capacity gate and /readyz reflect, and
+                        # counting executing detections made small
+                        # capacities permanently "full" (shed() then
+                        # found nothing to drop and submit over-admitted)
+                        self._size -= 1
+                        self._inflight += 1
+                        self._shard_inflight[index] += 1
+                        waited = start - self._enqueued_at.pop(
+                            id(detection), start)
+                        self._space.notify()
+                        chain = shard.busy.get(key)
+                        if chain is None:
+                            shard.busy[key] = deque()
+                            self._active += 1
+                        else:
+                            # same source already executing: chain
+                            # behind it, the running lane takes it next
+                            chain.append((detection, waited, start))
+            if detection is None:
+                shard.permits.release()
+                if self._stop and not queue:
+                    return
+                continue
             hook = self.on_wait
             if hook is not None:
                 try:
                     hook(waited)
                 except Exception:
                     pass
+            if chain is None:
+                self._execute(index, shard, key, detection, waited)
+
+    def _execute(self, index: int, shard: _Shard, key: object,
+                 detection: "Detection", waited: float) -> None:
+        """Run *detection*, then everything chained behind its source
+        key in pop order, each with the pool's accounting; frees the
+        key when its chain is empty."""
+        engine = self._engine
+        while True:
             # hand the wait to the engine: _handle stamps it onto the
             # instance's root span for the critical-path analyzer
             self._worker_local.last_wait = waited
-            engine = self._engine
+            start = time.monotonic()
             ok = False
             try:
                 engine._handle(detection)
                 ok = True
-            except BaseException as exc:  # shield the pool: a worker
-                # must survive anything one instance evaluation throws;
-                # the durable record stays open so recovery re-drives it
-                # — the same at-least-once contract the sync path has
-                # when an exception escapes to the producer
+            except BaseException as exc:  # shield the pool: a lane must
+                # survive anything one instance evaluation throws; the
+                # durable record stays open so recovery re-drives it —
+                # the same at-least-once contract the sync path has when
+                # an exception escapes to the producer
                 self.last_error = exc
             finally:
                 elapsed = time.monotonic() - start
@@ -393,141 +433,36 @@ class Runtime:
                         self.completed += 1
                     else:
                         self.errors += 1
-                    if self._size == 0 and self._active == 0:
+                    chain = shard.busy[key]
+                    if chain:
+                        detection, waited, popped_at = chain.popleft()
+                        self._active += 1
+                    else:
+                        del shard.busy[key]
+                        detection = None
+                    if self._size == 0 and self._inflight == 0:
                         self._idle.notify_all()
+                shard.permits.release()
+            if detection is None:
+                return
+            # the time a chained detection spent behind its predecessor
+            # is still time it waited on the runtime
+            waited += time.monotonic() - popped_at
 
     def take_queue_wait(self) -> float | None:
-        """Consume this worker thread's pending queue-wait hand-off.
+        """Consume this lane thread's pending queue-wait hand-off.
 
-        The worker (or lane) records how long the detection it is about
-        to execute waited — shard queue plus in-flight lane — just
-        before calling ``engine._handle``; the engine reads it here
-        exactly once and stamps it onto the instance's root span as the
-        ``queue_wait`` attribute (PROTOCOL.md §14).  Returns ``None``
-        off a worker thread or when already consumed.
+        The lane records how long the detection it is about to execute
+        waited — shard queue plus any wait behind a same-source
+        predecessor — just before calling ``engine._handle``; the engine
+        reads it here exactly once and stamps it onto the instance's
+        root span as the ``queue_wait`` attribute (PROTOCOL.md §14).
+        Returns ``None`` off a lane thread or when already consumed.
         """
         waited = getattr(self._worker_local, "last_wait", None)
         if waited is not None:
             self._worker_local.last_wait = None
         return waited
-
-    # -- execution: in-flight window (inflight > 1) --------------------------
-
-    def _source_key(self, detection: "Detection") -> object:
-        """Serialization key for the §10/§11 per-source ordering contract.
-
-        Matches the shard hash input; a detection without a stable
-        identity gets a unique key and never serializes with anything.
-        """
-        key = detection.detection_id
-        if key is None:
-            return object()
-        return f"{detection.component_id}#{key}"
-
-    def _dispatcher(self, index: int) -> None:
-        """Sole consumer of shard *index*'s queue; classifies in order.
-
-        Popping and classifying on one thread is what preserves
-        per-source order: by the time a second same-source detection is
-        popped, the first is already registered in the busy map, so the
-        second chains behind it instead of racing to a free lane.
-        """
-        queue = self._queues[index]
-        shard = self._shards[index]
-        while True:
-            detection = queue.wait(timeout=self._poll_interval)
-            if detection is None:
-                if self._stop and not queue:
-                    break
-                continue
-            # one permit per popped-but-incomplete detection (released
-            # by the executing lane); bounds memory and keeps the
-            # capacity gate honest — _size drops at pop, so popping
-            # without bound would report a drained queue that is really
-            # a pile of waiting work
-            while not shard.permits.acquire(timeout=self._poll_interval):
-                pass
-            start = time.monotonic()
-            with self._lock:
-                self._size -= 1
-                self._inflight += 1
-                self._shard_inflight[index] += 1
-                waited = start - self._enqueued_at.pop(id(detection), start)
-                self._space.notify()
-            hook = self.on_wait
-            if hook is not None:
-                try:
-                    hook(waited)
-                except Exception:
-                    pass
-            key = self._source_key(detection)
-            with shard.lock:
-                pending = shard.busy.get(key)
-                if pending is not None:
-                    # same source already executing: chain behind it
-                    pending.append((detection, waited, start))
-                else:
-                    shard.busy[key] = deque()
-                    shard.ready.append((key, detection, waited, start))
-                    shard.work.notify()
-        with shard.lock:
-            shard.dispatcher_done = True
-            shard.work.notify_all()
-
-    def _lane(self, index: int) -> None:
-        """One execution lane of shard *index*'s in-flight window."""
-        shard = self._shards[index]
-        self._worker_local.is_worker = True
-        while True:
-            with shard.lock:
-                while not shard.ready:
-                    if shard.dispatcher_done:
-                        return
-                    shard.work.wait(self._poll_interval)
-                key, detection, waited, popped_at = shard.ready.popleft()
-            while True:
-                # queue wait for attribution includes the lane wait: the
-                # time between the dispatcher's pop and this lane
-                # actually starting the instance is still time the
-                # detection spent waiting on the runtime
-                self._worker_local.last_wait = \
-                    waited + (time.monotonic() - popped_at)
-                self._execute(index, detection)
-                shard.permits.release()
-                with shard.lock:
-                    pending = shard.busy[key]
-                    if pending:
-                        # drain the same-source chain in pop order
-                        detection, waited, popped_at = pending.popleft()
-                    else:
-                        del shard.busy[key]
-                        break
-
-    def _execute(self, index: int, detection: "Detection") -> None:
-        """Run one instance evaluation with the pool's accounting."""
-        start = time.monotonic()
-        with self._lock:
-            self._active += 1
-        engine = self._engine
-        ok = False
-        try:
-            engine._handle(detection)
-            ok = True
-        except BaseException as exc:  # shield the pool (see _worker)
-            self.last_error = exc
-        finally:
-            elapsed = time.monotonic() - start
-            with self._lock:
-                self._active -= 1
-                self._inflight -= 1
-                self._shard_inflight[index] -= 1
-                self._busy_time[index] += elapsed
-                if ok:
-                    self.completed += 1
-                else:
-                    self.errors += 1
-                if self._size == 0 and self._inflight == 0:
-                    self._idle.notify_all()
 
     # -- quiesce -------------------------------------------------------------
 

@@ -49,9 +49,10 @@ class EventDetectionService(LanguageService):
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) installs
     the §13 match instruments; without it routing is uninstrumented.
 
-    Registration churn and stream delivery are serialized under one
-    re-entrant lock, so ``register_event``/``unregister_event`` racing a
-    ``feed``/``poll`` can neither miss nor double-deliver a component:
+    Registration churn and feeding the detectors are serialized under
+    one re-entrant lock (detections are signalled outside it), so
+    ``register_event``/``unregister_event`` racing a ``feed``/``poll``
+    can neither miss nor double-deliver a component:
     a registration either happens-before an event (and is offered it)
     or after (and is not) — never half-indexed.
     """
@@ -122,28 +123,42 @@ class EventDetectionService(LanguageService):
         network routes it to; a component whose whole pattern is one
         indexed leaf reuses the network's shared alpha memory instead of
         re-matching.
+
+        Detectors are fed under the lock; their detections are signalled
+        outside it.  A signal can wait for queue space in a ``block``
+        runtime, and the worker that would free it may need this lock to
+        feed an event its own action raised.
         """
         with self._lock:
             candidates = self._network.route(event)
             if self._instruments is not None:
                 self._instruments.observe(self.service_name,
                                           len(candidates))
-            for component_id, detector, shared in candidates:
+        for component_id, detector, shared in candidates:
+            with self._lock:
+                if self._detectors.get(component_id) is not detector:
+                    continue  # unregistered since routing
                 occurrences = (shared if shared is not None
                                else detector.feed(event))
-                for occurrence in occurrences:
-                    self._signal(component_id, occurrence)
+            for occurrence in occurrences:
+                self._signal(component_id, occurrence)
 
     def poll(self, now: float) -> None:
         """Drive time-based operators (snoop:periodic).
 
         Only time-driven (and fallback) detectors are polled — every
         other built-in operator's ``poll`` provably yields nothing.
+        Signals leave the lock as in :meth:`feed`.
         """
         with self._lock:
-            for component_id, detector in self._network.pollable():
-                for occurrence in detector.poll(now):
-                    self._signal(component_id, occurrence)
+            pollable = self._network.pollable()
+        for component_id, detector in pollable:
+            with self._lock:
+                if self._detectors.get(component_id) is not detector:
+                    continue  # unregistered since the snapshot
+                occurrences = detector.poll(now)
+            for occurrence in occurrences:
+                self._signal(component_id, occurrence)
 
     def _signal(self, component_id: str, occurrence) -> None:
         """One ``log:detection`` to the GRH: the bindings plus the event

@@ -47,8 +47,7 @@ from ..xmlmodel import Element, parse, serialize
 
 __all__ = ["TransportError", "ServiceStatusError", "InProcessTransport",
            "HttpServiceServer", "PooledHttpTransport",
-           "HybridTransport", "AwareHandler", "OpaqueHandler",
-           "handle_batch"]
+           "HybridTransport", "AwareHandler", "OpaqueHandler", "serve"]
 
 #: A framework-aware service endpoint: XML message in, XML message out.
 AwareHandler = Callable[[Element], Element]
@@ -111,20 +110,28 @@ def _raise_for_status(address: str, status: int, reason: str,
     raise ServiceStatusError(status, message)
 
 
-def handle_batch(handler: AwareHandler, envelope: Element) -> Element:
-    """Apply *handler* to each request of a ``log:batch`` envelope.
+def serve(handler: AwareHandler, message: Element) -> Element:
+    """Answer one incoming message with *handler*; both transports
+    deliver through here.
 
-    The service-side half of PROTOCOL.md §10: requests are handled in
-    order, a per-request exception becomes that request's ``log:error``
-    result (the rest of the batch still runs), and the responses ride
-    back positionally in one ``log:batchresults``.  Any existing aware
-    handler becomes batch-capable through this shim — services need no
-    batching code of their own.
+    A ``log:batch`` is a message too (PROTOCOL.md §10): its requests are
+    handled in order, a per-request exception becomes that request's
+    ``log:error`` result (the rest of the batch still runs), and the
+    responses ride back positionally in one ``log:batchresults`` — so
+    services need no batching code of their own.  A ``ConnectionError``
+    is a crash, not a verdict: it aborts the whole envelope, exactly as
+    it aborts a single request, and the caller sees a transient failure.
+    Only read-only kinds batch, so nothing is lost by running the
+    envelope again elsewhere.
     """
+    if not is_batch(message):
+        return handler(message)
     results = []
-    for request in xml_to_batch(envelope):
+    for request in xml_to_batch(message):
         try:
             results.append(handler(request))
+        except ConnectionError:
+            raise
         except Exception as exc:
             results.append(error_message(str(exc)))
     return batch_results_to_xml(results)
@@ -160,9 +167,9 @@ class InProcessTransport:
             raise TransportError(f"no service bound at {address!r}")
         handler = self._aware[address]
         if not self.serialize_messages:
-            return handler(message)
+            return serve(handler, message)
         wire_out = serialize(message)
-        response = handler(parse(wire_out))
+        response = serve(handler, parse(wire_out))
         return parse(serialize(response))
 
     def fetch(self, address: str, query: str,
@@ -179,21 +186,6 @@ class InProcessTransport:
             # service ran and refused this query — deterministic, so the
             # GRH reports it instead of retrying (PROTOCOL.md §11)
             raise ServiceStatusError(500, str(exc)) from exc
-
-    def supports_batch(self, address: str) -> bool:
-        """Batching works against any aware handler via the shim."""
-        return address in self._aware
-
-    def send_batch(self, address: str, envelope: Element,
-                   timeout: float | None = None) -> Element:
-        """Dispatch a ``log:batch``; same wire-fidelity rules as send."""
-        if address not in self._aware:
-            raise TransportError(f"no service bound at {address!r}")
-        handler = self._aware[address]
-        if not self.serialize_messages:
-            return handle_batch(handler, envelope)
-        incoming = parse(serialize(envelope))
-        return parse(serialize(handle_batch(handler, incoming)))
 
 
 class _ServiceHTTPHandler(BaseHTTPRequestHandler):
@@ -245,13 +237,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             self.send_error(400, "request body is not valid UTF-8")
             return
         try:
-            message = parse(body)
-            if is_batch(message):
-                # batch envelope: fan out to the same handler per
-                # request, per-request failures scoped to their slot
-                response = handle_batch(self.aware_handler, message)
-            else:
-                response = self.aware_handler(message)
+            response = serve(self.aware_handler, parse(body))
             payload = serialize(response).encode("utf-8")
         except ConnectionError:
             # a (simulated or real) crash that takes the connection
@@ -441,17 +427,6 @@ class HybridTransport:
         if self._is_http(address):
             return self.http.fetch(address, query, timeout=timeout)
         return self.local.fetch(address, query, timeout=timeout)
-
-    def supports_batch(self, address: str) -> bool:
-        if self._is_http(address):
-            return self.http.supports_batch(address)
-        return self.local.supports_batch(address)
-
-    def send_batch(self, address: str, envelope: Element,
-                   timeout: float | None = None) -> Element:
-        if self._is_http(address):
-            return self.http.send_batch(address, envelope, timeout=timeout)
-        return self.local.send_batch(address, envelope, timeout=timeout)
 
 
 class _PooledConnection:
@@ -718,13 +693,3 @@ class PooledHttpTransport:
             _raise_for_status(address, status, reason,
                               payload.decode("utf-8", "replace"))
         return payload.decode("utf-8")
-
-    def supports_batch(self, address: str) -> bool:
-        """The HTTP service handler unwraps ``log:batch`` itself."""
-        return True
-
-    def send_batch(self, address: str, envelope: Element,
-                   timeout: float | None = None) -> Element:
-        """A batch is one POST over a warm connection; the server-side
-        handler fans out (PROTOCOL.md §10)."""
-        return self.send(address, envelope, timeout=timeout)

@@ -1,13 +1,17 @@
 """End-to-end replica failover: a real HTTP cluster losing and
-regaining a replica while queries keep completing, and the
-``/introspect/replicas`` operator view over the same state."""
+regaining a replica while queries keep completing, a batched read
+failing over off a crashing replica, and the ``/introspect/replicas``
+operator view over the same state."""
+
+import threading
 
 from repro.bindings import Relation
-from repro.chaos import ReplicaCluster
+from repro.chaos import ChaosService, FaultPlan, ReplicaCluster
 from repro.core import ECAEngine
 from repro.grh import (ComponentSpec, GenericRequestHandler,
                        LanguageDescriptor, LanguageRegistry)
 from repro.obs.ops import IntrospectionSurface
+from repro.runtime import Runtime
 from repro.services import HybridTransport
 from repro.services.base import LanguageService
 
@@ -92,3 +96,58 @@ class TestClusterLifecycle:
                 "healthy", "suspect", "down")
         assert payload["prober"]["running"] is True
         assert "hedges" in payload and "failovers" in payload
+
+
+class TestBatchedFailover:
+    def test_crash_inside_an_envelope_fails_over(self, chaos_seed):
+        """A replica that resets every connection must cost a batched
+        read a failover, not its answer: the crash aborts the whole
+        ``log:batch`` (transient), where it used to come back as one
+        ``log:error`` per slot — the service's verdict, never failed
+        over."""
+        crashing = {}
+
+        def wrap(index, handler):
+            if index:
+                return handler
+            crashing["r0"] = ChaosService(
+                handler, FaultPlan(chaos_seed, reset_rate=1.0), "r0")
+            return crashing["r0"]
+
+        service = CountingQueryService()
+        cluster = ReplicaCluster(aware_handler=service.handle, count=2,
+                                 wrap=wrap)
+        addresses = cluster.start()
+        grh = GenericRequestHandler(LanguageRegistry(),
+                                    HybridTransport(timeout=2.0))
+        grh.add_remote_language(
+            LanguageDescriptor(QUERY_URI, "query", "cluster-query",
+                               replicas=addresses))
+        runtime = Runtime(workers=2, batching=True, batch_window=0.05,
+                          max_batch=8)
+        engine = ECAEngine(grh, runtime=runtime)
+        answers, errors = [], []
+
+        def read(n):
+            try:
+                answers.append(len(grh.evaluate_query(
+                    f"c{n}", spec(), Relation.unit())))
+            except Exception as exc:
+                errors.append(exc)
+
+        try:
+            callers = [threading.Thread(target=read, args=(n,))
+                       for n in range(8)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(10)
+            counters = runtime.batcher.counters()
+        finally:
+            engine.shutdown(10)
+            cluster.stop()
+        assert errors == []
+        assert answers == [1] * 8
+        assert crashing["r0"].injected          # r0 was reached and crashed
+        assert grh.resilience.failovers >= 1
+        assert counters["batched_requests"] == 8

@@ -134,7 +134,8 @@ class TestFailover:
         board = manager.health
         board.record_success("a", 0.5)   # slow replica
         board.record_success("b", 0.001)
-        picks = {manager.route(("a", "b"), DESCRIPTOR) for _ in range(8)}
+        picks = {manager.call_routed(("a", "b"), DESCRIPTOR, lambda a: a)
+                 for _ in range(8)}
         assert picks == {"b"}
 
     def test_single_address_keeps_legacy_semantics(self):

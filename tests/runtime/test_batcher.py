@@ -13,8 +13,9 @@ from repro.grh.messages import (MessageError, Request, batch_results_to_xml,
                                 xml_to_batch, xml_to_batch_results)
 from repro.runtime import DispatchBatcher, Runtime
 from repro.services import (HttpServiceServer, HybridTransport,
-                            InProcessTransport, PooledHttpTransport)
-from repro.services.transports import handle_batch
+                            InProcessTransport, PooledHttpTransport,
+                            TransportError)
+from repro.services.transports import serve
 from repro.xmlmodel import parse, serialize
 
 
@@ -68,22 +69,35 @@ class TestHandleBatchShim:
                 raise RuntimeError("slot exploded")
             return ok_message()
 
-        response = handle_batch(handler, batch_to_xml(_payloads(3)))
+        response = serve(handler, batch_to_xml(_payloads(3)))
         results = xml_to_batch_results(response, expected=3)
         assert results[0].name.local == "ok"
         assert results[1].name.local == "error"
         assert "slot exploded" in results[1].text()
         assert results[2].name.local == "ok"
 
+    def test_crash_aborts_the_whole_envelope(self):
+        """A ConnectionError is a crash, not the service's verdict on one
+        slot: it leaves ``serve`` as it would leave a single request."""
+        def handler(request):
+            if request.get("id") == "c1":
+                raise ConnectionResetError("replica died")
+            return ok_message()
+
+        with pytest.raises(ConnectionResetError):
+            serve(handler, batch_to_xml(_payloads(3)))
+
 
 class TestTransportBatchSupport:
+    """A batch is a message: plain ``send`` carries it both ways."""
+
     def test_in_process_send_batch(self):
         transport = InProcessTransport()
         transport.bind("svc:q", lambda request: ok_message())
-        assert transport.supports_batch("svc:q")
-        assert not transport.supports_batch("svc:unknown")
-        response = transport.send_batch("svc:q", batch_to_xml(_payloads(2)))
+        response = transport.send("svc:q", batch_to_xml(_payloads(2)))
         assert len(xml_to_batch_results(response, expected=2)) == 2
+        with pytest.raises(TransportError):
+            transport.send("svc:unknown", batch_to_xml(_payloads(2)))
 
     def test_http_server_unwraps_batch(self):
         calls = []
@@ -96,8 +110,7 @@ class TestTransportBatchSupport:
         transport = PooledHttpTransport(timeout=5.0)
         url = server.start()
         try:
-            assert transport.supports_batch(url)
-            response = transport.send_batch(url, batch_to_xml(_payloads(3)))
+            response = transport.send(url, batch_to_xml(_payloads(3)))
         finally:
             transport.close()
             server.stop()
@@ -106,12 +119,18 @@ class TestTransportBatchSupport:
         assert all(r.name.local == "answers" for r in results)
 
     def test_hybrid_routes_batches_both_ways(self):
-        transport = HybridTransport()
+        transport = HybridTransport(timeout=5.0)
         transport.bind("svc:local", lambda request: ok_message())
-        assert transport.supports_batch("svc:local")
-        response = transport.send_batch("svc:local",
-                                        batch_to_xml(_payloads(1)))
-        assert len(xml_to_batch_results(response, expected=1)) == 1
+        server = HttpServiceServer(aware_handler=lambda request: ok_message())
+        url = server.start()
+        try:
+            for address in ("svc:local", url):
+                response = transport.send(address,
+                                          batch_to_xml(_payloads(2)))
+                assert len(xml_to_batch_results(response, expected=2)) == 2
+        finally:
+            transport.close()
+            server.stop()
 
 
 class _CountingService:
@@ -147,7 +166,7 @@ class TestDispatchBatcher:
 
         def submit(n):
             payload = request_to_xml(_request(n))
-            results[n] = batcher.submit(url, descriptor, payload)
+            results[n] = batcher.submit((url,), descriptor, payload)
 
         try:
             threads = [threading.Thread(target=submit, args=(n,))
@@ -174,7 +193,7 @@ class TestDispatchBatcher:
 
         def submit(n):
             results.append(
-                batcher.submit(url, descriptor,
+                batcher.submit((url,), descriptor,
                                request_to_xml(_request(n))))
 
         try:
@@ -206,7 +225,7 @@ class TestDispatchBatcher:
 
         def submit(n):
             try:
-                batcher.submit(address, descriptor,
+                batcher.submit((address,), descriptor,
                                request_to_xml(_request(n)))
             except BaseException as exc:
                 errors[n] = exc
@@ -325,7 +344,8 @@ class TestCounterIntegrity:
 
         def submit(n):
             try:
-                batcher.submit(url, descriptor, request_to_xml(_request(n)))
+                batcher.submit((url,), descriptor,
+                               request_to_xml(_request(n)))
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -356,9 +376,10 @@ class _SpyBatchTransport(InProcessTransport):
         super().__init__()
         self.batch_timeouts = []
 
-    def send_batch(self, address, envelope, timeout=None):
-        self.batch_timeouts.append(timeout)
-        return super().send_batch(address, envelope, timeout)
+    def send(self, address, message, timeout=None):
+        if is_batch(message):
+            self.batch_timeouts.append(timeout)
+        return super().send(address, message, timeout)
 
 
 class TestEnvelopeTimeoutScaling:
@@ -373,9 +394,8 @@ class TestEnvelopeTimeoutScaling:
             registry, transport,
             resilience=ResilienceManager(
                 retry=RetryPolicy(timeout=per_request_timeout)))
-        address = transport.bind("svc:scale", lambda m: handle_batch(
-            lambda r: relation_to_answers(Relation([{"Q": "ok"}])), m)
-            if is_batch(m) else relation_to_answers(Relation([{"Q": "ok"}])))
+        address = transport.bind("svc:scale", lambda m: relation_to_answers(
+            Relation([{"Q": "ok"}])))
         grh.add_remote_language(
             LanguageDescriptor("urn:test:scale", "query", "scale"), address)
         descriptor = registry.lookup("urn:test:scale")
@@ -385,7 +405,7 @@ class TestEnvelopeTimeoutScaling:
     def _submit_n(self, batcher, address, descriptor, n, flush_at=None):
         threads = [threading.Thread(
             target=batcher.submit,
-            args=(address, descriptor, request_to_xml(_request(i))))
+            args=((address,), descriptor, request_to_xml(_request(i))))
             for i in range(n)]
         for thread in threads:
             thread.start()
@@ -395,7 +415,7 @@ class TestEnvelopeTimeoutScaling:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 with batcher._lock:
-                    bucket = batcher._buckets.get(address)
+                    bucket = batcher._buckets.get((address,))
                     parked = len(bucket.entries) if bucket else 0
                 if parked >= flush_at:
                     break

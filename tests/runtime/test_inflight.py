@@ -9,6 +9,7 @@ Two families of guarantees:
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -77,6 +78,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Runtime(inflight=0)
 
+    @pytest.mark.parametrize("inflight", [1, 2, 8])
+    def test_lanes_are_the_only_threads(self, inflight):
+        """w shards × n lanes and nothing else: the window of one is the
+        classic thread per shard, and no shard runs a dispatcher."""
+        def runtime_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name.startswith("eca-runtime-")}
+
+        before = runtime_threads()
+        runtime = _windowed_runtime(_StubEngine({}), workers=3,
+                                    inflight=inflight)
+        try:
+            assert len(runtime_threads() - before) == 3 * inflight
+        finally:
+            runtime.shutdown(5)
+        assert not runtime_threads() - before
+
     def test_monitoring_shapes(self):
         tags = {}
         engine = _StubEngine(tags)
@@ -112,29 +130,76 @@ class TestDifferentialWithWindow:
 
 
 class TestPerSourceOrdering:
-    def test_same_source_detections_run_in_submit_order(self):
+    @pytest.mark.parametrize("inflight", [1, 2, 8])
+    def test_same_source_detections_run_in_submit_order(self, inflight):
         """200 detections over 4 source keys, hammered with jittered
         handler latency: each key's sequence must come out exactly in
-        submit order even though distinct keys overlap freely."""
+        submit order even though distinct keys overlap freely — for
+        every window size, since one lane loop serves them all.  A
+        short switch interval interleaves the lanes' pop, chain and
+        drain steps as finely as the interpreter allows."""
         tags = {}
         engine = _StubEngine(tags, delay=0.001, jitter=0.004)
-        runtime = _windowed_runtime(engine, workers=2, inflight=8,
-                                    queue_capacity=512)
         keys = [f"k{i}" for i in range(4)]
         expected = {key: [] for key in keys}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for n in range(200):
-                key = keys[n % len(keys)]
-                detection = _detection(n, key)
-                tags[id(detection)] = (key, n)
-                expected[key].append(n)
-                runtime.submit(detection)
-            assert runtime.drain(30)
+            runtime = _windowed_runtime(engine, workers=2,
+                                        inflight=inflight,
+                                        queue_capacity=512)
+            try:
+                for n in range(200):
+                    key = keys[n % len(keys)]
+                    detection = _detection(n, key)
+                    tags[id(detection)] = (key, n)
+                    expected[key].append(n)
+                    runtime.submit(detection)
+                assert runtime.drain(30)
+                counters = runtime.counters()
+            finally:
+                runtime.shutdown(5)
         finally:
-            runtime.shutdown(5)
+            sys.setswitchinterval(interval)
         assert engine.order == expected
-        # the window was real: distinct sources overlapped
-        assert engine.max_concurrent > 1
+        assert counters["completed"] == 200
+        assert counters["inflight"] == counters["active"] == 0
+        assert engine.max_concurrent <= 2 * inflight
+        if inflight > 1:
+            # the window was real: distinct sources overlapped
+            assert engine.max_concurrent > 1
+
+    @pytest.mark.parametrize("inflight", [2, 8])
+    def test_pop_and_classify_are_one_step(self, inflight):
+        """Zero-latency handlers free a source key almost as soon as it
+        is taken, so same-source detections are popped back to back by
+        different lanes: if a lane could be preempted between popping
+        and registering its key, a later detection would overtake an
+        earlier one.  2000 detections over 4 keys on one shard, with
+        the interpreter switching threads every microsecond."""
+        tags = {}
+        engine = _StubEngine(tags)
+        keys = [f"k{i}" for i in range(4)]
+        expected = {key: [] for key in keys}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runtime = _windowed_runtime(engine, workers=1,
+                                        inflight=inflight,
+                                        queue_capacity=4096)
+            try:
+                for n in range(2000):
+                    key = keys[n % len(keys)]
+                    detection = _detection(n, key)
+                    tags[id(detection)] = (key, n)
+                    expected[key].append(n)
+                    runtime.submit(detection)
+                assert runtime.drain(30)
+            finally:
+                runtime.shutdown(5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert engine.order == expected
 
     def test_single_shard_overlaps_distinct_sources(self):
         """workers=1, inflight=2: two different sources overlap on ONE
@@ -237,8 +302,8 @@ class TestWindowMechanics:
 
     def test_permits_bound_popped_work(self):
         """With every source blocked behind one executing key, the
-        dispatcher must stop popping at the permit bound instead of
-        draining the whole queue into memory."""
+        lanes must stop popping at the permit bound instead of chaining
+        the whole queue into memory."""
         tags = {}
         engine = _StubEngine(tags)
         release = threading.Event()
@@ -263,8 +328,8 @@ class TestWindowMechanics:
             deadline = time.monotonic() + 1.0
             while time.monotonic() < deadline:
                 time.sleep(0.02)
-            # at most `inflight` detections plus the one the dispatcher
-            # holds while waiting on a permit ever left the queue
+            # a lane pops only while holding a permit: at most
+            # `inflight` detections ever left the queue
             assert runtime.counters()["inflight"] <= 2
             assert runtime.queue_depths()[0] >= 29
             release.set()

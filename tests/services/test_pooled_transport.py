@@ -164,7 +164,7 @@ class TestKeepAliveReuse:
                     Request("query", f"c{n}", None,
                             Relation([{"N": str(n)}])))
                     for n in range(3)]
-                response = transport.send_batch(url, batch_to_xml(payloads))
+                response = transport.send(url, batch_to_xml(payloads))
                 assert len(xml_to_batch_results(response, expected=3)) == 3
                 assert _single_pool_stats(transport)["created"] == 1
             finally:
