@@ -10,7 +10,7 @@ to document the gap, and pins the bucketed queue to linear scaling.
 
 import timeit
 
-from repro.core.engine import _DetectionQueue
+from repro.runtime.pool import _DetectionQueue
 
 PRIORITIES = (0, 1, 2, 3, 5, 8, 13)
 

@@ -134,7 +134,7 @@ def _http_world(workers: int, delay: float, inflight: int = 1):
     grh.add_remote_language(
         LanguageDescriptor(SLOW_LANG, "query", "slow-http"), server.start())
     runtime = Runtime(workers=workers, queue_capacity=4096,
-                      inflight=inflight) if workers else None
+                      inflight=inflight)
     engine = ECAEngine(grh, runtime=runtime, keep_instances=False)
     engine.register_rule(f"""
     <eca:rule xmlns:eca="{ECA_NS}" id="http-bound">

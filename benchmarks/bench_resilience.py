@@ -103,7 +103,8 @@ class TestAcceptanceBound:
         noop = lambda: "ok"  # noqa: E731
 
         def wrapped():
-            return manager.call("svc:q", descriptor, noop)
+            return manager.call_routed(("svc:q",), descriptor,
+                                       lambda _a: noop(), failover_ok=False)
 
         wrapped()  # warm: breaker + per-service slots created
         number = 20_000

@@ -24,7 +24,6 @@ tables of Figs. 6(2), 8(3), 9(4) and 11 fall out of this trace.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 from collections import deque
@@ -35,6 +34,7 @@ from ..bindings import Relation
 from ..conditions import TEST_NS, TestExpression
 from ..grh import (ActionExecutionError, Detection, GenericRequestHandler,
                    GRHError)
+from ..runtime import Runtime
 from ..xmlmodel import Element, serialize
 from .markup import parse_rule, rule_to_xml
 from .model import ECARule
@@ -112,107 +112,6 @@ class _RegisteredRule:
     event_component_id: str
 
 
-class _DetectionQueue:
-    """Priority-bucketed FIFO of pending detections (thread-safe).
-
-    One deque per priority level plus a max-heap of the non-empty
-    levels: ``push``/``pop`` are O(log P) in the number of *distinct*
-    priorities, instead of the O(n) scan per pop that made large
-    batched detection floods quadratic.  FIFO order within a level is
-    preserved (the paper's priorities only order *across* levels).
-
-    All operations take the queue's lock: detections may be delivered
-    from event-service threads (HTTP servers, the concurrent runtime's
-    workers via rule chaining) while another thread drains, and the
-    heap/bucket invariant must never be observed half-updated.  The
-    lock doubles as the condition used by :meth:`wait` so a consumer
-    can block for work without polling.
-    """
-
-    __slots__ = ("_buckets", "_heap", "_size", "_lock", "_cond")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, deque] = {}
-        self._heap: list[int] = []
-        self._size = 0
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-
-    def push(self, priority: int, detection: Detection) -> None:
-        with self._lock:
-            bucket = self._buckets.get(priority)
-            if bucket is None:
-                bucket = self._buckets[priority] = deque()
-            if not bucket:
-                # invariant: the heap holds each non-empty level once
-                heapq.heappush(self._heap, -priority)
-            bucket.append(detection)
-            self._size += 1
-            self._cond.notify()
-
-    def _pop_locked(self) -> Detection:
-        priority = -self._heap[0]
-        bucket = self._buckets[priority]
-        detection = bucket.popleft()
-        if not bucket:
-            heapq.heappop(self._heap)
-        self._size -= 1
-        return detection
-
-    def pop(self) -> Detection:
-        with self._lock:
-            if not self._size:
-                raise IndexError("pop from empty detection queue")
-            return self._pop_locked()
-
-    def pop_nowait(self) -> Detection | None:
-        """Highest-priority detection, or ``None`` when empty."""
-        with self._lock:
-            if not self._size:
-                return None
-            return self._pop_locked()
-
-    def wait(self, timeout: float | None = None) -> Detection | None:
-        """Block until a detection is available (or *timeout* elapses)."""
-        with self._lock:
-            if not self._size:
-                self._cond.wait(timeout)
-            if not self._size:
-                return None
-            return self._pop_locked()
-
-    def shed(self) -> Detection | None:
-        """Remove and return the oldest detection of the *lowest* level.
-
-        Backpressure victim selection for the runtime's ``drop-oldest``
-        policy: the detection shed is the one that would have been
-        handled last anyway, so the least-valuable work is lost.
-        Returns ``None`` when the queue is empty.
-        """
-        with self._lock:
-            if not self._size:
-                return None
-            entry = max(self._heap)  # entries are negated priorities
-            bucket = self._buckets[-entry]
-            detection = bucket.popleft()
-            if not bucket:
-                self._heap.remove(entry)
-                heapq.heapify(self._heap)
-            self._size -= 1
-            return detection
-
-    def notify_all(self) -> None:
-        """Wake every :meth:`wait`-blocked consumer (shutdown path)."""
-        with self._lock:
-            self._cond.notify_all()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-
 class ECAEngine:
     """Evaluates registered ECA rules over detections from the GRH."""
 
@@ -224,11 +123,14 @@ class ECAEngine:
                  durability=None, observability=None,
                  runtime=None) -> None:
         self.grh = grh
-        #: a :class:`repro.runtime.Runtime`, or ``None`` (the default —
-        #: the synchronous single-threaded path, the seed semantics).
-        #: With a runtime, detections are hashed to a fixed worker
-        #: shard and rule instances evaluate concurrently; call
+        #: the :class:`repro.runtime.Runtime` scheduling every detection.
+        #: ``None`` (the default) builds ``Runtime(workers=0)``: each
+        #: detection is evaluated on the thread that delivers it, one at
+        #: a time — the seed semantics.  With lanes, detections hash to
+        #: a fixed shard and rule instances evaluate concurrently; call
         #: :meth:`drain` to quiesce and :meth:`shutdown` when done.
+        if runtime is None:
+            runtime = Runtime(workers=0)
         self.runtime = runtime
         self.validate = validate
         self.evaluate_tests_locally = evaluate_tests_locally
@@ -259,12 +161,6 @@ class ECAEngine:
         self._instances_by_rule: dict[str, deque] = {}
         self._by_component: dict[str, str] = {}
         self._instance_counter = itertools.count(1)
-        self._pending = _DetectionQueue()
-        self._draining = False
-        #: guards the ``_draining`` flag: with concurrent producers, a
-        #: plain read-then-set is a race that can start two drains (and
-        #: interleave detections out of priority order)
-        self._state_lock = threading.Lock()
         #: guards ``stats``: worker threads bump counters concurrently
         self._stats_lock = threading.Lock()
         #: guards the retained-instance list and per-rule buckets
@@ -295,12 +191,11 @@ class ECAEngine:
                 if key in self.stats:
                     self.stats[key] = value
             durability.attach(self)
-        if runtime is not None:
-            # attach before observability installs so the runtime (and
-            # its batcher, when batching is on) is fully built by the
-            # time install() registers the runtime metric callbacks;
-            # no detection can arrive until on_detection below
-            runtime.attach(self)
+        # attach before observability installs so the runtime (and its
+        # batcher, when batching is on) is fully built by the time
+        # install() registers the runtime metric callbacks; no
+        # detection can arrive until on_detection below
+        runtime.attach(self)
         if self._obs is not None:
             self._obs.install(self)
         grh.on_detection(self._on_detection)
@@ -380,18 +275,20 @@ class ECAEngine:
         """
         from ..durability.codec import decode_detection
         manager = self.durability
-        for det_id, entry in list(manager.in_flight.items()):
-            if entry.parked:
-                manager.detection_done(det_id, "failed")
-                continue
-            detection = decode_detection(entry.data)
-            self._pending.push(self._priority_of(detection), detection)
-        self._drain()
-        if self.runtime is not None and self.runtime.running:
-            # replay itself is synchronous, but rule chaining during it
-            # routes follow-on detections to the worker pool: quiesce
-            # before the post-recovery checkpoint snapshots state
-            self.runtime.drain()
+        runtime = self.runtime
+        # replay runs on this thread, by priority, even with lanes
+        # running; rule chaining during it may route follow-on
+        # detections to the lanes, so quiesce before the post-recovery
+        # checkpoint snapshots state
+        with runtime.batch(here=True):
+            for det_id, entry in list(manager.in_flight.items()):
+                if entry.parked:
+                    manager.detection_done(det_id, "failed")
+                    continue
+                detection = decode_detection(entry.data)
+                runtime.submit(detection, self._priority_of(detection),
+                               here=True)
+        runtime.drain()
 
     # -- rule lifecycle ------------------------------------------------------
 
@@ -423,7 +320,7 @@ class ECAEngine:
                 else rule_to_xml(rule)
             self.durability.record_rule_registered(rule.rule_id,
                                                    serialize(source))
-            if not self._draining:
+            if not self.runtime.caller_busy:
                 self.durability.maybe_checkpoint()
         return rule.rule_id
 
@@ -477,7 +374,7 @@ class ECAEngine:
         self._by_component.pop(registered.event_component_id, None)
         if self.durability is not None:
             self.durability.record_rule_deregistered(rule_id)
-            if not self._draining:
+            if not self.runtime.caller_busy:
                 self.durability.maybe_checkpoint()
 
     # -- detection handling (Fig. 6) --------------------------------------------
@@ -494,75 +391,35 @@ class ECAEngine:
             self.stats[key] = self.stats.get(key, 0) + n
 
     def _on_detection(self, detection: Detection) -> None:
-        """Queue a detection; drain synchronously unless already draining.
+        """Hand a detection to the runtime.
 
-        The queue makes rule chaining safe: an action that raises an event
-        triggers detections *during* action execution; they are processed
-        after the current instance finishes instead of recursing.  Among
-        queued detections, higher-priority rules go first (FIFO within a
-        priority level).
+        The runtime's queue makes rule chaining safe: an action that
+        raises an event triggers detections *during* action execution;
+        they are processed after the current instance finishes instead
+        of recursing.  Among queued detections, higher-priority rules go
+        first (FIFO within a priority level).
 
         A durable engine journals the detection before queueing it and
         drops at-least-once redelivery (a detection id it has already
         journaled) — "exactly-once detection replay".
 
-        With a concurrent runtime, admitted detections are handed to the
-        worker pool instead: the runtime hashes them to a fixed shard and
-        applies its backpressure policy.  A ``reject``-policy runtime at
-        capacity raises :class:`repro.runtime.BackpressureError` to the
-        producer; the detection is journalled as ``dropped`` first so a
-        crash cannot resurrect work the engine refused.
+        With lanes running, the runtime hashes the detection to a fixed
+        shard and applies its backpressure policy.  A ``reject``-policy
+        runtime at capacity raises
+        :class:`repro.runtime.BackpressureError` to the producer; the
+        detection is journalled as ``dropped`` first so a crash cannot
+        resurrect work the engine refused.
         """
         if self.durability is not None:
             detection = self.durability.admit(detection)
             if detection is None:
                 return  # duplicate delivery of a known detection id
-        runtime = self.runtime
-        if runtime is not None and runtime.running:
-            try:
-                runtime.submit(detection, self._priority_of(detection))
-            except BaseException:
-                self._discard(detection)
-                raise
-            return
-        self._pending.push(self._priority_of(detection), detection)
-        self._drain()
+        self.runtime.submit(detection, self._priority_of(detection))
 
     def _discard(self, detection: Detection) -> None:
         """Close the durable record of a detection shed by backpressure."""
         if self.durability is not None and detection.detection_id is not None:
             self.durability.detection_done(detection.detection_id, "dropped")
-
-    def _drain(self) -> None:
-        """Process queued detections until the queue is empty.
-
-        Exactly one thread drains at a time: the ``_draining`` flag is
-        tested-and-set under ``_state_lock`` (a bare flag allowed two
-        racing producers to both start draining and interleave pops out
-        of priority order).  After releasing the flag the queue is
-        re-checked — a detection pushed by a producer that observed the
-        flag still set would otherwise be stranded until the next event.
-        """
-        while True:
-            with self._state_lock:
-                if self._draining:
-                    return
-                self._draining = True
-            try:
-                while True:
-                    detection = self._pending.pop_nowait()
-                    if detection is None:
-                        break
-                    self._handle(detection)
-            finally:
-                with self._state_lock:
-                    self._draining = False
-            if not self._pending:
-                break
-        if self.durability is not None:
-            # compaction point: the queue is empty, so the snapshot has
-            # no half-processed detection to misrepresent
-            self.durability.maybe_checkpoint()
 
     def batch(self):
         """Context manager deferring detection processing until exit.
@@ -577,67 +434,36 @@ class ECAEngine:
                 stream.emit(event)      # triggers several rules
             # here, all triggered rules have run, by priority
 
-        With a concurrent runtime the block is a quiesce point instead:
-        detections route to the worker pool as they arrive, and exit
-        blocks until the pool has drained — the post-condition ("all
+        With lanes running the block is a quiesce point instead:
+        detections route to the lanes as they arrive, and exit blocks
+        until the runtime has drained — the post-condition ("all
         triggered rules have run") holds either way.
         """
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _batch():
-            runtime = self.runtime
-            if runtime is not None and runtime.running:
-                try:
-                    yield
-                finally:
-                    runtime.drain()
-                return
-            with self._state_lock:
-                nested = self._draining
-                self._draining = True
-            if nested:
-                # already inside an evaluation: plain nesting, no-op
-                yield
-                return
-            try:
-                yield
-            finally:
-                # drain exactly once, even when an exception escapes the
-                # block — queued detections must not be stranded
-                with self._state_lock:
-                    self._draining = False
-                self._drain()
-
-        return _batch()
+        return self.runtime.batch()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Quiesce: block until every queued detection has been handled.
 
-        With a concurrent runtime this waits for all shard queues to
-        empty and all workers to go idle, flushes the GRH dispatch
-        batcher, and runs the durability commit barrier; without one it
-        simply drains the synchronous queue.  Returns ``True`` once
-        idle, ``False`` if *timeout* (seconds) elapsed first.
+        With lanes running this waits for all shard queues to empty and
+        all lanes to go idle, flushes the GRH dispatch batcher, and runs
+        the durability commit barrier; without, it runs the queue on
+        this thread.  Returns ``True`` once idle, ``False`` if *timeout*
+        (seconds) elapsed first.
         """
-        if self.runtime is not None:
-            return self.runtime.drain(timeout)
-        self._drain()
-        return True
+        return self.runtime.drain(timeout)
 
     def shutdown(self, timeout: float | None = None) -> bool:
-        """Drain and stop the concurrent runtime, then release the
-        GRH's background resources: the health prober thread, the hedge
+        """Drain and stop the runtime's lanes, then release the GRH's
+        background resources: the health prober thread, the hedge
         executor, and the transport's connection pools — a finished test
         run or process leaves no threads behind (PROTOCOL.md §12).
 
         Returns ``True`` when the runtime quiesced within *timeout*.
-        The engine remains usable afterwards on the synchronous path
-        (pools rebuild on demand; hedging and probing stay off).
+        The engine remains usable afterwards, evaluating on the thread
+        that delivers each detection (pools rebuild on demand; hedging
+        and probing stay off).
         """
-        quiesced = True
-        if self.runtime is not None:
-            quiesced = self.runtime.shutdown(timeout)
+        quiesced = self.runtime.shutdown(timeout)
         self.grh.close()
         return quiesced
 
@@ -647,7 +473,10 @@ class ECAEngine:
             return 0
         return self.rules[rule_id].rule.priority
 
-    def _handle(self, detection: Detection) -> None:
+    def _handle(self, detection: Detection,
+                waited: float | None = None) -> None:
+        """Evaluate one detection; *waited* is the seconds it sat in a
+        lane's queue (``None`` when it did not wait on one)."""
         durability = self.durability
         rule_id = self._by_component.get(detection.component_id)
         if rule_id is None:
@@ -690,14 +519,11 @@ class ECAEngine:
             root_span = obs.tracer.begin(
                 "rule", {"rule": rule_id, "instance": instance_id},
                 parent=None)
-            runtime = self.runtime
-            if runtime is not None:
+            if waited:
                 # time the detection sat in the runtime queue before a
-                # worker picked it up — part of the instance's latency
+                # lane picked it up — part of the instance's latency
                 # budget even though the instance had not started yet
-                waited = runtime.take_queue_wait()
-                if waited:
-                    root_span.set_attribute("queue_wait", waited)
+                root_span.set_attribute("queue_wait", waited)
             event_span = obs.begin_phase("event", detection.component_id)
             event_span.set_attribute("tuples", len(detection.bindings))
             obs.end_phase("event", event_span)
@@ -917,10 +743,10 @@ class ECAEngine:
         """Re-drive one parked detection; returns *its* instance (not a
         chained one), or ``None`` if no rule matched it anymore.
 
-        Replay always runs on the caller's thread through the
-        synchronous queue — even when a concurrent runtime is attached —
-        so letters re-run in their deterministic drain order (journal
-        sequence) and the returned instance is final when this returns.
+        Replay always runs on the caller's thread through the runtime's
+        caller queue — even with lanes running — so letters re-run in
+        their deterministic drain order (journal sequence) and the
+        returned instance is final when this returns.
         """
         if self.durability is not None and detection.detection_id is not None:
             # the detection was marked done when its letter was parked;
@@ -944,8 +770,8 @@ class ECAEngine:
         with self._observer_lock:
             self._instance_observers.append(observe)
         try:
-            self._pending.push(self._priority_of(detection), detection)
-            self._drain()
+            self.runtime.submit(detection, self._priority_of(detection),
+                                here=True)
         finally:
             with self._observer_lock:
                 self._instance_observers.remove(observe)

@@ -162,7 +162,7 @@ class DurabilityManager:
         #: threads while worker shards journal intents and completions —
         #: the journal must stay a total order of state transitions.
         #: Reentrant because a checkpoint taken inside a journaling call
-        #: path re-enters (e.g. ``maybe_checkpoint`` from ``_drain``).
+        #: path re-enters (e.g. ``commit_barrier`` → ``maybe_checkpoint``).
         self._lock = threading.RLock()
         #: per-thread evaluation context: each worker tracks which
         #: detection/instance *it* is evaluating, so dead letters parked

@@ -521,22 +521,6 @@ class ResilienceManager:
 
     # -- the retry loop ------------------------------------------------------
 
-    def call(self, address: str, descriptor: "LanguageDescriptor",
-             attempt_once: Callable[[], object]):
-        """Run one logical service request under retry + breaker.
-
-        The legacy single-address entry for external callers: no
-        failover, no hedging — the pre-replica semantics.
-        ``attempt_once`` raises :class:`TransientServiceFailure` for
-        transport-level failures (retryable, breaker-counted) or
-        :class:`ServiceReportedError` for clean ``log:error`` responses
-        (retried only when the policy opts in, never breaker-counted);
-        anything else propagates untouched.
-        """
-        return self._call_failover((address,), descriptor,
-                                   lambda _address: attempt_once(),
-                                   failover_ok=False)
-
     def call_routed(self, addresses: Sequence[str],
                     descriptor: "LanguageDescriptor",
                     attempt: Callable[[str], object], *,

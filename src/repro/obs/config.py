@@ -345,7 +345,7 @@ class Observability:
                     for event in ("created", "reused", "retired", "reaped")})
 
         runtime = engine.runtime
-        if runtime is not None:
+        if runtime.workers:
             metrics.gauge(
                 "eca_runtime_queue_depth",
                 "Queued detections per worker shard", labels=("shard",),

@@ -140,7 +140,7 @@ class IntrospectionSurface:
             checks["journal_writable"] = bool(
                 durability.journal_status().get("writable"))
         runtime = engine.runtime
-        if runtime is not None:
+        if runtime.workers:
             # the admission gate IS the readiness signal for a pooled
             # engine: a stopped or saturated pool must shed traffic at
             # the balancer, not at the ingestion queue
@@ -323,7 +323,7 @@ class IntrospectionSurface:
 
     def runtime(self):
         runtime = self.engine.runtime
-        if runtime is None:
+        if not runtime.workers:
             return {"concurrent": False}
         view = {
             "concurrent": True,

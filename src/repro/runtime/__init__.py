@@ -1,11 +1,13 @@
 """Concurrent execution runtime for the ECA engine.
 
-``repro.runtime`` makes the engine's natural parallelism — independent
-rule instances (paper Section 4) — executable: a sharded worker pool
-with bounded-queue admission control (:mod:`.pool`) and a per-endpoint
-GRH dispatch batcher (:mod:`.batcher`).  The default engine stays
-synchronous; construct with ``ECAEngine(grh, runtime=Runtime(...))`` to
-opt in.  See PROTOCOL.md §10 and the README "Scaling" section.
+``repro.runtime`` is the engine's scheduler, and makes its natural
+parallelism — independent rule instances (paper Section 4) —
+executable: sharded lanes with bounded-queue admission control
+(:mod:`.pool`) and a per-endpoint GRH dispatch batcher
+(:mod:`.batcher`).  The default engine is ``Runtime(workers=0)``, which
+runs no thread and evaluates on the producer's; construct with
+``ECAEngine(grh, runtime=Runtime(...))`` to go concurrent.  See
+PROTOCOL.md §10 and the README "Scaling" section.
 """
 
 from .batcher import DispatchBatcher

@@ -1,4 +1,4 @@
-"""Sharded worker pool executing rule instances concurrently.
+"""The engine's scheduler: sharded lanes executing rule instances.
 
 The paper's engine "creates one or more instances of the rule" per
 detection and steps each instance through its remaining components
@@ -10,6 +10,17 @@ round-trip) runs on one of that shard's lane threads.  Per-instance
 component ordering is therefore preserved *trivially* — one thread
 executes the instance start to finish — while distinct instances
 proceed in parallel on other lanes and shards.
+
+With no lanes running (``workers=0``, or after
+:meth:`Runtime.shutdown`) a detection joins the *caller queue* instead,
+and the submitting thread runs it until it is empty.  The caller queue
+has one permit, which makes it the synchronous engine: one evaluation
+at a time, in priority order, a detection chained by a rule queued
+behind the running instance rather than nested in it, and an escaping
+exception delivered to the producer.  With a single permit no two
+detections of one source can ever overlap, so the caller queue needs
+none of the lanes' per-source bookkeeping, and it is not part of the
+lanes' admission count.
 
 Admission control is a bounded global queue with three policies:
 
@@ -49,11 +60,13 @@ detections leave the queue, and the capacity gate stays honest.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 import time
 import zlib
 from collections import deque
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,6 +87,106 @@ class BackpressureError(RuntimeError):
     """
 
 
+class _DetectionQueue:
+    """Priority-bucketed FIFO of queued entries (thread-safe).
+
+    One deque per priority level plus a max-heap of the non-empty
+    levels: ``push``/``pop`` are O(log P) in the number of *distinct*
+    priorities, instead of the O(n) scan per pop that made large
+    batched detection floods quadratic.  FIFO order within a level is
+    preserved (the paper's priorities only order *across* levels).
+
+    All operations take the queue's lock: detections may be delivered
+    from event-service threads (HTTP servers, lanes via rule chaining)
+    while another thread pops, and the heap/bucket invariant must never
+    be observed half-updated.  The lock doubles as the condition used
+    by :meth:`wait` so a consumer can block for work without polling.
+    """
+
+    __slots__ = ("_buckets", "_heap", "_size", "_lock", "_cond")
+
+    def __init__(self) -> None:
+        self._buckets: dict[int, deque] = {}
+        self._heap: list[int] = []
+        self._size = 0
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+
+    def push(self, priority: int, entry) -> None:
+        with self._lock:
+            bucket = self._buckets.get(priority)
+            if bucket is None:
+                bucket = self._buckets[priority] = deque()
+            if not bucket:
+                # invariant: the heap holds each non-empty level once
+                heapq.heappush(self._heap, -priority)
+            bucket.append(entry)
+            self._size += 1
+            self._cond.notify()
+
+    def _pop_locked(self):
+        priority = -self._heap[0]
+        bucket = self._buckets[priority]
+        entry = bucket.popleft()
+        if not bucket:
+            heapq.heappop(self._heap)
+        self._size -= 1
+        return entry
+
+    def pop(self):
+        with self._lock:
+            if not self._size:
+                raise IndexError("pop from empty detection queue")
+            return self._pop_locked()
+
+    def pop_nowait(self):
+        """Highest-priority entry, or ``None`` when empty."""
+        with self._lock:
+            if not self._size:
+                return None
+            return self._pop_locked()
+
+    def wait(self, timeout: float | None = None):
+        """Block until an entry is available (or *timeout* elapses)."""
+        with self._lock:
+            if not self._size:
+                self._cond.wait(timeout)
+            if not self._size:
+                return None
+            return self._pop_locked()
+
+    def shed(self):
+        """Remove and return the oldest entry of the *lowest* level.
+
+        Backpressure victim selection for the runtime's ``drop-oldest``
+        policy: the detection shed is the one that would have been
+        handled last anyway, so the least-valuable work is lost.
+        Returns ``None`` when the queue is empty.
+        """
+        with self._lock:
+            if not self._size:
+                return None
+            level = max(self._heap)  # heap entries are negated priorities
+            bucket = self._buckets[-level]
+            entry = bucket.popleft()
+            if not bucket:
+                self._heap.remove(level)
+                heapq.heapify(self._heap)
+            self._size -= 1
+            return entry
+
+    def notify_all(self) -> None:
+        """Wake every :meth:`wait`-blocked consumer (shutdown path)."""
+        with self._lock:
+            self._cond.notify_all()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bool__(self) -> bool:
+        return self._size > 0
+
+
 class _Shard:
     """Per-shard lane state.
 
@@ -92,15 +205,16 @@ class _Shard:
 
 
 class Runtime:
-    """Concurrent execution runtime for :class:`~repro.core.ECAEngine`.
+    """The scheduler of :class:`~repro.core.ECAEngine`.
 
-    Construct the engine with one to go concurrent — the default engine
-    stays synchronous::
+    The default engine builds ``Runtime(workers=0)`` and evaluates on
+    the producing thread; construct the engine with lanes to go
+    concurrent::
 
         runtime = Runtime(workers=4, queue_capacity=1024)
         engine = ECAEngine(grh, runtime=runtime)
         ...
-        engine.shutdown()        # drain + stop the pool
+        engine.shutdown()        # drain + stop the lanes
 
     Parameters
     ----------
@@ -108,7 +222,10 @@ class Runtime:
         number of shards, each run by ``inflight`` lane threads.
         Detections hash to a fixed shard by
         ``crc32(component_id # detection_id)``, so redelivery of the
-        same detection lands on the same shard.
+        same detection lands on the same shard.  ``0`` runs no thread:
+        every detection is evaluated on the thread that submits it, one
+        at a time, in priority order — the synchronous engine.  The
+        remaining parameters shape the lanes only and do nothing there.
     queue_capacity:
         bound on the total queued (not yet executing) detections across
         all shards; the *backpressure* policy applies beyond it.
@@ -146,8 +263,8 @@ class Runtime:
                  batching: bool = False, batch_window: float = 0.005,
                  max_batch: int = 16, inflight: int = 1,
                  poll_interval: float = 0.2) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if inflight < 1:
@@ -166,13 +283,16 @@ class Runtime:
         self.inflight = inflight
         self._poll_interval = poll_interval
 
-        from ..core.engine import _DetectionQueue
         self._queues = [_DetectionQueue() for _ in range(workers)]
         self._shards = [_Shard(inflight) for _ in range(workers)]
+        #: detections evaluated on the thread that submits them; whoever
+        #: holds the permit runs the queue
+        self._caller = _DetectionQueue()
+        self._caller_permit = threading.Lock()
         self._threads: list[threading.Thread] = []
-        #: per-thread flag set inside worker threads; an ident set would
+        #: per-thread flag set inside lane threads; an ident set would
         #: outlive the thread and misclassify a producer whose OS-reused
-        #: ident matched a dead worker's
+        #: ident matched a dead lane's
         self._worker_local = threading.local()
         self._engine: ECAEngine | None = None
         self.batcher: DispatchBatcher | None = None
@@ -180,15 +300,15 @@ class Runtime:
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)   # capacity freed
         self._idle = threading.Condition(self._lock)    # pool quiesced
-        self._size = 0          # queued, not yet picked up
+        self._size = 0          # queued on a lane shard, not yet picked up
         self._active = 0        # being executed right now
-        self._inflight = 0      # popped, not yet completed (≥ _active)
+        #: per shard: popped, not yet completed (≥ its share of _active)
         self._shard_inflight = [0] * workers
         self._running = False
         self._stop = False
 
-        # lifetime counters (read under the lock or accepted as racy
-        # monitoring snapshots)
+        # lifetime counters of the lanes (read under the lock or accepted
+        # as racy monitoring snapshots)
         self.submitted = 0
         self.completed = 0
         self.dropped = 0
@@ -197,14 +317,9 @@ class Runtime:
         self.last_error: BaseException | None = None
 
         #: observability hook: called with the seconds a detection spent
-        #: queued before a worker picked it up (obs wires a histogram)
+        #: queued before a lane picked it up (obs wires a histogram)
         self.on_wait: Callable[[float], None] | None = None
 
-        #: submit-time stamps keyed by ``id(detection)``; every exit
-        #: path pops its entry (pickup, drop-oldest shed, shutdown
-        #: sweep), so the map is bounded by the queued depth — see
-        #: tests/runtime/test_enqueued_bookkeeping.py
-        self._enqueued_at: dict[int, float] = {}
         self._busy_time = [0.0] * workers
         self._started_at: float | None = None
         self._fallback_key = itertools.count()
@@ -212,20 +327,19 @@ class Runtime:
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, engine: "ECAEngine") -> None:
-        """Bind to *engine* and start the worker threads.
+        """Bind to *engine* and start the lane threads.
 
-        Called by ``ECAEngine.__init__`` when constructed with
-        ``runtime=``; a runtime serves exactly one engine for its
-        lifetime (re-attach raises).
+        Called by ``ECAEngine.__init__``; a runtime serves exactly one
+        engine for its lifetime (re-attach raises).
         """
         with self._lock:
             if self._engine is not None:
                 raise RuntimeError("runtime is already attached to an engine")
             self._engine = engine
             self._stop = False
-            self._running = True
+            self._running = self.workers > 0
             self._started_at = time.monotonic()
-        if self.batching:
+        if self.batching and self.workers:
             from .batcher import DispatchBatcher
             self.batcher = DispatchBatcher(
                 engine.grh, window=self.batch_window,
@@ -241,7 +355,7 @@ class Runtime:
 
     @property
     def running(self) -> bool:
-        """True while workers accept and execute detections."""
+        """True while lanes accept and execute detections."""
         return self._running
 
     @property
@@ -254,6 +368,12 @@ class Runtime:
         """Admission gate: running and below capacity (``/readyz``)."""
         return self._running and self._size < self.queue_capacity
 
+    @property
+    def caller_busy(self) -> bool:
+        """True while a thread runs the caller queue or holds a
+        :meth:`batch` on it — i.e. inside a synchronous evaluation."""
+        return self._caller_permit.locked()
+
     # -- ingestion -----------------------------------------------------------
 
     def _shard_of(self, detection: "Detection") -> int:
@@ -264,67 +384,111 @@ class Runtime:
         digest = zlib.crc32(f"{detection.component_id}#{key}".encode())
         return digest % self.workers
 
-    def submit(self, detection: "Detection", priority: int = 0) -> None:
-        """Admit a detection: apply the backpressure policy and enqueue.
+    def submit(self, detection: "Detection", priority: int = 0, *,
+               here: bool = False) -> None:
+        """Admit a detection.
 
-        Raises :class:`BackpressureError` (``reject`` policy, or
-        ``block`` past *submit_timeout*) — the caller owns closing the
-        detection's durable record (``ECAEngine._on_detection`` does).
+        With running lanes it is hashed to a lane shard under the
+        backpressure policy.  Otherwise (or with ``here=True``) it joins
+        the caller queue, which this thread then runs until empty unless
+        another evaluation or :meth:`batch` holds it.  A refused
+        detection (:class:`BackpressureError`) has its durable record
+        closed through ``engine._discard`` before the error propagates.
         """
+        if self._running and not here and self._enqueue(detection, priority):
+            return
+        self._caller.push(priority, detection)
+        self._run_here()
+
+    def _enqueue(self, detection: "Detection", priority: int) -> bool:
+        """Queue *detection* on its lane shard, stamped with the submit
+        time; ``False`` when the lanes stopped first."""
         shard = self._shard_of(detection)
         queue = self._queues[shard]
-        victim: Detection | None = None
-        with self._lock:
-            if not self._running:
-                raise RuntimeError("runtime is not running")
-            chained = getattr(self._worker_local, "is_worker", False)
-            if not chained and self._size >= self.queue_capacity:
-                if self.backpressure == "reject":
-                    self.rejected += 1
-                    raise BackpressureError(
-                        f"ingestion queue full "
-                        f"({self._size}/{self.queue_capacity})")
-                if self.backpressure == "drop-oldest":
-                    victim = queue.shed()
-                    if victim is None:
-                        deepest = max(self._queues, key=len)
-                        victim = deepest.shed()
-                    if victim is not None:
-                        self._size -= 1
-                        self.dropped += 1
-                        self._enqueued_at.pop(id(victim), None)
-                    # both sheds returning None means every counted
-                    # detection is mid-pickup (popped from its shard
-                    # queue, pool lock not yet taken): real queued depth
-                    # is below capacity, so admitting is not over-
-                    # admitting — _size corrects when workers get the
-                    # lock
-                else:  # block
-                    deadline = (None if self.submit_timeout is None
-                                else time.monotonic() + self.submit_timeout)
-                    while (self._size >= self.queue_capacity
-                           and self._running):
-                        remaining = (None if deadline is None
-                                     else deadline - time.monotonic())
-                        if remaining is not None and remaining <= 0:
-                            self.rejected += 1
-                            raise BackpressureError(
-                                f"no queue space within "
-                                f"{self.submit_timeout}s")
-                        self._space.wait(
-                            self._poll_interval if remaining is None
-                            else min(remaining, self._poll_interval))
-                    if not self._running:
-                        raise RuntimeError("runtime stopped during submit")
-            self._size += 1
-            self.submitted += 1
-            self._enqueued_at[id(detection)] = time.monotonic()
-            queue.push(priority, detection)
+        victim = None
+        try:
+            with self._lock:
+                if not self._running:
+                    return False
+                chained = getattr(self._worker_local, "is_worker", False)
+                if not chained and self._size >= self.queue_capacity:
+                    if self.backpressure == "reject":
+                        self.rejected += 1
+                        raise BackpressureError(
+                            f"ingestion queue full "
+                            f"({self._size}/{self.queue_capacity})")
+                    if self.backpressure == "drop-oldest":
+                        victim = queue.shed()
+                        if victim is None:
+                            deepest = max(self._queues, key=len)
+                            victim = deepest.shed()
+                        if victim is not None:
+                            self._size -= 1
+                            self.dropped += 1
+                        # both sheds returning None means every counted
+                        # detection is mid-pickup (popped from its shard
+                        # queue, pool lock not yet taken): real queued
+                        # depth is below capacity, so admitting is not
+                        # over-admitting — _size corrects when lanes get
+                        # the lock
+                    else:  # block
+                        deadline = (None if self.submit_timeout is None
+                                    else time.monotonic()
+                                    + self.submit_timeout)
+                        while (self._size >= self.queue_capacity
+                               and self._running):
+                            remaining = (None if deadline is None
+                                         else deadline - time.monotonic())
+                            if remaining is not None and remaining <= 0:
+                                self.rejected += 1
+                                raise BackpressureError(
+                                    f"no queue space within "
+                                    f"{self.submit_timeout}s")
+                            self._space.wait(
+                                self._poll_interval if remaining is None
+                                else min(remaining, self._poll_interval))
+                        if not self._running:
+                            return False
+                self._size += 1
+                self.submitted += 1
+                queue.push(priority, (detection, time.monotonic()))
+        except BaseException:
+            if self._engine is not None:
+                self._engine._discard(detection)
+            raise
         if victim is not None and self._engine is not None:
             # journal the shed detection as dropped outside the lock
-            self._engine._discard(victim)
+            self._engine._discard(victim[0])
+        return True
 
     # -- execution -----------------------------------------------------------
+
+    def _run_here(self) -> None:
+        """Run the caller queue on this thread until it is empty.
+
+        A thread that finds the permit held leaves its detection queued:
+        the holder re-checks the queue after every release, so nothing
+        strands.  An exception escaping an evaluation releases the
+        permit and reaches this thread's caller; what it left queued
+        runs on the next submit.  An emptied queue is a compaction point.
+        """
+        queue = self._caller
+        permit = self._caller_permit
+        engine = self._engine
+        while queue:
+            if not permit.acquire(blocking=False):
+                return
+            try:
+                detection = queue.pop_nowait()
+                while detection is not None:
+                    engine._handle(detection)
+                    detection = queue.pop_nowait()
+            finally:
+                permit.release()
+        if engine.durability is not None:
+            # the queue is empty, so the snapshot has no half-processed
+            # detection to misrepresent
+            engine.durability.maybe_checkpoint()
 
     def _source_key(self, detection: "Detection") -> object:
         """Serialization key for the §10/§11 per-source ordering contract.
@@ -361,11 +525,13 @@ class Runtime:
                 continue
             chain = None
             with shard.pop:
-                detection = queue.wait(
+                entry = queue.wait(
                     timeout=0 if self._stop else self._poll_interval)
-                if detection is not None:
+                if entry is not None:
+                    detection, stamp = entry
                     key = self._source_key(detection)
                     start = time.monotonic()
+                    waited = start - stamp
                     with self._lock:
                         # the detection leaves the queued count at
                         # pickup, not at completion: _size is what the
@@ -374,10 +540,7 @@ class Runtime:
                         # capacities permanently "full" (shed() then
                         # found nothing to drop and submit over-admitted)
                         self._size -= 1
-                        self._inflight += 1
                         self._shard_inflight[index] += 1
-                        waited = start - self._enqueued_at.pop(
-                            id(detection), start)
                         self._space.notify()
                         chain = shard.busy.get(key)
                         if chain is None:
@@ -387,7 +550,7 @@ class Runtime:
                             # same source already executing: chain
                             # behind it, the running lane takes it next
                             chain.append((detection, waited, start))
-            if detection is None:
+            if entry is None:
                 shard.permits.release()
                 if self._stop and not queue:
                     return
@@ -405,28 +568,25 @@ class Runtime:
                  detection: "Detection", waited: float) -> None:
         """Run *detection*, then everything chained behind its source
         key in pop order, each with the pool's accounting; frees the
-        key when its chain is empty."""
+        key when its chain is empty.  The wait goes to ``_handle``,
+        which stamps it onto the instance's root span."""
         engine = self._engine
         while True:
-            # hand the wait to the engine: _handle stamps it onto the
-            # instance's root span for the critical-path analyzer
-            self._worker_local.last_wait = waited
             start = time.monotonic()
             ok = False
             try:
-                engine._handle(detection)
+                engine._handle(detection, waited)
                 ok = True
             except BaseException as exc:  # shield the pool: a lane must
                 # survive anything one instance evaluation throws; the
                 # durable record stays open so recovery re-drives it —
-                # the same at-least-once contract the sync path has when
-                # an exception escapes to the producer
+                # the same at-least-once contract the caller queue has
+                # when an exception escapes to the producer
                 self.last_error = exc
             finally:
                 elapsed = time.monotonic() - start
                 with self._lock:
                     self._active -= 1
-                    self._inflight -= 1
                     self._shard_inflight[index] -= 1
                     self._busy_time[index] += elapsed
                     if ok:
@@ -440,7 +600,7 @@ class Runtime:
                     else:
                         del shard.busy[key]
                         detection = None
-                    if self._size == 0 and self._inflight == 0:
+                    if self._size == 0 and not any(self._shard_inflight):
                         self._idle.notify_all()
                 shard.permits.release()
             if detection is None:
@@ -449,37 +609,60 @@ class Runtime:
             # is still time it waited on the runtime
             waited += time.monotonic() - popped_at
 
-    def take_queue_wait(self) -> float | None:
-        """Consume this lane thread's pending queue-wait hand-off.
-
-        The lane records how long the detection it is about to execute
-        waited — shard queue plus any wait behind a same-source
-        predecessor — just before calling ``engine._handle``; the engine
-        reads it here exactly once and stamps it onto the instance's
-        root span as the ``queue_wait`` attribute (PROTOCOL.md §14).
-        Returns ``None`` off a lane thread or when already consumed.
-        """
-        waited = getattr(self._worker_local, "last_wait", None)
-        if waited is not None:
-            self._worker_local.last_wait = None
-        return waited
-
     # -- quiesce -------------------------------------------------------------
+
+    @contextmanager
+    def batch(self, here: bool = False):
+        """Defer evaluation to the end of the block (``ECAEngine.batch``).
+
+        Without running lanes (or with ``here=True``) the block holds
+        the caller queue, which runs at exit even when the block raises;
+        nested in an evaluation or a batch it is a no-op.  With running
+        lanes exit blocks until :meth:`drain` returns.
+        """
+        if self._running and not here:
+            try:
+                yield
+            finally:
+                self.drain()
+            return
+        permit = self._caller_permit
+        if not permit.acquire(blocking=False):
+            yield
+            return
+        try:
+            yield
+        finally:
+            permit.release()
+            self._run_here()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Block until the pool is idle; leave durable state consistent.
 
-        Waits for every shard queue to empty and every worker to finish
-        its current instance, flushes the dispatch batcher, then runs
-        the durability commit barrier (journal fsync + checkpoint
-        opportunity).  Returns ``True`` once idle, ``False`` if
-        *timeout* seconds elapsed first.  Must not be called from rule
-        code (a worker waiting for itself never becomes idle).
+        Without running lanes the calling thread runs the caller queue,
+        as :meth:`submit` does; a runtime whose lanes have stopped then
+        also runs the durability commit barrier, ``workers=0`` does not
+        (its emptied queue already took its checkpoint opportunity).
+        With lanes it waits for every shard queue to empty and every
+        lane to finish its current instance, flushes the dispatch
+        batcher, then runs the commit barrier (journal fsync +
+        checkpoint opportunity).  Returns ``True`` once idle, ``False``
+        if *timeout* seconds elapsed first.  With lanes it must not be
+        called from rule code (a lane waiting for itself never becomes
+        idle).
         """
+        engine = self._engine
+        if engine is None:
+            return True     # never attached: nothing was ever queued
+        if not self._running:
+            self._run_here()
+            if self.workers and engine.durability is not None:
+                engine.durability.commit_barrier()
+            return True
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         with self._lock:
-            while self._size > 0 or self._active > 0 or self._inflight > 0:
+            while self._size or any(self._shard_inflight):
                 remaining = (None if deadline is None
                              else deadline - time.monotonic())
                 if remaining is not None and remaining <= 0:
@@ -490,18 +673,17 @@ class Runtime:
         batcher = self.batcher
         if batcher is not None:
             batcher.flush()
-        engine = self._engine
-        if engine is not None and engine.durability is not None:
+        if engine.durability is not None:
             engine.durability.commit_barrier()
         return True
 
     def shutdown(self, timeout: float | None = None) -> bool:
-        """Drain, stop the workers, and detach the batcher.
+        """Drain, stop the lanes, and detach the batcher.
 
-        The engine remains usable afterwards: with the runtime stopped,
-        ``ECAEngine`` falls back to the synchronous path.  Returns the
+        The engine remains usable afterwards: with no lanes running,
+        detections are evaluated on the submitting thread.  Returns the
         drain verdict (``False`` means *timeout* hit before quiescence;
-        workers still stop after finishing their current instance).
+        lanes still stop after finishing their current instance).
         """
         quiesced = self.drain(timeout)
         with self._lock:
@@ -513,17 +695,10 @@ class Runtime:
         for thread in self._threads:
             thread.join(timeout=self._poll_interval * 4)
         self._threads.clear()
-        with self._lock:
-            # bookkeeping sweep: a shutdown that timed out mid-drain can
-            # leave queued detections whose submit stamps nobody will
-            # pop (workers are gone); clearing here keeps _enqueued_at
-            # bounded across stop/attach cycles of long-lived processes
-            self._enqueued_at.clear()
         batcher = self.batcher
         if batcher is not None:
             batcher.stop()
-            if self._engine is not None:
-                self._engine.grh.batcher = None
+            self._engine.grh.batcher = None
             self.batcher = None
         return quiesced
 
@@ -545,7 +720,8 @@ class Runtime:
         return [min(busy / elapsed, 1.0) for busy in self._busy_time]
 
     def counters(self) -> dict:
-        """Lifetime ingestion/execution counters (monitoring snapshot)."""
+        """Lifetime ingestion/execution counters of the lanes
+        (monitoring snapshot)."""
         return {
             "submitted": self.submitted,
             "completed": self.completed,
@@ -554,8 +730,5 @@ class Runtime:
             "errors": self.errors,
             "queued": self._size,
             "active": self._active,
-            "inflight": self._inflight,
-            # wait-stamp map size; tracks queued depth (regression
-            # guard: a leak here would grow it past the queue bound)
-            "wait_stamps": len(self._enqueued_at),
+            "inflight": sum(self._shard_inflight),
         }

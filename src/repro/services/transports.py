@@ -85,6 +85,11 @@ class ServiceStatusError(TransportError):
 #: on the request — kept transient/retryable like connection failures.
 _TRANSIENT_HTTP_STATUSES = frozenset({502, 503, 504})
 
+#: the largest request body :class:`HttpServiceServer` reads: a longer
+#: ``Content-Length`` is answered 413 before any of the body is read,
+#: which clients see as ``ServiceStatusError(413)`` (PROTOCOL.md §11)
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 def _raise_for_status(address: str, status: int, reason: str,
                       body: str) -> None:
@@ -229,6 +234,11 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
                 raise ValueError(length_header)
         except ValueError:
             self.send_error(400, "invalid Content-Length")
+            return
+        if length > MAX_BODY_BYTES:
+            # send_error closes the connection, so the unread body is
+            # never mistaken for the next request
+            self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
             return
         raw = self.rfile.read(length)
         try:

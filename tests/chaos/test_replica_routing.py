@@ -145,7 +145,8 @@ class TestFailover:
             raise TransientServiceFailure("dead")
 
         with pytest.raises(TransientServiceFailure):
-            manager.call(("a"), DESCRIPTOR, attempt)
+            manager.call_routed(("a",), DESCRIPTOR, lambda _a: attempt(),
+                                failover_ok=False)
         assert manager.failovers == 0
 
 

@@ -1,14 +1,20 @@
 """Engine robustness: batch edge cases, atomic store+register, replay
-attribution, and the priority-bucketed detection queue."""
+attribution, the synchronous scheduler's contracts (concurrent
+producers, escaping exceptions, checkpoint points), and the
+priority-bucketed detection queue."""
+
+import sys
+import threading
 
 import pytest
 
 from repro.actions import ACTION_NS
 from repro.core import (ECAEngine, EngineError, RuleRepository,
                         RuleValidationError)
-from repro.core.engine import _DetectionQueue
+from repro.durability import DurabilityManager
 from repro.grh import Detection
 from repro.grh.resilience import DeadLetter
+from repro.runtime.pool import _DetectionQueue
 from repro.bindings import Binding, Relation
 from repro.services import standard_deployment
 from repro.xmlmodel import E, ECA_NS
@@ -58,7 +64,7 @@ class TestBatchEdgeCases:
         # the queued detection was evaluated despite the exception
         assert engine.stats["instances"] == 1
         assert len(deployment.runtime.messages("out")) == 1
-        assert engine._draining is False
+        assert not engine.runtime.caller_busy
 
     def test_nested_batch_defers_to_the_outermost(self, world):
         deployment, engine = world
@@ -70,7 +76,7 @@ class TestBatchEdgeCases:
             assert engine.stats["instances"] == 0
             deployment.stream.emit(E("ping", {"n": "2"}))
         assert engine.stats["instances"] == 2
-        assert engine._draining is False
+        assert not engine.runtime.caller_busy
 
     def test_emission_after_failed_batch_still_works(self, world):
         deployment, engine = world
@@ -173,6 +179,158 @@ class TestReplayAttribution:
         summary = engine.replay_dead_letters()
         assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
                            "actions": 0}
+
+
+def raise_rule(rule_id, event, raised):
+    """A rule whose actions raise one event per name in *raised*."""
+    actions = "".join(
+        f'<eca:action><act:raise {ACT}><{name} n="{{N}}"/></act:raise>'
+        f"</eca:action>" for name in raised)
+    return f"""
+    <eca:rule {ECA} id="{rule_id}">
+      <eca:event><{event} n="{{N}}"/></eca:event>
+      {actions}
+    </eca:rule>
+    """
+
+
+class TestSynchronousScheduler:
+    def test_concurrent_producers_evaluate_each_detection_once(self, world):
+        """Eight threads emit into a synchronous engine at once: every
+        detection is evaluated exactly once, never two at a time, and
+        none is stranded once every emit has returned."""
+        deployment, engine = world
+        engine.register_rule(send_rule())
+        lock = threading.Lock()
+        seen: list[str] = []
+        state = {"running": 0, "overlaps": 0}
+        original = engine._handle
+
+        def spy(detection, *rest):
+            with lock:
+                state["running"] += 1
+                if state["running"] > 1:
+                    state["overlaps"] += 1
+                seen.append(detection.detection_id)
+            try:
+                original(detection, *rest)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        engine._handle = spy
+        producers, per_producer = 8, 25
+
+        def produce(base):
+            for n in range(base, base + per_producer):
+                deployment.stream.emit(E("ping", {"n": str(n)}))
+
+        threads = [threading.Thread(target=produce, args=(i * per_producer,))
+                   for i in range(producers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        total = producers * per_producer
+        assert not any(thread.is_alive() for thread in threads)
+        assert state["overlaps"] == 0
+        assert len(seen) == total and len(set(seen)) == total
+        assert engine.stats["instances"] == total
+        assert sorted(int(m.content.get("n")) for m in
+                      deployment.runtime.messages("out")) == list(range(total))
+
+    def test_escaping_exception_reaches_the_producer(self, world):
+        """An exception raised inside an evaluation reaches the emit
+        caller; the detections queued behind it run on the next emit."""
+        deployment, engine = world
+        engine.register_rule(raise_rule("chainer", "ping", ("a", "b")))
+        engine.register_rule(send_rule("ra", event="a", recipient="out-a"))
+        engine.register_rule(send_rule("rb", event="b", recipient="out-b"))
+        original = engine._handle
+        exploded = []
+
+        def explode_once(detection, *rest):
+            if detection.component_id == "ra::event" and not exploded:
+                exploded.append(detection)
+                raise RuntimeError("evaluation blew up")
+            original(detection, *rest)
+
+        engine._handle = explode_once
+        with pytest.raises(RuntimeError, match="blew up"):
+            deployment.stream.emit(E("ping", {"n": "1"}))
+        # the chainer ran and queued a and b; a blew up, b still waits
+        assert [i.rule_id for i in engine.instances] == ["chainer"]
+        assert deployment.runtime.messages("out-b") == []
+        deployment.stream.emit(E("b", {"n": "2"}))
+        assert [m.content.get("n") for m in
+                deployment.runtime.messages("out-b")] == ["1", "2"]
+        assert deployment.runtime.messages("out-a") == []
+        assert [i.rule_id for i in engine.instances] == \
+            ["chainer", "rb", "rb"]
+
+    def test_chained_detection_runs_after_the_current_instance(self, world):
+        deployment, engine = world
+        engine.register_rule(raise_rule("chainer", "ping", ("a",)))
+        engine.register_rule(send_rule("ra", event="a", recipient="out-a"))
+        running: list[str] = []
+        nested = []
+        original = engine._handle
+
+        def spy(detection, *rest):
+            if running:
+                nested.append((running[-1], detection.component_id))
+            running.append(detection.component_id)
+            try:
+                original(detection, *rest)
+            finally:
+                running.pop()
+
+        engine._handle = spy
+        deployment.stream.emit(E("ping", {"n": "1"}))
+        assert nested == []
+        assert [i.rule_id for i in engine.instances] == ["chainer", "ra"]
+
+    def test_checkpoints_wait_for_an_emptied_queue(self, tmp_path):
+        """register_rule/deregister_rule inside an evaluation skip the
+        checkpoint; the emptied queue takes one (maybe_checkpoint, never
+        the fsyncing commit barrier)."""
+        deployment = standard_deployment()
+        manager = DurabilityManager(str(tmp_path), sync="none",
+                                    checkpoint_interval=1)
+        engine = ECAEngine(deployment.grh, durability=manager)
+        engine.register_rule(send_rule())
+        calls: list[str] = []
+        inside: list[int] = []
+        maybe_checkpoint = manager.maybe_checkpoint
+
+        def spy_checkpoint():
+            calls.append("inside" if inside else "after")
+            return maybe_checkpoint()
+
+        manager.maybe_checkpoint = spy_checkpoint
+        manager.commit_barrier = lambda: calls.append("barrier")
+        original = engine._handle
+
+        def spy(detection, *rest):
+            inside.append(1)
+            try:
+                original(detection, *rest)
+                engine.register_rule(send_rule("r2", event="other"))
+                engine.deregister_rule("r2")
+            finally:
+                inside.pop()
+
+        engine._handle = spy
+        deployment.stream.emit(E("ping", {"n": "1"}))
+        assert calls == ["after"]
+        assert engine.drain(1) is True
+        assert calls == ["after", "after"]
+        manager.close()
 
 
 class TestDetectionQueue:

@@ -119,13 +119,14 @@ class CrashWorld:
 
     def boot(self, journal: Journal | None = None, sync: str = "none",
              checkpoint_interval: int = 10 ** 9,
-             replay: bool = False) -> ECAEngine:
+             replay: bool = False, runtime=None) -> ECAEngine:
         """Start a fresh engine process over the surviving services.
 
         ``replay=False`` (the crash-test default) leaves in-flight
         replay to the driver; ``replay=True`` runs the full
         :meth:`ECAEngine.recover` sequence, after which the engine
-        reports ready (``/readyz``)."""
+        reports ready (``/readyz``).  *runtime* is handed to the
+        engine as-is."""
         registry = LanguageRegistry()
         transport = InProcessTransport(serialize_messages=True)
         grh = GenericRequestHandler(registry, transport)
@@ -138,7 +139,7 @@ class CrashWorld:
                                     checkpoint_interval=checkpoint_interval,
                                     journal=journal)
         engine = ECAEngine.recover(grh, self.directory, manager=manager,
-                                   replay=replay)
+                                   replay=replay, runtime=runtime)
         self.grh = grh
         self.engine = engine
         self._notify = grh.notify

@@ -7,11 +7,19 @@ though the delivery channel re-delivers every detection (at-least-once)
 and the application re-runs its setup after recovery.
 """
 
+import json
 import os
+import threading
 
 import pytest
 
-from repro.durability import JOURNAL_NAME, SimulatedCrash
+from repro.actions import ACTION_NS
+from repro.core import ECAEngine
+from repro.durability import DurabilityManager, JOURNAL_NAME, SimulatedCrash
+from repro.durability.checkpoint import CHECKPOINT_NAME
+from repro.runtime import Runtime
+from repro.services import standard_deployment
+from repro.xmlmodel import E, ECA_NS
 
 from .harness import (CrashWorld, CrashingJournal, RULES, SCRIPT,
                       run_crashing, run_oracle)
@@ -82,6 +90,129 @@ class TestKillPointSweep:
                 world.run_script(start=resume)
             assert world.state() == oracle, \
                 f"divergence at seeded kill point {fuse} (tear {tear})"
+
+
+class TestRecoveryOntoWorkerRuntime:
+    def test_every_kill_point_recovers_with_running_lanes(
+            self, tmp_path, oracle, monkeypatch):
+        """Crash at every kill point, then ``recover`` onto a two-worker
+        runtime: the replay runs on the recovering thread, the
+        checkpoint taken after it holds no in-flight record, and once
+        the script finishes on the lanes every effect is the oracle's,
+        each exactly once."""
+        writes = total_journal_writes(tmp_path)
+        handled_by: list[threading.Thread] = []
+        handle = ECAEngine._handle
+
+        def spy(engine, detection, *rest):
+            handled_by.append(threading.current_thread())
+            return handle(engine, detection, *rest)
+
+        replayed = 0
+        for fuse in range(writes):
+            directory = str(tmp_path / f"lanes-{fuse}")
+            world = CrashWorld(directory)
+            resume = 0
+            try:
+                journal = CrashingJournal(
+                    os.path.join(directory, JOURNAL_NAME), fuse=fuse,
+                    sync="none")
+                world.boot(journal=journal)
+                world.setup_rules()
+                world.run_script()
+                pytest.fail(f"fuse {fuse} never fired")
+            except SimulatedCrash as crash:
+                resume = getattr(crash, "resume", 0)
+                world.crash()
+            handled_by.clear()
+            monkeypatch.setattr(ECAEngine, "_handle", spy)
+            try:
+                engine = world.boot(replay=True, runtime=Runtime(workers=2))
+            finally:
+                monkeypatch.undo()
+            try:
+                assert all(thread is threading.current_thread()
+                           for thread in handled_by), \
+                    f"replay left the recovering thread at kill point {fuse}"
+                replayed += len(handled_by)
+                with open(os.path.join(directory, CHECKPOINT_NAME),
+                          encoding="utf-8") as checkpoint:
+                    assert json.load(checkpoint)["in_flight"] == [], \
+                        f"in-flight record survived recovery at {fuse}"
+                world.setup_rules()
+                world.redeliver()
+                world.run_script(start=resume)
+                assert engine.drain(10)
+                assert world.effects() == oracle["effects"], \
+                    f"effects diverged at kill point {fuse}"
+                assert sorted(engine.rules) == oracle["rules"]
+                assert len(world.dead_letters()) == \
+                    len(oracle["dead_letters"])
+            finally:
+                engine.shutdown(5)
+                engine.durability.close()
+        assert replayed > 0  # some kill points left work in flight
+
+    def test_replay_wider_than_the_lane_queue(self, tmp_path):
+        """More in-flight detections than the lanes' queue capacity,
+        each raising an event when replayed: the replay waits on the
+        recovering thread, outside the lanes' admission count, so every
+        chained detection is admitted under the default ``block`` policy
+        and recovery finishes with each effect once."""
+        directory = str(tmp_path / "wide")
+        in_flight = 8
+        deployment = standard_deployment()
+        manager = DurabilityManager(directory, sync="none")
+        engine = ECAEngine(deployment.grh, durability=manager)
+        engine.register_rule(_RELAY_RULES["chainer"])
+        engine.register_rule(_RELAY_RULES["relay"])
+        # the process dies before evaluating anything it admitted
+        engine._handle = lambda detection, waited=None: None
+        for n in range(in_flight):
+            deployment.stream.emit(E("ping", {"n": str(n)}))
+        assert len(manager.in_flight) == in_flight
+        manager.close()
+
+        survivor = standard_deployment()
+        runtime = Runtime(workers=1, queue_capacity=2)
+        recovered = []
+        thread = threading.Thread(
+            target=lambda: recovered.append(ECAEngine.recover(
+                survivor.grh, directory, sync="none", runtime=runtime)),
+            daemon=True)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive(), "recovery hung on the lanes' gate"
+        engine = recovered[0]
+        try:
+            assert engine.drain(10)
+            assert sorted(int(m.content.get("n")) for m in
+                          survivor.runtime.messages("out")) == \
+                list(range(in_flight))
+            assert runtime.completed == in_flight
+            assert runtime.rejected == runtime.dropped == 0
+            with open(os.path.join(directory, CHECKPOINT_NAME),
+                      encoding="utf-8") as checkpoint:
+                assert json.load(checkpoint)["in_flight"] == []
+        finally:
+            engine.shutdown(5)
+            engine.durability.close()
+
+
+_RELAY_RULES = {
+    "chainer": f"""
+    <eca:rule xmlns:eca="{ECA_NS}" id="chainer">
+      <eca:event><ping n="{{N}}"/></eca:event>
+      <eca:action><act:raise xmlns:act="{ACTION_NS}"><pong n="{{N}}"/>
+      </act:raise></eca:action>
+    </eca:rule>""",
+    "relay": f"""
+    <eca:rule xmlns:eca="{ECA_NS}" id="relay">
+      <eca:event><pong n="{{N}}"/></eca:event>
+      <eca:action><act:send xmlns:act="{ACTION_NS}" to="out">
+      <done n="{{N}}"/></act:send></eca:action>
+    </eca:rule>""",
+}
 
 
 class TestDoubleCrash:

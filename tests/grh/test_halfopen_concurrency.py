@@ -36,7 +36,8 @@ def tripped_manager(reset_timeout=10.0):
         raise TransientServiceFailure("down")
 
     with pytest.raises(TransientServiceFailure):
-        manager.call("svc:x", DESCRIPTOR, fail)
+        manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: fail(),
+                            failover_ok=False)
     assert manager._breakers["svc:x"].state == "open"
     clock.now = reset_timeout + 1.0
     return manager, clock
@@ -55,7 +56,9 @@ class TestSingleProbe:
             return "probed"
 
         def run_probe():
-            outcome["result"] = manager.call("svc:x", DESCRIPTOR, slow_probe)
+            outcome["result"] = manager.call_routed(
+                ("svc:x",), DESCRIPTOR, lambda _a: slow_probe(),
+                failover_ok=False)
 
         prober = threading.Thread(target=run_probe)
         prober.start()
@@ -66,7 +69,8 @@ class TestSingleProbe:
             # retry_after of one full reset window
             for _ in range(3):
                 with pytest.raises(CircuitOpenError) as excinfo:
-                    manager.call("svc:x", DESCRIPTOR, lambda: "nope")
+                    manager.call_routed(("svc:x",), DESCRIPTOR,
+                                        lambda _a: "nope", failover_ok=False)
                 assert "retry after 10s" in str(excinfo.value)
         finally:
             release.set()
@@ -81,11 +85,13 @@ class TestSingleProbe:
             raise TransientServiceFailure("still down")
 
         with pytest.raises(TransientServiceFailure):
-            manager.call("svc:x", DESCRIPTOR, fail)
+            manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: fail(),
+                                failover_ok=False)
         breaker = manager._breakers["svc:x"]
         assert breaker.state == "open"
         with pytest.raises(CircuitOpenError):
-            manager.call("svc:x", DESCRIPTOR, lambda: "nope")
+            manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: "nope",
+                                failover_ok=False)
 
     def test_service_reported_probe_releases_the_slot(self):
         manager, clock = tripped_manager()
@@ -96,12 +102,14 @@ class TestSingleProbe:
         # the probe ends without reaching the breaker: the half-open
         # slot must be released, not latched shut forever
         with pytest.raises(ServiceReportedError):
-            manager.call("svc:x", DESCRIPTOR, report)
+            manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: report(),
+                                failover_ok=False)
         breaker = manager._breakers["svc:x"]
         assert breaker.state == "half_open"
         assert not breaker.probing
         # the next caller gets to probe — and closes the breaker
-        assert manager.call("svc:x", DESCRIPTOR, lambda: "ok") == "ok"
+        assert manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: "ok",
+                                   failover_ok=False) == "ok"
         assert breaker.state == "closed"
 
     def test_foreign_exception_releases_the_slot(self):
@@ -111,9 +119,11 @@ class TestSingleProbe:
             raise ValueError("not a service failure at all")
 
         with pytest.raises(ValueError):
-            manager.call("svc:x", DESCRIPTOR, explode)
+            manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: explode(),
+                                failover_ok=False)
         assert not manager._breakers["svc:x"].probing
-        assert manager.call("svc:x", DESCRIPTOR, lambda: "ok") == "ok"
+        assert manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: "ok",
+                                   failover_ok=False) == "ok"
 
 
 class TestRaceFreedom:
@@ -131,7 +141,8 @@ class TestRaceFreedom:
         def caller():
             barrier.wait(timeout=5.0)
             try:
-                manager.call("svc:x", DESCRIPTOR, probe)
+                manager.call_routed(("svc:x",), DESCRIPTOR, lambda _a: probe(),
+                                    failover_ok=False)
             except CircuitOpenError:
                 pass
 
@@ -161,7 +172,8 @@ class TestRaceFreedom:
         def caller():
             for _ in range(25):
                 try:
-                    manager.call("svc:x", DESCRIPTOR, fail)
+                    manager.call_routed(("svc:x",), DESCRIPTOR,
+                                        lambda _a: fail(), failover_ok=False)
                 except (TransientServiceFailure, CircuitOpenError):
                     pass
 

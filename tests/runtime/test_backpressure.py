@@ -26,9 +26,9 @@ def _gated_engine(runtime):
     release = threading.Event()
     original = engine._handle
 
-    def gated(detection):
+    def gated(detection, *rest):
         release.wait(10)
-        original(detection)
+        original(detection, *rest)
 
     engine._handle = gated
     engine.register_rule(simple_rule_markup("r1"))
@@ -67,9 +67,9 @@ class TestRejectPolicy:
         release = threading.Event()
         original = engine._handle
 
-        def gated(detection):
+        def gated(detection, *rest):
             release.wait(10)
-            original(detection)
+            original(detection, *rest)
 
         engine._handle = gated
         engine.register_rule(simple_rule_markup("r1"))

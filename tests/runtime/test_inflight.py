@@ -51,7 +51,7 @@ class _StubEngine:
         self.concurrent = 0
         self.max_concurrent = 0
 
-    def _handle(self, detection):
+    def _handle(self, detection, waited=None):
         with self.lock:
             self.concurrent += 1
             self.max_concurrent = max(self.max_concurrent, self.concurrent)
@@ -209,9 +209,9 @@ class TestPerSourceOrdering:
         barrier = threading.Barrier(2, timeout=5)
         inner = engine._handle
 
-        def rendezvous(detection):
+        def rendezvous(detection, *rest):
             barrier.wait()
-            inner(detection)
+            inner(detection, *rest)
 
         engine._handle = rendezvous
         runtime = _windowed_runtime(engine, workers=1, inflight=2)
@@ -236,13 +236,13 @@ class TestWindowMechanics:
         inner = engine._handle
         runtime_holder = {}
 
-        def chaining(detection):
+        def chaining(detection, *rest):
             key, seq = tags[id(detection)]
             if key == "root":
                 follow = _detection(seq + 1, "chained")
                 tags[id(follow)] = ("chained", seq + 1)
                 runtime_holder["rt"].submit(follow)
-            inner(detection)
+            inner(detection, *rest)
 
         engine._handle = chaining
         runtime = _windowed_runtime(engine, workers=1, inflight=2,
@@ -263,11 +263,11 @@ class TestWindowMechanics:
         inner = engine._handle
         calls = []
 
-        def explode_once(detection):
+        def explode_once(detection, *rest):
             calls.append(1)
             if len(calls) == 1:
                 raise RuntimeError("boom (simulated)")
-            inner(detection)
+            inner(detection, *rest)
 
         engine._handle = explode_once
         runtime = _windowed_runtime(engine, workers=1, inflight=2)
@@ -310,10 +310,10 @@ class TestWindowMechanics:
         started = threading.Event()
         inner = engine._handle
 
-        def gate(detection):
+        def gate(detection, *rest):
             started.set()
             release.wait(10)
-            inner(detection)
+            inner(detection, *rest)
 
         engine._handle = gate
         runtime = _windowed_runtime(engine, workers=1, inflight=2,

@@ -90,12 +90,12 @@ class TestReplayAttribution:
                           detection_id="dO")
         original = engine._handle
 
-        def interleaving(detection):
+        def interleaving(detection, *rest):
             if detection is target:
                 # simulate a concurrent worker creating an unrelated
                 # instance while the replay's detection is being handled
                 original(other)
-            original(detection)
+            original(detection, *rest)
 
         engine._handle = interleaving
         instance = engine._replay_detection(target)

@@ -6,10 +6,11 @@ import time
 import pytest
 
 from repro.core import ECAEngine
-from repro.core.engine import _DetectionQueue
+from repro.durability import DurabilityManager
 from repro.grh.messages import Detection
 from repro.bindings import Relation
 from repro.runtime import Runtime
+from repro.runtime.pool import _DetectionQueue
 from repro.services import standard_deployment
 
 from .harness import build_world
@@ -30,7 +31,7 @@ def _detection(n: int, component: str = "c1") -> Detection:
 class TestRuntimeConstruction:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            Runtime(workers=0)
+            Runtime(workers=-1)
         with pytest.raises(ValueError):
             Runtime(queue_capacity=0)
         with pytest.raises(ValueError):
@@ -47,7 +48,7 @@ class TestRuntimeConstruction:
 
     def test_default_engine_has_no_runtime(self):
         deployment, engine = build_world()
-        assert engine.runtime is None
+        assert engine.runtime.workers == 0
         assert engine.drain(1) is True      # sync drain still works
         assert engine.shutdown(1) is True   # and shutdown is a no-op
 
@@ -60,9 +61,9 @@ class TestConcurrentExecution:
             engine.register_rule(simple_rule_markup("r1"))
             original = engine._handle
 
-            def spy(detection):
+            def spy(detection, *rest):
                 seen.append(threading.current_thread().name)
-                original(detection)
+                original(detection, *rest)
 
             engine._handle = spy
             _emit_bookings(deployment, 8)
@@ -80,7 +81,7 @@ class TestConcurrentExecution:
         entries = itertools.count(1)
         original = engine._handle
 
-        def slow(detection):
+        def slow(detection, *rest):
             # only the first two arrivals synchronize: the first blocks
             # in the barrier, so the second can only come from another
             # worker — a genuine cross-shard overlap.  Later detections
@@ -89,7 +90,7 @@ class TestConcurrentExecution:
             # e.g. three detections on one shard running serially)
             if next(entries) <= 2:
                 barrier.wait()
-            original(detection)
+            original(detection, *rest)
 
         engine._handle = slow
         try:
@@ -114,11 +115,11 @@ class TestConcurrentExecution:
             original = engine._handle
             calls = []
 
-            def explode_once(detection):
+            def explode_once(detection, *rest):
                 calls.append(1)
                 if len(calls) == 1:
                     raise RuntimeError("boom (simulated)")
-                original(detection)
+                original(detection, *rest)
 
             engine._handle = explode_once
             _emit_bookings(deployment, 2)
@@ -137,6 +138,24 @@ class TestConcurrentExecution:
         assert not engine.runtime.running
         _emit_bookings(deployment, 1, seed=1)
         assert engine.stats["completed"] == 2
+
+    def test_drain_after_shutdown_still_commits(self, tmp_path):
+        """A stopped runtime evaluates on the caller, and its drain still
+        ends in the commit barrier, as with lanes running."""
+        deployment = standard_deployment()
+        manager = DurabilityManager(str(tmp_path), sync="none")
+        engine = ECAEngine(deployment.grh, durability=manager,
+                           runtime=Runtime(workers=2))
+        engine.register_rule(simple_rule_markup("r1"))
+        assert engine.shutdown(10)
+        barriers = []
+        manager.commit_barrier = lambda: barriers.append(engine.stats[
+            "detections"])
+        _emit_bookings(deployment, 1)
+        assert barriers == []
+        assert engine.drain(1) is True
+        assert barriers == [1]
+        manager.close()
 
     def test_batch_context_quiesces_runtime(self):
         deployment, engine = build_world(Runtime(workers=2))

@@ -375,6 +375,37 @@ class Test500NotRetried:
         assert len(calls) == 3
         assert manager.breaker_opens == 0
 
+    def test_413_is_reported_not_retried_and_not_breaker_counted(
+            self, monkeypatch):
+        from repro.services import transports
+        monkeypatch.setattr(transports, "MAX_BODY_BYTES", 16)
+        calls = []
+
+        def handler(message):
+            calls.append(1)
+            return _ok_handler(message)
+
+        with HttpServiceServer(aware_handler=handler) as url:
+            transport = PooledHttpTransport(timeout=5.0)
+            try:
+                with pytest.raises(ServiceStatusError) as excinfo:
+                    transport.send(url, parse("<x>over sixteen bytes</x>"))
+            finally:
+                transport.close()
+            assert excinfo.value.status == 413
+            manager = ResilienceManager(
+                retry=RetryPolicy(max_attempts=3),
+                breaker=BreakerPolicy(failure_threshold=1,
+                                      reset_timeout=60.0),
+                sleep=lambda s: None)
+            grh, descriptor = _grh_for(url, manager)
+            for _ in range(2):
+                with pytest.raises(GRHError, match="reported"):
+                    grh._send(descriptor, _query())
+        assert calls == []              # the body was never handed on
+        assert manager.retries == 0
+        assert manager.breaker_opens == 0
+
 
 class TestServerBadRequests:
     """Malformed POSTs answer a clean 400, never an unhandled 500."""
@@ -409,6 +440,33 @@ class TestServerBadRequests:
                     assert response.status == 400
                 finally:
                     conn.close()
+
+    def test_oversized_body_is_413_before_it_is_read(self):
+        """A Content-Length past MAX_BODY_BYTES is refused from the
+        headers alone — no body ever arrives, yet the 413 comes back
+        at once — and the server keeps answering."""
+        with HttpServiceServer(aware_handler=_ok_handler) as url:
+            host, port = url[len("http://"):].rstrip("/").split(":")
+            with socket.create_connection((host, int(port)),
+                                          timeout=1.0) as raw:
+                raw.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Type: application/xml\r\n"
+                            b"Content-Length: 1000000000\r\n\r\n")
+                started = time.monotonic()
+                reply = b""
+                while b"\r\n" not in reply:
+                    chunk = raw.recv(4096)
+                    if not chunk:
+                        break
+                    reply += chunk
+                assert time.monotonic() - started < 1.0
+            assert reply.startswith(b"HTTP/1.1 413")
+            transport = PooledHttpTransport(timeout=5.0)
+            try:
+                assert "fine" in serialize(transport.send(url,
+                                                          parse("<x/>")))
+            finally:
+                transport.close()
 
     def test_non_utf8_body_is_400(self):
         with HttpServiceServer(aware_handler=_ok_handler) as url:
