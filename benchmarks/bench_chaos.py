@@ -84,7 +84,7 @@ def run_storm(seed: int, requests: int) -> dict:
                      reset_rate=0.05,
                      error_rate=0.04, error_statuses=(503,))
     grh, cluster, addresses = _world(plan)
-    board = grh.registry.health
+    board = grh.resilience.health
     kill_at, restart_at = requests // 3, (2 * requests) // 3
     completed, timings = 0, []
     restarted_at = recover_s = None

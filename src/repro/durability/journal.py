@@ -183,7 +183,8 @@ class JournalReader:
     def records(self) -> Iterator[dict]:
         """Yield every intact record; stop cleanly at a torn tail."""
         try:
-            data = open(self.path, "rb").read()
+            with open(self.path, "rb") as handle:
+                data = handle.read()
         except FileNotFoundError:
             return
         offset = 0

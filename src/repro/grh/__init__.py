@@ -7,9 +7,9 @@ from .messages import (Detection, MessageError, REQUEST_KINDS, Request,
                        dead_letter_to_xml, detection_to_xml, error_message,
                        error_text, is_error, ok_message, request_to_xml,
                        xml_to_detection, xml_to_request)
-from .registry import (DOWN, ECA_ONTOLOGY, FAMILIES, HEALTHY, HealthProber,
-                       LanguageDescriptor, LanguageRegistry,
-                       RegistryError, ReplicaHealthBoard, SUSPECT)
+from .health import DOWN, HEALTHY, HealthProber, ReplicaHealthBoard, SUSPECT
+from .registry import (ECA_ONTOLOGY, FAMILIES, LanguageDescriptor,
+                       LanguageRegistry, RegistryError)
 from .resilience import (ActionExecutionError, BreakerPolicy, CircuitBreaker,
                          CircuitOpenError, DeadLetter, DeadLetterQueue,
                          HedgePolicy, ResilienceManager, RetryPolicy)

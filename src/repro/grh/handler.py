@@ -23,6 +23,7 @@ engine (Fig. 6 (1)).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from ..bindings import (Binding, BindingError, Relation, answer_to_binding,
@@ -35,8 +36,8 @@ from ..xmlmodel import Element, LOG_NS, QName, XMLSyntaxError, parse
 from .component import ComponentSpec
 from .messages import (Detection, MessageError, Request, error_executed,
                        error_text, is_error, request_to_xml, xml_to_detection)
-from .registry import (HealthProber, LanguageDescriptor, LanguageRegistry,
-                       RegistryError)
+from .health import HealthProber
+from .registry import LanguageDescriptor, LanguageRegistry
 from .resilience import (ActionExecutionError, DeadLetter, GRHError,
                          ResilienceManager, ServiceReportedError,
                          TransientServiceFailure)
@@ -65,6 +66,24 @@ def _finish_request_span(obs, span, kind, scope, status="ok") -> None:
     obs.observe_request(kind, span)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class Route:
+    """Where one registered language lives and how it is reached — the
+    information "that allows to address a suitable Web Service" (Sec. 2),
+    resolved once, when the language is registered or re-pointed.
+
+    ``addresses`` is the replica set in declared order.  ``inline``: the
+    transport runs the one address on the caller's thread, so trace
+    context need not ride the envelope and there is no round-trip to
+    batch (PROTOCOL.md §8, §10).  Routes hash by identity; re-pointing a
+    language makes a new one.
+    """
+
+    descriptor: LanguageDescriptor
+    addresses: tuple[str, ...]
+    inline: bool
+
+
 class GenericRequestHandler:
     """Mediator between the ECA engine and component-language services."""
 
@@ -78,13 +97,13 @@ class GenericRequestHandler:
         #: opens a breaker after 5 consecutive transport failures
         self.resilience = resilience if resilience is not None \
             else ResilienceManager()
-        #: the registry's replica health board feeds the manager's
-        #: routing decisions (PROTOCOL.md §12)
-        self.resilience.health = registry.health
         self._detection_callbacks: list[Callable[[Detection], None]] = []
-        self._endpoints: dict[str, tuple[str, ...]] = {}
+        #: one :class:`Route` per registered language, keyed by its URI
+        #: and by its name (a URI wins over a name; the first-registered
+        #: language keeps a shared name)
+        self._routes: dict[str, Route] = {}
         #: background ``/healthz`` prober, started lazily when the first
-        #: multi-replica HTTP language registers; stopped by
+        #: multi-replica HTTP language is routed; stopped by
         #: :meth:`close` (engine shutdown)
         self.health_prober: HealthProber | None = None
         self.health_probe_interval = 1.0
@@ -107,10 +126,6 @@ class GenericRequestHandler:
         #: effectively read-only sources).
         self.cache_opaque_requests = cache_opaque_requests
         self._opaque_cache: dict[tuple[str, str], str] = {}
-        #: per-address memo of transport.dispatches_inline(): an inline
-        #: (same-thread) service sees the span sink, so trace context
-        #: need not be stamped into its envelope
-        self._inline_cache: dict[str, bool] = {}
         #: a :class:`repro.runtime.DispatchBatcher`, installed by a
         #: concurrent runtime built with ``batching=True``; ``None``
         #: (the default) sends every request on its own round-trip.
@@ -142,12 +157,12 @@ class GenericRequestHandler:
         for framework-unaware ones.
         """
         self.registry.register(descriptor)
-        address = descriptor.endpoint or f"svc:{descriptor.name}"
+        address = f"svc:{descriptor.name}"
         if descriptor.framework_aware:
             self.transport.bind(address, service.handle)
         else:
             self.transport.bind_opaque(address, service.execute)
-        self._endpoints[descriptor.uri] = (address,)
+        self._route(descriptor, (address,))
 
     def add_remote_language(self, descriptor: LanguageDescriptor,
                             address: str | None = None) -> None:
@@ -155,59 +170,72 @@ class GenericRequestHandler:
         address (e.g. an HTTP URL) without binding anything locally.
 
         A descriptor carrying a ``replicas`` tuple registers the whole
-        replica set; the explicit ``address`` argument remains the
-        back-compatible single-replica form (PROTOCOL.md §12).
+        replica set; otherwise ``address`` is its one replica
+        (PROTOCOL.md §12).
         """
+        addresses = descriptor.replicas or ((address,) if address else ())
+        if not addresses:
+            raise GRHError(f"no endpoint known for {descriptor.name!r}")
         self.registry.register(descriptor)
-        if descriptor.replicas:
-            addresses = descriptor.replicas
-        else:
-            endpoint = address or descriptor.endpoint
-            if endpoint is None:
-                raise GRHError(f"no endpoint known for {descriptor.name!r}")
-            addresses = (endpoint,)
-        self._endpoints[descriptor.uri] = addresses
-        if len(addresses) > 1:
-            for replica in addresses:
-                self.registry.health.track(replica)
-            if any(replica.startswith(("http://", "https://"))
-                   for replica in addresses):
-                self.ensure_health_prober()
+        self._route(descriptor, addresses)
 
     def set_replicas(self, uri: str, addresses) -> None:
         """Re-point a registered language at a new replica set.
 
-        Replica churn (restarts on new ports) flows through here: stale
-        addresses are evicted from the breaker/stats maps and the health
-        board, so those structures stay bounded by what is registered.
+        Replica churn (restarts on new ports) flows through here: the
+        language's route is rebuilt exactly as at registration, so stale
+        addresses leave the breaker/stats maps and the health board,
+        and a newly replicated HTTP set gets the prober.
         """
         addresses = tuple(addresses)
         if not addresses:
             raise GRHError("a language needs at least one replica")
-        self.registry.lookup(uri)  # raises RegistryError when unknown
-        self._endpoints[uri] = addresses
-        self._inline_cache.clear()
+        # raises RegistryError when unknown
+        self._route(self.registry.lookup(uri), addresses)
+
+    def _route(self, descriptor: LanguageDescriptor,
+               addresses: tuple[str, ...]) -> None:
+        """Build and install the one route of a language.
+
+        The only place the transport is asked whether an address is
+        dispatched inline; a transport without ``dispatches_inline`` is
+        treated as remote.
+        """
+        probe = getattr(self.transport, "dispatches_inline", None)
+        inline = len(addresses) == 1 and probe is not None \
+            and bool(probe(addresses[0]))
+        route = Route(descriptor, addresses, inline)
+        self._routes[descriptor.uri] = route
+        named = self._routes.get(descriptor.name)
+        if named is None or named.descriptor.uri == descriptor.uri:
+            self._routes[descriptor.name] = route
         if len(addresses) > 1:
             for replica in addresses:
-                self.registry.health.track(replica)
+                self.resilience.health.track(replica)
+            if any(replica.startswith(("http://", "https://"))
+                   for replica in addresses):
+                self.ensure_health_prober()
         self.resilience.prune(self.active_addresses())
+
+    def route(self, language: str) -> Route:
+        """The route of a component's language: the namespace URI of a
+        markup component, or an opaque component's ``language`` — a URI
+        or a registered name (Sec. 4.4)."""
+        try:
+            return self._routes[language]
+        except KeyError:
+            raise GRHError(
+                f"no language registered for {language!r}") from None
+
+    def routes(self) -> dict[str, Route]:
+        """Every registered language's route, keyed by its URI."""
+        return {route.descriptor.uri: route
+                for route in self._routes.values()}
 
     def active_addresses(self) -> set[str]:
         """Every address currently registered across all languages."""
-        return {address for addresses in self._endpoints.values()
-                for address in addresses}
-
-    def _addresses_of(self,
-                      descriptor: LanguageDescriptor) -> tuple[str, ...]:
-        addresses = self._endpoints.get(descriptor.uri) \
-            or descriptor.addresses
-        if not addresses:
-            raise GRHError(
-                f"language {descriptor.name!r} has no service endpoint")
-        return addresses
-
-    def _address_of(self, descriptor: LanguageDescriptor) -> str:
-        return self._addresses_of(descriptor)[0]
+        return {address for route in self._routes.values()
+                for address in route.addresses}
 
     # -- availability plumbing (PROTOCOL.md §12) -----------------------------
 
@@ -217,7 +245,7 @@ class GenericRequestHandler:
         started — probing stays off once the engine has shut down)."""
         if self.health_prober is None:
             self.health_prober = HealthProber(
-                self.registry.health, self._probed_addresses,
+                self.resilience.health, self._probed_addresses,
                 interval=self.health_probe_interval)
         if not self._closed:
             self.health_prober.start()
@@ -226,8 +254,8 @@ class GenericRequestHandler:
     def _probed_addresses(self) -> list[str]:
         """Only replicated languages are probed — a single-address
         language has no routing choice for the probe to inform."""
-        return [address for addresses in self._endpoints.values()
-                if len(addresses) > 1 for address in addresses]
+        return [address for route in self.routes().values()
+                if len(route.addresses) > 1 for address in route.addresses]
 
     def close(self) -> None:
         """Release background resources: the health prober, the hedge
@@ -254,32 +282,13 @@ class GenericRequestHandler:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _descriptor_for(self, spec: ComponentSpec) -> LanguageDescriptor:
-        # namespace URI for markup components; opaque components may name
-        # their language with a plain ``language="name"`` attribute
-        try:
-            return self.registry.lookup(spec.language)
-        except RegistryError:
-            pass
-        try:
-            return self.registry.lookup_by_name(spec.language)
-        except RegistryError as exc:
-            raise GRHError(str(exc)) from exc
-
-    def _send(self, descriptor: LanguageDescriptor,
-              request: Request) -> Element:
+    def _send(self, route: Route, request: Request) -> Element:
         self._requests.inc()
-        addresses = self._addresses_of(descriptor)
+        descriptor = route.descriptor
+        inline = route.inline
         obs = self.observability
         span = None
         payload = request_to_xml(request)
-        # the inline memo keys on the primary address: a replicated
-        # language is remote (never inline), a single-address one keeps
-        # the seed behavior
-        inline = self._inline_cache.get(addresses[0])
-        if inline is None:
-            inline = self._probe_inline(addresses[0])
-        inline = inline and len(addresses) == 1
         if obs is not None:
             # the request span's identity rides in the envelope; an
             # observability-aware service across a process boundary
@@ -301,7 +310,7 @@ class GenericRequestHandler:
             # through the same routing, retry and failover a single
             # request gets, and fans the log:batchresults back per caller
             def dispatch() -> Element:
-                result = batcher.submit(addresses, descriptor, payload)
+                result = batcher.submit(route, payload)
                 if obs is not None:
                     self._strip_spans(result, obs)
                 return result
@@ -320,7 +329,7 @@ class GenericRequestHandler:
 
             def dispatch() -> Element:
                 return self.resilience.call_routed(
-                    addresses, descriptor, attempt_once, kind=kind,
+                    route.addresses, descriptor, attempt_once, kind=kind,
                     failover_ok=failover_ok,
                     hedge_ok=kind in ("query", "test"))
         return self._mediate(kind, descriptor, span, dispatch)
@@ -412,17 +421,6 @@ class GenericRequestHandler:
             _finish_request_span(obs, span, kind, scope)
         return result
 
-    def _probe_inline(self, address: str) -> bool:
-        """Memoize whether ``address`` is dispatched synchronously on
-        this thread (transport-declared).  Inline services read trace
-        context from the span sink, so the envelope stays unstamped;
-        everything else — or a transport with no opinion — gets the
-        ``traceparent`` attribute."""
-        probe = getattr(self.transport, "dispatches_inline", None)
-        inline = bool(probe(address)) if probe is not None else False
-        self._inline_cache[address] = inline
-        return inline
-
     @staticmethod
     def _strip_spans(response: Element, obs) -> None:
         """Pop a ``log:spans`` annotation off a response and adopt its
@@ -457,10 +455,10 @@ class GenericRequestHandler:
             raise GRHError("not an event component")
         if spec.content is None:
             raise GRHError("event components cannot be opaque")
-        descriptor = self._descriptor_for(spec)
+        route = self.route(spec.language)
         try:
-            self._send(descriptor, Request("register-event", component_id,
-                                           spec.content, Relation.unit()))
+            self._send(route, Request("register-event", component_id,
+                                      spec.content, Relation.unit()))
         except GRHError as exc:
             if idempotent and "already registered" in str(exc):
                 return
@@ -468,9 +466,9 @@ class GenericRequestHandler:
 
     def unregister_event_component(self, component_id: str,
                                    spec: ComponentSpec) -> None:
-        descriptor = self._descriptor_for(spec)
-        self._send(descriptor, Request("unregister-event", component_id,
-                                       spec.content, Relation.unit()))
+        self._send(self.route(spec.language),
+                   Request("unregister-event", component_id, spec.content,
+                           Relation.unit()))
 
     # -- query components (Figs. 7-10) ----------------------------------------------------
 
@@ -481,13 +479,13 @@ class GenericRequestHandler:
         Returns the *contribution* relation; the engine joins it with the
         rule instance's current bindings.
         """
-        descriptor = self._descriptor_for(spec)
-        if not descriptor.framework_aware:
-            return self._evaluate_unaware(descriptor, spec, bindings)
+        route = self.route(spec.language)
+        if not route.descriptor.framework_aware:
+            return self._evaluate_unaware(route, spec, bindings)
         content = spec.content if spec.content is not None \
             else _opaque_element(spec)
-        response = self._send(descriptor, Request("query", component_id,
-                                                  content, bindings))
+        response = self._send(route, Request("query", component_id,
+                                             content, bindings))
         return self._relation_from_answers(response, spec)
 
     def _relation_from_answers(self, response: Element,
@@ -515,37 +513,36 @@ class GenericRequestHandler:
                     continue  # inconsistent with an existing binding: drop
         return Relation(tuples)
 
-    def _evaluate_unaware(self, descriptor: LanguageDescriptor,
-                          spec: ComponentSpec,
+    def _evaluate_unaware(self, route: Route, spec: ComponentSpec,
                           bindings: Relation) -> Relation:
         """Fig. 9: one plain request per input tuple, values substituted."""
         if spec.opaque is None:
             raise GRHError(
-                f"language {descriptor.name!r} is framework-unaware; its "
-                "components must be opaque")
+                f"language {route.descriptor.name!r} is framework-unaware; "
+                "its components must be opaque")
         out: list[Binding] = []
-        addresses = self._addresses_of(descriptor)
+        primary = route.addresses[0]
         for binding in bindings:
             query = substitute(spec.opaque, binding, _unbound_variable)
             if self.cache_opaque_requests:
                 # cache key stays on the primary address: replicas serve
                 # the same data, so one entry covers the set
-                key = (addresses[0], query)
+                key = (primary, query)
                 if key in self._opaque_cache:
                     self._cache_hits.inc()
                     raw = self._opaque_cache[key]
                 else:
                     self._requests.inc()
-                    raw = self._fetch(descriptor, addresses, query)
+                    raw = self._fetch(route, query)
                     self._opaque_cache[key] = raw
             else:
                 self._requests.inc()
-                raw = self._fetch(descriptor, addresses, query)
+                raw = self._fetch(route, query)
             out.extend(self._bind_raw_results(raw, binding, spec))
         return Relation(out)
 
-    def _fetch(self, descriptor: LanguageDescriptor,
-               addresses: tuple[str, ...], query: str) -> str:
+    def _fetch(self, route: Route, query: str) -> str:
+        descriptor = route.descriptor
         timeout = self.resilience.timeout_for(descriptor)
         obs = self.observability
         # framework-unaware services speak their own query language, not
@@ -562,7 +559,7 @@ class GenericRequestHandler:
 
         def dispatch() -> str:
             return self.resilience.call_routed(
-                addresses, descriptor, attempt_once, kind="fetch",
+                route.addresses, descriptor, attempt_once, kind="fetch",
                 failover_ok=True, hedge_ok=True)
         return self._mediate("fetch", descriptor, span, dispatch)
 
@@ -611,11 +608,11 @@ class GenericRequestHandler:
     def evaluate_test(self, component_id: str, spec: ComponentSpec,
                       bindings: Relation) -> Relation:
         """Delegate a test component to its service; returns survivors."""
-        descriptor = self._descriptor_for(spec)
         content = spec.content if spec.content is not None \
             else _opaque_element(spec)
-        response = self._send(descriptor, Request("test", component_id,
-                                                  content, bindings))
+        response = self._send(self.route(spec.language),
+                              Request("test", component_id, content,
+                                      bindings))
         if response.name != _ANSWERS:
             raise GRHError("test service must answer log:answers")
         return answers_to_relation(response)
@@ -644,7 +641,7 @@ class GenericRequestHandler:
         which is left out of the request — one effect per distinct tuple;
         it neither executes nor counts in the return value).
         """
-        descriptor = self._descriptor_for(spec)
+        route = self.route(spec.language)
         content = spec.content if spec.content is not None \
             else _opaque_element(spec)
         tuples = list(bindings)
@@ -656,8 +653,8 @@ class GenericRequestHandler:
         if not tuples:
             return 0
         try:
-            self._send(descriptor, Request("action", component_id, content,
-                                           Relation(tuples), dedups=dedups))
+            self._send(route, Request("action", component_id, content,
+                                      Relation(tuples), dedups=dedups))
         except GRHError as exc:
             executed = _reported_prefix(exc, len(tuples))
             remaining = Relation(tuples[executed:])

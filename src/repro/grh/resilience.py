@@ -16,8 +16,9 @@ service traffic passes through — the Generic Request Handler:
 * :class:`DeadLetterQueue` — failed detections and the unexecuted suffix
   of failed action requests are captured for later replay via
   :meth:`repro.core.ECAEngine.replay_dead_letters`;
-* :class:`ResilienceManager` — owns the policies, breakers, counters and
-  the injectable ``clock``/``sleep`` used by all of the above.
+* :class:`ResilienceManager` — owns the policies, breakers, counters,
+  the replica health board it routes on and the injectable
+  ``clock``/``sleep`` used by all of the above.
 
 Failure classification (see docs/PROTOCOL.md §6/§11): a
 transport-level failure (connection refused, a dead socket, a gateway
@@ -41,13 +42,14 @@ from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
 from ..obs.attribution import (bind_wait_scope, current_wait_scope,
                                record_wait, unbind_wait_scope)
+from .health import ReplicaHealthBoard
 from .messages import Detection, Request, dead_letter_to_xml, request_to_xml
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from ..bindings import Relation
     from ..xmlmodel import Element
     from .component import ComponentSpec
-    from .registry import LanguageDescriptor, ReplicaHealthBoard
+    from .registry import LanguageDescriptor
 
 __all__ = ["GRHError", "CircuitOpenError", "ActionExecutionError",
            "TransientServiceFailure", "ServiceReportedError",
@@ -486,10 +488,9 @@ class ResilienceManager:
         #: log sink) without risking lock-order deadlocks.  ``None``
         #: (default) is free.
         self.observer: Callable[[str, str], None] | None = None
-        #: per-replica health/load signals
-        #: (:class:`~repro.grh.registry.ReplicaHealthBoard`); wired by
-        #: the GRH — ``None`` keeps the pre-replica behavior
-        self.health: "ReplicaHealthBoard | None" = None
+        #: per-replica health/load signals the router scores replicas
+        #: on (PROTOCOL.md §12.2)
+        self.health = ReplicaHealthBoard()
         #: deterministic rotation for power-of-two-choices candidates
         self._route_turn = 0
         self._hedge_pool: concurrent.futures.ThreadPoolExecutor | None = None
@@ -548,12 +549,9 @@ class ResilienceManager:
         if hedge_ok and len(addresses) > 1 and not self._closed:
             policy = descriptor.hedge if descriptor.hedge is not None \
                 else self.default_hedge
-            if policy is not None:
-                live = self.health.live(addresses) \
-                    if self.health is not None else list(addresses)
-                if len(live) > 1:
-                    return self._call_hedged(addresses, descriptor, attempt,
-                                             policy, failover_ok)
+            if policy is not None and len(self.health.live(addresses)) > 1:
+                return self._call_hedged(addresses, descriptor, attempt,
+                                         policy, failover_ok)
         return self._call_failover(addresses, descriptor, attempt,
                                    failover_ok=failover_ok)
 
@@ -572,7 +570,7 @@ class ResilienceManager:
         candidates = [address for address in addresses
                       if address not in excluded] or list(addresses)
         board = self.health
-        if board is not None and len(candidates) > 1:
+        if len(candidates) > 1:
             candidates = board.live(candidates)
         if len(candidates) > 1:
             with self._lock:
@@ -580,8 +578,7 @@ class ResilienceManager:
                 self._route_turn += 1
             first = candidates[turn % len(candidates)]
             second = candidates[(turn + 1) % len(candidates)]
-            if board is not None and \
-                    board.score(second) < board.score(first):
+            if board.score(second) < board.score(first):
                 first, second = second, first
             order = [first, second] + [address for address in candidates
                                        if address not in (first, second)]
@@ -620,7 +617,7 @@ class ResilienceManager:
         for address in addresses:
             if address in failed:
                 continue
-            if board is not None and board.is_down(address):
+            if board.is_down(address):
                 continue
             breaker = self._breakers.get(address)
             if breaker is not None and breaker.state == "open":
@@ -742,7 +739,7 @@ class ResilienceManager:
         p95 over the replicas' recent latencies, clamped."""
         if policy.delay is not None:
             return policy.delay
-        p95 = self.health.p95(addresses) if self.health is not None else None
+        p95 = self.health.p95(addresses)
         if p95 is None:
             return policy.initial_delay
         return min(max(p95, policy.min_delay), policy.max_delay)
@@ -845,15 +842,6 @@ class ResilienceManager:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def evict(self, address: str) -> None:
-        """Drop the breaker, stats and health record of one churned-out
-        address (a replica that restarted on a new port)."""
-        with self._lock:
-            self._breakers.pop(address, None)
-            self._per_service.pop(address, None)
-        if self.health is not None:
-            self.health.forget(address)
-
     def prune(self, active: Iterable[str]) -> int:
         """Evict every address not in *active*; returns the eviction
         count.  Called by the GRH when replica sets are re-pointed, so
@@ -869,10 +857,9 @@ class ResilienceManager:
                             if a not in active]:
                 del self._per_service[address]
                 evicted.add(address)
-        if self.health is not None:
-            for address in set(self.health.addresses()) - active:
-                self.health.forget(address)
-                evicted.add(address)
+        for address in set(self.health.addresses()) - active:
+            self.health.forget(address)
+            evicted.add(address)
         return len(evicted)
 
     def close(self) -> None:
@@ -915,7 +902,7 @@ class ResilienceManager:
             services[address] = dict(counts,
                                      failure_rate=counts["failures"] / total
                                      if total else 0.0)
-        snapshot = {
+        return {
             "retries": retries,
             "attempts": attempts,
             "breaker_opens": opens,
@@ -926,7 +913,5 @@ class ResilienceManager:
             "dead_letters": len(self.dead_letters),
             "dead_letters_dropped": self.dead_letters.dropped,
             "services": services,
+            "replicas": self.health.snapshot(),
         }
-        if self.health is not None:
-            snapshot["replicas"] = self.health.snapshot()
-        return snapshot

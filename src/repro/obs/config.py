@@ -315,9 +315,7 @@ class Observability:
             labels=("replica", "state"),
             callback=lambda: {
                 (address, info["state"]): 1.0
-                for address, info in (
-                    resilience.health.snapshot()
-                    if resilience.health is not None else {}).items()})
+                for address, info in resilience.health.snapshot().items()})
         queue = resilience.dead_letters
         metrics.gauge("eca_dead_letters", "Dead letters awaiting replay",
                       callback=lambda: len(queue))

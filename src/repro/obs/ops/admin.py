@@ -243,12 +243,11 @@ class IntrospectionSurface:
         status."""
         grh = self.engine.grh
         resilience = grh.resilience
-        board = resilience.health
         view = {
-            "replicas": board.snapshot() if board is not None else {},
+            "replicas": resilience.health.snapshot(),
             "services": _copy(lambda: {
-                uri: list(addresses)
-                for uri, addresses in grh._endpoints.items()}),
+                uri: list(route.addresses)
+                for uri, route in grh.routes().items()}),
             "failovers": resilience.failovers,
             "hedges": dict(resilience.hedge_outcomes,
                            launched=resilience.hedges_launched),

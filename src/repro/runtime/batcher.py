@@ -1,4 +1,4 @@
-"""GRH dispatch batcher: coalesce concurrent requests per endpoint.
+"""GRH dispatch batcher: coalesce concurrent requests per language.
 
 With several rule instances in flight, many component requests target
 the same language service at nearly the same moment.  Each one is a
@@ -40,8 +40,7 @@ from ..grh.resilience import ServiceReportedError, TransientServiceFailure
 from ..obs.attribution import record_wait
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..grh.handler import GenericRequestHandler
-    from ..grh.registry import LanguageDescriptor
+    from ..grh.handler import GenericRequestHandler, Route
     from ..xmlmodel import Element
 
 
@@ -83,11 +82,10 @@ class _Entry:
 class _Bucket:
     """Requests accumulating for one language within one window."""
 
-    __slots__ = ("descriptor", "deadline", "entries")
+    __slots__ = ("route", "deadline", "entries")
 
-    def __init__(self, descriptor: "LanguageDescriptor",
-                 deadline: float) -> None:
-        self.descriptor = descriptor
+    def __init__(self, route: "Route", deadline: float) -> None:
+        self.route = route
         self.deadline = deadline
         self.entries: list[_Entry] = []
 
@@ -116,7 +114,10 @@ class DispatchBatcher:
         #: than a single request, capped at this factor (PROTOCOL.md §10)
         self.max_timeout_scale = max_timeout_scale
         self._lock = threading.Lock()
-        self._buckets: dict[tuple[str, ...], _Bucket] = {}
+        #: one bucket per language route — never per address: languages
+        #: served at one URL keep their own envelopes, names and
+        #: policies (PROTOCOL.md §10)
+        self._buckets: dict["Route", _Bucket] = {}
         self._stop = False
         # lifetime counters (monitoring snapshots); mutated under
         # ``_lock`` — submitters and the flusher increment concurrently,
@@ -131,11 +132,9 @@ class DispatchBatcher:
 
     # -- caller side ---------------------------------------------------------
 
-    def submit(self, addresses: tuple[str, ...],
-               descriptor: "LanguageDescriptor",
-               payload: "Element") -> "Element":
-        """Park *payload* for the language served at *addresses* (its
-        replica set); block until its batch answers.
+    def submit(self, route: "Route", payload: "Element") -> "Element":
+        """Park *payload* for the language of *route*; block until its
+        batch answers.
 
         Returns this request's own response element, or raises its
         scoped error (``ServiceReportedError`` for a per-request
@@ -146,18 +145,17 @@ class DispatchBatcher:
         with self._lock:
             if self._stop:
                 raise TransientServiceFailure("dispatch batcher is stopped")
-            bucket = self._buckets.get(addresses)
+            bucket = self._buckets.get(route)
             if bucket is None:
-                bucket = _Bucket(descriptor,
-                                 time.monotonic() + self.window)
-                self._buckets[addresses] = bucket
+                bucket = _Bucket(route, time.monotonic() + self.window)
+                self._buckets[route] = bucket
             bucket.entries.append(entry)
             if len(bucket.entries) >= self.max_batch:
-                del self._buckets[addresses]
+                del self._buckets[route]
                 self.size_flushes += 1
                 ripe = bucket
         if ripe is not None:
-            self._flush_bucket(addresses, ripe)
+            self._flush_bucket(ripe)
         while not entry.event.wait(1.0):
             if self._stop:
                 raise TransientServiceFailure(
@@ -177,21 +175,21 @@ class DispatchBatcher:
         while not self._stop:
             time.sleep(pause)
             now = time.monotonic()
-            due: list[tuple[tuple[str, ...], _Bucket]] = []
+            due: list[_Bucket] = []
             with self._lock:
-                for addresses, bucket in list(self._buckets.items()):
+                for route, bucket in list(self._buckets.items()):
                     if bucket.deadline <= now:
-                        del self._buckets[addresses]
+                        del self._buckets[route]
                         self.deadline_flushes += 1
-                        due.append((addresses, bucket))
-            for addresses, bucket in due:
-                self._flush_bucket(addresses, bucket)
+                        due.append(bucket)
+            for bucket in due:
+                self._flush_bucket(bucket)
 
-    def _flush_bucket(self, addresses: tuple[str, ...],
-                      bucket: _Bucket) -> None:
+    def _flush_bucket(self, bucket: _Bucket) -> None:
         grh = self.grh
         entries = bucket.entries
-        descriptor = bucket.descriptor
+        route = bucket.route
+        descriptor = route.descriptor
         flush_started = time.monotonic()
         for entry in entries:
             # park time ends when the envelope starts travelling; the
@@ -215,7 +213,7 @@ class DispatchBatcher:
         try:
             # read-only requests only: failing over to another replica
             # re-evaluates, never re-effects
-            results = grh.resilience.call_routed(addresses, descriptor,
+            results = grh.resilience.call_routed(route.addresses, descriptor,
                                                  attempt_once)
         except BaseException as exc:
             for entry in entries:
@@ -235,10 +233,10 @@ class DispatchBatcher:
     def flush(self) -> None:
         """Flush every pending bucket now (the runtime's drain path)."""
         with self._lock:
-            due = list(self._buckets.items())
+            due = list(self._buckets.values())
             self._buckets.clear()
-        for addresses, bucket in due:
-            self._flush_bucket(addresses, bucket)
+        for bucket in due:
+            self._flush_bucket(bucket)
 
     def stop(self) -> None:
         """Flush residuals and stop the flusher thread."""
@@ -247,10 +245,10 @@ class DispatchBatcher:
         self._flusher.join(timeout=2.0)
         # wake anything still parked (a submit that raced the stop)
         with self._lock:
-            residual = list(self._buckets.items())
+            residual = list(self._buckets.values())
             self._buckets.clear()
-        for addresses, bucket in residual:
-            self._flush_bucket(addresses, bucket)
+        for bucket in residual:
+            self._flush_bucket(bucket)
 
     def counters(self) -> dict:
         """Lifetime batching counters (monitoring snapshot)."""

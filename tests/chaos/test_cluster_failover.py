@@ -62,7 +62,7 @@ class TestClusterLifecycle:
 
     def test_queries_survive_a_replica_kill(self):
         grh, cluster, service, addresses = cluster_world()
-        board = grh.registry.health
+        board = grh.resilience.health
         try:
             for _ in range(6):
                 assert len(grh.evaluate_query("c", spec(),

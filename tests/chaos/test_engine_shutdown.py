@@ -94,7 +94,7 @@ class TestShutdown:
 
     def test_probe_marks_killed_replica_down(self):
         engine, grh, servers, addresses = replicated_world()
-        board = grh.registry.health
+        board = grh.resilience.health
         try:
             prober = grh.health_prober
             prober.probe_once()

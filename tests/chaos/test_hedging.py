@@ -5,16 +5,13 @@ import time
 
 import pytest
 
-from repro.grh import (HedgePolicy, LanguageDescriptor, ReplicaHealthBoard,
-                       ResilienceManager)
+from repro.grh import HedgePolicy, LanguageDescriptor, ResilienceManager
 
 DESCRIPTOR = LanguageDescriptor("urn:test:hedged", "query", "hedged")
 
 
 def make_manager(delay=0.05):
-    manager = ResilienceManager(hedge=HedgePolicy(delay=delay))
-    manager.health = ReplicaHealthBoard()
-    return manager
+    return ResilienceManager(hedge=HedgePolicy(delay=delay))
 
 
 def wait_for(predicate, timeout=2.0):
@@ -107,10 +104,8 @@ class TestHedgedReads:
     def test_saturated_pool_skips_the_hedge(self):
         import threading
 
-        from repro.grh import ReplicaHealthBoard, ResilienceManager
         policy = HedgePolicy(delay=0.05, max_threads=2)
         manager = ResilienceManager(hedge=policy)
-        manager.health = ReplicaHealthBoard()
         try:
             release = threading.Event()
             pool = manager._executor(policy)

@@ -16,9 +16,7 @@ DESCRIPTOR = LanguageDescriptor("urn:test:routed", "query", "routed")
 
 
 def manager_with_board():
-    manager = ResilienceManager(sleep=lambda s: None, hedge=None)
-    manager.health = ReplicaHealthBoard()
-    return manager
+    return ResilienceManager(sleep=lambda s: None, hedge=None)
 
 
 class TestHealthBoard:
@@ -190,14 +188,42 @@ class TestEviction:
         with pytest.raises(Exception):
             grh.set_replicas("urn:test:unknown", ("svc:x",))
 
-    def test_descriptor_addresses_back_compat(self):
-        single = LanguageDescriptor("urn:test:one", "query", "one",
-                                    endpoint="svc:one")
-        assert single.addresses == ("svc:one",)
+    def test_descriptor_replicas_normalize_to_a_tuple(self):
         replicated = LanguageDescriptor(
             "urn:test:many", "query", "many",
             replicas=["svc:r0", "svc:r1"])  # any iterable normalizes
-        assert replicated.addresses == ("svc:r0", "svc:r1")
+        assert replicated.replicas == ("svc:r0", "svc:r1")
+
+
+class TestRepointStartsProber:
+    """Re-pointing a language at a replicated HTTP set starts the prober,
+    exactly as registering one does (PROTOCOL.md §12.2)."""
+
+    def make_grh(self):
+        grh = GenericRequestHandler(LanguageRegistry(), InProcessTransport())
+        grh.add_remote_language(
+            LanguageDescriptor("urn:test:repoint", "query", "repoint"),
+            "http://127.0.0.1:1/")
+        assert grh.health_prober is None  # one address: nothing to probe
+        return grh
+
+    def test_set_replicas_starts_the_prober(self):
+        grh = self.make_grh()
+        try:
+            grh.set_replicas("urn:test:repoint", ("http://127.0.0.1:1/a",
+                                                  "http://127.0.0.1:1/b"))
+            assert grh.health_prober is not None
+            assert grh.health_prober.running
+        finally:
+            grh.close()
+        assert not grh.health_prober.running
+
+    def test_set_replicas_after_close_keeps_probing_off(self):
+        grh = self.make_grh()
+        grh.close()
+        grh.set_replicas("urn:test:repoint", ("http://127.0.0.1:1/a",
+                                              "http://127.0.0.1:1/b"))
+        assert grh.health_prober is None or not grh.health_prober.running
 
 
 class TestProberRobustness:

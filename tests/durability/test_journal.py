@@ -1,6 +1,8 @@
 """Journal framing: roundtrip, torn tails, CRC damage, epochs."""
 
+import gc
 import os
+import warnings
 
 import pytest
 
@@ -46,6 +48,19 @@ class TestRoundtrip:
         journal.close()
         records, _ = read_all(path)
         assert records[0]["xml"] == "<d x='è—ß'/>"
+
+    def test_reading_closes_the_file(self, path):
+        journal = Journal(path, sync="none")
+        journal.append({"t": "det", "id": "e:1", "xml": "<d/>"})
+        journal.close()
+        gc.collect()  # earlier tests' garbage warns on its own account
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert len(list(JournalReader(path).records())) == 1
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)
+                and path in str(w.message)] == []
 
     def test_unknown_sync_policy_rejected(self, path):
         with pytest.raises(ValueError, match="sync policy"):

@@ -129,7 +129,7 @@ class TestLanguageRegistry:
     def test_rdf_export_fig1(self):
         registry = LanguageRegistry()
         registry.register(LanguageDescriptor("urn:q", "query", "q",
-                                             endpoint="svc:q"))
+                                             replicas=("svc:q",)))
         graph = registry.to_rdf()
         assert (URIRef("urn:q"), RDF.type, ECA_ONTOLOGY.QueryLanguage) in graph
         assert graph.value(URIRef("urn:q"), ECA_ONTOLOGY.implementedBy) == \

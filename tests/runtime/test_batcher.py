@@ -155,18 +155,17 @@ class TestDispatchBatcher:
         url = server.start()
         grh.add_remote_language(
             LanguageDescriptor("urn:test:batchq", "query", "batchq"), url)
-        descriptor = registry.lookup("urn:test:batchq")
-        return grh, server, descriptor, url
+        return grh, server, grh.route("urn:test:batchq")
 
     def test_concurrent_submits_coalesce(self):
         service = _CountingService()
-        grh, server, descriptor, url = self._grh_over_http(service)
+        grh, server, route = self._grh_over_http(service)
         batcher = DispatchBatcher(grh, window=0.05, max_batch=8)
         results = {}
 
         def submit(n):
             payload = request_to_xml(_request(n))
-            results[n] = batcher.submit((url,), descriptor, payload)
+            results[n] = batcher.submit(route, payload)
 
         try:
             threads = [threading.Thread(target=submit, args=(n,))
@@ -187,14 +186,13 @@ class TestDispatchBatcher:
 
     def test_max_batch_forces_immediate_flush(self):
         service = _CountingService()
-        grh, server, descriptor, url = self._grh_over_http(service)
+        grh, server, route = self._grh_over_http(service)
         batcher = DispatchBatcher(grh, window=60.0, max_batch=2)
         results = []
 
         def submit(n):
             results.append(
-                batcher.submit((url,), descriptor,
-                               request_to_xml(_request(n))))
+                batcher.submit(route, request_to_xml(_request(n))))
 
         try:
             threads = [threading.Thread(target=submit, args=(n,))
@@ -219,14 +217,13 @@ class TestDispatchBatcher:
         address = "http://127.0.0.1:9/down"      # nothing listens here
         grh.add_remote_language(
             LanguageDescriptor("urn:test:downq", "query", "downq"), address)
-        descriptor = registry.lookup("urn:test:downq")
+        route = grh.route("urn:test:downq")
         batcher = DispatchBatcher(grh, window=60.0, max_batch=2)
         errors = {}
 
         def submit(n):
             try:
-                batcher.submit((address,), descriptor,
-                               request_to_xml(_request(n)))
+                batcher.submit(route, request_to_xml(_request(n)))
             except BaseException as exc:
                 errors[n] = exc
 
@@ -337,15 +334,14 @@ class TestCounterIntegrity:
         url = server.start()
         grh.add_remote_language(
             LanguageDescriptor("urn:test:hammer", "query", "hammer"), url)
-        descriptor = registry.lookup("urn:test:hammer")
+        route = grh.route("urn:test:hammer")
         batcher = DispatchBatcher(grh, window=0.002, max_batch=4)
         total = 96
         errors = []
 
         def submit(n):
             try:
-                batcher.submit((url,), descriptor,
-                               request_to_xml(_request(n)))
+                batcher.submit(route, request_to_xml(_request(n)))
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -382,6 +378,68 @@ class _SpyBatchTransport(InProcessTransport):
         return super().send(address, message, timeout)
 
 
+class _SpyHttpTransport(HybridTransport):
+    """Records each envelope's component ids and timeout."""
+
+    def __init__(self):
+        super().__init__(timeout=5.0)
+        self.envelopes = []
+
+    def send(self, address, message, timeout=None):
+        if is_batch(message):
+            self.envelopes.append(
+                ([child.get("id") for child in xml_to_batch(message)],
+                 timeout))
+        return super().send(address, message, timeout)
+
+
+class TestOneBatchPerLanguage:
+    """PROTOCOL.md §10: two languages served at one URL never share an
+    envelope — each ships under its own name and timeout budget."""
+
+    def test_languages_sharing_a_url_batch_apart(self):
+        from repro.core import ECAEngine
+        from repro.grh import ComponentSpec
+        from repro.xmlmodel import E
+        budgets = {"a": 1.0, "b": 2.0}
+        transport = _SpyHttpTransport()
+        grh = GenericRequestHandler(LanguageRegistry(), transport)
+        server = HttpServiceServer(aware_handler=lambda m: relation_to_answers(
+            Relation([{"Q": "ok"}])))
+        url = server.start()
+        for tag, budget in budgets.items():
+            grh.add_remote_language(
+                LanguageDescriptor(f"urn:test:{tag}", "query", tag,
+                                   timeout=budget), url)
+        runtime = Runtime(workers=2, batching=True, batch_window=0.2,
+                          max_batch=16)
+        engine = ECAEngine(grh, runtime=runtime)
+
+        def read(tag, n):
+            uri = f"urn:test:{tag}"
+            grh.evaluate_query(f"{tag}{n}",
+                               ComponentSpec("query", uri,
+                                             content=E("{%s}q" % uri)),
+                               Relation.unit())
+
+        try:
+            threads = [threading.Thread(target=read, args=(tag, n))
+                       for n in range(4) for tag in budgets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            engine.shutdown(10)
+            server.stop()
+        assert sum(len(ids) for ids, _ in transport.envelopes) == 8
+        for ids, timeout in transport.envelopes:
+            tags = {component[0] for component in ids}
+            assert len(tags) == 1, ids
+            assert timeout == pytest.approx(
+                budgets[tags.pop()] * min(len(ids), 4))
+
+
 class TestEnvelopeTimeoutScaling:
     """PROTOCOL.md §10: a deep envelope gets one per-request budget per
     entry, capped at max_timeout_scale — not a single request's."""
@@ -398,14 +456,12 @@ class TestEnvelopeTimeoutScaling:
             Relation([{"Q": "ok"}])))
         grh.add_remote_language(
             LanguageDescriptor("urn:test:scale", "query", "scale"), address)
-        descriptor = registry.lookup("urn:test:scale")
         batcher = DispatchBatcher(grh, window=2.0, **batcher_kwargs)
-        return transport, batcher, descriptor, address
+        return transport, batcher, grh.route("urn:test:scale")
 
-    def _submit_n(self, batcher, address, descriptor, n, flush_at=None):
+    def _submit_n(self, batcher, route, n, flush_at=None):
         threads = [threading.Thread(
-            target=batcher.submit,
-            args=((address,), descriptor, request_to_xml(_request(i))))
+            target=batcher.submit, args=(route, request_to_xml(_request(i))))
             for i in range(n)]
         for thread in threads:
             thread.start()
@@ -415,7 +471,7 @@ class TestEnvelopeTimeoutScaling:
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 with batcher._lock:
-                    bucket = batcher._buckets.get((address,))
+                    bucket = batcher._buckets.get(route)
                     parked = len(bucket.entries) if bucket else 0
                 if parked >= flush_at:
                     break
@@ -425,29 +481,29 @@ class TestEnvelopeTimeoutScaling:
             thread.join(10)
 
     def test_full_envelope_scales_to_the_cap(self):
-        transport, batcher, descriptor, address = self._world(
+        transport, batcher, route = self._world(
             0.5, max_batch=8, max_timeout_scale=4)
         try:
-            self._submit_n(batcher, address, descriptor, 8)
+            self._submit_n(batcher, route, 8)
         finally:
             batcher.stop()
         # 8 entries, cap 4: 0.5s/request -> 2.0s for the envelope
         assert transport.batch_timeouts == [pytest.approx(2.0)]
 
     def test_small_envelope_scales_linearly(self):
-        transport, batcher, descriptor, address = self._world(
+        transport, batcher, route = self._world(
             0.5, max_batch=8, max_timeout_scale=4)
         try:
-            self._submit_n(batcher, address, descriptor, 2, flush_at=2)
+            self._submit_n(batcher, route, 2, flush_at=2)
         finally:
             batcher.stop()
         assert transport.batch_timeouts == [pytest.approx(1.0)]
 
     def test_no_policy_timeout_means_no_deadline(self):
-        transport, batcher, descriptor, address = self._world(
+        transport, batcher, route = self._world(
             None, max_batch=4)
         try:
-            self._submit_n(batcher, address, descriptor, 4)
+            self._submit_n(batcher, route, 4)
         finally:
             batcher.stop()
         assert transport.batch_timeouts == [None]

@@ -310,7 +310,7 @@ def _grh_for(url, resilience):
                                 resilience=resilience)
     grh.add_remote_language(
         LanguageDescriptor("urn:test:tax", "query", "tax"), url)
-    return grh, registry.lookup("urn:test:tax")
+    return grh, grh.route("urn:test:tax")
 
 
 def _query(n=0):
@@ -331,9 +331,9 @@ class Test500NotRetried:
         manager = ResilienceManager(retry=RetryPolicy(max_attempts=3),
                                     sleep=lambda s: None)
         with HttpServiceServer(aware_handler=handler) as url:
-            grh, descriptor = _grh_for(url, manager)
+            grh, route = _grh_for(url, manager)
             with pytest.raises(GRHError, match="reported"):
-                grh._send(descriptor, _query())
+                grh._send(route, _query())
         assert len(calls) == 1          # NOT retried
         assert manager.retries == 0
 
@@ -350,8 +350,8 @@ class Test500NotRetried:
             retry=RetryPolicy(max_attempts=3, retry_on_service_errors=True),
             sleep=lambda s: None)
         with HttpServiceServer(aware_handler=handler) as url:
-            grh, descriptor = _grh_for(url, manager)
-            response = grh._send(descriptor, _query())
+            grh, route = _grh_for(url, manager)
+            response = grh._send(route, _query())
             assert "ok" in serialize(response)
         assert len(calls) == 3
 
@@ -366,10 +366,10 @@ class Test500NotRetried:
             breaker=BreakerPolicy(failure_threshold=1, reset_timeout=60.0),
             sleep=lambda s: None)
         with HttpServiceServer(aware_handler=handler) as url:
-            grh, descriptor = _grh_for(url, manager)
+            grh, route = _grh_for(url, manager)
             for _ in range(3):
                 with pytest.raises(GRHError, match="reported"):
-                    grh._send(descriptor, _query())
+                    grh._send(route, _query())
         # a threshold-1 breaker would have shed calls 2 and 3 if the
         # 500s were misclassified as transient; the service saw all 3
         assert len(calls) == 3
@@ -398,10 +398,10 @@ class Test500NotRetried:
                 breaker=BreakerPolicy(failure_threshold=1,
                                       reset_timeout=60.0),
                 sleep=lambda s: None)
-            grh, descriptor = _grh_for(url, manager)
+            grh, route = _grh_for(url, manager)
             for _ in range(2):
                 with pytest.raises(GRHError, match="reported"):
-                    grh._send(descriptor, _query())
+                    grh._send(route, _query())
         assert calls == []              # the body was never handed on
         assert manager.retries == 0
         assert manager.breaker_opens == 0
