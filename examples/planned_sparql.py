@@ -76,8 +76,8 @@ def main() -> None:
               f"actual {stage['rows']}")
 
     # a second booking re-uses the compiled plan: the cache is keyed on
-    # query text + seed signature and survives while the store version
-    # is unchanged
+    # query text + seed signature, and a plan survives writes to the
+    # store while the statistics it was costed from stay within 2x
     deployment.stream.advance(1)
     deployment.stream.emit(booking_event(person="Jane Roe"))
     again = service.recent_plans[-1]

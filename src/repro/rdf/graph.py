@@ -30,7 +30,8 @@ class Graph:
         self._s_count: dict[Term, int] = {}
         self._p_count: dict[Term, int] = {}
         self._o_count: dict[Term, int] = {}
-        #: bumped on every successful add/remove; plan caches key on it
+        #: bumped on every successful add/remove; a cached SPARQL plan
+        #: costed at this version is reused without re-reading statistics
         self.version = 0
         self.namespaces: dict[str, str] = {}
         for triple in triples:

@@ -8,6 +8,7 @@ per candidate triple), this executor pushes an entire binding *set* — a
   input row, the pattern's bound positions are substituted and the
   store's matching index (SPO/POS/OSP) is probed once; matches append
   the fresh columns to the row tuple.  No per-candidate dict copies.
+  A scan that binds no fresh variable is a membership test per row.
 * **Filter** — evaluated against the mentioned columns only, through
   :func:`repro.rdf.sparql.filter_passes` (evaluation errors eliminate
   the row, SPARQL spec).
@@ -151,7 +152,6 @@ def _run_scan(store: TripleStore, step: ScanStep, table: Table,
     if all(name in table.sure for name in col_names):
         # fast path: every substituted column is certainly bound
         base = [None, None, None]
-        const_positions = []
         col_positions = []
         var_positions = []  # (triple position, fresh slot)
         for position, (kind, payload, _name) in enumerate(slots):
@@ -161,7 +161,6 @@ def _run_scan(store: TripleStore, step: ScanStep, table: Table,
                 col_positions.append((position, payload))
             else:  # fresh or dup share the fresh-slot consistency check
                 var_positions.append((position, payload))
-        del const_positions
         n_fresh = len(fresh)
         # the bound-position mask is row-invariant here, so the probed
         # index is too: tally it once per row without re-deriving
@@ -169,8 +168,20 @@ def _run_scan(store: TripleStore, step: ScanStep, table: Table,
         for position, _column in col_positions:
             known[position] = True
         kind = _probe_kind(*(object() if flag else None for flag in known))
+        if not n_fresh:
+            # every position is known: one SPO membership test per row,
+            # tallied as the probe the triples() path would have made
+            probes[kind] = probes.get(kind, 0) + len(table.rows)
+            spo, empty = store._spo, {}
+            vals = base[:]
+            for row in table.rows:
+                for position, column in col_positions:
+                    vals[position] = row[column]
+                if vals[2] in spo.get(vals[0], empty).get(vals[1], ()):
+                    out_rows.append(row)
+            return Table(out_columns, out_rows, out_sure)
         has_dup = any(slot_kind == "dup" for slot_kind, _, _ in slots)
-        if not has_dup and n_fresh:
+        if not has_dup:
             # no repeated variable: every match extends the row, so the
             # inner loop is a plain projection of the fresh positions
             fresh_positions = [position for position, _slot in var_positions]
@@ -227,9 +238,6 @@ def _run_scan(store: TripleStore, step: ScanStep, table: Table,
                 vals[position] = row[column]
             probes[kind] = probes.get(kind, 0) + 1
             for triple in triples(vals[0], vals[1], vals[2]):
-                if n_fresh == 0:
-                    out_rows.append(row)
-                    continue
                 new = [None] * n_fresh
                 consistent = True
                 for position, slot in var_positions:
@@ -258,7 +266,8 @@ def _run_scan(store: TripleStore, step: ScanStep, table: Table,
                     absent.append((payload, name))
                 else:
                     vals[position] = value
-        probes[_probe_kind(*vals)] = probes.get(_probe_kind(*vals), 0) + 1
+        probe = _probe_kind(*vals)
+        probes[probe] = probes.get(probe, 0) + 1
         for triple in triples(vals[0], vals[1], vals[2]):
             assigned: dict[str, object] = {}
             consistent = True

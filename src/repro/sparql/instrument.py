@@ -132,8 +132,8 @@ def install_sparql_metrics(registry) -> SparqlInstruments:
         labels=("service", "form"))
     cache_hits = registry.counter(
         "eca_sparql_plan_cache_hits_total",
-        "Queries answered with a cached plan (same text, same store "
-        "version)",
+        "Queries answered with a cached plan (same text, statistics "
+        "still within the plan's drift ratio)",
         labels=("service",))
     probes = registry.counter(
         "eca_sparql_index_probes_total",

@@ -29,11 +29,20 @@ The planner records per-step row estimates; the executor tallies actual
 rows, and the pair is exported as the ``eca_sparql_plan_rows`` metrics
 and the ``/introspect/sparql`` recent-plans view, so misestimates are
 observable rather than anecdotal.
+
+**Validity.** The planner reads the store only through a
+:class:`_Statistics` recorder, and the plan keeps every value it read
+(``QueryPlan.costed_from``).  :meth:`QueryPlan.drift` re-reads them: a
+plan holds while each is within :data:`STALE_RATIO` of its current
+value (a zero only matches a zero).  A plan that no longer holds is
+still *correct* — join order changes cost and row order, never the
+answer multiset — it is merely costed from numbers that moved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..rdf.sparql import (Expr, GroupPattern, SparqlQuery, TriplePattern,
                           Variable, expression_variables, parse_sparql)
@@ -41,10 +50,14 @@ from .store import TripleStore
 
 __all__ = ["PlanError", "ScanStep", "FilterStep", "UnionStep",
            "OptionalStep", "GroupPlan", "QueryPlan", "plan_query",
-           "explain"]
+           "explain", "STALE_RATIO"]
 
 #: assumed pass-rate of a filter for downstream row estimates
 _FILTER_SELECTIVITY = 0.5
+
+#: a plan holds while every statistic it was costed from is within this
+#: factor of its current value
+STALE_RATIO = 2.0
 
 
 class PlanError(ValueError):
@@ -127,13 +140,36 @@ class QueryPlan:
     #: store fingerprint the statistics were read at
     store_version: int
     source: str = ""
+    #: every store statistic the planner read, as ``(statistic, value)``
+    #: pairs; a statistic is a ``TripleStore`` method name and the
+    #: tuple of arguments it was called with
+    costed_from: tuple[tuple[tuple[str, tuple], int], ...] = ()
+    #: ``(statistic, then, now)`` when this plan replaced a cached one
+    #: whose statistic had drifted past :data:`STALE_RATIO`
+    replaced_because: tuple[str, int, int] | None = None
 
     def describe(self) -> dict:
-        """Portable plan summary for ``/introspect/sparql``."""
+        """Portable plan summary for ``/introspect/sparql`` (built once
+        per plan; every call returns the same dict)."""
+        return self._description
+
+    @cached_property
+    def _description(self) -> dict:
         return {"form": self.query.form,
                 "estimate": self.estimate,
                 "store_version": self.store_version,
                 "stages": _describe_group(self.root)}
+
+    def drift(self, store: TripleStore) -> tuple[str, int, int] | None:
+        """The first statistic this plan was costed from that is no
+        longer within :data:`STALE_RATIO` of its value in ``store``, as
+        ``(statistic, then, now)``; ``None`` while the plan holds."""
+        for statistic, then in self.costed_from:
+            name, arguments = statistic
+            now = getattr(store, name)(*arguments)
+            if not (now <= then * STALE_RATIO and then <= now * STALE_RATIO):
+                return _statistic_text(statistic), then, now
+        return None
 
 
 def _describe_group(group: GroupPlan) -> list[dict]:
@@ -160,7 +196,32 @@ def _describe_group(group: GroupPlan) -> list[dict]:
 # -- cardinality estimation ----------------------------------------------------
 
 
-def _estimate_scan(store: TripleStore, pattern: TriplePattern,
+def _statistic_text(statistic: tuple[str, tuple]) -> str:
+    name, arguments = statistic
+    inner = ", ".join("*" if argument is None else repr(argument)
+                      for argument in arguments)
+    return f"{name}({inner})"
+
+
+class _Statistics:
+    """The planner's only window on the store: every statistic read
+    through :meth:`read` is remembered with the value it had, so the
+    finished plan knows what it was costed from."""
+
+    def __init__(self, store: TripleStore) -> None:
+        self.store = store
+        self.values: dict[tuple[str, tuple], int] = {}
+
+    def read(self, name: str, *arguments) -> int:
+        statistic = (name, arguments)
+        value = self.values.get(statistic)
+        if value is None:
+            value = self.values[statistic] = getattr(self.store,
+                                                     name)(*arguments)
+        return value
+
+
+def _estimate_scan(stats: _Statistics, pattern: TriplePattern,
                    bound: frozenset) -> tuple[float, str]:
     """Expected matches per input row and the index answering the scan."""
     s_status = _status(pattern.subject, bound)
@@ -174,38 +235,37 @@ def _estimate_scan(store: TripleStore, pattern: TriplePattern,
 
     if "bound" not in (s_status, p_status, o_status):
         # every known position is a constant: the count is exact
-        return float(store.count(s_const, p_const, o_const)), index
+        return float(stats.read("count", s_const, p_const, o_const)), index
 
-    total = float(len(store)) or 1.0
     if p_status == "const":
-        extent = float(store.predicate_count(p_const))
-        if extent == 0.0:
+        extent = stats.read("predicate_count", p_const)
+        if extent == 0:
             return 0.0, index
-        subjects = max(1, store.distinct_subjects(p_const))
-        objects = max(1, store.distinct_objects(p_const))
         if o_const is not None:
-            extent = float(store.count(None, p_const, o_const))
+            extent = stats.read("count", None, p_const, o_const)
         elif s_const is not None:
-            extent = float(store.count(s_const, p_const, None))
-        estimate = extent
+            extent = stats.read("count", s_const, p_const, None)
+        estimate = float(extent)
         if s_status == "bound":
-            estimate /= subjects
+            estimate /= max(1, stats.read("distinct_subjects", p_const))
         if o_status == "bound":
-            estimate /= objects
+            estimate /= max(1, stats.read("distinct_objects", p_const))
         return estimate, index
 
     # predicate is a variable: fall back to store-wide shape statistics
-    estimate = total
+    estimate = float(stats.read("count", None, None, None)) or 1.0
     if p_status == "bound":
-        estimate /= max(1, len(store._p_count))
+        estimate /= max(1, stats.read("distinct_predicates"))
     if s_status == "bound":
-        estimate /= max(1, store.distinct_subjects())
+        estimate /= max(1, stats.read("distinct_subjects", None))
     elif s_const is not None:
-        estimate = min(estimate, float(store.count(s_const, None, None)))
+        estimate = min(estimate,
+                       float(stats.read("count", s_const, None, None)))
     if o_status == "bound":
-        estimate /= max(1, store.distinct_objects())
+        estimate /= max(1, stats.read("distinct_objects", None))
     elif o_const is not None:
-        estimate = min(estimate, float(store.count(None, None, o_const)))
+        estimate = min(estimate,
+                       float(stats.read("count", None, None, o_const)))
     return estimate, index
 
 
@@ -256,7 +316,7 @@ def _expr_text(expr: Expr) -> str:
     return "?"
 
 
-def _plan_group(store: TripleStore, group: GroupPattern,
+def _plan_group(stats: _Statistics, group: GroupPattern,
                 seed_vars: frozenset[str], incoming: float) -> GroupPlan:
     bound = frozenset(seed_vars)
     bgp_vars = set()
@@ -299,7 +359,7 @@ def _plan_group(store: TripleStore, group: GroupPattern,
         best_cost = None
         best_index = ""
         for pattern in remaining:
-            per_row, index = _estimate_scan(store, pattern, bound)
+            per_row, index = _estimate_scan(stats, pattern, bound)
             # prefer connected patterns: a scan sharing no variable with
             # the bound set is a cross product — its real cost is the
             # full extent regardless of how small the extent looks
@@ -328,7 +388,7 @@ def _plan_group(store: TripleStore, group: GroupPattern,
         per_row = 0.0
         for branch in union.branches:
             branch_seed = frozenset(branch.mentioned_variables()) & bound
-            branch_plan = _plan_group(store, branch, branch_seed, 1.0)
+            branch_plan = _plan_group(stats, branch, branch_seed, 1.0)
             branches.append(branch_plan)
             per_row += branch_plan.estimate
         rows *= per_row
@@ -343,7 +403,8 @@ def _plan_group(store: TripleStore, group: GroupPattern,
     for optional in group.optionals:
         optional_seed = frozenset(
             optional.group.mentioned_variables()) & bound
-        optional_plan = _plan_group(store, optional.group, optional_seed, 1.0)
+        optional_plan = _plan_group(stats, optional.group, optional_seed,
+                                    1.0)
         rows *= max(1.0, optional_plan.estimate)
         steps.append(OptionalStep(optional_plan, rows))
         # OPTIONAL never makes a variable certain
@@ -371,16 +432,29 @@ def plan_query(store: TripleStore, query: SparqlQuery | str,
     """
     parsed = parse_sparql(query) if isinstance(query, str) else query
     source = query if isinstance(query, str) else ""
-    root = _plan_group(store, parsed.where, frozenset(seed_vars), 1.0)
-    return QueryPlan(parsed, root, root.estimate, store.version, source)
+    version = store.version
+    stats = _Statistics(store)
+    root = _plan_group(stats, parsed.where, frozenset(seed_vars), 1.0)
+    return QueryPlan(parsed, root, root.estimate, version, source,
+                     tuple(stats.values.items()))
 
 
 def explain(plan: QueryPlan) -> str:
-    """Human-readable plan rendering (the ``EXPLAIN`` view)."""
+    """Human-readable plan rendering (the ``EXPLAIN`` view): the steps,
+    the statistics the plan was costed from and, for a plan that
+    replaced a cached one, the statistic that had drifted."""
     head = (f"{plan.query.form} estimated_rows={plan.estimate:.1f} "
             f"store_version={plan.store_version}")
     lines = [head]
     _explain_group(plan.root, lines, depth=1)
+    if plan.costed_from:
+        lines.append("costed from:")
+        for statistic, value in plan.costed_from:
+            lines.append(f"  {_statistic_text(statistic)} = {value}")
+    if plan.replaced_because is not None:
+        statistic, then, now = plan.replaced_because
+        lines.append(f"replaced a plan costed from {statistic} = {then} "
+                     f"(now {now}, beyond {STALE_RATIO:g}x)")
     return "\n".join(lines)
 
 

@@ -4,8 +4,11 @@
 graph, registered under :data:`RDF_SPARQL_LANG` (and, as an alias, the
 older ``…/sparql-lite`` URI :data:`repro.services.SPARQL_LANG`), whose
 ``query`` hook compiles the component text once (LRU plan cache keyed
-on query text + seed signature, invalidated by the store's version
-counter) and executes it vectorized over the *whole* input binding set.
+on query text + seed signature) and executes it vectorized over the
+*whole* input binding set.  A cached plan survives writes to the store
+for as long as the statistics it was costed from hold: it is replanned
+only when one of them has moved past
+:data:`~repro.sparql.plan.STALE_RATIO` (PROTOCOL.md §15.4).
 
 **Binding-set pushdown** (the headline difference from the generic
 path, PROTOCOL.md §15): the request's input relation is converted to a
@@ -122,17 +125,26 @@ class SparqlQueryService(LanguageService):
         """The cached plan for ``text`` (returns ``(plan, cache_hit)``).
 
         Cache entries are keyed on the query text plus the seed-variable
-        signature (seeds change join order) and die with the store
-        version they were costed against: any mutation invalidates.
+        signature (seeds change join order).  An entry is reused while
+        the store version is unchanged, or while every statistic it was
+        costed from is within :data:`~repro.sparql.plan.STALE_RATIO` of
+        its current value (:meth:`QueryPlan.drift`); otherwise the query
+        is replanned and the new plan records the drifted statistic as
+        ``replaced_because``.
         """
         key = (text, tuple(sorted(seed_vars)))
         with self._plans_lock:
             cached = self._plans.get(key)
-            if cached is not None \
-                    and cached.store_version == self.store.version:
-                self._plans.move_to_end(key)
-                return cached, True
+            drift = None
+            if cached is not None:
+                if cached.store_version != self.store.version:
+                    drift = cached.drift(self.store)
+                if drift is None:
+                    self._plans.move_to_end(key)
+                    return cached, True
             plan = plan_query(self.store, text, seed_vars)
+            if drift is not None:
+                plan = replace(plan, replaced_because=drift)
             self._plans[key] = plan
             self._plans.move_to_end(key)
             while len(self._plans) > self.plan_cache_size:
@@ -251,6 +263,7 @@ class SparqlQueryService(LanguageService):
                         "rows": stage["rows"]}
                        for stage in stats.stages],
             "plan": plan.describe(),
+            "replaced_because": plan.replaced_because,
         })
         if self._instruments is not None:
             self._instruments.observe(self.service_name, plan.query.form,

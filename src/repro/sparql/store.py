@@ -20,6 +20,7 @@ and ``/introspect/sparql``.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 from ..rdf import Graph, Term, Triple
@@ -44,6 +45,9 @@ class TripleStore(Graph):
         self._pred_subjects: dict[Term, dict[Term, int]] = {}
         #: executor probe tallies, keyed by PROBE_KINDS
         self.probes: dict[str, int] = dict.fromkeys(PROBE_KINDS, 0)
+        #: runtime lanes execute plans over one store concurrently: a
+        #: tally fold is a read-modify-write
+        self._probes_lock = threading.Lock()
         super().__init__(triples)
 
     # -- mutation (statistics ride along) ------------------------------------
@@ -95,6 +99,7 @@ class TripleStore(Graph):
                             f"not {type(graph).__name__}")
         graph.__class__ = cls
         graph.probes = dict.fromkeys(PROBE_KINDS, 0)
+        graph._probes_lock = threading.Lock()
         pred_subjects: dict[Term, dict[Term, int]] = {}
         for predicate, by_object in graph._pos.items():
             by_subject: dict[Term, int] = {}
@@ -110,6 +115,10 @@ class TripleStore(Graph):
     def predicate_count(self, predicate: Term) -> int:
         """Triples carrying ``predicate``."""
         return self._p_count.get(predicate, 0)
+
+    def distinct_predicates(self) -> int:
+        """Distinct predicates in the store."""
+        return len(self._p_count)
 
     def distinct_subjects(self, predicate: Term | None = None) -> int:
         """Distinct subjects under ``predicate`` (or store-wide)."""
@@ -153,16 +162,19 @@ class TripleStore(Graph):
 
     def record_probes(self, tallies: dict[str, int]) -> None:
         """Fold one execution's index probe counts into the store."""
-        for kind, amount in tallies.items():
-            self.probes[kind] = self.probes.get(kind, 0) + amount
+        with self._probes_lock:
+            for kind, amount in tallies.items():
+                self.probes[kind] = self.probes.get(kind, 0) + amount
 
     def snapshot(self) -> dict:
         """Store-level view for metrics and the admin surface."""
+        with self._probes_lock:
+            probes = dict(self.probes)
         return {
             "triples": len(self),
-            "predicates": len(self._p_count),
+            "predicates": self.distinct_predicates(),
             "subjects": len(self._spo),
             "objects": len(self._osp),
             "version": self.version,
-            "probes": dict(self.probes),
+            "probes": probes,
         }

@@ -151,6 +151,29 @@ class TestRendering:
         assert ops.count("scan") == 2
         assert "optional" in ops and "filter" in ops
 
+    def test_describe_builds_once_per_plan(self):
+        store = build_store()
+        plan = plan_query(store, PROLOGUE + "SELECT * WHERE { ?p ex:lives ?c }")
+        assert plan.describe() is plan.describe()
+
+    def test_drift_is_a_factor_of_two_either_way(self):
+        store = build_store(people=20)
+        plan = plan_query(store, PROLOGUE + "SELECT * WHERE { ?p ex:lives ?c }")
+        statistic = f"count(*, <{EX}lives>, *)"
+        assert dict(plan.costed_from) == {
+            ("count", (None, term("lives"), None)): 20}
+        for index in range(20, 40):  # exactly doubled: still holds
+            store.add(term(f"p{index}"), term("lives"), term("city0"))
+        assert plan.drift(store) is None
+        store.add(term("p40"), term("lives"), term("city0"))
+        assert plan.drift(store) == (statistic, 20, 41)
+        for index in range(10, 41):  # 20 -> 10 holds, 20 -> 9 does not
+            store.remove(term(f"p{index}"), term("lives"),
+                         term("city0" if index >= 20 else f"city{index % 2}"))
+        assert plan.drift(store) is None
+        store.remove(term("p9"), term("lives"), term("city1"))
+        assert plan.drift(store) == (statistic, 20, 9)
+
     def test_plan_records_store_version(self):
         store = build_store()
         text = PROLOGUE + "SELECT * WHERE { ?p ex:lives ?c }"

@@ -112,14 +112,42 @@ class TestPushdown:
 
 class TestPlanCache:
     def test_hit_then_version_invalidation(self):
+        """A cached plan survives writes that keep every statistic it
+        was costed from within 2x; a write past that, or one that fills
+        a predicate that was empty, replans, and ``explain()`` names
+        the statistic."""
         service = build_service()
-        request = query_request("SELECT ?n WHERE { ?p ex:name ?n }")
+        text = "SELECT ?n WHERE { ?p ex:name ?n }"
+        request = query_request(text)
         service.query(request)
         service.query(request)
         assert service.stats["cache_hits"] == 1
+        # a retract/assert like a rule's action: the version moves, the
+        # 8 name triples stay 8
+        service.store.remove(term("p0"), term("name"), Literal("name0"))
         service.store.add(term("p9"), term("name"), Literal("name9"))
         service.query(request)
-        assert service.stats["cache_hits"] == 1  # version changed: miss
+        assert service.stats["cache_hits"] == 2
+        assert service.recent_plans[-1]["replaced_because"] is None
+        # 8 -> 17 name triples: more than doubled, so a miss
+        for index in range(10, 19):
+            service.store.add(term(f"p{index}"), term("name"),
+                              Literal(f"name{index}"))
+        service.query(request)
+        assert service.stats["cache_hits"] == 2
+        statistic = f"count(*, <{EX}name>, *)"
+        assert service.recent_plans[-1]["replaced_because"] == \
+            (statistic, 8, 17)
+        assert f"{statistic} = 8 (now 17" in service.explain(text)
+
+        # a plan made while a predicate was empty: zero only matches zero
+        empty = "SELECT ?n WHERE { ?p ex:nick ?n }"
+        service.query(query_request(empty))
+        service.store.add(term("p1"), term("nick"), Literal("one"))
+        service.query(query_request(empty))
+        assert service.stats["cache_hits"] == 2
+        assert "replaced a plan costed from " \
+            f"count(*, <{EX}nick>, *) = 0 (now 1" in service.explain(empty)
 
     def test_seed_signature_keys_the_cache(self):
         service = build_service()

@@ -1,9 +1,13 @@
 """TripleStore: incremental statistics, adoption, probes, snapshots."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.rdf import Graph, Literal, URIRef
-from repro.sparql import TripleStore
+from repro.sparql import TripleStore, plan_query, run_plan
 
 EX = "http://example.org/"
 
@@ -106,6 +110,18 @@ class TestConstruction:
             TripleStore.adopt(Odd())
 
 
+class _YieldingTallies(dict):
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        time.sleep(0)
+        return value
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
 class TestProbesAndSnapshot:
     def test_record_probes_accumulates(self):
         store = TripleStore()
@@ -114,6 +130,38 @@ class TestProbesAndSnapshot:
         assert store.probes["spo"] == 5
         assert store.probes["pos"] == 1
         assert store.probes["osp"] == 0
+
+    def test_concurrent_folds_lose_no_probe(self):
+        """Runtime lanes run plans over one store at once, and each run
+        folds its tallies into the store: no fold may be lost."""
+        store = TripleStore([(term("a"), term("p"), term("b"))])
+        _table, stats = run_plan(store, plan_query(
+            store, f"SELECT * WHERE {{ ?s <{EX}p> ?o }}"))
+        assert stats.probes == {"spo": 0, "pos": 1, "osp": 0, "scan": 0}
+        # yield the interpreter between a tally's read and its write, so
+        # an unguarded fold loses updates on every run, not now and then
+        store.probes = _YieldingTallies(store.probes)
+        lanes, runs = 8, 400
+        start = threading.Barrier(lanes)
+
+        def lane():
+            start.wait(timeout=60)
+            for _ in range(runs):
+                store.record_probes(stats.probes)
+
+        threads = [threading.Thread(target=lane) for _ in range(lanes)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.snapshot()["probes"] == {
+            "spo": 0, "pos": 1 + lanes * runs, "osp": 0, "scan": 0}
 
     def test_snapshot_shape(self):
         store = TripleStore([(term("a"), term("p"), term("b"))])
