@@ -103,6 +103,10 @@ class DatalogEngine:
         for rule in program.rules:
             _check_safety(rule)
         self._facts: dict[tuple[str, int], set[tuple]] = {}
+        #: (signature, bound positions) → key → facts, built by ``query``
+        #: on first use; the facts never change once evaluated (``load``
+        #: and ``add_facts`` build a new engine)
+        self._indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
         self._evaluated = False
 
     # -- fact access ------------------------------------------------------------
@@ -216,11 +220,20 @@ class DatalogEngine:
         if isinstance(goal, str):
             goal = parse_atom(goal)
         self._ensure_evaluated()
+        bound = tuple(position for position, term
+                      in enumerate(goal.arguments) if isinstance(term, Const))
+        if bound:
+            # probe by the goal's constants; _unify still decides each
+            # candidate, so the index only has to keep every fact it
+            # would accept
+            facts = self._index(goal.signature, bound).get(
+                tuple(_index_key(goal.arguments[p].value) for p in bound), ())
+        else:
+            facts = self._facts.get(goal.signature, ())
         # unify first, order only the answers: a point lookup matches a
         # handful of a predicate's facts, and the key is the same one, so
         # the answer order is what sorting every fact first gave
-        matches = [(values, solution)
-                   for values in self._facts.get(goal.signature, ())
+        matches = [(values, solution) for values in facts
                    if (solution := _unify(goal, values, {})) is not None]
         matches.sort(key=lambda match: _sort_key(match[0]))
         out: list[Substitution] = []
@@ -235,6 +248,32 @@ class DatalogEngine:
     def holds(self, goal: Atom | str) -> bool:
         """True when the (possibly ground) goal has at least one answer."""
         return bool(self.query(goal))
+
+    def _index(self, signature: tuple[str, int],
+               bound: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        """The facts of ``signature`` keyed by their values at ``bound``."""
+        index = self._indexes.get((signature, bound))
+        if index is None:
+            index = {}
+            for values in self._facts.get(signature, ()):
+                index.setdefault(tuple(_index_key(values[p]) for p in bound),
+                                 []).append(values)
+            self._indexes[(signature, bound)] = index
+        return index
+
+
+def _index_key(value):
+    """Equal keys for every pair :func:`_values_equal` accepts: bools
+    apart from numbers, ints and floats by ``float`` value, the rest by
+    ``==``."""
+    if isinstance(value, bool):
+        return (bool, value)
+    if isinstance(value, (int, float)):
+        try:
+            return (float, float(value))
+        except OverflowError:   # equal to no float; comparing it raises
+            return (float, value)
+    return (object, value)
 
 
 def _sort_key(values: tuple):

@@ -15,7 +15,9 @@ between the GRH and the services):
   ride per-origin keep-alive connection pools (bounded size, idle
   reaping, broken-connection retirement and one transparent reconnect
   on a stale socket): per-request TCP setup is the dominant cost of an
-  HTTP round-trip under load (PROTOCOL.md §11).
+  HTTP round-trip under load (PROTOCOL.md §11).  Both ends write a
+  message with one ``send`` and read its header block with one bounded
+  reader, :func:`_read_head`.
 
 Failure taxonomy (PROTOCOL.md §11): a *connection-level* failure — the
 endpoint could not be reached, or the socket died before a response —
@@ -30,7 +32,6 @@ service and stay transient.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -85,10 +86,49 @@ class ServiceStatusError(TransportError):
 #: on the request — kept transient/retryable like connection failures.
 _TRANSIENT_HTTP_STATUSES = frozenset({502, 503, 504})
 
-#: the largest request body :class:`HttpServiceServer` reads: a longer
-#: ``Content-Length`` is answered 413 before any of the body is read,
-#: which clients see as ``ServiceStatusError(413)`` (PROTOCOL.md §11)
+#: the largest body either end reads (PROTOCOL.md §11): a request whose
+#: ``Content-Length`` is longer is answered 413 before any of the body
+#: is read, a reply whose ``Content-Length`` or chunk sum is longer is
+#: refused where that shows; clients see ``ServiceStatusError`` for both
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: header-block limits at both ends, the stdlib's own: bytes per line
+#: and field lines per block
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _BadHead(ValueError):
+    """``(status, message)``: a header block over the limits (431) or
+    contradicting itself (400)."""
+
+
+def _read_head(reader) -> dict[str, str]:
+    """Read one header block through its blank line, at either end.
+
+    Returns the fields by lower-cased name, a repeated field's values
+    joined with ``", "``.  A line over ``_MAX_LINE`` bytes, more than
+    ``_MAX_HEADERS`` lines or two ``Content-Length`` values that
+    disagree raise :class:`_BadHead`.
+    """
+    head: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _BadHead(431, f"header line over {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n", b""):
+            return head
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        name, value = name.strip().lower(), value.strip()
+        if not colon or not name:
+            raise _BadHead(400, f"malformed header line {line[:64]!r}")
+        if name not in head:
+            head[name] = value
+        elif name != "content-length":
+            head[name] += ", " + value
+        elif head[name] != value:
+            raise _BadHead(400, "conflicting Content-Length headers")
+    raise _BadHead(431, f"more than {_MAX_HEADERS} header lines")
 
 
 def _raise_for_status(address: str, status: int, reason: str,
@@ -210,21 +250,65 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
     #: keep-alive: one TCP connection serves many requests, which is
     #: what :class:`PooledHttpTransport` amortizes (PROTOCOL.md §11)
     protocol_version = "HTTP/1.1"
+    #: a malformed request line is still answered with a status line
+    default_request_version = "HTTP/1.0"
     #: reap idle keep-alive connections server-side so abandoned
     #: clients do not pin handler threads forever
     timeout = 30.0
-    #: without this, Nagle holds the response tail until the client's
-    #: delayed ACK (~40 ms) — dwarfing the round-trip it rides on
+    #: a buffered ``wfile``: every answer, errors included, collects its
+    #: status line, headers and body and leaves in one ``send`` when
+    #: ``handle_one_request`` (or ``finish``) flushes
+    wbufsize = -1
+    #: an answer leaves in one write, but Nagle would still hold back
+    #: the last segment of one longer than a segment until the client's
+    #: delayed ACK (~40 ms), dwarfing the round-trip it rides on
     disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # silence stderr
         pass
 
+    def parse_request(self) -> bool:
+        """The stdlib's request-line and connection rules (HTTP/0.9
+        aside), with the header block read by :func:`_read_head`."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline,
+                               "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        try:
+            command, path, version = words
+            major, minor = map(int, version.removeprefix("HTTP/").split("."))
+            if not version.startswith("HTTP/") or major != 1:
+                raise ValueError(version)
+        except ValueError:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        self.command, self.request_version = command, version
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = _read_head(self.rfile)
+        except _BadHead as exc:
+            self.send_error(*exc.args)
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            (major, minor) < (1, 1) and connection != "keep-alive")
+        if (major, minor) >= (1, 1) and \
+                self.headers.get("expect", "").lower() == "100-continue":
+            # the client holds its body back until this interim answer
+            # arrives, so it cannot wait in the buffer for the final one
+            self.handle_expect_100()
+            self.wfile.flush()
+        return True
+
     def do_POST(self) -> None:
         if self.aware_handler is None:
             self.send_error(405, "service is not framework-aware")
             return
-        length_header = self.headers.get("Content-Length")
+        length_header = self.headers.get("content-length")
         if length_header is None:
             self.send_error(400, "missing Content-Length")
             return
@@ -284,12 +368,7 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             except Exception as exc:
                 self.send_error(500, str(exc))
                 return
-            self.send_response(status)
-            self.send_header("Content-Type",
-                             "application/json; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._answer(status, body, "application/json; charset=utf-8")
             return
         if parsed.path == "/metrics" and self.metrics_registry is not None:
             try:
@@ -298,12 +377,8 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             except Exception as exc:
                 self.send_error(500, str(exc))
                 return
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self._answer(200, payload,
+                         "text/plain; version=0.0.4; charset=utf-8")
             return
         if self.opaque_handler is None:
             self.send_error(405, "service has no opaque interface")
@@ -439,21 +514,53 @@ class HybridTransport:
         return self.local.fetch(address, query, timeout=timeout)
 
 
+class _NoResponse(ConnectionError):
+    """The connection died before any byte of the response arrived."""
+
+
+def _too_large(status: int) -> ServiceStatusError:
+    return ServiceStatusError(
+        status, f"HTTP {status} reply body over {MAX_BODY_BYTES} bytes")
+
+
+def _read_chunked(reader, status: int) -> bytes:
+    """A ``Transfer-Encoding: chunked`` body, refused as soon as its
+    chunk sum passes ``MAX_BODY_BYTES``; trailer fields are dropped."""
+    chunks, total = [], 0
+    while True:
+        size = int(reader.readline(_MAX_LINE + 1).split(b";", 1)[0], 16)
+        if size < 0:
+            raise ValueError(f"negative chunk size {size}")
+        if size == 0:
+            _read_head(reader)
+            return b"".join(chunks)
+        total += size
+        if total > MAX_BODY_BYTES:
+            raise _too_large(status)
+        chunk = reader.read(size + 2)       # the data and its CRLF
+        if len(chunk) < size + 2:
+            raise ConnectionError("connection closed inside a chunk")
+        chunks.append(chunk[:size])
+
+
 class _PooledConnection:
-    """One keep-alive connection plus its bookkeeping."""
+    """One keep-alive socket, the one buffered reader its replies are
+    read through for its whole life, and bookkeeping."""
 
-    __slots__ = ("conn", "idle_since", "requests")
+    __slots__ = ("sock", "reader", "idle_since", "requests")
 
-    def __init__(self, conn: http.client.HTTPConnection) -> None:
-        self.conn = conn
+    def __init__(self) -> None:
+        self.sock = self.reader = None
         self.idle_since = 0.0
         self.requests = 0
 
     def close(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
+        for part in (self.reader, self.sock):
+            try:
+                if part is not None:
+                    part.close()
+            except Exception:
+                pass
 
 
 class _EndpointPool:
@@ -513,7 +620,7 @@ class _EndpointPool:
                 if self._in_use + len(self._idle) < self.max_size:
                     self._in_use += 1
                     self.created += 1
-                    break
+                    return _PooledConnection(), False
                 if fresh and self._idle:
                     # make room for the fresh socket by closing the
                     # coldest idle one (likely stale for the same
@@ -529,8 +636,6 @@ class _EndpointPool:
                         f"exhausted ({self.max_size} in use)")
                 self._released.wait(0.05 if remaining is None
                                     else min(remaining, 0.05))
-        conn = http.client.HTTPConnection(self.host, self.port)
-        return _PooledConnection(conn), False
 
     def release(self, pooled: _PooledConnection, reusable: bool) -> None:
         with self._released:
@@ -571,8 +676,9 @@ class PooledHttpTransport:
     * a send on a *reused* connection that dies before any response
       byte is transparently retried once on a fresh connection (the
       server closed the keep-alive socket between requests — routine,
-      not a service failure).  Fresh-connection failures and timeouts
-      are never retried here; they surface to the §6 resilience layer.
+      not a service failure).  Nothing else is retried here — fresh
+      connections, timeouts, replies cut off after their first byte;
+      they surface to the §6 resilience layer.
     """
 
     def __init__(self, timeout: float = 10.0, max_per_endpoint: int = 32,
@@ -619,20 +725,23 @@ class PooledHttpTransport:
     # -- the round-trip ------------------------------------------------------
 
     def _roundtrip(self, address: str, method: str, body: bytes | None,
-                   headers: dict, timeout: float | None
-                   ) -> tuple[int, str, bytes]:
+                   timeout: float | None) -> tuple[int, str, bytes]:
         parts = urllib.parse.urlsplit(address)
         if parts.scheme not in ("http", "https"):
             raise TransportError(f"unsupported address {address!r}")
-        host = parts.hostname or ""
-        port = parts.port or (443 if parts.scheme == "https" else 80)
+        origin = (parts.hostname or "",
+                  parts.port or (443 if parts.scheme == "https" else 80))
         path = parts.path or "/"
         if parts.query:
             path = f"{path}?{parts.query}"
+        head = f"{method} {path} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+        if body is not None:
+            head += ("Content-Type: application/xml; charset=utf-8\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        request = (head + "\r\n").encode("ascii") + (body or b"")
         effective = self.timeout if timeout is None else timeout
-        pool = self._pool_for(host, port)
+        pool = self._pool_for(*origin)
         fresh = False
-        retried = False
         while True:
             waited_from = time.monotonic()
             pooled, reused = pool.acquire(effective, fresh=fresh)
@@ -641,54 +750,95 @@ class PooledHttpTransport:
             # (an exhausted pool vs. a slow service) — PROTOCOL.md §14
             record_wait("pool_wait", time.monotonic() - waited_from)
             try:
-                return self._once(pooled, method, path, body, headers,
-                                  effective)
-            except (OSError, http.client.HTTPException) as exc:
+                status, reason, payload, reusable = self._once(
+                    pooled, origin, request, effective)
+            except ServiceStatusError:
+                pool.discard(pooled)    # a refused reply, left unread
+                raise
+            except (OSError, ValueError) as exc:
                 pool.discard(pooled)
-                if reused and not retried \
-                        and not isinstance(exc, TimeoutError):
+                if reused and isinstance(exc, _NoResponse):
                     # stale keep-alive socket: the server hung up while
-                    # the connection sat idle — one reconnect, max
-                    retried = True
+                    # the connection sat idle — one reconnect, max (a
+                    # fresh acquire never returns a reused connection)
                     fresh = True
                     continue
                 raise TransportError(
                     f"cannot reach {address!r}: {exc}") from exc
-            # success: _once already decided reusability and released
-            # the connection
+            pooled.requests += 1
+            # a fully-read response leaves the connection clean
+            pool.release(pooled, reusable=reusable)
+            return status, reason, payload
 
-    def _once(self, pooled: _PooledConnection, method: str, path: str,
-              body: bytes | None, headers: dict,
-              timeout: float | None) -> tuple[int, str, bytes]:
-        conn = pooled.conn
-        conn.timeout = timeout
-        if conn.sock is None:
-            conn.connect()
-            # headers and body go out as separate small segments; with
-            # Nagle on, the body waits for the server's delayed ACK
-            # (~40 ms) — longer than the round-trip being amortized
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if conn.sock is not None:
+    @staticmethod
+    def _once(pooled: _PooledConnection, origin: tuple[str, int],
+              request: bytes, timeout: float | None
+              ) -> tuple[int, str, bytes, bool]:
+        """Write one request, read its reply: ``(status, reason, body,
+        reusable)``.  :class:`_NoResponse` when the socket dies before
+        the reply's first byte."""
+        if pooled.sock is None:
+            sock = socket.create_connection(origin, timeout)
+            # a request leaves in one write, but Nagle would still hold
+            # back the last segment of one longer than a segment until
+            # the server's delayed ACK (~40 ms)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            pooled.sock, pooled.reader = sock, sock.makefile("rb")
+        else:
             # per-request budget, also overwriting whatever timeout the
             # previous request left on this reused socket
-            conn.sock.settimeout(timeout)
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        payload = response.read()
-        pooled.requests += 1
-        reusable = not response.will_close
-        # classification happens in the caller; the connection's fate
-        # is already decided — a fully-read response leaves it clean
-        pool = self._pool_for(conn.host, conn.port)
-        pool.release(pooled, reusable=reusable)
-        return response.status, response.reason or "", payload
+            pooled.sock.settimeout(timeout)
+        reader = pooled.reader
+        try:
+            pooled.sock.sendall(request)    # line, headers, body: one write
+            line = reader.readline(_MAX_LINE + 1)
+        except TimeoutError:
+            raise
+        except OSError as exc:
+            raise _NoResponse(str(exc)) from exc
+        if not line:
+            raise _NoResponse("connection closed before any response byte")
+        while True:
+            version, code, *reason = line.decode("iso-8859-1").split(None, 2)
+            status = int(code)
+            if not version.startswith("HTTP/") or not 100 <= status <= 999:
+                raise ValueError(f"bad status line {line[:64]!r}")
+            head = _read_head(reader)
+            if status != 100:           # an interim answer: skip it
+                break
+            line = reader.readline(_MAX_LINE + 1)
+        reason = reason[0].strip() if reason else ""
+        connection = head.get("connection", "").lower()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            will_close = "keep-alive" not in connection \
+                and "keep-alive" not in head
+        else:
+            will_close = "close" in connection
+        if head.get("transfer-encoding", "").lower() == "chunked":
+            body = _read_chunked(reader, status)
+        elif status in (204, 304):
+            body = b""
+        elif "content-length" in head:
+            length = int(head["content-length"])
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_BODY_BYTES:
+                raise _too_large(status)
+            body = reader.read(length)
+            if len(body) < length:
+                raise ConnectionError("connection closed inside the body")
+        else:
+            # delimited by the server closing the connection
+            body, will_close = reader.read(MAX_BODY_BYTES + 1), True
+            if len(body) > MAX_BODY_BYTES:
+                raise _too_large(status)
+        return status, reason, body, not will_close
 
     def send(self, address: str, message: Element,
              timeout: float | None = None) -> Element:
         body = serialize(message).encode("utf-8")
-        status, reason, payload = self._roundtrip(
-            address, "POST", body,
-            {"Content-Type": "application/xml; charset=utf-8"}, timeout)
+        status, reason, payload = self._roundtrip(address, "POST", body,
+                                                  timeout)
         if not 200 <= status < 300:
             _raise_for_status(address, status, reason,
                               payload.decode("utf-8", "replace"))
@@ -697,8 +847,7 @@ class PooledHttpTransport:
     def fetch(self, address: str, query: str,
               timeout: float | None = None) -> str:
         url = f"{address}?{urllib.parse.urlencode({'query': query})}"
-        status, reason, payload = self._roundtrip(url, "GET", None, {},
-                                                  timeout)
+        status, reason, payload = self._roundtrip(url, "GET", None, timeout)
         if not 200 <= status < 300:
             _raise_for_status(address, status, reason,
                               payload.decode("utf-8", "replace"))

@@ -27,7 +27,8 @@ def _ok_handler(message):
 class _RawHttpServer:
     """A scripted raw-socket HTTP/1.1 server for failure-shape tests.
 
-    ``responses`` is a list of ``(status_line_suffix, body)`` tuples or
+    ``responses`` is a list of ``(status_line_suffix, body)`` tuples,
+    raw replies (``bytes``, sent as they are, the socket kept open) or
     the sentinel ``"close"`` (hang up without answering).  When
     ``close_after_each`` is set the socket is dropped after every
     response while *advertising* keep-alive — exactly the stale-socket
@@ -102,12 +103,15 @@ class _RawHttpServer:
                           else ("200 OK", "<ok/>"))
                 if script == "close":
                     return
-                status_line, body = script
-                payload = body.encode("utf-8")
                 # count before the write: the client can otherwise read
                 # the response and assert on the counter before this
                 # thread is scheduled again
                 self.requests_served += 1
+                if isinstance(script, bytes):
+                    conn.sendall(script)
+                    continue
+                status_line, body = script
+                payload = body.encode("utf-8")
                 conn.sendall(
                     f"HTTP/1.1 {status_line}\r\n"
                     f"Content-Type: application/xml\r\n"
@@ -302,6 +306,73 @@ class TestHttpStatusTaxonomy:
     def test_raise_for_status_falls_back_to_status_text(self):
         with pytest.raises(ServiceStatusError, match="HTTP 404"):
             _raise_for_status("http://x/", 404, "Not Found", "nope")
+
+
+class TestReplyCap:
+    """A reply longer than ``MAX_BODY_BYTES`` is refused where that shows
+    — its ``Content-Length``, or the chunk that passes the sum — and
+    nothing more is read: the connection is retired and the refusal is
+    the service's own report (§11), never retried or breaker-counted."""
+
+    HUGE = (b"HTTP/1.1 200 OK\r\nContent-Type: application/xml\r\n"
+            b"Content-Length: 1000000000\r\n\r\n<ok")
+    CHUNKED = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+               b"20\r\n" + b"x" * 32 + b"\r\n28\r\n" + b"y" * 8)
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        from repro.services import transports
+        monkeypatch.setattr(transports, "MAX_BODY_BYTES", 64)
+
+    @pytest.mark.parametrize("reply", [HUGE, CHUNKED],
+                             ids=["content-length", "chunk-sum"])
+    def test_refused_at_once_and_retired(self, reply):
+        server = _RawHttpServer(responses=[reply])
+        with server as url:
+            transport = PooledHttpTransport(timeout=5.0)
+            try:
+                started = time.monotonic()
+                with pytest.raises(ServiceStatusError,
+                                   match="over 64 bytes") as caught:
+                    transport.fetch(url, "q")
+                # the stub keeps its socket open: reading on would have
+                # sat out the 5 s timeout
+                assert time.monotonic() - started < 2.0
+                assert caught.value.service_reported
+                stats = _single_pool_stats(transport)
+                assert (stats["retired"], stats["idle"]) == (1, 0)
+                assert server.requests_served == 1
+            finally:
+                transport.close()
+
+    def test_a_reply_at_the_cap_is_read(self):
+        body = b"z" * 64
+        server = _RawHttpServer(responses=[
+            b"HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n" + body])
+        with server as url:
+            transport = PooledHttpTransport(timeout=5.0)
+            try:
+                assert transport.fetch(url, "q") == body.decode()
+            finally:
+                transport.close()
+
+    def test_not_retried_and_not_breaker_counted(self):
+        server = _RawHttpServer(responses=[self.HUGE, self.HUGE])
+        manager = ResilienceManager(
+            retry=RetryPolicy(max_attempts=3),
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=60.0),
+            sleep=lambda s: None)
+        with server as url:
+            grh, route = _grh_for(url, manager)
+            try:
+                for _ in range(2):
+                    with pytest.raises(GRHError, match="reported"):
+                        grh._send(route, _query())
+            finally:
+                grh.close()
+        assert server.requests_served == 2
+        assert manager.retries == 0
+        assert manager.breaker_opens == 0
 
 
 def _grh_for(url, resilience):
