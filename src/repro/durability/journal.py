@@ -41,6 +41,8 @@ import time
 import zlib
 from typing import Iterator
 
+from ..obs.metrics import Histogram
+
 __all__ = ["Journal", "JournalReader", "JournalCorruption",
            "SimulatedCrash", "JOURNAL_NAME", "SYNC_POLICIES"]
 
@@ -87,8 +89,11 @@ class Journal:
         self.sync = sync
         self.epoch = epoch
         self.appended = 0
-        #: observability hook: called with the duration (seconds) of
-        #: every flush+fsync; ``None`` (default) costs nothing
+        #: duration (seconds) of every flush+fsync
+        self.fsync_seconds = Histogram()
+        #: also called with each flush+fsync's duration when set; the
+        #: ledger harness (``benchmarks/ledger/deploy.py``) counts
+        #: fsyncs through it
         self.on_fsync = None
         self._file = None
         self._open_for_append()
@@ -161,14 +166,13 @@ class Journal:
             self._file.flush()
 
     def _fsync(self) -> None:
-        if self.on_fsync is None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            return
         started = time.perf_counter()
         self._file.flush()
         os.fsync(self._file.fileno())
-        self.on_fsync(time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        self.fsync_seconds.observe(elapsed)
+        if self.on_fsync is not None:
+            self.on_fsync(elapsed)
 
 
 class JournalReader:

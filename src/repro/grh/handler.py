@@ -75,13 +75,16 @@ class Route:
     ``addresses`` is the replica set in declared order.  ``inline``: the
     transport runs the one address on the caller's thread, so trace
     context need not ride the envelope and there is no round-trip to
-    batch (PROTOCOL.md §8, §10).  Routes hash by identity; re-pointing a
-    language makes a new one.
+    batch (PROTOCOL.md §8, §10).  ``service`` is the in-process object
+    :meth:`GenericRequestHandler.add_service` bound, ``None`` for a
+    remote language.  Routes hash by identity; re-pointing a language
+    makes a new one.
     """
 
     descriptor: LanguageDescriptor
     addresses: tuple[str, ...]
     inline: bool
+    service: object = None
 
 
 class GenericRequestHandler:
@@ -162,7 +165,7 @@ class GenericRequestHandler:
             self.transport.bind(address, service.handle)
         else:
             self.transport.bind_opaque(address, service.execute)
-        self._route(descriptor, (address,))
+        self._route(descriptor, (address,), service)
 
     def add_remote_language(self, descriptor: LanguageDescriptor,
                             address: str | None = None) -> None:
@@ -194,7 +197,7 @@ class GenericRequestHandler:
         self._route(self.registry.lookup(uri), addresses)
 
     def _route(self, descriptor: LanguageDescriptor,
-               addresses: tuple[str, ...]) -> None:
+               addresses: tuple[str, ...], service=None) -> None:
         """Build and install the one route of a language.
 
         The only place the transport is asked whether an address is
@@ -204,7 +207,7 @@ class GenericRequestHandler:
         probe = getattr(self.transport, "dispatches_inline", None)
         inline = len(addresses) == 1 and probe is not None \
             and bool(probe(addresses[0]))
-        route = Route(descriptor, addresses, inline)
+        route = Route(descriptor, addresses, inline, service)
         self._routes[descriptor.uri] = route
         named = self._routes.get(descriptor.name)
         if named is None or named.descriptor.uri == descriptor.uri:

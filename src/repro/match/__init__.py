@@ -10,15 +10,10 @@ grammar and :mod:`repro.match.network` for routing semantics.
 
 from .analyzer import (Analysis, LeafKey, analyze, compile_pattern,
                        pattern_identity, probe_keys)
-from .instrument import (CANDIDATE_BUCKETS, MatchInstruments,
-                         install_match_metrics, live_networks,
-                         live_snapshots, register_network)
-from .network import AlphaNode, DiscriminationNetwork
+from .network import AlphaNode, CANDIDATE_BUCKETS, DiscriminationNetwork
 
 __all__ = [
     "Analysis", "LeafKey", "analyze", "compile_pattern",
     "pattern_identity", "probe_keys",
-    "AlphaNode", "DiscriminationNetwork",
-    "MatchInstruments", "install_match_metrics", "live_networks",
-    "live_snapshots", "register_network", "CANDIDATE_BUCKETS",
+    "AlphaNode", "DiscriminationNetwork", "CANDIDATE_BUCKETS",
 ]

@@ -36,10 +36,17 @@ import threading
 from ..events.base import Event, Occurrence
 from ..events.snoop import Atomic, Detector
 from ..events.xchange import PatternQuery
+from ..obs.metrics import Histogram
 from .analyzer import (Analysis, LeafKey, analyze, compile_pattern,
                        pattern_identity, probe_keys)
 
-__all__ = ["AlphaNode", "DiscriminationNetwork", "Candidate"]
+__all__ = ["AlphaNode", "DiscriminationNetwork", "Candidate",
+           "CANDIDATE_BUCKETS"]
+
+#: histogram buckets for candidates-per-event — the quantity the whole
+#: subsystem exists to keep small (candidate counts, not seconds)
+CANDIDATE_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0,
+                     250.0, 1000.0, 10000.0)
 
 #: (component_id, detector, shared occurrences or None) — ``route``'s
 #: per-candidate result; occurrences are pre-computed only when the
@@ -105,9 +112,9 @@ class DiscriminationNetwork:
         self.candidates_delivered = 0
         self.last_candidates = 0
         self.alpha_tests = 0
+        #: candidate-set size per routed event
+        self.candidates = Histogram(CANDIDATE_BUCKETS)
         self._lock = threading.Lock()  # guards counters read by scrapes
-        from .instrument import register_network
-        register_network(self)
 
     # -- registration churn ------------------------------------------------
 
@@ -209,6 +216,7 @@ class DiscriminationNetwork:
             self.alpha_tests += tests
             self.candidates_delivered += len(candidates)
             self.last_candidates = len(candidates)
+            self.candidates.observe(len(candidates))
         return candidates
 
     def pollable(self) -> list[tuple[str, Detector]]:

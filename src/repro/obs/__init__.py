@@ -12,7 +12,10 @@ this package makes that pipeline visible:
   histograms with Prometheus text exposition;
 * :mod:`repro.obs.config` — the :class:`Observability` object that owns
   both and wires them into an engine
-  (``ECAEngine(..., observability=Observability())``);
+  (``ECAEngine(..., observability=Observability())``), declaring every
+  ``eca_*`` family as a scrape-time read of the tallies the engine's
+  components keep themselves (:func:`declare_service_metrics` does the
+  same for the event and SPARQL services a standalone host runs);
 * :mod:`repro.obs.profile` — the latency observatory: a continuous
   wall-clock sampling profiler (folded-stack flamegraph export,
   per-subsystem attribution) and the critical-path analyzer that
@@ -33,7 +36,7 @@ Everything is off by default and costs nothing when off.
 from .attribution import (WAIT_KINDS, WaitScope, bind_wait_scope,
                           current_wait_scope, pop_wait_scope,
                           push_wait_scope, record_wait, unbind_wait_scope)
-from .config import Observability
+from .config import Observability, declare_service_metrics, hosted_services
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
 from .profile import (BUDGET_PHASES, CriticalPathAnalyzer,
@@ -44,7 +47,8 @@ from .trace import (JsonlExporter, NOOP_TRACER, NoopSpan, NoopTracer,
                     parse_traceparent, render_trace, span_to_dict,
                     spans_to_xml, traceparent_sampled, xml_to_span_dicts)
 
-__all__ = ["Observability", "Counter", "Gauge", "Histogram",
+__all__ = ["Observability", "declare_service_metrics", "hosted_services",
+           "Counter", "Gauge", "Histogram",
            "MetricsRegistry", "DEFAULT_BUCKETS", "RotatingSink", "Span",
            "Tracer", "NoopSpan", "NoopTracer", "NOOP_TRACER",
            "RingBufferExporter", "JsonlExporter", "format_traceparent",

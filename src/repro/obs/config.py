@@ -11,50 +11,12 @@ Everything is off by default — an engine constructed without an
 of ``is not None`` checks, and ``Observability(enabled=False)`` exposes
 no-op instruments so user code holding the handle keeps working.
 
-Metric taxonomy (all scrapeable via ``render_prometheus()`` or the
-``/metrics`` route of :class:`~repro.services.HttpServiceServer`):
-
-========================================  =========  =======================
-name                                      kind       source
-========================================  =========  =======================
-``eca_detections_total``                  counter    engine stats
-``eca_rule_instances_total``              counter    engine stats
-``eca_instances_total{status}``           counter    engine stats
-``eca_actions_total``                     counter    engine stats
-``eca_instances_evicted_total``           counter    engine stats
-``eca_kept_instances``                    gauge      engine retention
-``eca_registered_rules``                  gauge      engine rule table
-``eca_phase_latency_seconds{phase}``      histogram  engine hot path
-``eca_grh_requests_total``                counter    GRH
-``eca_grh_cache_hits_total``              counter    GRH opaque cache
-``eca_grh_request_latency_seconds{kind}`` histogram  GRH hot path
-``eca_retries_total``                     counter    resilience
-``eca_attempts_total``                    counter    resilience
-``eca_breaker_opens_total``               counter    resilience
-``eca_breaker_rejections_total``          counter    resilience
-``eca_breaker_state{endpoint}``           gauge      0 closed, 0.5 half, 1 open
-``eca_service_requests_total{endpoint,outcome}``  counter  resilience
-``eca_failover_total``                    counter    replica failovers
-``eca_hedge_total{outcome}``              counter    hedged reads
-``eca_replica_health{replica,state}``     gauge      replica health board
-``eca_dead_letters``                      gauge      dead letter queue
-``eca_dead_letters_dropped_total``        counter    dead letter queue
-``eca_journal_records_total``             counter    durability journal
-``eca_journal_fsync_seconds``             histogram  durability hot path
-``eca_checkpoint_seconds``                histogram  durability hot path
-``eca_runtime_queue_depth{shard}``        gauge      concurrent runtime
-``eca_runtime_worker_utilization{shard}`` gauge      concurrent runtime
-``eca_runtime_accepting``                 gauge      admission gate
-``eca_runtime_detections_total{outcome}`` counter    concurrent runtime
-``eca_runtime_queue_wait_seconds``        histogram  concurrent runtime
-``eca_runtime_batches_total``             counter    dispatch batcher
-``eca_runtime_batched_requests_total``    counter    dispatch batcher
-``eca_latency_budget_seconds{phase}``     histogram  critical-path analyzer
-``eca_latency_selfcheck_total{outcome}``  counter    critical-path analyzer
-``eca_profile_samples_total``             counter    sampling profiler
-``eca_profile_overhead_fraction``         gauge      sampling profiler
-``eca_metrics_dropped_labels_total``      counter    registry cardinality cap
-========================================  =========  =======================
+Every ``eca_*`` family, its kind and its labels are catalogued once, in
+PROTOCOL.md §8; ``tests/obs/test_catalogue.py`` keeps that table and
+this module in step.  Components keep their own tallies (counters,
+gauges and :class:`~repro.obs.metrics.Histogram` distributions);
+:meth:`Observability.install` and :func:`declare_service_metrics` only
+declare the families, as scrape-time reads of those tallies.
 """
 
 from __future__ import annotations
@@ -65,7 +27,7 @@ from .profile import CriticalPathAnalyzer, SamplingProfiler
 from .trace import (JsonlExporter, NOOP_TRACER, RingBufferExporter, Span,
                     Tracer, render_trace)
 
-__all__ = ["Observability"]
+__all__ = ["Observability", "declare_service_metrics", "hosted_services"]
 
 #: the component phases of one rule instance, in evaluation order
 PHASES = ("event", "query", "test", "action")
@@ -85,8 +47,12 @@ class Observability:
     ``trace_buffer`` bounds the in-memory span ring; ``trace_jsonl``
     additionally streams every finished span to a JSONL file
     (size-capped and rotated when ``trace_jsonl_max_bytes`` is set).
-    Pass ``metrics=`` to share one registry between several engines
-    (their counters then aggregate into one exposition).
+    Pass ``metrics=`` to share one registry between several engines:
+    only the two latency families recorded on the hot path
+    (``eca_phase_latency_seconds``, ``eca_grh_request_latency_seconds``)
+    accumulate across them; every other family — engine, GRH, runtime,
+    durability, match and SPARQL — is a scrape-time read that re-binds
+    to the engine installed last.
 
     Production operations (``repro.obs.ops``) hang off the same switch:
 
@@ -274,6 +240,7 @@ class Observability:
         metrics.counter("eca_grh_cache_hits_total",
                         "Opaque-request cache hits",
                         callback=lambda: grh.cache_hits)
+        declare_service_metrics(metrics, lambda: hosted_services(grh))
 
         resilience = grh.resilience
         resilience.observer = self._on_resilience_event
@@ -291,15 +258,17 @@ class Observability:
             "Breaker state per endpoint (0 closed, 0.5 half-open, 1 open)",
             labels=("endpoint",),
             callback=lambda: {
-                address: _BREAKER_STATE_VALUE.get(breaker.state, 1.0)
-                for address, breaker in resilience._breakers.items()})
+                address: _BREAKER_STATE_VALUE.get(state, 1.0)
+                for address, state
+                in resilience.snapshot()["breakers"].items()})
         metrics.counter(
             "eca_service_requests_total",
             "Per-endpoint request outcomes", labels=("endpoint", "outcome"),
             callback=lambda: {
-                (address, outcome): count
-                for address, counts in resilience._per_service.items()
-                for outcome, count in counts.items()})
+                (address, outcome): counts[outcome]
+                for address, counts
+                in resilience.snapshot()["services"].items()
+                for outcome in ("successes", "failures")})
         metrics.counter("eca_failover_total",
                         "Mid-call retargets onto an alternative replica",
                         callback=lambda: resilience.failovers)
@@ -323,7 +292,7 @@ class Observability:
                         "Dead letters dropped on queue overflow",
                         callback=lambda: queue.dropped)
 
-        pool_stats = getattr(grh.transport, "pool_stats", None)
+        pool_stats = transport_pool_stats(grh)
         if pool_stats is not None:
             metrics.gauge(
                 "eca_http_pool_connections",
@@ -372,10 +341,10 @@ class Observability:
                                   "dropped": runtime.dropped,
                                   "rejected": runtime.rejected,
                                   "errors": runtime.errors})
-            runtime.on_wait = self.metrics.histogram(
+            metrics.histogram(
                 "eca_runtime_queue_wait_seconds",
-                "Time a detection waited queued before a worker ran it"
-            ).observe
+                "Time a detection waited queued before a worker ran it",
+                callback=lambda: runtime.queue_wait)
             batcher = runtime.batcher
             if batcher is not None:
                 metrics.counter(
@@ -396,12 +365,12 @@ class Observability:
             metrics.gauge("eca_in_flight_detections",
                           "Journaled detections not yet completed",
                           callback=lambda: len(durability.in_flight))
-            journal.on_fsync = self.metrics.histogram(
-                "eca_journal_fsync_seconds",
-                "Journal fsync latency").observe
-            durability.checkpoint_observer = self.metrics.histogram(
-                "eca_checkpoint_seconds",
-                "Checkpoint write duration").observe
+            metrics.histogram("eca_journal_fsync_seconds",
+                              "Journal fsync latency",
+                              callback=lambda: journal.fsync_seconds)
+            metrics.histogram("eca_checkpoint_seconds",
+                              "Checkpoint write duration",
+                              callback=lambda: durability.checkpoint_seconds)
 
     def _on_resilience_event(self, event: str, address: str) -> None:
         """ResilienceManager observer: mark the active span and log.
@@ -466,3 +435,141 @@ class Observability:
             self.jsonl.close()
         if self.log is not None:
             self.log.close()
+
+
+def transport_pool_stats(grh):
+    """The GRH transport's ``pool_stats`` reader, or ``None`` for a
+    transport without connection pools (probed once, at install)."""
+    return getattr(grh.transport, "pool_stats", None)
+
+
+def hosted_services(grh) -> list:
+    """The in-process services ``grh`` routes to, each once — one
+    service may answer under several language URIs."""
+    unique = {id(route.service): route.service
+              for route in grh.routes().values()
+              if route.service is not None}
+    return list(unique.values())
+
+
+def partition_services(services) -> tuple[list, list]:
+    """``(event-detection services, SPARQL services)`` among
+    ``services``; any other service keeps no tallies ``repro.obs``
+    reads."""
+    from ..services.event_service import EventDetectionService
+    from ..sparql.service import SparqlQueryService
+    services = list(services)
+    return ([service for service in services
+             if isinstance(service, EventDetectionService)],
+            [service for service in services
+             if isinstance(service, SparqlQueryService)])
+
+
+def declare_service_metrics(registry: MetricsRegistry, services) -> None:
+    """Declare the ``eca_match_*`` (PROTOCOL.md §13.4) and
+    ``eca_sparql_*`` (§15.5) families on ``registry``.
+
+    ``services`` is a zero-argument callable returning the hosted
+    services; it is called at every scrape, so a service registered
+    later shows up and a dropped one leaves.  Each family sums what the
+    services of one name count — discrimination networks and SPARQL
+    services keep every tally themselves, so declaring costs nothing per
+    event or query.  :meth:`Observability.install` calls this with the
+    engine's hosted services; a standalone host or a test calls it with
+    its own.  Declaring again re-binds the families.
+    """
+    def events():
+        return partition_services(services())[0]
+
+    def sparql():
+        return partition_services(services())[1]
+
+    def per_service(hosted, read, combine=sum):
+        """Scrape-time ``{(service name,): combine(values)}``; a ``read``
+        that returns a mapping adds its keys as a second label."""
+        def collect():
+            grouped: dict[tuple[str, ...], list] = {}
+            for service in hosted():
+                value = read(service)
+                for key, item in (value.items() if isinstance(value, dict)
+                                  else ((None, value),)):
+                    label = (service.service_name,) if key is None \
+                        else (service.service_name, key)
+                    grouped.setdefault(label, []).append(item)
+            return {label: combine(items)
+                    for label, items in grouped.items()}
+        return collect
+
+    registry.gauge(
+        "eca_match_alpha_nodes",
+        "Unique alpha nodes in the event discrimination network",
+        labels=("service",),
+        callback=per_service(events, lambda s: s.network.alpha_node_count))
+    registry.gauge(
+        "eca_match_shared_memories",
+        "Alpha nodes shared by more than one registered component",
+        labels=("service",),
+        callback=per_service(events, lambda s: s.network.shared_memory_count))
+    registry.gauge(
+        "eca_match_fallback_patterns",
+        "Registered components in the linear fallback bucket",
+        labels=("service",),
+        callback=per_service(events, lambda s: s.network.fallback_count))
+    registry.histogram(
+        "eca_match_candidates",
+        "Candidate components offered one event after discrimination",
+        labels=("service",),
+        callback=per_service(events, lambda s: s.network.candidates, list))
+    registry.counter(
+        "eca_match_events_total",
+        "Events routed through the discrimination network",
+        labels=("service",),
+        callback=per_service(events, lambda s: s.network.events_routed))
+
+    registry.gauge(
+        "eca_sparql_store_triples",
+        "Triples held by live SPARQL stores",
+        labels=("service",),
+        callback=per_service(sparql, lambda s: s.store.snapshot()["triples"]))
+    registry.gauge(
+        "eca_sparql_store_predicates",
+        "Distinct predicates held by live SPARQL stores",
+        labels=("service",),
+        callback=per_service(
+            sparql, lambda s: s.store.snapshot()["predicates"]))
+    registry.histogram(
+        "eca_sparql_query_seconds",
+        "SPARQL query latency through the planned executor",
+        labels=("service",),
+        callback=per_service(sparql, lambda s: s.query_seconds, list))
+    registry.counter(
+        "eca_sparql_queries_total",
+        "SPARQL queries answered, by query form",
+        labels=("service", "form"),
+        callback=per_service(sparql, lambda s: dict(s.forms)))
+    registry.counter(
+        "eca_sparql_plan_cache_hits_total",
+        "Queries answered with a cached plan (same text, statistics "
+        "still within the plan's drift ratio)",
+        labels=("service",),
+        callback=per_service(sparql, lambda s: s.stats["cache_hits"]))
+    registry.counter(
+        "eca_sparql_index_probes_total",
+        "Index probes issued by scans, by index",
+        labels=("service", "index"),
+        callback=per_service(sparql, lambda s: s.store.snapshot()["probes"]))
+    registry.histogram(
+        "eca_sparql_estimated_rows",
+        "Planner-estimated result rows per query",
+        labels=("service",),
+        callback=per_service(sparql, lambda s: s.estimated_rows, list))
+    registry.histogram(
+        "eca_sparql_actual_rows",
+        "Actual result rows per query",
+        labels=("service",),
+        callback=per_service(sparql, lambda s: s.actual_rows, list))
+    registry.histogram(
+        "eca_sparql_pushdown_seed_rows",
+        "Input binding-set sizes pushed down into the join",
+        labels=("service",),
+        callback=per_service(sparql, lambda s: s.pushdown_seed_rows, list))

@@ -15,7 +15,9 @@ Two ways to get a value into a metric:
 * **scrape-time callbacks** — an instrument constructed with
   ``callback=`` reads its value(s) only when rendered.  State the
   engine already tracks (``engine.stats``, breaker states, queue
-  lengths) is exposed this way at zero hot-path cost.
+  lengths) is exposed this way at zero hot-path cost; a histogram
+  family's callback hands back the histograms a component keeps for
+  itself.
 
 Histograms use fixed cumulative buckets (Prometheus ``le`` semantics);
 the default ladder spans 100µs…10s, covering in-process component calls
@@ -293,10 +295,16 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help_text: str = "",
                   labels: tuple[str, ...] = (),
-                  buckets: Iterable[float] = DEFAULT_BUCKETS):
+                  buckets: Iterable[float] = DEFAULT_BUCKETS,
+                  callback: Callable[[], object] | None = None):
+        """A histogram, a labelled histogram family, or (with
+        ``callback``) a scrape-time family whose callback returns a
+        :class:`Histogram` or a ``{label-values-tuple: [Histogram, …]}``
+        mapping — several histograms under one label render as their
+        sum."""
         bucket_tuple = tuple(buckets)
         return self._register(name, help_text, "histogram", tuple(labels),
-                              None, lambda: Histogram(bucket_tuple))
+                              callback, lambda: Histogram(bucket_tuple))
 
     def get(self, name: str):
         metric = self._metrics.get(name)
@@ -314,10 +322,10 @@ class MetricsRegistry:
             if metric.help:
                 lines.append(f"# HELP {metric.name} {metric.help}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-            if metric.callback is not None:
-                self._render_callback(lines, metric)
-            elif metric.kind == "histogram":
+            if metric.kind == "histogram":
                 self._render_histograms(lines, metric)
+            elif metric.callback is not None:
+                self._render_callback(lines, metric)
             elif metric.label_names:
                 for values, child in sorted(metric.instrument.items()):
                     labels = _render_labels(metric.label_names, values)
@@ -348,13 +356,26 @@ class MetricsRegistry:
 
     @staticmethod
     def _render_histograms(lines: list[str], metric: _Metric) -> None:
-        if metric.label_names:
-            children = sorted(metric.instrument.items())
+        if metric.callback is not None:
+            try:
+                result = metric.callback()
+            except Exception:
+                return
+            children = [((), [result])] if isinstance(result, Histogram) \
+                else sorted(result.items())
+        elif metric.label_names:
+            children = [(values, [histogram]) for values, histogram
+                        in sorted(metric.instrument.items())]
         else:
-            children = [((), metric.instrument)]
-        for values, histogram in children:
-            cumulative, total_sum, total_count = histogram.snapshot()
-            for bound, count in zip(histogram.buckets, cumulative):
+            children = [((), [metric.instrument])]
+        for values, histograms in children:
+            cumulative, total_sum, total_count = histograms[0].snapshot()
+            for histogram in histograms[1:]:
+                more, more_sum, more_count = histogram.snapshot()
+                cumulative = [a + b for a, b in zip(cumulative, more)]
+                total_sum += more_sum
+                total_count += more_count
+            for bound, count in zip(histograms[0].buckets, cumulative):
                 labels = _render_labels(metric.label_names, values,
                                         (("le", _format_value(bound)),))
                 lines.append(f"{metric.name}_bucket{labels} {count}")

@@ -18,11 +18,11 @@ standalone :class:`ObsAdminServer`:
   journal, the concurrent runtime (per-shard queue depths, utilization,
   admission and batcher counters), the replica health board
   (per-replica state, failover/hedge counters, prober status —
-  PROTOCOL.md §12), the event discrimination networks hosted in this
-  process (alpha nodes, shared memories, fallback buckets,
+  PROTOCOL.md §12), the event discrimination networks of the services
+  the engine hosts (alpha nodes, shared memories, fallback buckets,
   candidates-per-event — PROTOCOL.md §13) and the planned SPARQL
-  backends hosted in this process (store sizes, predicate statistics,
-  recent plans with estimates vs actuals — PROTOCOL.md §15);
+  services it hosts (store sizes, predicate statistics, recent plans
+  with estimates vs actuals — PROTOCOL.md §15);
 * ``GET /introspect/profile`` — the sampling profiler's recent window
   (per-subsystem shares, hottest stacks); ``?seconds=N`` takes a fresh
   blocking capture, ``?format=folded`` adds flamegraph-ready folded
@@ -43,14 +43,6 @@ locking the hot path.
 from __future__ import annotations
 
 __all__ = ["IntrospectionSurface", "ObsAdminServer", "INTROSPECTION_ROUTES"]
-
-#: every route the surface answers; HttpServiceServer dispatches on these
-INTROSPECTION_ROUTES = ("/healthz", "/readyz", "/introspect/rules",
-                        "/introspect/instances", "/introspect/breakers",
-                        "/introspect/dead-letters", "/introspect/journal",
-                        "/introspect/runtime", "/introspect/replicas",
-                        "/introspect/match", "/introspect/sparql",
-                        "/introspect/profile", "/introspect/latency")
 
 #: how many times a copy retries when a scrape races an engine mutation
 _SNAPSHOT_RETRIES = 5
@@ -84,46 +76,21 @@ class IntrospectionSurface:
         self.engine = engine
         self.observability = observability if observability is not None \
             else engine.observability
+        # imported here: repro.obs.config imports this package
+        from ..config import transport_pool_stats
+        self._pool_stats = transport_pool_stats(engine.grh)
 
     def handles(self, path: str) -> bool:
         # the surface owns the whole /introspect/ namespace: an unknown
         # sub-route answers its JSON 404 rather than falling through to
         # whatever service shares the port
-        return path in INTROSPECTION_ROUTES or \
-            path.startswith("/introspect/")
+        return path in _ROUTES or path.startswith("/introspect/")
 
     def handle(self, path: str, params: dict | None = None):
-        params = params or {}
-        if path == "/healthz":
-            return self.healthz()
-        if path == "/readyz":
-            return self.readyz()
-        if path == "/introspect/rules":
-            return 200, self.rules()
-        if path == "/introspect/instances":
-            limit = params.get("limit")
-            return 200, self.instances(
-                rule=params.get("rule"),
-                limit=int(limit) if limit is not None else None)
-        if path == "/introspect/breakers":
-            return 200, self.breakers()
-        if path == "/introspect/dead-letters":
-            return 200, self.dead_letters()
-        if path == "/introspect/journal":
-            return 200, self.journal()
-        if path == "/introspect/runtime":
-            return 200, self.runtime()
-        if path == "/introspect/replicas":
-            return 200, self.replicas()
-        if path == "/introspect/match":
-            return 200, self.match()
-        if path == "/introspect/sparql":
-            return 200, self.sparql()
-        if path == "/introspect/profile":
-            return self.profile(params)
-        if path == "/introspect/latency":
-            return 200, self.latency()
-        return 404, {"error": f"unknown introspection route {path!r}"}
+        route = _ROUTES.get(path)
+        if route is None:
+            return 404, {"error": f"unknown introspection route {path!r}"}
+        return route(self, params or {})
 
     # -- probes --------------------------------------------------------------
 
@@ -134,7 +101,7 @@ class IntrospectionSurface:
     def readyz(self):
         """Readiness: recovery complete and the journal accepts writes."""
         engine = self.engine
-        checks = {"recovery_complete": bool(getattr(engine, "ready", True))}
+        checks = {"recovery_complete": bool(engine.ready)}
         durability = engine.durability
         if durability is not None:
             checks["journal_writable"] = bool(
@@ -145,9 +112,7 @@ class IntrospectionSurface:
             # engine: a stopped or saturated pool must shed traffic at
             # the balancer, not at the ingestion queue
             checks["runtime_accepting"] = bool(runtime.accepting)
-        breakers = _copy(lambda: {
-            address: breaker.state for address, breaker
-            in engine.grh.resilience._breakers.items()})
+        breakers = engine.grh.resilience.snapshot()["breakers"]
         ready = all(checks.values())
         return (200 if ready else 503), {
             "status": "ready" if ready else "unready",
@@ -179,6 +144,15 @@ class IntrospectionSurface:
                 else 0,
             })
         return {"rules": rules, "stats": dict(engine.stats)}
+
+    def _instances_route(self, params: dict):
+        limit = params.get("limit")
+        if limit is not None:
+            try:
+                limit = int(limit)
+            except ValueError:
+                return 400, {"error": f"bad limit value {limit!r}"}
+        return 200, self.instances(rule=params.get("rule"), limit=limit)
 
     def instances(self, rule: str | None = None, limit: int | None = None):
         engine = self.engine
@@ -242,30 +216,35 @@ class IntrospectionSurface:
         per-service replica sets, failover/hedge counters and prober
         status."""
         grh = self.engine.grh
-        resilience = grh.resilience
+        snapshot = grh.resilience.snapshot()
         view = {
-            "replicas": resilience.health.snapshot(),
+            "replicas": snapshot["replicas"],
             "services": _copy(lambda: {
                 uri: list(route.addresses)
                 for uri, route in grh.routes().items()}),
-            "failovers": resilience.failovers,
-            "hedges": dict(resilience.hedge_outcomes,
-                           launched=resilience.hedges_launched),
+            "failovers": snapshot["failovers"],
+            "hedges": snapshot["hedges"],
         }
-        prober = getattr(grh, "health_prober", None)
+        prober = grh.health_prober
         view["prober"] = {
             "running": prober.running, "cycles": prober.cycles,
         } if prober is not None else None
         return view
 
+    def _hosted(self) -> tuple[list, list]:
+        """(event-detection, SPARQL) services the engine's GRH hosts
+        in process; remote ones answer on their own hosts."""
+        from ..config import hosted_services, partition_services
+        return partition_services(_copy(
+            lambda: hosted_services(self.engine.grh)))
+
     def match(self):
         """Discrimination-network view (PROTOCOL.md §13): one snapshot
-        per live network in the process — event services are autonomous
-        (they may not even share the engine's process), so the view
-        reports whatever this process hosts rather than reaching
-        through the engine."""
-        from ...match import live_snapshots
-        networks = _copy(live_snapshots)
+        per event service the engine hosts."""
+        networks = [service.network.snapshot()
+                    for service in self._hosted()[0]]
+        networks.sort(key=lambda view: (view["service"],
+                                        -view["registered"]))
         return {"networks": networks,
                 "total_registered": sum(view["registered"]
                                         for view in networks)}
@@ -273,11 +252,11 @@ class IntrospectionSurface:
     def sparql(self):
         """SPARQL-backend view (PROTOCOL.md §15): store sizes,
         per-predicate statistics and recent plans (estimates vs
-        actuals) for every planned SPARQL service this process hosts —
-        like :meth:`match`, the view reports process-local services
-        rather than reaching through the engine."""
-        from ...sparql import live_snapshots
-        services = _copy(live_snapshots)
+        actuals) for every SPARQL service the engine hosts."""
+        services = [service.introspection()
+                    for service in self._hosted()[1]]
+        services.sort(key=lambda view: (view["service"],
+                                        -view["store"]["triples"]))
         return {"services": services,
                 "total_triples": sum(view["store"]["triples"]
                                      for view in services)}
@@ -341,10 +320,41 @@ class IntrospectionSurface:
         batcher = runtime.batcher
         if batcher is not None:
             view["batcher"] = batcher.counters()
-        pool_stats = getattr(self.engine.grh.transport, "pool_stats", None)
-        if pool_stats is not None:
-            view["http_pools"] = pool_stats()
+        if self._pool_stats is not None:
+            view["http_pools"] = self._pool_stats()
         return view
+
+
+def _ok(view):
+    """A route answering 200 with a view that reads no parameters."""
+    return lambda surface, params: (200, view(surface))
+
+
+def _probe(check):
+    """A route whose view answers its own status."""
+    return lambda surface, params: check(surface)
+
+
+#: the one route table: path → ``route(surface, params) -> (status,
+#: payload)``
+_ROUTES = {
+    "/healthz": _probe(IntrospectionSurface.healthz),
+    "/readyz": _probe(IntrospectionSurface.readyz),
+    "/introspect/rules": _ok(IntrospectionSurface.rules),
+    "/introspect/instances": IntrospectionSurface._instances_route,
+    "/introspect/breakers": _ok(IntrospectionSurface.breakers),
+    "/introspect/dead-letters": _ok(IntrospectionSurface.dead_letters),
+    "/introspect/journal": _ok(IntrospectionSurface.journal),
+    "/introspect/runtime": _ok(IntrospectionSurface.runtime),
+    "/introspect/replicas": _ok(IntrospectionSurface.replicas),
+    "/introspect/match": _ok(IntrospectionSurface.match),
+    "/introspect/sparql": _ok(IntrospectionSurface.sparql),
+    "/introspect/profile": IntrospectionSurface.profile,
+    "/introspect/latency": _ok(IntrospectionSurface.latency),
+}
+
+#: every route the surface answers; HttpServiceServer dispatches on these
+INTROSPECTION_ROUTES = tuple(_ROUTES)
 
 
 class ObsAdminServer:

@@ -67,7 +67,9 @@ import time
 import zlib
 from collections import deque
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
+
+from ..obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import ECAEngine
@@ -316,9 +318,8 @@ class Runtime:
         self.errors = 0
         self.last_error: BaseException | None = None
 
-        #: observability hook: called with the seconds a detection spent
-        #: queued before a lane picked it up (obs wires a histogram)
-        self.on_wait: Callable[[float], None] | None = None
+        #: seconds each detection spent queued before a lane picked it up
+        self.queue_wait = Histogram()
 
         self._busy_time = [0.0] * workers
         self._started_at: float | None = None
@@ -542,6 +543,7 @@ class Runtime:
                         self._size -= 1
                         self._shard_inflight[index] += 1
                         self._space.notify()
+                        self.queue_wait.observe(waited)
                         chain = shard.busy.get(key)
                         if chain is None:
                             shard.busy[key] = deque()
@@ -555,12 +557,6 @@ class Runtime:
                 if self._stop and not queue:
                     return
                 continue
-            hook = self.on_wait
-            if hook is not None:
-                try:
-                    hook(waited)
-                except Exception:
-                    pass
             if chain is None:
                 self._execute(index, shard, key, detection, waited)
 

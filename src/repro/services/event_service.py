@@ -28,7 +28,7 @@ from ..events import (Detector, Event, EventStream, parse_atomic,
                       parse_snoop, parse_xchange)
 from ..events.snoop import Atomic
 from ..grh.messages import Request, detection_to_xml, Detection
-from ..match import DiscriminationNetwork, install_match_metrics
+from ..match import DiscriminationNetwork
 from ..xmlmodel import Element
 from .base import LanguageService, ServiceError
 
@@ -46,8 +46,8 @@ _BOOT = f"{time.time_ns():x}"
 class EventDetectionService(LanguageService):
     """Shared base of the three event-language services.
 
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) installs
-    the §13 match instruments; without it routing is uninstrumented.
+    Its discrimination network counts what routing does (PROTOCOL.md
+    §13.4); ``repro.obs`` reads those tallies at scrape time.
 
     Registration churn and feeding the detectors are serialized under
     one re-entrant lock (detections are signalled outside it), so
@@ -60,14 +60,11 @@ class EventDetectionService(LanguageService):
     service_name = "event-detection"
 
     def __init__(self, notify: Callable[[Element], None], *,
-                 incarnation: str | None = None,
-                 metrics=None) -> None:
+                 incarnation: str | None = None) -> None:
         self._notify = notify
         self._detectors: dict[str, Detector] = {}
         self._lock = threading.RLock()
         self._network = DiscriminationNetwork(self.service_name)
-        self._instruments = (install_match_metrics(metrics)
-                             if metrics is not None else None)
         #: per-service monotonic detection sequence; stamped on every
         #: log:detection as ``detection-id`` so a durable engine can
         #: deduplicate at-least-once redelivery (PROTOCOL.md §7).
@@ -131,9 +128,6 @@ class EventDetectionService(LanguageService):
         """
         with self._lock:
             candidates = self._network.route(event)
-            if self._instruments is not None:
-                self._instruments.observe(self.service_name,
-                                          len(candidates))
         for component_id, detector, shared in candidates:
             with self._lock:
                 if self._detectors.get(component_id) is not detector:

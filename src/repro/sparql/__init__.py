@@ -16,18 +16,15 @@ Four layers over one store:
   framework-aware component language with binding-set pushdown,
   registered under :data:`RDF_SPARQL_LANG`.
 
-Observability rides along in :mod:`repro.sparql.instrument`
-(``eca_sparql_*`` metrics, ``/introspect/sparql``).
+The service and its store count what they do; ``repro.obs`` reads
+those tallies (``eca_sparql_*`` metrics, ``/introspect/sparql``).
 """
 
 from .exec import (ABSENT, ExecStats, Table, run_ask, run_plan, run_select,
                    solutions_from_table, table_from_solutions)
-from .instrument import (ROW_BUCKETS, SparqlInstruments,
-                         install_sparql_metrics, live_services,
-                         live_snapshots, register_service)
 from .plan import (FilterStep, GroupPlan, OptionalStep, PlanError, QueryPlan,
                    ScanStep, UnionStep, explain, plan_query)
-from .service import RDF_SPARQL_LANG, SparqlQueryService
+from .service import RDF_SPARQL_LANG, ROW_BUCKETS, SparqlQueryService
 from .store import TripleStore
 
 __all__ = [
@@ -36,7 +33,5 @@ __all__ = [
     "GroupPlan", "QueryPlan", "plan_query", "explain",
     "ABSENT", "Table", "ExecStats", "run_plan", "run_select", "run_ask",
     "solutions_from_table", "table_from_solutions",
-    "SparqlQueryService", "RDF_SPARQL_LANG",
-    "install_sparql_metrics", "SparqlInstruments", "register_service",
-    "live_services", "live_snapshots", "ROW_BUCKETS",
+    "SparqlQueryService", "RDF_SPARQL_LANG", "ROW_BUCKETS",
 ]

@@ -26,9 +26,10 @@ TripleStore`'s O(1) statistics:
   it joins (the binding-set pushdown boundary of the executor).
 
 The planner records per-step row estimates; the executor tallies actual
-rows, and the pair is exported as the ``eca_sparql_plan_rows`` metrics
-and the ``/introspect/sparql`` recent-plans view, so misestimates are
-observable rather than anecdotal.
+rows, and the pair is exported per query as the
+``eca_sparql_estimated_rows``/``eca_sparql_actual_rows`` histograms and
+per stage in the ``/introspect/sparql`` recent-plans view, so
+misestimates are observable rather than anecdotal.
 
 **Validity.** The planner reads the store only through a
 :class:`_Statistics` recorder, and the plan keeps every value it read

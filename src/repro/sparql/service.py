@@ -40,20 +40,25 @@ from dataclasses import replace
 
 from ..bindings import PLACEHOLDER, Relation, Uri
 from ..grh.messages import Request
+from ..obs.metrics import Histogram
 from ..obs.trace import current_span_sink
 from ..rdf import Graph, Literal, URIRef, XSD
 from ..rdf.sparql import Solution, finalize_select, parse_sparql
 from ..services.base import LanguageService, ServiceError
 from ..services.query_services import _per_tuple_lp_evaluation
 from .exec import run_plan, solutions_from_table, table_from_solutions
-from .instrument import install_sparql_metrics, register_service
 from .plan import QueryPlan, explain, plan_query
 from .store import TripleStore
 
-__all__ = ["SparqlQueryService", "RDF_SPARQL_LANG"]
+__all__ = ["SparqlQueryService", "RDF_SPARQL_LANG", "ROW_BUCKETS"]
 
 #: language URI of the SPARQL component language
 RDF_SPARQL_LANG = "http://www.semwebtech.org/languages/2006/rdf-sparql"
+
+#: histogram buckets for result-set/estimate row counts (rows, not
+#: seconds): the quantity the planner tries to predict
+ROW_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0,
+               1000.0, 10000.0, 100000.0)
 
 
 def _term_for(value):
@@ -86,13 +91,18 @@ def _value_for(term):
 
 
 class SparqlQueryService(LanguageService):
-    """LP-style query service over an indexed, planned triple store."""
+    """LP-style query service over an indexed, planned triple store.
+
+    It counts what it answers (``stats``, ``forms`` and four
+    histograms, PROTOCOL.md §15.5); ``repro.obs`` reads them at scrape
+    time.
+    """
 
     service_name = "rdf-sparql"
 
     def __init__(self, store: Graph | None = None,
                  prefixes: dict[str, str] | None = None, *,
-                 metrics=None, plan_cache_size: int = 256,
+                 plan_cache_size: int = 256,
                  recent_limit: int = 20) -> None:
         if store is None:
             store = TripleStore()
@@ -103,15 +113,21 @@ class SparqlQueryService(LanguageService):
         self.plan_cache_size = plan_cache_size
         self._plans: "OrderedDict[tuple, QueryPlan]" = OrderedDict()
         #: runtime lanes call an inline service concurrently: the cache's
-        #: lookup + recency bump + eviction is one critical section
-        self._plans_lock = threading.Lock()
+        #: lookup + recency bump + eviction is one critical section, and
+        #: so is folding one query into the tallies below
+        self._lock = threading.Lock()
         #: most recent executed plans with estimates and actuals, newest
         #: last — the ``/introspect/sparql`` recent-plans view
         self.recent_plans: deque = deque(maxlen=recent_limit)
         self.stats = {"queries": 0, "cache_hits": 0, "pushdown_queries": 0}
-        self._instruments = (install_sparql_metrics(metrics)
-                             if metrics is not None else None)
-        register_service(self)
+        #: queries answered per query form (``SELECT``/``ASK``)
+        self.forms: dict[str, int] = {}
+        self.query_seconds = Histogram()
+        #: the planner's estimate and the actual row count, per query
+        self.estimated_rows = Histogram(ROW_BUCKETS)
+        self.actual_rows = Histogram(ROW_BUCKETS)
+        #: input binding-set sizes of the queries that were seeded
+        self.pushdown_seed_rows = Histogram(ROW_BUCKETS)
 
     # -- planning ------------------------------------------------------------
 
@@ -133,7 +149,7 @@ class SparqlQueryService(LanguageService):
         ``replaced_because``.
         """
         key = (text, tuple(sorted(seed_vars)))
-        with self._plans_lock:
+        with self._lock:
             cached = self._plans.get(key)
             drift = None
             if cached is not None:
@@ -237,11 +253,18 @@ class SparqlQueryService(LanguageService):
 
     def _record(self, plan: QueryPlan, stats, elapsed: float,
                 cache_hit: bool, seeds: list, actual: int) -> None:
-        self.stats["queries"] += 1
-        if cache_hit:
-            self.stats["cache_hits"] += 1
-        if seeds:
-            self.stats["pushdown_queries"] += 1
+        form = plan.query.form
+        with self._lock:
+            self.stats["queries"] += 1
+            self.forms[form] = self.forms.get(form, 0) + 1
+            if cache_hit:
+                self.stats["cache_hits"] += 1
+            if seeds:
+                self.stats["pushdown_queries"] += 1
+                self.pushdown_seed_rows.observe(len(seeds))
+            self.query_seconds.observe(elapsed)
+            self.estimated_rows.observe(plan.estimate)
+            self.actual_rows.observe(actual)
         sink = current_span_sink()
         if sink is not None:
             # co-located traced caller: one child span per plan stage,
@@ -252,7 +275,7 @@ class SparqlQueryService(LanguageService):
                              "ok", stage["seconds"]))
         self.recent_plans.append({
             "query": (plan.source or "")[:200],
-            "form": plan.query.form,
+            "form": form,
             "estimated_rows": round(plan.estimate, 2),
             "actual_rows": actual,
             "seconds": elapsed,
@@ -265,10 +288,6 @@ class SparqlQueryService(LanguageService):
             "plan": plan.describe(),
             "replaced_because": plan.replaced_because,
         })
-        if self._instruments is not None:
-            self._instruments.observe(self.service_name, plan.query.form,
-                                      elapsed, plan.estimate, actual,
-                                      stats.probes, cache_hit, len(seeds))
 
     # -- introspection -------------------------------------------------------
 

@@ -190,6 +190,24 @@ class TestAdminServer:
             with urllib.request.urlopen(base + "metrics") as response:
                 assert b"eca_rule_instances_total 3" in response.read()
 
+    def test_bad_query_values_answer_400_json(self):
+        obs = Observability(profiler=True)
+        _, engine = build_engine(observability=obs, events=1)
+        try:
+            with ObsAdminServer(engine) as base:
+                status, payload = http_get(
+                    base + "introspect/instances?limit=abc")
+                assert status == 400
+                assert payload == {"error": "bad limit value 'abc'"}
+                status, payload = http_get(
+                    base + "introspect/profile?seconds=abc")
+                assert status == 400 and "error" in payload
+                # the server keeps answering
+                status, _ = http_get(base + "introspect/instances?limit=1")
+                assert status == 200
+        finally:
+            obs.close()
+
     def test_admin_server_works_without_observability(self):
         _, engine = build_engine(events=1)
         with ObsAdminServer(engine) as base:

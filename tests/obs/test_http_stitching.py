@@ -66,6 +66,9 @@ def distributed():
     try:
         yield engine, obs, stream, xq_url
     finally:
+        # closes the pooled client connections, so no server handler
+        # thread outlives the test waiting on a keep-alive socket
+        engine.shutdown()
         xq_server.stop()
         exist_server.stop()
 

@@ -185,10 +185,8 @@ class TestMonitoringSurface:
         finally:
             engine.shutdown(5)
 
-    def test_queue_wait_hook_fires(self):
-        waits = []
+    def test_queue_wait_histogram_fills(self):
         runtime = Runtime(workers=1)
-        runtime.on_wait = waits.append
         deployment, engine = build_world(runtime)
         try:
             engine.register_rule(simple_rule_markup("r1"))
@@ -196,7 +194,8 @@ class TestMonitoringSurface:
             assert engine.drain(10)
         finally:
             engine.shutdown(5)
-        assert len(waits) == 1 and waits[0] >= 0.0
+        assert runtime.queue_wait.count == 1
+        assert runtime.queue_wait.sum >= 0.0
 
 
 class TestDetectionQueueConcurrency:

@@ -4,13 +4,14 @@ import sys
 import threading
 
 from repro.bindings import Relation, Uri
+from repro.core import ECAEngine
 from repro.grh import ComponentSpec, Request, is_error, request_to_xml
+from repro.obs import declare_service_metrics, hosted_services
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.ops.admin import IntrospectionSurface
 from repro.rdf import Graph, Literal, URIRef
 from repro.services import SPARQL_LANG, standard_deployment
-from repro.sparql import (RDF_SPARQL_LANG, SparqlQueryService, TripleStore,
-                          live_snapshots)
+from repro.sparql import RDF_SPARQL_LANG, SparqlQueryService, TripleStore
 from repro.xmlmodel import parse
 
 EX = "http://example.org/"
@@ -206,18 +207,52 @@ class TestPlanCache:
 class TestObservability:
     def test_metrics_registered_and_driven(self):
         registry = MetricsRegistry()
-        service = SparqlQueryService(build_store(), prefixes={"ex": EX},
-                                     metrics=registry)
+        service = build_service()
+        declare_service_metrics(registry, lambda: [service])
         service.query(query_request(
             "SELECT ?n WHERE { ?p ex:name ?n }",
             bindings=[{"p": Uri(EX + "p1")}]))
         rendered = registry.render_prometheus()
-        assert 'eca_sparql_queries_total{form="SELECT",' in rendered \
-            or 'eca_sparql_queries_total{service=' in rendered
-        assert "eca_sparql_query_seconds" in rendered
+        assert ('eca_sparql_queries_total{service="rdf-sparql",'
+                'form="SELECT"} 1') in rendered
+        assert 'eca_sparql_query_seconds_count{service="rdf-sparql"} 1' \
+            in rendered
         assert "eca_sparql_index_probes_total" in rendered
-        assert "eca_sparql_store_triples" in rendered
-        assert "eca_sparql_pushdown_seed_rows" in rendered
+        assert 'eca_sparql_store_triples{service="rdf-sparql"} 24' \
+            in rendered
+        assert ('eca_sparql_pushdown_seed_rows_bucket'
+                '{service="rdf-sparql",le="1.0"} 1') in rendered
+
+    def test_concurrent_queries_lose_no_tally(self):
+        """Runtime lanes answer queries on one service concurrently: every
+        query lands in ``stats``, ``forms`` and the latency histogram."""
+        service = build_service()
+        errors = []
+
+        def lane(offset):
+            try:
+                for step in range(300):
+                    service.query(query_request(
+                        f"ASK {{ ex:p{(offset + step) % 8} ex:name ?n }}"))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lane, args=(offset,))
+                   for offset in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert service.stats["queries"] == 2400
+        assert service.forms == {"ASK": 2400}
+        assert service.query_seconds.count == 2400
 
     def test_introspection_view(self):
         service = build_service()
@@ -236,21 +271,25 @@ class TestObservability:
         assert recent["plan"]["stages"]
 
     def test_admin_route_reports_live_services(self):
-        service = build_service()
-        service.query(query_request("ASK { ?p ex:lives ex:city0 }"))
-        surface = IntrospectionSurface(None, observability=object())
+        deployment = standard_deployment(graph=build_store())
+        deployment.sparql.prefixes["ex"] = EX
+        deployment.sparql.query(query_request(
+            "ASK { ?p ex:lives ex:city0 }"))
+        surface = IntrospectionSurface(ECAEngine(deployment.grh))
         status, view = surface.handle("/introspect/sparql")
         assert status == 200
-        mine = [entry for entry in view["services"]
-                if entry["store"]["triples"] == 24]
-        assert mine and mine[0]["service"] == "rdf-sparql"
-        assert view["total_triples"] >= 24
+        # one service, though it answers under two URIs
+        (mine,) = view["services"]
+        assert mine["service"] == "rdf-sparql"
+        assert mine["stats"]["queries"] == 1
+        assert view["total_triples"] == 24
 
-    def test_live_snapshot_registry(self):
-        service = build_service()
-        assert any(view["store"]["triples"] == 24
-                   for view in live_snapshots())
-        assert service.service_name == "rdf-sparql"
+    def test_hosted_services_list_each_service_once(self):
+        deployment = standard_deployment(graph=build_store())
+        hosted = hosted_services(deployment.grh)
+        assert [service for service in hosted
+                if service is deployment.sparql] == [deployment.sparql]
+        assert len(hosted) == len({id(service) for service in hosted})
 
 
 class TestConstruction:
