@@ -28,10 +28,8 @@ from typing import Callable
 
 from ..bindings import (Binding, BindingError, Relation, answer_to_binding,
                         answers_to_relation, results_from_answer, substitute)
-from ..obs.attribution import pop_wait_scope, push_wait_scope
 from ..obs.metrics import Counter
-from ..obs.trace import (SPANS_QNAME, pop_span_sink, push_span_sink,
-                         xml_to_span_dicts)
+from ..obs.trace import SPANS_QNAME, xml_to_span_dicts
 from ..xmlmodel import Element, LOG_NS, QName, XMLSyntaxError, parse
 from .component import ComponentSpec
 from .messages import (Detection, MessageError, Request, error_executed,
@@ -47,23 +45,6 @@ __all__ = ["GenericRequestHandler", "GRHError"]
 _ANSWERS = QName(LOG_NS, "answers")
 _ANSWER = QName(LOG_NS, "answer")
 _TRACEPARENT_ATTR = QName(None, "traceparent")
-
-
-def _finish_request_span(obs, span, kind, scope, status="ok") -> None:
-    """Stamp the dispatch's accumulated waits onto the request span and
-    finish it.
-
-    The wait attributes (``batch_park``/``pool_wait``/``retry_backoff``/
-    ``hedge_wait``) must land *before* ``tracer.finish`` — exporters
-    (JSONL, the critical-path analyzer) read the attributes at export
-    time, and success and error paths alike need the budget
-    (PROTOCOL.md §14).
-    """
-    if scope is not None:
-        for kind_key, seconds in scope.items():
-            span.set_attribute(kind_key, seconds)
-    obs.tracer.finish(span, status=status)
-    obs.observe_request(kind, span)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -296,7 +277,8 @@ class GenericRequestHandler:
             # the request span's identity rides in the envelope; an
             # observability-aware service across a process boundary
             # answers with a log:spans annotation that _strip_spans()
-            # adopts into this trace.  stamped onto the payload element
+            # adopts into this trace, while a co-located one appends its
+            # record to the open span.  stamped onto the payload element
             # directly — the Request object itself needs no copy
             span = obs.tracer.begin("grh.request",
                                     {"kind": request.kind,
@@ -314,8 +296,8 @@ class GenericRequestHandler:
             # request gets, and fans the log:batchresults back per caller
             def dispatch() -> Element:
                 result = batcher.submit(route, payload)
-                if obs is not None:
-                    self._strip_spans(result, obs)
+                if span is not None:
+                    _strip_spans(result, obs.tracer, span)
                 return result
         else:
             # failover is always safe for read-only kinds; an action may
@@ -325,10 +307,13 @@ class GenericRequestHandler:
             failover_ok = kind != "action" or (
                 request.dedups is not None and None not in request.dedups)
             timeout = self.resilience.timeout_for(descriptor)
+            # an inline service records onto the open span and never
+            # annotates its reply
+            annotated = None if inline else span
 
             def attempt_once(address: str) -> Element:
                 return self.exchange(self.transport.send, address, payload,
-                                     timeout, descriptor, span)
+                                     timeout, descriptor, annotated)
 
             def dispatch() -> Element:
                 return self.resilience.call_routed(
@@ -350,17 +335,10 @@ class GenericRequestHandler:
         default, never breaker-counted; any other exception is a crash on
         the far side, :class:`TransientServiceFailure`.  A ``log:error``
         reply is the service's own report, carrying its ``executed``
-        count.  With a request ``span``, co-located services hand their
-        span records to a sink and remote ones annotate the reply; both
-        are adopted before the reply is judged.
+        count.  With a request ``span``, a remote service's ``log:spans``
+        annotation is adopted before the reply is judged (co-located
+        services have already appended their records to the span).
         """
-        obs = self.observability
-        # an unsampled request span pushes no sink at all: the service
-        # sees no tracing caller and skips capture, mirroring how remote
-        # services skip it on the traceparent ``-00`` flags (PROTOCOL.md
-        # §9)
-        sink = push_span_sink() if span is not None and span.sampled \
-            else None
         try:
             if timeout is None:
                 reply = call(address, argument)
@@ -372,15 +350,10 @@ class GenericRequestHandler:
             if getattr(exc, "service_reported", False):
                 raise ServiceReportedError(str(exc)) from exc
             raise TransientServiceFailure(str(exc)) from exc
-        finally:
-            if sink is not None:
-                pop_span_sink()
         if not isinstance(reply, Element):
             return reply
         if span is not None:
-            if sink:
-                obs.tracer.adopt_children(span, sink)
-            self._strip_spans(reply, obs)
+            _strip_spans(reply, self.observability.tracer, span)
         if is_error(reply):
             try:
                 executed = error_executed(reply)
@@ -395,52 +368,28 @@ class GenericRequestHandler:
         """Run one dispatch under its request span and turn its failure
         into the caller's :class:`GRHError`.
 
-        A wait scope collects where the dispatch blocked (batcher park,
-        pool acquisition, backoff, hedge race); the layers below record
-        into it and :func:`_finish_request_span` copies the totals onto
-        the span for the critical-path analyzer.
+        While the span is open, the layers below add where the dispatch
+        blocked (batcher park, pool acquisition, backoff, hedge race) to
+        it for the critical-path analyzer; finishing it feeds the
+        request latency histogram.
         """
         obs = self.observability
-        scope = push_wait_scope() if span is not None else None
         try:
-            try:
-                result = dispatch()
-            except (TransientServiceFailure, ServiceReportedError,
-                    GRHError) as exc:
-                if span is not None:
-                    _log_dispatch_failure(obs, kind, descriptor.name, exc)
-                    _finish_request_span(obs, span, kind, scope,
-                                         status="error")
-                if isinstance(exc, GRHError):
-                    raise
-                verdict = "reported" if isinstance(
-                    exc, ServiceReportedError) else "unreachable or crashed"
-                raise GRHError(f"service {descriptor.name!r} {verdict}: "
-                               f"{exc}") from exc
-        finally:
-            if scope is not None:
-                pop_wait_scope()
+            result = dispatch()
+        except (TransientServiceFailure, ServiceReportedError,
+                GRHError) as exc:
+            if span is not None:
+                _log_dispatch_failure(obs, kind, descriptor.name, exc)
+                obs.observe_request(kind, obs.tracer.finish(span, "error"))
+            if isinstance(exc, GRHError):
+                raise
+            verdict = "reported" if isinstance(
+                exc, ServiceReportedError) else "unreachable or crashed"
+            raise GRHError(f"service {descriptor.name!r} {verdict}: "
+                           f"{exc}") from exc
         if span is not None:
-            _finish_request_span(obs, span, kind, scope)
+            obs.observe_request(kind, obs.tracer.finish(span))
         return result
-
-    @staticmethod
-    def _strip_spans(response: Element, obs) -> None:
-        """Pop a ``log:spans`` annotation off a response and adopt its
-        server-side spans into the local tracer.
-
-        Services append the annotation last, so only the final child is
-        inspected — no scan over (possibly large) answer lists.
-        """
-        children = response.children
-        if not children:
-            return
-        last = children[-1]
-        if not isinstance(last, Element) or last.name != SPANS_QNAME:
-            return
-        response.remove(last)
-        for record in xml_to_span_dicts(last):
-            obs.tracer.adopt(record)
 
     # -- event components (Figs. 5/6) ---------------------------------------------------
 
@@ -695,6 +644,24 @@ class GenericRequestHandler:
         return {"requests": self.request_count,
                 "cache_hits": self.cache_hits,
                 **self.resilience.snapshot()}
+
+
+def _strip_spans(response: Element, tracer, span) -> None:
+    """Pop a ``log:spans`` annotation off a response and adopt its
+    server-side spans under the request *span*.
+
+    Services append the annotation last, so only the final child is
+    inspected — no scan over (possibly large) answer lists.
+    """
+    children = response.children
+    if not children:
+        return
+    last = children[-1]
+    if not isinstance(last, Element) or last.name != SPANS_QNAME:
+        return
+    response.remove(last)
+    for record in xml_to_span_dicts(last):
+        tracer.adopt(record, span)
 
 
 def _log_dispatch_failure(obs, kind: str, language: str, exc) -> None:

@@ -40,8 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
-from ..obs.attribution import (bind_wait_scope, current_wait_scope,
-                               record_wait, unbind_wait_scope)
+from ..obs.trace import bind_span, current_span, record_wait
 from .health import ReplicaHealthBoard
 from .messages import Detection, Request, dead_letter_to_xml, request_to_xml
 
@@ -780,19 +779,19 @@ class ResilienceManager:
         delay = self.hedge_delay(addresses, policy)
         picked: list[str] = []
         # both branches run on executor threads, off the dispatching
-        # caller — bind the caller's wait scope into them so pool and
-        # backoff waits inside the attempts still attribute to this
-        # request (concurrent adds are safe; the analyzer clamps any
+        # caller — bind the caller's request span onto them so waits and
+        # co-located services' records inside the attempts still land on
+        # this request (concurrent adds are safe; the analyzer clamps any
         # joint over-report into the request's wall budget)
-        scope = current_wait_scope()
+        span = current_span()
         call = self._call_failover
-        if scope is not None:
-            def call(*args, _scope=scope, **kwargs):
-                bind_wait_scope(_scope)
+        if span is not None:
+            def call(*args, _span=span, **kwargs):
+                previous = bind_span(_span)
                 try:
                     return self._call_failover(*args, **kwargs)
                 finally:
-                    unbind_wait_scope()
+                    bind_span(previous)
         primary = executor.submit(
             call, addresses, descriptor, attempt,
             failover_ok=failover_ok, on_pick=picked.append)

@@ -7,7 +7,11 @@ this package makes that pipeline visible:
 * :mod:`repro.obs.trace` — spans and tracers: every rule instance is a
   root span with child spans per component phase and per GRH request,
   including server-side spans stitched back from remote services via
-  the envelope-carried ``traceparent`` (PROTOCOL.md §8);
+  the envelope-carried ``traceparent`` (PROTOCOL.md §8).  The tracer
+  owns all trace state: a finished trace is handed to the exporters
+  once, and the open GRH request span is where the layers below record
+  their waits (batch park, pool acquisition, retry backoff, hedge
+  waits) and co-located services their work;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket latency
   histograms with Prometheus text exposition;
 * :mod:`repro.obs.config` — the :class:`Observability` object that owns
@@ -22,9 +26,6 @@ this package makes that pipeline visible:
   decomposes each completed rule-instance trace into a latency budget
   (queue / engine / phase compute / waits / service / network —
   PROTOCOL.md §14);
-* :mod:`repro.obs.attribution` — thread-local wait scopes the runtime
-  layers record blocking time into (batch park, pool acquisition,
-  retry backoff, hedge waits), surfaced as request-span attributes;
 * :mod:`repro.obs.ops` — production operations on top: head/tail trace
   sampling, structured JSON-lines logging, and the live
   introspection/health surface (``/healthz``, ``/readyz``,
@@ -33,9 +34,6 @@ this package makes that pipeline visible:
 Everything is off by default and costs nothing when off.
 """
 
-from .attribution import (WAIT_KINDS, WaitScope, bind_wait_scope,
-                          current_wait_scope, pop_wait_scope,
-                          push_wait_scope, record_wait, unbind_wait_scope)
 from .config import Observability, declare_service_metrics, hosted_services
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
@@ -43,19 +41,18 @@ from .profile import (BUDGET_PHASES, CriticalPathAnalyzer,
                       PROFILE_SUBSYSTEMS, SamplingProfiler, subsystem_of)
 from .sink import RotatingSink
 from .trace import (JsonlExporter, NOOP_TRACER, NoopSpan, NoopTracer,
-                    RingBufferExporter, Span, Tracer, format_traceparent,
-                    parse_traceparent, render_trace, span_to_dict,
-                    spans_to_xml, traceparent_sampled, xml_to_span_dicts)
+                    RingBufferExporter, Span, Tracer, WAIT_KINDS, expand,
+                    format_traceparent, parse_traceparent, record_wait,
+                    render_trace, span_to_dict, spans_to_xml,
+                    traceparent_sampled, xml_to_span_dicts)
 
 __all__ = ["Observability", "declare_service_metrics", "hosted_services",
            "Counter", "Gauge", "Histogram",
            "MetricsRegistry", "DEFAULT_BUCKETS", "RotatingSink", "Span",
            "Tracer", "NoopSpan", "NoopTracer", "NOOP_TRACER",
            "RingBufferExporter", "JsonlExporter", "format_traceparent",
-           "parse_traceparent", "render_trace", "span_to_dict",
+           "parse_traceparent", "render_trace", "span_to_dict", "expand",
            "spans_to_xml", "traceparent_sampled", "xml_to_span_dicts",
            "SamplingProfiler", "CriticalPathAnalyzer", "subsystem_of",
            "BUDGET_PHASES", "PROFILE_SUBSYSTEMS", "WAIT_KINDS",
-           "WaitScope", "push_wait_scope", "pop_wait_scope",
-           "current_wait_scope", "bind_wait_scope", "unbind_wait_scope",
            "record_wait"]

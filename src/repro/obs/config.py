@@ -25,7 +25,7 @@ from .metrics import MetricsRegistry
 from .ops.logs import StructuredLogger
 from .profile import CriticalPathAnalyzer, SamplingProfiler
 from .trace import (JsonlExporter, NOOP_TRACER, RingBufferExporter, Span,
-                    Tracer, render_trace)
+                    Tracer, current_span, render_trace)
 
 __all__ = ["Observability", "declare_service_metrics", "hosted_services"]
 
@@ -57,9 +57,9 @@ class Observability:
     Production operations (``repro.obs.ops``) hang off the same switch:
 
     * ``sampler=`` — a head sampler (``ProbabilisticSampler``,
-      ``RateLimitedSampler``): unsampled traces are timed but never
-      exported, and the verdict rides the ``traceparent`` flags byte so
-      services skip capture too;
+      ``RateLimitedSampler``): unsampled traces build no spans but are
+      still timed for the latency histograms, and the verdict rides the
+      ``traceparent`` flags byte so services skip capture too;
     * ``tail=`` — a ``TailSampler`` spliced between the tracer and the
       ring/JSONL exporters: complete traces are kept when they erred,
       hit a resilience event, or ran long — plus a probability of the
@@ -119,8 +119,9 @@ class Observability:
                     backups=trace_jsonl_backups)
                 exporters.append(self.jsonl)
             if tail is not None:
-                # the tail sampler fronts the chain: it buffers whole
-                # traces and flushes the keepers to the real exporters
+                # the tail sampler fronts the chain: it judges each
+                # whole trace and passes the keepers to the real
+                # exporters
                 if not tail.downstream:
                     tail.downstream.extend(exporters)
                 exporters = [tail]
@@ -164,26 +165,26 @@ class Observability:
 
     def end_phase(self, phase: str, span: Span) -> None:
         """Finish a phase span and feed its latency histogram."""
-        self.tracer.finish(span)
+        seconds = self.tracer.finish(span)
         histogram = self._phase_hist.get(phase)
         if histogram is not None:
-            histogram.observe(span.ended_at - span.started_at)
+            histogram.observe(seconds)
         log = self.log
         if log is not None:
             # per-phase records are debug-level: one isEnabledFor check
             # on the hot path unless an operator turns them on
             log.debug("engine.phase", phase=phase,
                       component=span.attributes.get("component"),
-                      duration=span.ended_at - span.started_at)
+                      duration=seconds)
 
-    def observe_request(self, kind: str, span: Span) -> None:
-        """Feed one finished GRH request span into the latency family."""
+    def observe_request(self, kind: str, seconds: float) -> None:
+        """Feed one GRH request's latency into the latency family."""
         histogram = self._grh_hist.get(kind)
         if histogram is None:
             histogram = self._grh_hist[kind] = self.metrics.histogram(
                 "eca_grh_request_latency_seconds",
                 labels=("kind",)).labels(kind)
-        histogram.observe(span.ended_at - span.started_at)
+        histogram.observe(seconds)
 
     # -- wiring ------------------------------------------------------------
 
@@ -376,19 +377,18 @@ class Observability:
         """ResilienceManager observer: mark the active span and log.
 
         The marker attributes (``retries``, ``breaker_open``,
-        ``breaker_reject``, ``dead_letter``) are what the tail sampler's
-        default marker set looks for — a retried or shed request makes
-        its whole trace worth keeping even when every span ends "ok".
-        Called outside the resilience lock (see ResilienceManager), so
-        taking the tracer's and sink's locks here is safe.
+        ``breaker_reject``, ``dead_letter``) count the events on the
+        open span and are what the tail sampler's default marker set
+        looks for — a retried or shed request makes its whole trace
+        worth keeping even when every span ends "ok".  A hedge branch
+        reports from an executor thread with the request span bound, so
+        the count goes through :meth:`Span.add`.  Called outside the
+        resilience lock (see ResilienceManager), so taking the tracer's
+        lock here is safe.
         """
-        span = self.tracer.current()
-        if span is not None and span.trace_id:
-            if event == "retry":
-                span.set_attribute(
-                    "retries", span.attributes.get("retries", 0) + 1)
-            elif event != "breaker_close":
-                span.set_attribute(event, True)
+        span = current_span()
+        if span is not None and event != "breaker_close":
+            span.add("retries" if event == "retry" else event, 1)
         log = self.log
         if log is not None:
             emit = log.warning if event in ("breaker_open", "dead_letter") \

@@ -9,21 +9,22 @@ ones.  Two complementary mechanisms:
 **Head sampling** (:class:`ProbabilisticSampler`,
 :class:`RateLimitedSampler`) decides when a trace *starts*: the tracer
 asks ``sampler.sample(trace_id)`` once per root span, children inherit
-the verdict, and unsampled spans are timed but never exported.  The
-verdict also rides the ``traceparent`` flags byte (``…-00``), so a
-remote service skips server-side span capture for a trace nobody will
-keep (PROTOCOL.md §9).  Head sampling is the cheapest — unsampled
-traces cost one hash — but it is blind: it drops erroring traces at the
+the verdict, and an unsampled trace builds no spans — it is only timed,
+for the latency histograms.  The verdict also rides the
+``traceparent`` flags byte (``…-00``), so a remote service skips
+server-side span capture for a trace nobody will keep (PROTOCOL.md §9).
+Head sampling is the cheapest — an unsampled trace costs one hash and
+a few clock reads — but it is blind: it drops erroring traces at the
 same rate as healthy ones.
 
 **Tail sampling** (:class:`TailSampler`) decides when a trace *ends*:
-it sits in the exporter chain, buffers each trace's spans until the
-root arrives (the engine finishes the root last), and then keeps the
-whole trace iff it is *interesting* — a span erred, a resilience event
-(retry, breaker, dead-letter) was recorded on it, or the root exceeded
-a latency threshold — or, for healthy traces, with a configured
-probability.  Tail sampling sees everything, so it keeps 100% of
-failures while retaining only p of the healthy bulk.
+it sits in the exporter chain, where the tracer hands it each trace
+whole once its root finishes, and keeps the trace iff it is
+*interesting* — a span erred, a resilience event (retry, breaker,
+dead-letter) was recorded on it, or the root exceeded a latency
+threshold — or, for healthy traces, with a configured probability.
+Tail sampling sees everything, so it keeps 100% of failures while
+retaining only p of the healthy bulk.
 
 Samplers are deterministic: the probabilistic verdict is a CRC-32 hash
 of the trace id mixed with a caller-supplied seed, so a test (or a
@@ -36,8 +37,9 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from collections import OrderedDict
 from typing import Callable, Protocol, runtime_checkable
+
+from ..trace import expand
 
 __all__ = ["Sampler", "AlwaysSampler", "ProbabilisticSampler",
            "RateLimitedSampler", "TailSampler", "DEFAULT_TAIL_MARKERS"]
@@ -144,12 +146,11 @@ DEFAULT_TAIL_MARKERS = ("retries", "breaker_open", "breaker_reject",
 
 
 class TailSampler:
-    """Exporter-chain tail sampler: buffer a trace, keep it if it earned it.
+    """Exporter-chain tail sampler: keep a whole trace if it earned it.
 
-    Sits between the tracer and the real exporters.  ``export`` buffers
-    spans per trace id; the engine finishes a rule instance's *root*
-    span last, so a root's arrival means the trace is complete and the
-    verdict can be taken over the whole tree:
+    Sits between the tracer and the real exporters.  The tracer hands
+    ``export`` each trace whole, root last, and the verdict is taken
+    over the whole tree:
 
     * any span with ``status != "ok"`` → keep (erroring and
       dead-lettered instances always survive — the engine marks a
@@ -160,64 +161,48 @@ class TailSampler:
     * otherwise keep with ``probability`` (same deterministic
       ``(trace_id, seed)`` hash as the head sampler).
 
-    A kept trace's spans are flushed to ``downstream`` in finish order;
-    a dropped trace's spans are discarded.  Traces whose root never
-    arrives (a crashed instance, spans from adopt-only paths) are
-    evicted oldest-first once ``max_buffered_traces`` is exceeded and
-    *flushed* rather than dropped — the tail sampler must never lose a
-    trace it could not judge.
+    A kept trace goes on to ``downstream``; a dropped one is discarded.
+    A rootless fragment (a span that finished after its trace was
+    handed over, such as a hedged read's losing branch) has no trace
+    left to be judged with, so it passes through unjudged — the tail
+    sampler never loses what it could not judge.
     """
 
     def __init__(self, probability: float = 0.0,
                  latency_threshold: float | None = None,
                  markers: tuple[str, ...] = DEFAULT_TAIL_MARKERS,
-                 seed: int = 0, max_buffered_traces: int = 1024,
-                 downstream: tuple = ()) -> None:
+                 seed: int = 0, downstream: tuple = ()) -> None:
         if not 0.0 <= probability <= 1.0:
             raise ValueError("probability must be within [0, 1]")
         self.probability = probability
         self.latency_threshold = latency_threshold
         self.markers = frozenset(markers)
         self.seed = seed
-        self.max_buffered_traces = max_buffered_traces
         self.downstream = list(downstream)
-        self._buffers: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.Lock()
         self.kept = 0
         self.dropped = 0
-        self.evicted = 0
+        self.fragments = 0
 
     # -- the exporter contract ---------------------------------------------
 
-    def export(self, span) -> None:
-        flush: list | None = None
-        evict: list | None = None
+    def export(self, spans: list) -> None:
+        root = spans[-1]
+        fragment = root.parent_id is not None
+        keep = fragment or self._keep(spans, root)
         with self._lock:
-            buffer = self._buffers.get(span.trace_id)
-            if buffer is None:
-                buffer = self._buffers[span.trace_id] = []
-            buffer.append(span)
-            if span.parent_id is None:
-                # the root arrived: the trace is complete — judge it
-                del self._buffers[span.trace_id]
-                if self._keep(buffer, span):
-                    self.kept += 1
-                    flush = buffer
-                else:
-                    self.dropped += 1
-            elif len(self._buffers) > self.max_buffered_traces:
-                _, evict = self._buffers.popitem(last=False)
-                self.evicted += 1
-        # exporting outside the lock: downstream exporters take their
-        # own locks, and holding ours across theirs invites ordering
-        # deadlocks under concurrent finishers
-        if flush is not None:
-            self._flush(flush)
-        if evict is not None:
-            self._flush(evict)
+            if fragment:
+                self.fragments += 1
+            elif keep:
+                self.kept += 1
+            else:
+                self.dropped += 1
+        if keep:
+            for exporter in self.downstream:
+                exporter.export(spans)
 
     def _keep(self, spans: list, root) -> bool:
-        for span in spans:
+        for span in expand(spans):
             if span.status != "ok":
                 return True
             if self.markers and not self.markers.isdisjoint(span.attributes):
@@ -229,15 +214,3 @@ class TailSampler:
             return _hash_fraction(root.trace_id, self.seed) \
                 < self.probability
         return False
-
-    def _flush(self, spans: list) -> None:
-        for exporter in self.downstream:
-            for span in spans:
-                exporter.export(span)
-
-    # -- introspection ------------------------------------------------------
-
-    def pending_traces(self) -> int:
-        """Traces buffered awaiting their root span."""
-        with self._lock:
-            return len(self._buffers)

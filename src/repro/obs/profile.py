@@ -23,10 +23,11 @@ Two complementary answers to *where does a detection's millisecond go*:
     request — batcher park, pool acquisition, retry backoff, hedge
     wait, remote service time, and the network/transport remainder.
     The analyzer sits in the tracer's exporter chain like
-    :class:`~repro.obs.ops.sampling.TailSampler`: it buffers each
-    trace's spans, and when the root (``rule``) span arrives walks the
-    tree, reads the wait attributes the instrumented layers stamped
-    (:mod:`repro.obs.attribution`), and emits the per-phase budget into
+    :class:`~repro.obs.ops.sampling.TailSampler`: the tracer hands it
+    each completed trace whole; for a ``rule`` root it walks the tree,
+    reads the wait attributes the instrumented layers added to the GRH
+    request spans (:func:`~repro.obs.trace.record_wait`) and the records
+    co-located services left on them, and emits the per-phase budget into
     ``eca_latency_budget_seconds{phase=…}`` plus bounded per-rule
     reservoirs served by ``GET /introspect/latency``.  A self-check
     verifies the phases sum to the instance's wall time within
@@ -41,7 +42,7 @@ import threading
 import time
 from collections import Counter as _TallyCounter, OrderedDict, deque
 
-from .attribution import WAIT_KINDS
+from .trace import WAIT_KINDS
 
 __all__ = ["SamplingProfiler", "CriticalPathAnalyzer", "subsystem_of",
            "PROFILE_SUBSYSTEMS", "BUDGET_PHASES"]
@@ -367,9 +368,9 @@ class _RuleStats:
 class CriticalPathAnalyzer:
     """Exporter-chain stage decomposing each trace into a latency budget.
 
-    Buffers spans per trace id (the root arrives last, exactly like
-    :class:`~repro.obs.ops.sampling.TailSampler`); on root arrival the
-    span tree is walked and the instance's wall time — root duration
+    Receives each completed trace whole from the tracer (exactly like
+    :class:`~repro.obs.ops.sampling.TailSampler`); for a ``rule`` root
+    the span tree is walked and the instance's wall time — root duration
     plus the ``queue_wait`` attribute the runtime stamped — is split
     into the :data:`BUDGET_PHASES`:
 
@@ -381,10 +382,11 @@ class CriticalPathAnalyzer:
       inside any GRH request span (local evaluation: joins, binding,
       markup);
     * ``batch_park``/``pool_wait``/``retry_backoff``/``hedge_wait`` —
-      request-span wait attributes (:mod:`repro.obs.attribution`),
+      request-span wait attributes (:func:`~repro.obs.trace.record_wait`),
       each clamped into the request's remaining budget;
     * ``service`` — summed durations of the request span's adopted
-      server-side children, clamped likewise;
+      server-side children and co-located services' records, clamped
+      likewise;
     * ``network`` — the request remainder: transport, serialization,
       and the wire.
 
@@ -394,23 +396,22 @@ class CriticalPathAnalyzer:
     ``tolerance × wall + epsilon`` — a non-zero count is an
     instrumentation bug, not noise.
 
-    Thread-safe: workers finish spans concurrently.  Only head-sampled
+    A rootless fragment (a span that finished after its trace was
+    handed over) is skipped and counted in ``evicted``.
+
+    Thread-safe: workers finish traces concurrently.  Only head-sampled
     traces reach any exporter, so the analyzer sees whatever fraction
     the head sampler admits — budgets are per-instance exact, coverage
     follows the sampling rate.
     """
 
     def __init__(self, tolerance: float = 0.05, epsilon: float = 0.001,
-                 max_buffered_traces: int = 2048, reservoir: int = 512,
-                 max_rules: int = 128) -> None:
+                 reservoir: int = 512, max_rules: int = 128) -> None:
         self.tolerance = tolerance
         self.epsilon = epsilon
-        self.max_buffered_traces = max_buffered_traces
         self.reservoir = reservoir
         self.max_rules = max_rules
-        self._buffers: OrderedDict[str, list] = OrderedDict()
         self._lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         self._overall: dict[str, _Reservoir] = {}
         self._wall = _Reservoir(max(reservoir * 4, reservoir))
         self._rules: OrderedDict[str, _RuleStats] = OrderedDict()
@@ -444,29 +445,21 @@ class CriticalPathAnalyzer:
 
     # -- the exporter contract -----------------------------------------------
 
-    def export(self, span) -> None:
-        trace: list | None = None
-        with self._lock:
-            buffer = self._buffers.get(span.trace_id)
-            if buffer is None:
-                buffer = self._buffers[span.trace_id] = []
-            buffer.append(span)
-            if span.parent_id is None:
-                del self._buffers[span.trace_id]
-                if span.name == "rule":
-                    trace = buffer
-            elif len(self._buffers) > self.max_buffered_traces:
-                # rootless overflow (crashed instances, adopt-only
-                # paths): evict oldest — the analyzer only ever needs
-                # complete trees
-                self._buffers.popitem(last=False)
+    def export(self, spans: list) -> None:
+        root = spans[-1]
+        if root.parent_id is not None:
+            # a rootless fragment: the analyzer only ever needs complete
+            # trees
+            with self._lock:
                 self.evicted += 1
-        if trace is not None:
-            try:
-                self._analyze(trace, span)
-            except Exception:
-                # analysis must never fail the finishing worker
-                pass
+            return
+        if root.name != "rule":
+            return
+        try:
+            self._analyze(spans, root)
+        except Exception:
+            # analysis must never fail the finishing worker
+            pass
 
     # -- decomposition -------------------------------------------------------
 
@@ -527,6 +520,8 @@ class CriticalPathAnalyzer:
         service = 0.0
         for child in request_children:
             service += child.duration
+        for record in request.records or ():
+            service += record[3]
         service = min(max(0.0, service), remaining)
         budget["service"] += service
         remaining -= service
@@ -543,7 +538,7 @@ class CriticalPathAnalyzer:
         if counters is not None:
             counters["ok" if ok else "out_of_tolerance"].inc()
         rule_id = str(root.attributes.get("rule", "?"))
-        with self._stats_lock:
+        with self._lock:
             self.instances += 1
             if ok:
                 self.selfcheck_ok += 1
@@ -577,10 +572,6 @@ class CriticalPathAnalyzer:
 
     # -- introspection -------------------------------------------------------
 
-    def pending_traces(self) -> int:
-        with self._lock:
-            return len(self._buffers)
-
     @staticmethod
     def _phase_view(reservoirs: dict[str, _Reservoir]) -> dict:
         return {
@@ -592,7 +583,7 @@ class CriticalPathAnalyzer:
     def snapshot(self) -> dict:
         """The ``GET /introspect/latency`` view: overall and per-rule
         p50/p99 per phase, total attribution shares, self-check."""
-        with self._stats_lock:
+        with self._lock:
             total_attributed = sum(self._totals.values())
             shares = {
                 phase: round(seconds / total_attributed, 4)
@@ -601,7 +592,6 @@ class CriticalPathAnalyzer:
             dominant = max(shares, key=shares.get) if shares else None
             view = {
                 "instances": self.instances,
-                "pending_traces": self.pending_traces(),
                 "evicted_traces": self.evicted,
                 "selfcheck": {
                     "ok": self.selfcheck_ok,

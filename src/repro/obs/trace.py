@@ -1,38 +1,50 @@
 """The tracing core: spans, tracers, exporters, ``traceparent``.
 
 A *span* is one timed unit of work — a rule instance, one component
-phase, one GRH request, one remote service invocation.  Spans form a
-tree: the rule instance is the root, component phases are its children,
-each GRH request is a child of the phase that issued it, and a remote
-service's server-side span is a child of the GRH request that reached
-it.  The tree is keyed by a *trace id* shared by every span of one rule
-evaluation, so a trace can be reassembled even when its spans were
-recorded by different processes.
+phase, one GRH request, one service invocation.  Spans form a tree: the
+rule instance is the root, component phases are its children, each GRH
+request is a child of the phase that issued it, and a service's span is
+a child of the GRH request that reached it.  The tree is keyed by a
+*trace id* shared by every span of one rule evaluation.
+
+The tracer is the one owner of trace state:
+
+* **A trace leaves the tracer once.**  Finished spans collect on their
+  trace; when the root finishes, every exporter's ``export`` receives
+  the whole trace, one list in finish order with the root last.  A span
+  that finishes after its trace was handed over (a hedged read's losing
+  branch) is handed over alone, as a rootless fragment.
+* **The open span is the only per-thread context.**  The innermost open
+  span of a thread (:func:`current_span`) is shared by every tracer.
+  The layers under a GRH dispatch add their blocking time to it
+  (:func:`record_wait`); a service co-located with the engine, running
+  on the dispatching thread, appends a compact ``(name, service,
+  status, duration)`` record to it (:meth:`Span.add_records`).  Records
+  cost no id and no export: they become child spans only where a reader
+  needs them (:func:`expand`).
+* **A head-sampled-out trace builds no spans.**  Its root gets one
+  handle that stands in for every span of the trace and only keeps
+  start times, so the latency histograms still see all traffic.
 
 Propagation uses a W3C-style ``traceparent`` string
 (``00-<32 hex trace id>-<16 hex span id>-01``) carried in the
 ``log:request`` envelope (PROTOCOL.md §8); a remote service that
 receives one answers with a ``log:spans`` annotation holding its own
-server-side spans, which the GRH *adopts* into the originating tracer —
-that is what stitches an HTTP round-trip into one trace.  A service
-co-located with the engine skips both the envelope and the markup: it
-drops its span record into the dispatching GRH's thread-local *span
-sink* instead (same stitched result, none of the serialization cost).
+server-side spans, which the GRH *adopts* into the request's trace —
+that is what stitches an HTTP round-trip into one trace.
 
 Timing is monotonic (``time.perf_counter``); cross-process spans carry
 their own duration, measured on the remote clock, and are anchored at
-adoption time on the local one.
-
-Everything here is allocation-light: spans use ``__slots__``, ids come
-from one ``os.urandom`` seed plus a counter (no per-span entropy), and
-the disabled path is a :class:`NoopTracer` whose spans are a shared
-singleton.
+adoption time on the local one.  Ids come from one ``os.urandom`` seed
+plus a counter (no per-span entropy), and the disabled path is a
+:class:`NoopTracer` whose spans are a shared singleton.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 import time
@@ -45,12 +57,43 @@ from .sink import RotatingSink
 __all__ = ["Span", "Tracer", "NoopSpan", "NoopTracer", "NOOP_TRACER",
            "RingBufferExporter", "JsonlExporter", "format_traceparent",
            "parse_traceparent", "traceparent_sampled", "span_to_dict",
-           "spans_to_xml", "xml_to_span_dicts", "render_trace",
-           "SPANS_QNAME", "push_span_sink", "pop_span_sink",
-           "current_span_sink", "next_annotation_id"]
+           "spans_to_xml", "xml_to_span_dicts", "render_trace", "expand",
+           "SPANS_QNAME", "WAIT_KINDS", "current_span", "bind_span",
+           "record_wait", "next_annotation_id"]
 
 SPANS_QNAME = QName(LOG_NS, "spans")
 _SPAN = QName(LOG_NS, "span")
+
+#: the wait kinds the layers under a GRH dispatch record, and the
+#: span-attribute keys the critical-path analyzer reads back
+#: (PROTOCOL.md §14)
+WAIT_KINDS = ("batch_park", "pool_wait", "retry_backoff", "hedge_wait")
+
+#: span ids formatted per refill of a tracer's id pool
+_ID_BLOCK = 256
+
+
+class _Open:
+    """One thread's innermost open span (or unsampled handle), whichever
+    tracer began it.  A plain object: a span keeps a reference to its
+    thread's, so ``finish`` restores the predecessor without another
+    thread-local lookup."""
+
+    __slots__ = ("span",)
+
+    def __init__(self) -> None:
+        self.span = None
+
+
+class _Local(threading.local):
+    def __init__(self) -> None:
+        self.open = _Open()
+
+
+_LOCAL = _Local()
+#: guards what more than one thread may touch in one trace: its
+#: hand-over, a span's records and its added-to attributes
+_LOCK = threading.Lock()
 
 
 # -- traceparent ---------------------------------------------------------------
@@ -96,14 +139,43 @@ def traceparent_sampled(value: str | None) -> bool:
     return not (value is not None and value.endswith("-00"))
 
 
+# -- the open span ---------------------------------------------------------------
+
+def current_span():
+    """The innermost open span of this thread, or ``None`` — also inside
+    a head-sampled-out trace, where nothing is recorded."""
+    span = _LOCAL.open.span
+    return span if span.__class__ is Span else None
+
+
+def bind_span(span):
+    """Make *span* current on this thread and return the span it
+    replaced; bind that one back when done.  The hedged-read path binds
+    its request span onto the executor threads that run its branches."""
+    here = _LOCAL.open
+    previous = here.span
+    here.span = span
+    return previous
+
+
+def record_wait(kind: str, seconds: float) -> None:
+    """Add *seconds* of blocking (one of :data:`WAIT_KINDS`) to the open
+    span — inside a GRH dispatch, its request span.  No open span, or an
+    unsampled one → a no-op.  Never raises: it is called in hot paths
+    and error paths alike."""
+    span = _LOCAL.open.span
+    if span.__class__ is Span and seconds > 0.0:
+        span.add(kind, seconds)
+
+
 # -- spans ---------------------------------------------------------------------
 
 class Span:
     """One timed unit of work inside a trace."""
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "started_at",
-                 "ended_at", "status", "attributes", "remote", "sampled",
-                 "_token")
+                 "ended_at", "status", "attributes", "remote", "records",
+                 "_trace", "_open", "_token")
 
     def __init__(self, name: str, trace_id: str, span_id: str,
                  parent_id: str | None, started_at: float,
@@ -116,13 +188,15 @@ class Span:
         self.ended_at: float | None = None
         self.status = "ok"
         self.attributes = attributes if attributes is not None else {}
-        #: recorded by another process and adopted here (its timestamps
-        #: are anchored locally; only the duration is authoritative)
+        #: recorded by another process or service and adopted here (its
+        #: timestamps are anchored locally; only the duration is
+        #: authoritative)
         self.remote = False
-        #: the head sampler's verdict for this span's trace; an
-        #: unsampled span is timed normally but never exported, and its
-        #: ``traceparent`` carries the ``00`` flags byte
-        self.sampled = True
+        #: co-located services' ``(name, service, status, duration)``
+        #: records of work done under this span (see :func:`expand`)
+        self.records: list[tuple] | None = None
+        self._trace: _Trace | None = None
+        self._open: _Open | None = None
         self._token = None
 
     @property
@@ -134,15 +208,132 @@ class Span:
 
     @property
     def traceparent(self) -> str:
-        return format_traceparent(self.trace_id, self.span_id, self.sampled)
+        return format_traceparent(self.trace_id, self.span_id)
 
     def set_attribute(self, key: str, value) -> None:
         self.attributes[key] = value
+
+    def add(self, key: str, amount) -> None:
+        """Add *amount* to a numeric attribute.
+
+        The one attribute update safe from several threads at once
+        (concurrent hedge branches); dropped once the span has finished,
+        so an exported span never changes under its readers.
+        """
+        with _LOCK:
+            if self.ended_at is None:
+                attributes = self.attributes
+                attributes[key] = attributes.get(key, 0) + amount
+
+    def add_records(self, records: list[tuple]) -> None:
+        """Record a co-located service's work as children of this span,
+        one ``(name, service, status, duration)`` tuple each.
+
+        Records that arrive after the trace was handed over (a hedge
+        loser's) leave together, as one rootless fragment.
+        """
+        trace = self._trace
+        with _LOCK:
+            if trace is None or trace.spans is not None:
+                if self.records is None:
+                    self.records = list(records)
+                else:
+                    self.records.extend(records)
+                return
+        tracer = trace.tracer
+        now = tracer.clock()
+        tracer._hand_over([_record_span(self, tracer._next_span_id(),
+                                        record, now) for record in records])
 
     def __repr__(self) -> str:
         state = f"{self.duration * 1e3:.3f}ms" if self.ended_at is not None \
             else "open"
         return f"<Span {self.name!r} {state} trace={self.trace_id[:8]}…>"
+
+
+def _record_span(parent: Span, span_id: str, record: tuple,
+                 ended_at: float) -> Span:
+    """A service record built into a remote child span of *parent*."""
+    name, service, status, duration = record
+    span = Span(name, parent.trace_id, span_id, parent.span_id,
+                ended_at - duration, {"service": service})
+    span.ended_at = ended_at
+    span.status = status
+    span.remote = True
+    return span
+
+
+def expand(spans: Iterable[Span]) -> list[Span]:
+    """*spans* with each span's records built into child spans, placed
+    just before it (finish order) — for readers that need every span of
+    a trace as a :class:`Span`.  A record's id is its parent's id with
+    the record's ordinal in the top 16 bits, so repeated reads agree."""
+    out: list[Span] = []
+    for span in spans:
+        if span.records:
+            base = int(span.span_id, 16)
+            for ordinal, record in enumerate(span.records, 1):
+                out.append(_record_span(
+                    span, f"{base ^ (ordinal << 48):016x}", record,
+                    span.ended_at))
+        out.append(span)
+    return out
+
+
+class _Trace:
+    """One sampled trace's finished spans, collected until its root
+    finishes; ``spans`` is ``None`` once the trace was handed over."""
+
+    __slots__ = ("tracer", "spans")
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self.tracer = tracer
+        self.spans: list[Span] | None = []
+
+    def add(self, span: Span, root: bool = False) -> None:
+        """Collect one finished span; the root hands the trace over."""
+        with _LOCK:
+            spans = self.spans
+            if spans is not None:
+                spans.append(span)
+                if not root:
+                    return
+                self.spans = None
+        self.tracer._hand_over(spans if spans is not None else [span])
+
+
+class _Unsampled:
+    """A head-sampled-out trace: one handle, no spans.
+
+    The handle stands in for every span of its trace (``begin`` under it
+    returns it again) and keeps only start times, so each ``finish``
+    still returns a duration for the latency histograms.  It carries the
+    trace id and the id its root would have had, so the ``-00``
+    ``traceparent`` and log records still name the trace.
+    :func:`current_span` does not return it: nothing under an unsampled
+    trace is recorded, so no wait, record or marker is even measured.
+    """
+
+    __slots__ = ("name", "trace_id", "span_id", "attributes", "_starts",
+                 "_open", "_token")
+
+    def __init__(self, name: str, trace_id: str, span_id: str,
+                 attributes: dict | None, started_at: float,
+                 here: _Open) -> None:
+        self.name = name
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.attributes = attributes if attributes is not None else {}
+        self._starts = [started_at]
+        self._open = here
+        self._token = here.span
+
+    @property
+    def traceparent(self) -> str:
+        return format_traceparent(self.trace_id, self.span_id, False)
+
+    def set_attribute(self, key: str, value) -> None:
+        pass
 
 
 class NoopSpan:
@@ -158,8 +349,6 @@ class NoopSpan:
     duration = 0.0
     #: ``None`` so callers never stamp a traceparent from a noop span
     traceparent = None
-    #: noop spans never capture, so sampling-gated paths skip them too
-    sampled = False
 
     def set_attribute(self, key: str, value) -> None:
         pass
@@ -167,107 +356,66 @@ class NoopSpan:
 
 NOOP_SPAN = NoopSpan()
 
-#: the span id of every head-unsampled span.  Nothing downstream ever
-#: keys on an unsampled span's id (they are never exported, never
-#: parsed — remote services gate on the ``-00`` flags byte before
-#: looking at ids), so skipping the per-span id formatting is free
-#: speed on the sampled-out fast path.
-_UNSAMPLED_SPAN_ID = "0" * 16
-
-
-class _TracerThreadStats:
-    """Per-thread lifecycle tallies (see ``Tracer.started``)."""
-
-    __slots__ = ("started", "finished", "unsampled")
-
-    def __init__(self) -> None:
-        self.started = 0
-        self.finished = 0
-        self.unsampled = 0
-
 
 # -- tracers -------------------------------------------------------------------
 
 class Tracer:
-    """Creates spans, tracks the active one, exports finished ones.
+    """Creates spans, tracks the open one, hands finished traces over.
 
-    The active span is thread-local: concurrent GRH dispatches each see
+    The open span is thread-local: concurrent GRH dispatches each see
     their own ancestry.  ``begin`` makes the new span current and
     ``finish`` restores its predecessor, so straight-line code gets
     correct parent/child links without passing spans around.
 
     ``sampler`` (see :mod:`repro.obs.ops.sampling`) decides, per *root*
-    span, whether the trace is kept: children inherit the root's
-    verdict, unsampled spans are timed but never exported, and the
-    verdict rides the ``traceparent`` flags byte so remote services skip
-    capture too.  ``started``/``finished``/``unsampled`` are lifecycle
-    counters; they may be driven from several threads at once, so each
-    thread tallies into its own slots (no hot-path lock) and the
-    properties sum across threads on read.
+    span, whether the trace is kept; an unsampled trace builds no spans
+    (see :class:`_Unsampled`), and its verdict rides the ``traceparent``
+    flags byte so remote services skip capture too.
     """
 
     def __init__(self, exporters: Iterable = (),
                  clock: Callable[[], float] = time.perf_counter,
                  sampler=None) -> None:
-        self._exporters = list(exporters)
-        # bound export methods, looped on every finish — hot path
-        self._exports = [exporter.export for exporter in self._exporters]
+        self._exports = [exporter.export for exporter in exporters]
         self.clock = clock
         self.sampler = sampler
-        # ids: one 64-bit random seed, then a counter — unique within
-        # and (by the seed) across processes, no per-span entropy cost
+        # span ids: one 64-bit random seed xor a counter — unique within
+        # and (by the seed) across processes, no per-span entropy cost;
+        # a trace id is the seed's hex before its root's span id
         self._seed = int.from_bytes(os.urandom(8), "big")
-        self._ids = itertools.count(1)
-        self._local = threading.local()
-        self._stats_lock = threading.Lock()
-        self._all_stats: list[_TracerThreadStats] = []
+        self._trace_prefix = f"{self._seed:016x}"
+        self._id_blocks = itertools.count()
+        self._id_pool: list[str] = []
 
     def add_exporter(self, exporter) -> None:
-        """Append an exporter to the chain (before any span finishes)."""
-        self._exporters.append(exporter)
+        """Append an exporter to the chain (before any trace finishes)."""
         self._exports.append(exporter.export)
 
-    def _stats(self) -> _TracerThreadStats:
-        local = self._local
-        stats = getattr(local, "stats", None)
-        if stats is None:
-            stats = local.stats = _TracerThreadStats()
-            with self._stats_lock:
-                self._all_stats.append(stats)
-        return stats
-
-    @property
-    def started(self) -> int:
-        """Spans begun, across every thread."""
-        with self._stats_lock:
-            return sum(stats.started for stats in self._all_stats)
-
-    @property
-    def finished(self) -> int:
-        """Spans finished (or adopted), across every thread."""
-        with self._stats_lock:
-            return sum(stats.finished for stats in self._all_stats)
-
-    @property
-    def unsampled(self) -> int:
-        """Spans dropped (not exported) by the head sampling verdict."""
-        with self._stats_lock:
-            return sum(stats.unsampled for stats in self._all_stats)
+    def _hand_over(self, spans: list[Span]) -> None:
+        for export in self._exports:
+            export(spans)
 
     # -- id generation -----------------------------------------------------
 
     def _next_span_id(self) -> str:
-        return f"{(self._seed ^ next(self._ids)) & 0xFFFFFFFFFFFFFFFF:016x}"
-
-    def _next_trace_id(self) -> str:
-        return f"{self._seed:016x}{next(self._ids):016x}"
-
-    # -- current span ------------------------------------------------------
-
-    def current(self) -> Span | None:
-        return getattr(self._local, "span", None)
+        """Ids are formatted a block at a time: one loop per
+        :data:`_ID_BLOCK` spans instead of a cold formatting call inside
+        every traced booking (``begin`` pops the pool itself)."""
+        try:
+            return self._id_pool.pop()
+        except IndexError:
+            last = (next(self._id_blocks) + 1) * _ID_BLOCK
+            seed = self._seed
+            self._id_pool.extend([f"{seed ^ counter:016x}" for counter
+                                  in range(last, last - _ID_BLOCK, -1)])
+            return self._next_span_id()
 
     # -- lifecycle ---------------------------------------------------------
+
+    def current(self) -> Span | None:
+        """The innermost open span of this thread (an unsampled trace's
+        handle included)."""
+        return _LOCAL.open.span
 
     def begin(self, name: str, attributes: dict | None = None,
               parent: Span | None | object = ...) -> Span:
@@ -276,52 +424,69 @@ class Tracer:
         ``parent`` defaults to the current span; pass ``None`` to force
         a new root (a new trace id).
         """
+        here = _LOCAL.open
+        previous = here.span
         if parent is ...:
-            parent = getattr(self._local, "span", None)
+            parent = previous
+        if parent.__class__ is _Unsampled:
+            parent._starts.append(self.clock())
+            here.span = parent
+            return parent
+        try:
+            span_id = self._id_pool.pop()
+        except IndexError:
+            span_id = self._next_span_id()
         if parent is None:
-            trace_id = self._next_trace_id()
-            parent_id = None
-            sampled = self.sampler is None or \
-                bool(self.sampler.sample(trace_id))
+            trace_id = self._trace_prefix + span_id
+            sampler = self.sampler
+            if sampler is not None and not sampler.sample(trace_id):
+                span = _Unsampled(name, trace_id, span_id, attributes,
+                                  self.clock(), here)
+                here.span = span
+                return span
+            span = Span(name, trace_id, span_id, None, self.clock(),
+                        attributes)
+            span._trace = _Trace(self)
         else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-            # children inherit the root's head-sampling verdict
-            sampled = getattr(parent, "sampled", True)
-        # an unsampled span is never exported or parsed, so it shares
-        # one constant id instead of paying for per-span formatting
-        span = Span(name, trace_id,
-                    self._next_span_id() if sampled else _UNSAMPLED_SPAN_ID,
-                    parent_id, self.clock(), attributes)
-        span.sampled = sampled
-        span._token = parent
-        self._local.span = span
-        self._stats().started += 1
+            span = Span(name, parent.trace_id, span_id, parent.span_id,
+                        self.clock(), attributes)
+            span._trace = parent._trace
+        span._open = here
+        span._token = previous
+        here.span = span
         return span
 
-    def finish(self, span: Span, status: str | None = None) -> None:
-        """End a span, restore its predecessor as current, export it
-        (unless its trace was head-sampled out)."""
-        span.ended_at = self.clock()
+    def finish(self, span: Span, status: str | None = None) -> float:
+        """End a span, restore its predecessor as current and return its
+        duration in seconds.  Finishing a root hands its trace over."""
+        now = self.clock()
+        if span.__class__ is _Unsampled:
+            starts = span._starts
+            started = starts.pop()
+            if not starts:
+                span._open.span = span._token
+            return now - started
+        span.ended_at = now
         if status is not None:
             span.status = status
-        self._local.span = span._token
+        span._open.span = span._token
         span._token = None
-        stats = self._stats()
-        stats.finished += 1
-        if not span.sampled:
-            stats.unsampled += 1
-            return
-        for export in self._exports:
-            export(span)
+        span._trace.add(span, root=span.parent_id is None)
+        return now - span.started_at
 
-    def adopt(self, span_dict: dict) -> Span | None:
+    def adopt(self, span_dict: dict, parent: Span | None = None
+              ) -> Span | None:
         """Import a finished span recorded by another process.
 
         The remote clock is unrelated to ours, so the span is anchored
-        at adoption time and only its duration is kept.  Returns the
-        adopted span (also exported), or ``None`` for malformed input.
+        at adoption time and only its duration is kept.  With *parent*
+        (the GRH request span whose ``traceparent`` reached the remote
+        service) it joins that span's trace; without one it is handed
+        over alone.  Returns the adopted span, or ``None`` for malformed
+        input or an unsampled parent.
         """
+        if parent.__class__ is _Unsampled:
+            return None
         try:
             duration = float(span_dict.get("duration", 0.0))
             now = self.clock()
@@ -334,30 +499,11 @@ class Tracer:
         span.ended_at = span.started_at + duration
         span.status = str(span_dict.get("status", "ok"))
         span.remote = True
-        self._stats().finished += 1
-        for export in self._exports:
-            export(span)
+        if parent is None:
+            self._hand_over([span])
+        else:
+            parent._trace.add(span)
         return span
-
-    def adopt_children(self, parent: Span, records: Iterable[tuple]) -> None:
-        """Import span-sink records from co-located services, anchored
-        as children of ``parent`` (the GRH request span that dispatched
-        them).  Each record is ``(name, service, status, duration)``."""
-        now = self.clock()
-        stats = self._stats()
-        for name, service, status, duration in records:
-            span = Span(name, parent.trace_id, self._next_span_id(),
-                        parent.span_id, now - duration,
-                        {"service": service})
-            span.ended_at = now
-            span.status = status
-            span.remote = True
-            span.sampled = parent.sampled
-            stats.finished += 1
-            if not parent.sampled:
-                continue
-            for export in self._exports:
-                export(span)
 
 
 class NoopTracer:
@@ -375,13 +521,10 @@ class NoopTracer:
               parent=...) -> NoopSpan:
         return NOOP_SPAN
 
-    def finish(self, span, status: str | None = None) -> None:
-        pass
+    def finish(self, span, status: str | None = None) -> float:
+        return 0.0
 
-    def adopt(self, span_dict: dict) -> None:
-        return None
-
-    def adopt_children(self, parent, records) -> None:
+    def adopt(self, span_dict: dict, parent=None) -> None:
         return None
 
 
@@ -389,6 +532,10 @@ NOOP_TRACER = NoopTracer()
 
 
 # -- exporters -----------------------------------------------------------------
+#
+# An exporter's ``export`` receives one handed-over trace: a list of
+# finished spans in finish order, the root last — or a rootless
+# fragment, a span that finished after its trace was handed over.
 
 def span_to_dict(span: Span) -> dict:
     """The span's portable form (JSONL lines, ``log:spans`` markup)."""
@@ -405,30 +552,33 @@ def span_to_dict(span: Span) -> dict:
 class RingBufferExporter:
     """Keeps the last ``capacity`` finished spans in memory.
 
-    Export and the read methods share one lock.  A bare ``deque.append``
-    is atomic under the GIL, but a *reader* iterating the deque while
-    another thread appends raises ``RuntimeError: deque mutated during
-    iteration`` — so the writer must hold the same lock the snapshotting
-    readers do, or a concurrent scrape can fail mid-copy.
+    A span's records ride along with it and are built into spans when
+    read, so ``capacity`` (and ``len``) counts the spans the tracer
+    began or adopted.  Export takes the lock once per trace; readers
+    copy under the same lock, because iterating the deque while another
+    thread appends raises ``RuntimeError: deque mutated during
+    iteration``.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         self._spans: deque[Span] = deque(maxlen=capacity)
         self._lock = threading.Lock()
 
-    def export(self, span: Span) -> None:
+    def export(self, spans: list[Span]) -> None:
         with self._lock:
-            self._spans.append(span)
+            self._spans.extend(spans)
 
     def spans(self) -> list[Span]:
         with self._lock:
-            return list(self._spans)
+            retained = list(self._spans)
+        return expand(retained)
 
     def trace(self, trace_id: str) -> list[Span]:
         """Every retained span of one trace, oldest-finished first."""
         with self._lock:
-            return [span for span in self._spans
-                    if span.trace_id == trace_id]
+            retained = [span for span in self._spans
+                        if span.trace_id == trace_id]
+        return expand(retained)
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids, oldest first."""
@@ -462,9 +612,10 @@ class JsonlExporter:
     def rotations(self) -> int:
         return self._sink.rotations
 
-    def export(self, span: Span) -> None:
-        self._sink.write(json.dumps(span_to_dict(span),
-                                    separators=(",", ":")))
+    def export(self, spans: list[Span]) -> None:
+        for span in expand(spans):
+            self._sink.write(json.dumps(span_to_dict(span),
+                                        separators=(",", ":")))
 
     def flush(self) -> None:
         self._sink.flush()
@@ -505,25 +656,6 @@ def render_trace(spans: list[Span]) -> str:
     return "\n".join(lines)
 
 
-# -- server-side span hand-off -------------------------------------------------
-#
-# A traced service returns its span record to the caller one of two
-# ways.  Across a process boundary the record rides the response as a
-# ``log:spans`` annotation (below).  But most deployments co-locate
-# several services with the engine behind an in-process transport that
-# still serializes every envelope for protocol fidelity — there, pushing
-# the annotation through the serializer and parser would dominate the
-# cost of tracing.  So the dispatching GRH opens a *span sink* on its
-# own thread for the duration of the transport call; a service that sees
-# the sink (same process, same thread — in-process transports dispatch
-# synchronously) drops a minimal ``(name, service, status, duration)``
-# tuple straight in and skips parsing, ids and markup entirely — the
-# GRH turns the tuples into child spans of its own request span with
-# :meth:`Tracer.adopt_children`.  A real remote service never sees the
-# caller's sink and annotates as usual.
-
-_SINKS = threading.local()
-
 #: annotation span ids: same seed-plus-counter scheme as the tracer's
 _annotation_seed = int.from_bytes(os.urandom(8), "big")
 _annotation_ids = itertools.count(1)
@@ -532,30 +664,6 @@ _annotation_ids = itertools.count(1)
 def next_annotation_id() -> str:
     """A span id for a server-side annotation (no per-span entropy)."""
     return f"{(_annotation_seed ^ next(_annotation_ids)) & 0xFFFFFFFFFFFFFFFF:016x}"
-
-
-def push_span_sink() -> list:
-    """Open a collection point for span records from co-located services
-    dispatched synchronously on this thread.  Pairs with
-    :func:`pop_span_sink` (sinks nest: cascaded dispatches each get
-    their own)."""
-    stack = getattr(_SINKS, "stack", None)
-    if stack is None:
-        stack = _SINKS.stack = []
-    sink: list = []
-    stack.append(sink)
-    return sink
-
-
-def pop_span_sink() -> None:
-    _SINKS.stack.pop()
-
-
-def current_span_sink() -> list | None:
-    """The innermost open sink on this thread, or ``None`` (the caller
-    is in another process/thread — annotate the response instead)."""
-    stack = getattr(_SINKS, "stack", None)
-    return stack[-1] if stack else None
 
 
 # -- log:spans markup ----------------------------------------------------------
@@ -581,7 +689,8 @@ def spans_to_xml(span_dicts: Iterable[dict]) -> Element:
 
 def xml_to_span_dicts(element: Element) -> list[dict]:
     """Parse a ``log:spans`` annotation; malformed entries are skipped
-    (observability must never fail the request it is annotating)."""
+    (observability must never fail the request it is annotating), and a
+    ``duration`` that is not a finite, non-negative number reads as 0."""
     records: list[dict] = []
     for child in element.findall(_SPAN):
         trace = child.get("trace")
@@ -593,9 +702,11 @@ def xml_to_span_dicts(element: Element) -> list[dict]:
                   "parent": child.get("parent"),
                   "status": child.get("status", "ok"), "remote": True}
         try:
-            record["duration"] = float(child.get("duration", "0"))
+            duration = float(child.get("duration", "0"))
         except ValueError:
-            record["duration"] = 0.0
+            duration = 0.0
+        record["duration"] = duration if 0.0 <= duration < math.inf \
+            else 0.0
         attrs = child.get("attrs")
         if attrs:
             try:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 from ..grh.messages import (batch_to_xml, error_text, is_error,
                             xml_to_batch_results)
 from ..grh.resilience import ServiceReportedError, TransientServiceFailure
-from ..obs.attribution import record_wait
+from ..obs.trace import bind_span, record_wait
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..grh.handler import GenericRequestHandler, Route
@@ -161,8 +161,8 @@ class DispatchBatcher:
                 raise TransientServiceFailure(
                     "dispatch batcher stopped while request was parked")
         if entry.parked is not None:
-            # attributed on the caller's thread, where the GRH's wait
-            # scope for this dispatch is open
+            # attributed on the caller's thread, where this dispatch's
+            # request span is open
             record_wait("batch_park", entry.parked)
         if entry.error is not None:
             raise entry.error
@@ -210,6 +210,11 @@ class DispatchBatcher:
                                     timeout, descriptor)
             return xml_to_batch_results(response, expected=len(entries))
 
+        # the envelope is every parked caller's, not the flushing one's:
+        # ship it with no request span open, so a co-located service
+        # annotates each slot for its own caller instead of recording
+        # them all onto the flusher's span
+        previous = bind_span(None)
         try:
             # read-only requests only: failing over to another replica
             # re-evaluates, never re-effects
@@ -220,6 +225,8 @@ class DispatchBatcher:
                 entry.error = _scoped_copy(exc)
                 entry.event.set()
             return
+        finally:
+            bind_span(previous)
         with self._lock:
             self.batches += 1
             self.batched_requests += len(entries)

@@ -15,7 +15,7 @@ import time
 from ..bindings import Binding, Relation, relation_to_answers
 from ..grh.messages import (MessageError, Request, error_message, is_error,
                             ok_message, xml_to_request)
-from ..obs.trace import (current_span_sink, next_annotation_id,
+from ..obs.trace import (current_span, next_annotation_id,
                          parse_traceparent, spans_to_xml,
                          traceparent_sampled)
 from ..xmlmodel import Element
@@ -68,17 +68,16 @@ class LanguageService:
             request = xml_to_request(message)
         except MessageError as exc:
             return error_message(f"{self.service_name}: {exc}")
-        sink = current_span_sink()
-        if sink is not None:
+        span = current_span()
+        if span is not None:
             # co-located traced caller (same thread): time the dispatch
-            # and hand a minimal record straight to the dispatching GRH,
-            # which anchors it under its own request span — no envelope
-            # work, no ids, no markup
+            # and append a compact record to the dispatching GRH's open
+            # request span — no envelope work, no ids, no markup
             started = time.perf_counter()
             response = self._dispatch(request)
-            sink.append(("service:" + request.kind, self.service_name,
-                         "error" if is_error(response) else "ok",
-                         time.perf_counter() - started))
+            span.add_records([("service:" + request.kind, self.service_name,
+                               "error" if is_error(response) else "ok",
+                               time.perf_counter() - started)])
             return response
         # an unsampled caller (traceparent flags ``-00``, PROTOCOL.md §9)
         # is treated like an untraced one: nobody will keep the trace, so

@@ -43,7 +43,7 @@ from typing import Callable
 
 from ..grh.messages import (batch_results_to_xml, error_message, error_text,
                             is_batch, is_error, xml_to_batch)
-from ..obs.attribution import record_wait
+from ..obs.trace import record_wait
 from ..xmlmodel import Element, parse, serialize
 
 __all__ = ["TransportError", "ServiceStatusError", "InProcessTransport",
@@ -187,7 +187,7 @@ class InProcessTransport:
 
     def dispatches_inline(self, address: str) -> bool:
         """Handlers run synchronously on the caller's thread, so they
-        see the caller's thread-local state (e.g. the GRH's span sink) —
+        see the caller's thread-local state (e.g. the open request span) —
         trace context need not ride the envelope (PROTOCOL.md §8)."""
         return True
 

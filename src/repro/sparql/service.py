@@ -41,7 +41,7 @@ from dataclasses import replace
 from ..bindings import PLACEHOLDER, Relation, Uri
 from ..grh.messages import Request
 from ..obs.metrics import Histogram
-from ..obs.trace import current_span_sink
+from ..obs.trace import current_span
 from ..rdf import Graph, Literal, URIRef, XSD
 from ..rdf.sparql import Solution, finalize_select, parse_sparql
 from ..services.base import LanguageService, ServiceError
@@ -265,14 +265,14 @@ class SparqlQueryService(LanguageService):
             self.query_seconds.observe(elapsed)
             self.estimated_rows.observe(plan.estimate)
             self.actual_rows.observe(actual)
-        sink = current_span_sink()
-        if sink is not None:
-            # co-located traced caller: one child span per plan stage,
-            # adopted under the GRH request span (PROTOCOL.md §8) so the
-            # critical-path analyzer attributes SPARQL time per stage
-            for stage in stats.stages:
-                sink.append((f"sparql:{stage['op']}", self.service_name,
-                             "ok", stage["seconds"]))
+        span = current_span()
+        if span is not None:
+            # co-located traced caller: one record per plan stage on the
+            # GRH request span (PROTOCOL.md §8), so the critical-path
+            # analyzer attributes SPARQL time per stage
+            span.add_records([(f"sparql:{stage['op']}", self.service_name,
+                               "ok", stage["seconds"])
+                              for stage in stats.stages])
         self.recent_plans.append({
             "query": (plan.source or "")[:200],
             "form": form,

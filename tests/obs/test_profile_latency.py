@@ -31,9 +31,8 @@ def _span(name, trace, parent, start, end, **attributes):
 
 
 def _export_tree(analyzer, spans):
-    """Feed spans children-first, root last (finish order)."""
-    for span in sorted(spans, key=lambda s: s.parent_id is None):
-        analyzer.export(span)
+    """Hand the analyzer one whole trace, root last (finish order)."""
+    analyzer.export(sorted(spans, key=lambda s: s.parent_id is None))
 
 
 class TestDecomposition:
@@ -121,13 +120,26 @@ class TestDecomposition:
             _export_tree(analyzer, [root])
         assert len(analyzer.snapshot()["rules"]) == 4
 
-    def test_rootless_buffers_evicted(self):
-        analyzer = CriticalPathAnalyzer(max_buffered_traces=3)
+    def test_rootless_fragments_are_skipped(self):
+        analyzer = CriticalPathAnalyzer()
         for n in range(8):
-            analyzer.export(_span("phase:event", f"orph{n}", "missing",
-                                  0.0, 0.1))
-        assert analyzer.pending_traces() <= 3 + 1
-        assert analyzer.evicted >= 4
+            analyzer.export([_span("phase:event", f"orph{n}", "missing",
+                                   0.0, 0.1)])
+        assert analyzer.instances == 0
+        assert analyzer.evicted == 8
+        assert analyzer.snapshot()["evicted_traces"] == 8
+
+    def test_service_records_count_as_service_time(self):
+        analyzer = CriticalPathAnalyzer()
+        root = _span("rule", "t7", None, 0.0, 1.0, rule="r1")
+        phase = _span("phase:query", "t7", root.span_id, 0.0, 1.0)
+        request = _span("grh.request", "t7", phase.span_id, 0.0, 0.8)
+        request.add_records([("service:query", "xq", "ok", 0.5)])
+        request.add_records([("sparql:scan", "xq", "ok", 0.1)])
+        _export_tree(analyzer, [request, phase, root])
+        phases = analyzer.snapshot()["phases"]
+        assert phases["service"]["p50_ms"] == pytest.approx(600.0)
+        assert phases["network"]["p50_ms"] == pytest.approx(200.0)
 
     def test_budget_histograms_feed_metrics(self):
         registry = MetricsRegistry()
@@ -157,7 +169,7 @@ class TestDifferentialSelfCheck:
         assert analyzer.selfcheck_failed == 0, \
             f"{analyzer.selfcheck_failed}/{analyzer.instances} instances " \
             f"out of tolerance: {analyzer.snapshot()}"
-        assert analyzer.pending_traces() == 0
+        assert analyzer.evicted == 0
         obs.close()
 
     def test_concurrent_run_reports_queue_wait(self):

@@ -121,7 +121,7 @@ class TestJsonlExporterRotation:
     def test_exporter_default_is_unrotated(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         exporter = JsonlExporter(str(path))
-        exporter.export(Span("s", "t", "i", None, 0.0))
+        exporter.export([Span("s", "t", "i", None, 0.0)])
         exporter.close()
         assert exporter.rotations == 0
         assert len(list(tmp_path.iterdir())) == 1

@@ -96,18 +96,19 @@ class TestHeadSamplers:
 
 class TestTracerHeadSampling:
     def test_unsampled_trace_is_timed_but_not_exported(self):
-        ring = RingBufferExporter()
-        tracer = Tracer([ring], sampler=ProbabilisticSampler(0.0))
-        root = tracer.begin("rule")
-        child = tracer.begin("phase:query")
-        tracer.finish(child)
-        tracer.finish(root)
-        assert not child.sampled and not root.sampled
-        assert child.ended_at is not None
-        assert ring.spans() == []
-        assert tracer.started == 2
-        assert tracer.finished == 2
-        assert tracer.unsampled == 2
+        obs = Observability(sampler=ProbabilisticSampler(0.0))
+        root = obs.tracer.begin("rule", parent=None)
+        phase = obs.begin_phase("query", "r::query-0")
+        request = obs.tracer.begin("grh.request")
+        obs.observe_request("query", obs.tracer.finish(request))
+        obs.end_phase("query", phase)
+        assert obs.tracer.finish(root) >= 0.0
+        assert obs.tracer.current() is None
+        assert obs.ring.spans() == []
+        text = obs.render_prometheus()
+        assert 'eca_phase_latency_seconds_count{phase="query"} 1' in text
+        assert 'eca_grh_request_latency_seconds_count{kind="query"} 1' \
+            in text
 
     def test_children_inherit_the_root_verdict(self):
         kept = {"value": True}
@@ -123,8 +124,8 @@ class TestTracerHeadSampling:
         child = tracer.begin("phase:query")
         tracer.finish(child)
         tracer.finish(root)
-        assert root.sampled and child.sampled
-        assert len(ring.spans()) == 2
+        assert [span.name for span in ring.spans()] == ["phase:query",
+                                                        "rule"]
 
     def test_flags_byte_rides_the_traceparent(self):
         tracer = Tracer(sampler=ProbabilisticSampler(0.0))
@@ -146,25 +147,26 @@ class TestTracerHeadSampling:
         assert engine.instances[-1].status == "completed"
         # evaluation worked, metrics still counted, but no trace kept
         assert obs.trace_ids() == []
-        assert obs.tracer.unsampled > 0
-        assert "eca_rule_instances_total 1" in obs.render_prometheus()
+        text = obs.render_prometheus()
+        assert "eca_rule_instances_total 1" in text
+        assert 'eca_phase_latency_seconds_count{phase="query"} 1' in text
 
 
 class TestTailSampler:
     def test_erroring_trace_is_kept(self):
         ring = RingBufferExporter()
         tail = TailSampler(probability=0.0, downstream=[ring])
-        tail.export(make_span("t1", "b", parent="a", status="error"))
-        tail.export(make_span("t1", "a", name="rule"))
+        tail.export([make_span("t1", "b", parent="a", status="error"),
+                     make_span("t1", "a", name="rule")])
         assert tail.kept == 1 and tail.dropped == 0
         assert {span.span_id for span in ring.spans()} == {"a", "b"}
 
     def test_marker_attribute_keeps_the_trace(self):
         ring = RingBufferExporter()
         tail = TailSampler(probability=0.0, downstream=[ring])
-        tail.export(make_span("t1", "b", parent="a",
-                              attributes={"retries": 2}))
-        tail.export(make_span("t1", "a", name="rule"))
+        tail.export([make_span("t1", "b", parent="a",
+                               attributes={"retries": 2}),
+                     make_span("t1", "a", name="rule")])
         assert tail.kept == 1
         assert len(ring.spans()) == 2
 
@@ -172,8 +174,8 @@ class TestTailSampler:
         ring = RingBufferExporter()
         tail = TailSampler(probability=0.0, latency_threshold=0.5,
                            downstream=[ring])
-        tail.export(make_span("slow", "a", name="rule", duration=0.9))
-        tail.export(make_span("fast", "b", name="rule", duration=0.1))
+        tail.export([make_span("slow", "a", name="rule", duration=0.9)])
+        tail.export([make_span("fast", "b", name="rule", duration=0.1)])
         assert tail.kept == 1 and tail.dropped == 1
         assert ring.spans()[0].trace_id == "slow"
 
@@ -182,21 +184,29 @@ class TestTailSampler:
         tail = TailSampler(probability=0.0, downstream=[ring])
         for index in range(20):
             trace = f"t{index}"
-            tail.export(make_span(trace, "child", parent="root"))
-            tail.export(make_span(trace, "root", name="rule"))
+            tail.export([make_span(trace, "child", parent="root"),
+                         make_span(trace, "root", name="rule")])
         assert tail.dropped == 20 and tail.kept == 0
         assert ring.spans() == []
-        assert tail.pending_traces() == 0
 
-    def test_rootless_overflow_is_flushed_not_lost(self):
+    def test_rootless_fragment_passes_through_unjudged(self):
         ring = RingBufferExporter()
-        tail = TailSampler(probability=0.0, max_buffered_traces=3,
-                           downstream=[ring])
-        for index in range(5):  # no roots ever arrive
-            tail.export(make_span(f"t{index}", "x", parent="gone"))
-        assert tail.evicted == 2
-        assert len(ring.spans()) == 2  # evictions flushed downstream
-        assert tail.pending_traces() == 3
+        tail = TailSampler(probability=0.0, downstream=[ring])
+        for index in range(5):  # spans that outlived their traces
+            tail.export([make_span(f"t{index}", "x", parent="gone")])
+        assert tail.fragments == 5
+        assert tail.kept == tail.dropped == 0
+        assert len(ring.spans()) == 5
+
+    def test_an_erroring_service_record_keeps_the_trace(self):
+        ring = RingBufferExporter()
+        tail = TailSampler(probability=0.0, downstream=[ring])
+        request = make_span("t1", "b", parent="a", name="grh.request")
+        request.add_records([("service:query", "xq", "error", 0.001)])
+        tail.export([request, make_span("t1", "a", name="rule")])
+        assert tail.kept == 1
+        assert [span.name for span in ring.spans()] == [
+            "service:query", "grh.request", "rule"]
 
     def test_acceptance_all_errors_kept_healthy_near_p(self):
         # the ISSUE's acceptance bar: at healthy-keep probability p the
@@ -207,15 +217,16 @@ class TestTailSampler:
         kept_trace_ids = []
         tail.downstream.append(type("Sink", (), {
             "export": staticmethod(
-                lambda span: kept_trace_ids.append(span.trace_id))})())
+                lambda spans: kept_trace_ids.append(spans[-1].trace_id))})())
         erroring = {f"err{i:029d}" for i in range(100)}
         for index in range(traces):
             trace = f"ok-{index:028d}"
-            tail.export(make_span(trace, "c", parent="r"))
-            tail.export(make_span(trace, "r", name="rule"))
+            tail.export([make_span(trace, "c", parent="r"),
+                         make_span(trace, "r", name="rule")])
         for trace in sorted(erroring):
-            tail.export(make_span(trace, "c", parent="r", status="error"))
-            tail.export(make_span(trace, "r", name="rule", status="error"))
+            tail.export([make_span(trace, "c", parent="r", status="error"),
+                         make_span(trace, "r", name="rule",
+                                   status="error")])
         kept = set(kept_trace_ids)
         assert erroring <= kept, "an erroring instance was sampled away"
         healthy_kept = len(kept) - len(erroring)
@@ -224,7 +235,8 @@ class TestTailSampler:
         # deterministic: the same seed makes the same decisions
         repeat = TailSampler(probability=p, seed=42)
         for index in range(traces):
-            repeat.export(make_span(f"ok-{index:028d}", "r", name="rule"))
+            repeat.export([make_span(f"ok-{index:028d}", "r",
+                                     name="rule")])
         assert repeat.kept == healthy_kept
 
     def test_remote_service_skips_capture_for_unsampled_traces(self):

@@ -3,10 +3,12 @@
 import json
 import threading
 
+import pytest
+
 from repro.obs import (JsonlExporter, NOOP_TRACER, NoopSpan,
                        RingBufferExporter, Tracer, format_traceparent,
-                       parse_traceparent, render_trace, span_to_dict,
-                       spans_to_xml, xml_to_span_dicts)
+                       parse_traceparent, record_wait, render_trace,
+                       span_to_dict, spans_to_xml, xml_to_span_dicts)
 from repro.xmlmodel import parse, serialize
 
 
@@ -44,6 +46,8 @@ class TestSpanLifecycle:
             assert len(span.trace_id) == 32
             assert len(span.span_id) == 16
             int(span.trace_id, 16), int(span.span_id, 16)
+        for span in reversed(spans):
+            tracer.finish(span)
 
 
 class TestAncestry:
@@ -75,6 +79,9 @@ class TestAncestry:
         second = tracer.begin("b", parent=None)
         assert second.trace_id != first.trace_id
         assert second.parent_id is None
+        tracer.finish(second)
+        assert tracer.current() is first
+        tracer.finish(first)
 
     def test_current_span_is_thread_local(self):
         tracer = Tracer()
@@ -172,12 +179,77 @@ class TestExporters:
         assert record["trace"] == span.trace_id
         assert record["attributes"] == {"k": "v"}
 
-    def test_counters(self):
+    def test_trace_is_handed_over_once_root_last(self):
+        handed = []
+        tracer = Tracer([type("Recorder", (), {
+            "export": staticmethod(handed.append)})()])
+        root = tracer.begin("root", parent=None)
+        child = tracer.begin("child")
+        tracer.finish(child)
+        assert handed == []  # collected on the trace, not exported
+        tracer.finish(root)
+        assert handed == [[child, root]]
+
+    def test_span_finishing_after_its_root_leaves_alone(self):
+        ring = RingBufferExporter()
+        tracer = Tracer([ring])
+        root = tracer.begin("rule", parent=None)
+        request = tracer.begin("grh.request")
+        tracer.finish(root)          # out of order: the trace leaves now
+        assert [span.name for span in ring.spans()] == ["rule"]
+        request.add_records([("service:query", "xq", "ok", 0.001)])
+        tracer.finish(request)
+        # the late span and its record arrive as a rootless fragment
+        assert [span.name for span in ring.spans()] == [
+            "rule", "service:query", "grh.request"]
+        late = ring.spans()[2]
+        assert late.parent_id == root.span_id
+
+    def test_finish_returns_the_duration(self):
+        ticks = iter([1.0, 1.25, 2.0, 4.0])
+        tracer = Tracer(clock=lambda: next(ticks))
+        root = tracer.begin("root", parent=None)
+        child = tracer.begin("child")
+        assert tracer.finish(child) == 0.75
+        assert tracer.finish(root) == 3.0
+
+
+class TestRecords:
+    def test_records_become_child_spans_where_read(self):
+        ring = RingBufferExporter()
+        tracer = Tracer([ring])
+        root = tracer.begin("rule", parent=None)
+        request = tracer.begin("grh.request")
+        request.add_records([("service:query", "xq", "ok", 0.002)])
+        request.add_records([("service:query", "xq", "error", 0.001)])
+        tracer.finish(request)
+        tracer.finish(root)
+        assert len(ring) == 2        # the records ride on their span
+        spans = ring.trace(root.trace_id)
+        assert [span.name for span in spans] == [
+            "service:query", "service:query", "grh.request", "rule"]
+        first, second = spans[:2]
+        for record in (first, second):
+            assert record.remote and record.parent_id == request.span_id
+            assert record.attributes == {"service": "xq"}
+            assert record.ended_at == request.ended_at
+        assert second.status == "error"
+        assert first.duration == pytest.approx(0.002)
+        # ids are well formed, distinct, and the same on every read
+        ids = [span.span_id for span in spans]
+        assert len(set(ids)) == 4 and all(len(i) == 16 for i in ids)
+        assert [span.span_id for span in ring.spans()] == ids
+
+    def test_waits_add_under_the_open_span_only(self):
         tracer = Tracer()
-        span = tracer.begin("a")
-        assert tracer.started == 1 and tracer.finished == 0
-        tracer.finish(span)
-        assert tracer.finished == 1
+        root = tracer.begin("rule", parent=None)
+        record_wait("pool_wait", 0.25)
+        record_wait("pool_wait", 0.5)
+        record_wait("retry_backoff", 0.0)   # nothing to attribute
+        tracer.finish(root)
+        record_wait("pool_wait", 1.0)       # no open span: a no-op
+        root.add("pool_wait", 1.0)          # finished: dropped
+        assert root.attributes == {"pool_wait": 0.75}
 
 
 class TestNoop:
@@ -253,6 +325,28 @@ class TestSpansMarkup:
         records = xml_to_span_dicts(element)
         assert [record["name"] for record in records] == ["n", "n3"]
         assert records[1]["duration"] == 0.0   # bad duration degrades to 0
+
+    def test_non_finite_and_negative_durations_read_as_zero(self, tmp_path):
+        from repro.xmlmodel import LOG_NS
+        element = parse(
+            f'<log:spans xmlns:log="{LOG_NS}">'
+            + "".join(f'<log:span trace="{"ab" * 16}" id="{"cd" * 8}" '
+                      f'name="n{index}" duration="{value}"/>'
+                      for index, value in enumerate(
+                          ("nan", "inf", "-inf", "-5.0", "0.5")))
+            + '</log:spans>')
+        records = xml_to_span_dicts(element)
+        assert [record["duration"] for record in records] == [
+            0.0, 0.0, 0.0, 0.0, 0.5]
+        # and what is adopted from them writes strict JSON
+        path = str(tmp_path / "spans.jsonl")
+        exporter = JsonlExporter(path)
+        tracer = Tracer([exporter])
+        for record in records:
+            tracer.adopt(record)
+        exporter.close()
+        for line in open(path).read().splitlines():
+            json.loads(line, parse_constant=pytest.fail)
 
     def test_span_to_dict_includes_remote_flag(self):
         tracer = Tracer()
