@@ -6,9 +6,10 @@ evaluation":
 
 1. On registration, a rule's event component is handed to the GRH, which
    routes it to the appropriate event-detection service (Fig. 5).
-2. A ``log:detection`` arriving from an event service starts the rule
+2. A detection arriving from an event service starts the rule
    evaluation: the engine creates a rule *instance* whose state is the
    relation of variable-binding tuples from the detection (Fig. 6).
+   The detections one event completes arrive together, as a *group*.
 3. Query components are evaluated in order via the GRH; their
    contribution is joined with the instance's relation (``eca:variable``
    components arrive pre-extended, LP-style components are joined here —
@@ -16,7 +17,9 @@ evaluation":
 4. The test component filters the relation (locally by default,
    Sec. 4.5).
 5. Each action component is executed once per surviving tuple, via the
-   GRH.
+   GRH.  The instances of one group each run steps 2–4 alone; their
+   actions then leave together, one message per language per round
+   (PROTOCOL.md §7).
 
 Every instance keeps a trace of its relation after each step — the
 tables of Figs. 6(2), 8(3), 9(4) and 11 fall out of this trace.
@@ -28,12 +31,13 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..bindings import Relation
 from ..conditions import TEST_NS, TestExpression
-from ..grh import (ActionExecutionError, Detection, GenericRequestHandler,
-                   GRHError)
+from ..grh import (ActionExecutionError, ActionSlot, Detection,
+                   GenericRequestHandler, GRHError)
+from ..obs.trace import bind_span
 from ..runtime import Runtime
 from ..xmlmodel import Element, serialize
 from .markup import parse_rule, rule_to_xml
@@ -110,6 +114,22 @@ class RuleInstance:
 class _RegisteredRule:
     rule: ECARule
     event_component_id: str
+
+
+class _Run:
+    """One instance of a group on its way through the engine: its rule,
+    the detection that started it, its trace root (``None`` untraced)
+    and the failure that ended it, if any."""
+
+    __slots__ = ("rule", "instance", "detection", "root", "failure")
+
+    def __init__(self, rule: ECARule, instance: RuleInstance,
+                 detection: Detection, root) -> None:
+        self.rule = rule
+        self.instance = instance
+        self.detection = detection
+        self.root = root
+        self.failure: GRHError | None = None
 
 
 class ECAEngine:
@@ -390,31 +410,36 @@ class ECAEngine:
         with self._stats_lock:
             self.stats[key] = self.stats.get(key, 0) + n
 
-    def _on_detection(self, detection: Detection) -> None:
-        """Hand a detection to the runtime.
+    def _on_detection(self, detections: Sequence[Detection]) -> None:
+        """Hand one feed's detections to the runtime, as one group.
 
         The runtime's queue makes rule chaining safe: an action that
         raises an event triggers detections *during* action execution;
-        they are processed after the current instance finishes instead
-        of recursing.  Among queued detections, higher-priority rules go
+        they are processed after the current group finishes instead of
+        recursing.  Among queued detections, higher-priority rules go
         first (FIFO within a priority level).
 
-        A durable engine journals the detection before queueing it and
+        A durable engine journals each detection before queueing it and
         drops at-least-once redelivery (a detection id it has already
         journaled) — "exactly-once detection replay".
 
-        With lanes running, the runtime hashes the detection to a fixed
+        With lanes running, the runtime hashes each detection to a fixed
         shard and applies its backpressure policy.  A ``reject``-policy
         runtime at capacity raises
         :class:`repro.runtime.BackpressureError` to the producer; the
-        detection is journalled as ``dropped`` first so a crash cannot
-        resurrect work the engine refused.
+        refused detections are journalled as ``dropped`` first so a
+        crash cannot resurrect work the engine refused.
         """
-        if self.durability is not None:
-            detection = self.durability.admit(detection)
-            if detection is None:
-                return  # duplicate delivery of a known detection id
-        self.runtime.submit(detection, self._priority_of(detection))
+        durability = self.durability
+        if durability is not None:
+            detections = [admitted for detection in detections
+                          if (admitted := durability.admit(detection))
+                          is not None]
+            if not detections:
+                return  # duplicate delivery of known detection ids
+        self.runtime.submit_group(
+            detections, [self._priority_of(detection)
+                         for detection in detections])
 
     def _discard(self, detection: Detection) -> None:
         """Close the durable record of a detection shed by backpressure."""
@@ -477,22 +502,70 @@ class ECAEngine:
                 waited: float | None = None) -> None:
         """Evaluate one detection; *waited* is the seconds it sat in a
         lane's queue (``None`` when it did not wait on one)."""
+        self._handle_group((detection,), waited)
+
+    def _handle_group(self, detections: Sequence[Detection],
+                      waited: float | None = None) -> None:
+        """Evaluate one group: each detection is its own instance through
+        Event → Query → Test, then the survivors' actions leave round by
+        round, one message per language (PROTOCOL.md §7)."""
+        counts = dict.fromkeys(("detections", "instances", "completed",
+                                "dead", "failed", "actions"), 0)
+        runs: list[_Run] = []
+        obs = self._obs
+        outer = obs.tracer.current() if obs is not None else None
+        try:
+            for detection in detections:
+                run = self._start(detection, waited, counts)
+                if run is not None:
+                    runs.append(run)
+                    self._evaluate_conditions(run, counts)
+                    if obs is not None:
+                        bind_span(outer)
+            self._execute_actions(runs, counts)
+        finally:
+            if obs is not None:
+                for run in runs:
+                    self._finish_trace(obs, run)
+                bind_span(outer)
+            with self._stats_lock:
+                stats = self.stats
+                for key, value in counts.items():
+                    if value:
+                        stats[key] += value
+        durability = self.durability
+        for run in runs:
+            failure = run.failure
+            if failure is not None and not isinstance(failure,
+                                                      ActionExecutionError):
+                # park the detection for replay_dead_letters(); action-
+                # phase failures are dead-lettered by the GRH instead,
+                # as the unexecuted suffix of the action's relation
+                # (replaying the whole detection would re-run executed
+                # actions)
+                self.grh.dead_letter_detection(run.detection, failure)
+            if durability is not None:
+                durability.detection_done(run.detection.detection_id,
+                                          run.instance.status)
+
+    def _start(self, detection: Detection, waited: float | None,
+               counts: dict) -> _Run | None:
+        """Create the instance of one detection (Fig. 6); ``None`` when
+        its rule is gone."""
         durability = self.durability
         rule_id = self._by_component.get(detection.component_id)
         if rule_id is None:
             # a rule deregistered while detections were in flight
             if durability is not None and detection.detection_id is not None:
                 durability.detection_done(detection.detection_id, "dropped")
-            return
-        self._bump("detections")
+            return None
+        counts["detections"] += 1
         rule = self.rules[rule_id].rule
         if durability is not None:
             # a crash-replayed detection reuses its journaled instance
             # id so idempotency keys stay stable across the replay
             instance_id = durability.instance_for(detection,
                                                   self._instance_counter)
-            durability.current_detection = detection.detection_id
-            durability.current_instance = instance_id
         else:
             instance_id = next(self._instance_counter)
         # "The ECA engine creates one or more instances of the rule with
@@ -503,7 +576,7 @@ class ECAEngine:
                                 detection.bindings,
                                 triggering_events=detection.events)
         instance.record("event", detection.bindings)
-        self._bump("instances")
+        counts["instances"] += 1
         if self.keep_instances:
             self._retain(instance)
         if self._instance_observers:
@@ -527,36 +600,25 @@ class ECAEngine:
             event_span = obs.begin_phase("event", detection.component_id)
             event_span.set_attribute("tuples", len(detection.bindings))
             obs.end_phase("event", event_span)
-        try:
-            failure = self._evaluate(rule, instance)
-        finally:
-            if root_span is not None:
-                root_span.set_attribute("status", instance.status)
-                log = obs.log
-                if log is not None:
-                    # emitted before the root finishes so the record
-                    # carries the instance's trace/span/rule context
-                    emit = log.warning if instance.status == "failed" \
-                        else log.info
-                    emit("engine.instance.finished",
-                         status=instance.status,
-                         actions=instance.actions_executed,
-                         **({"error": instance.error}
-                            if instance.error else {}))
-                obs.tracer.finish(
-                    root_span,
-                    status="error" if instance.status == "failed" else "ok")
-        if failure is not None and not isinstance(failure,
-                                                  ActionExecutionError):
-            # park the detection for replay_dead_letters(); action-phase
-            # failures are dead-lettered by the GRH instead, as the
-            # unexecuted suffix of the action's relation (replaying the
-            # whole detection would re-run executed actions)
-            self.grh.dead_letter_detection(detection, failure)
-        if durability is not None:
-            durability.current_detection = None
-            durability.current_instance = None
-            durability.detection_done(detection.detection_id, instance.status)
+        return _Run(rule, instance, detection, root_span)
+
+    def _finish_trace(self, obs, run: _Run) -> None:
+        """Close an instance's trace root, which hands its trace over."""
+        instance = run.instance
+        root_span = run.root
+        bind_span(root_span)
+        root_span.set_attribute("status", instance.status)
+        log = obs.log
+        if log is not None:
+            # emitted before the root finishes so the record carries the
+            # instance's trace/span/rule context
+            emit = log.warning if instance.status == "failed" else log.info
+            emit("engine.instance.finished", status=instance.status,
+                 actions=instance.actions_executed,
+                 **({"error": instance.error} if instance.error else {}))
+        obs.tracer.finish(
+            root_span, status="error" if instance.status == "failed"
+            else "ok")
 
     def _retain(self, instance: RuleInstance) -> None:
         """Keep an instance for introspection, enforcing both caps.
@@ -599,9 +661,12 @@ class ECAEngine:
 
     # -- instance evaluation (Figs. 7-11) ----------------------------------------------
 
-    def _evaluate(self, rule: ECARule,
-                  instance: RuleInstance) -> GRHError | None:
+    def _evaluate_conditions(self, run: _Run, counts: dict) -> None:
+        """Queries, then the test (Figs. 7–11); the instance dies on an
+        empty relation and fails on a mediation error."""
         obs = self._obs
+        rule = run.rule
+        instance = run.instance
         relation = instance.relation
         try:
             for index, query in enumerate(rule.queries):
@@ -626,7 +691,7 @@ class ECAEngine:
                 instance.record(label, relation)
                 if not relation:
                     instance.status = "dead"
-                    self._bump("dead")
+                    counts["dead"] += 1
                     return
             if rule.test is not None:
                 span = obs.begin_phase("test", f"{rule.rule_id}::test") \
@@ -640,38 +705,73 @@ class ECAEngine:
                 instance.record("test", relation)
                 if not relation:
                     instance.status = "dead"
-                    self._bump("dead")
-                    return
-            for index, action in enumerate(rule.actions):
-                component_id = f"{rule.rule_id}::action-{index}"
-                guard = None
-                if self.durability is not None:
-                    guard = self.durability.action_guard(
-                        instance.instance_id, index)
-                span = obs.begin_phase("action", component_id) \
-                    if obs is not None else None
-                try:
-                    executed = self.grh.execute_action(component_id, action,
-                                                       relation, guard=guard)
-                finally:
-                    if span is not None:
-                        obs.end_phase("action", span)
-                instance.actions_executed += executed
-                self._bump("actions", executed)
-            instance.record("action", relation)
-            instance.status = "completed"
-            self._bump("completed")
+                    counts["dead"] += 1
         except GRHError as exc:
-            if isinstance(exc, ActionExecutionError) and exc.executed:
-                # tuples that ran before the failure really executed;
-                # keep the audit trail (to_xml, stats) truthful
-                instance.actions_executed += exc.executed
-                self._bump("actions", exc.executed)
-            instance.status = "failed"
-            instance.error = str(exc)
-            self._bump("failed")
-            return exc
-        return None
+            self._fail(run, exc, counts)
+
+    def _fail(self, run: _Run, exc: GRHError, counts: dict) -> None:
+        instance = run.instance
+        instance.status = "failed"
+        instance.error = str(exc)
+        run.failure = exc
+        counts["failed"] += 1
+
+    def _execute_actions(self, runs: list[_Run], counts: dict) -> None:
+        """Execute the live instances' actions round by round: round *k*
+        dispatches the *k*-th action of every instance still running, as
+        one GRH call, which sends one message per language.  A failed
+        slot fails only its own instance."""
+        obs = self._obs
+        durability = self.durability
+        live = [run for run in runs if run.instance.status == "running"]
+        index = 0
+        while live:
+            due = [run for run in live if index < len(run.rule.actions)]
+            slots = []
+            for run in due:
+                instance = run.instance
+                component_id = f"{run.rule.rule_id}::action-{index}"
+                guard = None
+                if durability is not None:
+                    guard = durability.action_guard(
+                        instance.instance_id, index,
+                        run.detection.detection_id)
+                span = None
+                if obs is not None:
+                    bind_span(run.root)
+                    span = obs.begin_phase("action", component_id)
+                slots.append(ActionSlot(component_id,
+                                        run.rule.actions[index],
+                                        instance.relation, guard, span))
+            try:
+                outcomes = self.grh.execute_actions(slots)
+            finally:
+                if obs is not None:
+                    for slot in slots:
+                        obs.end_phase("action", slot.span)
+            for run, outcome in zip(due, outcomes):
+                instance = run.instance
+                if isinstance(outcome, GRHError):
+                    if isinstance(outcome, ActionExecutionError) and \
+                            outcome.executed:
+                        # tuples that ran before the failure really
+                        # executed; keep the audit trail (to_xml, stats)
+                        # truthful
+                        instance.actions_executed += outcome.executed
+                        counts["actions"] += outcome.executed
+                    self._fail(run, outcome, counts)
+                else:
+                    instance.actions_executed += outcome
+                    counts["actions"] += outcome
+            for run in live:
+                instance = run.instance
+                if instance.status == "running" and \
+                        index + 1 >= len(run.rule.actions):
+                    instance.record("action", instance.relation)
+                    instance.status = "completed"
+                    counts["completed"] += 1
+            live = [run for run in due if run.instance.status == "running"]
+            index += 1
 
     def _run_test(self, rule: ECARule, relation: Relation) -> Relation:
         test = rule.test

@@ -74,13 +74,15 @@ class _ActionGuard:
     outright.
     """
 
-    __slots__ = ("_manager", "_instance_id", "_action_index")
+    __slots__ = ("_manager", "_instance_id", "_action_index",
+                 "_detection_id")
 
     def __init__(self, manager: "DurabilityManager", instance_id: int,
-                 action_index: int) -> None:
+                 action_index: int, detection_id: str | None) -> None:
         self._manager = manager
         self._instance_id = instance_id
         self._action_index = action_index
+        self._detection_id = detection_id
 
     def begin(self, tuples) -> list:
         """Journal the intent record; returns one ``dedup`` key per
@@ -102,7 +104,7 @@ class _ActionGuard:
             dedups.append(prefix + key)
         if ordered:
             manager = self._manager
-            det_id = manager.current_detection
+            det_id = self._detection_id
             # one lock span for the intent record and the in-memory key
             # set: a checkpoint racing between the two would snapshot an
             # instance whose journaled keys it does not know about
@@ -165,34 +167,12 @@ class DurabilityManager:
         #: Reentrant because a checkpoint taken inside a journaling call
         #: path re-enters (e.g. ``commit_barrier`` → ``maybe_checkpoint``).
         self._lock = threading.RLock()
-        #: per-thread evaluation context: each worker tracks which
-        #: detection/instance *it* is evaluating, so dead letters parked
-        #: concurrently attribute to the right journal entries
-        self._local = threading.local()
         #: duration (seconds) of every checkpoint
         self.checkpoint_seconds = Histogram()
         #: also called with each checkpoint's duration when set; the
         #: ledger harness (``benchmarks/ledger/deploy.py``) collects
         #: them through it
         self.checkpoint_observer = None
-
-    # -- per-thread evaluation context --------------------------------------
-
-    @property
-    def current_detection(self) -> str | None:
-        return getattr(self._local, "detection", None)
-
-    @current_detection.setter
-    def current_detection(self, value: str | None) -> None:
-        self._local.detection = value
-
-    @property
-    def current_instance(self) -> int | None:
-        return getattr(self._local, "instance", None)
-
-    @current_instance.setter
-    def current_instance(self, value: int | None) -> None:
-        self._local.instance = value
 
     # -- wiring --------------------------------------------------------------
 
@@ -274,9 +254,9 @@ class DurabilityManager:
             self.max_instance = max(self.max_instance, instance_id)
             return instance_id
 
-    def action_guard(self, instance_id: int,
-                     action_index: int) -> _ActionGuard:
-        return _ActionGuard(self, instance_id, action_index)
+    def action_guard(self, instance_id: int, action_index: int,
+                     detection_id: str | None) -> _ActionGuard:
+        return _ActionGuard(self, instance_id, action_index, detection_id)
 
     def forget(self, detection_id: str) -> None:
         """Erase a completed detection id so it can be replayed on purpose.
@@ -309,19 +289,24 @@ class DurabilityManager:
     # -- dead letter durability ----------------------------------------------
 
     def _on_dead_letter_append(self, letter) -> None:
+        """Journal a parked letter, linked to the in-flight detection it
+        settles: a detection letter names its detection, an action
+        letter's keys name the instance that journaled them."""
         record = {"t": "park", "xml": serialize(letter.to_xml())}
         with self._lock:
-            if letter.kind == "detection" and \
-                    self.current_detection is not None:
-                record["det"] = self.current_detection
-                entry = self.in_flight.get(self.current_detection)
+            if letter.kind == "detection":
+                detection = letter.detection
+                det_id = detection.detection_id if detection is not None \
+                    else None
+                entry = self.in_flight.get(det_id)
                 if entry is not None:
+                    record["det"] = det_id
                     entry.parked = True
-            elif letter.kind == "action" and \
-                    self.current_instance is not None:
-                record["inst"] = self.current_instance
+            elif letter.dedups and letter.dedups[0]:
+                instance_id = int(letter.dedups[0].split(":", 1)[0])
+                record["inst"] = instance_id
                 for entry in self.in_flight.values():
-                    if entry.instance_id == self.current_instance:
+                    if entry.instance_id == instance_id:
                         entry.parked = True
             self._journal(record)
 

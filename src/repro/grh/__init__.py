@@ -2,7 +2,7 @@
 component specs and the mediator itself."""
 
 from .component import ComponentSpec, opaque_placeholders
-from .handler import GenericRequestHandler, GRHError
+from .handler import ActionSlot, GenericRequestHandler, GRHError
 from .messages import (Detection, MessageError, REQUEST_KINDS, Request,
                        dead_letter_to_xml, detection_to_xml, error_message,
                        error_text, is_error, ok_message, request_to_xml,
@@ -15,7 +15,7 @@ from .resilience import (ActionExecutionError, BreakerPolicy, CircuitBreaker,
                          HedgePolicy, ResilienceManager, RetryPolicy)
 
 __all__ = [
-    "GenericRequestHandler", "GRHError",
+    "GenericRequestHandler", "GRHError", "ActionSlot",
     "ComponentSpec", "opaque_placeholders",
     "LanguageDescriptor", "LanguageRegistry", "RegistryError", "FAMILIES",
     "ECA_ONTOLOGY",

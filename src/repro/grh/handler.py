@@ -18,33 +18,57 @@ form."  Concretely:
   is recognized by the shape of its response and treated accordingly.
 
 The GRH also relays event detections from event services back to the ECA
-engine (Fig. 6 (1)).
+engine (Fig. 6 (1)), one feed's detections at a time, and ships the
+actions of one such group as one message per language (PROTOCOL.md §7).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..bindings import (Binding, BindingError, Relation, answer_to_binding,
                         answers_to_relation, results_from_answer, substitute)
 from ..obs.metrics import Counter
-from ..obs.trace import SPANS_QNAME, xml_to_span_dicts
+from ..obs.trace import SPANS_QNAME, bind_span, xml_to_span_dicts
 from ..xmlmodel import Element, LOG_NS, QName, XMLSyntaxError, parse
 from .component import ComponentSpec
-from .messages import (Detection, MessageError, Request, error_executed,
-                       error_text, is_error, request_to_xml, xml_to_detection)
+from .messages import (Detection, MessageError, Request, batch_to_xml,
+                       error_executed, error_text, is_error, request_to_xml,
+                       xml_to_batch_results)
 from .health import HealthProber
 from .registry import LanguageDescriptor, LanguageRegistry
 from .resilience import (ActionExecutionError, DeadLetter, GRHError,
                          ResilienceManager, ServiceReportedError,
                          TransientServiceFailure)
 
-__all__ = ["GenericRequestHandler", "GRHError"]
+__all__ = ["GenericRequestHandler", "GRHError", "ActionSlot",
+           "MAX_TIMEOUT_SCALE"]
 
 _ANSWERS = QName(LOG_NS, "answers")
 _ANSWER = QName(LOG_NS, "answer")
 _TRACEPARENT_ATTR = QName(None, "traceparent")
+
+#: an envelope of n requests gets ``min(n, MAX_TIMEOUT_SCALE)`` times
+#: one request's timeout budget (PROTOCOL.md §10)
+MAX_TIMEOUT_SCALE = 4
+
+
+@dataclass(slots=True)
+class ActionSlot:
+    """One action component of one rule instance, due for dispatch.
+
+    ``guard`` is the exactly-once hook of :meth:`GenericRequestHandler.
+    execute_actions`; ``span`` is the open span a traced engine issues
+    the slot's request under (its ``phase:action``), ``None`` for the
+    thread's current one.
+    """
+
+    component_id: str
+    spec: ComponentSpec
+    bindings: Relation
+    guard: object = None
+    span: object = None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -254,14 +278,15 @@ class GenericRequestHandler:
         if closer is not None:
             closer()
 
-    def notify(self, detection_xml: Element) -> None:
-        """Entry point for event services signalling a detection."""
-        detection = xml_to_detection(detection_xml)
+    def notify(self, detections: Sequence[Detection]) -> None:
+        """Entry point for event services: the detections one feed
+        delivered, in detection order (PROTOCOL.md §3)."""
         for callback in self._detection_callbacks:
-            callback(detection)
+            callback(detections)
 
-    def on_detection(self, callback: Callable[[Detection], None]) -> None:
-        """The ECA engine subscribes to detections here."""
+    def on_detection(self,
+                     callback: Callable[[Sequence[Detection]], None]) -> None:
+        """The ECA engine subscribes to detection groups here."""
         self._detection_callbacks.append(callback)
 
     # -- dispatch ------------------------------------------------------------------
@@ -355,12 +380,7 @@ class GenericRequestHandler:
         if span is not None:
             _strip_spans(reply, self.observability.tracer, span)
         if is_error(reply):
-            try:
-                executed = error_executed(reply)
-            except MessageError as exc:
-                raise GRHError(f"service {descriptor.name!r} answered "
-                               f"a malformed log:error: {exc}") from exc
-            raise ServiceReportedError(error_text(reply), executed)
+            raise _reported(reply, descriptor)
         return reply
 
     def _mediate(self, kind: str, descriptor: LanguageDescriptor, span,
@@ -383,10 +403,7 @@ class GenericRequestHandler:
                 obs.observe_request(kind, obs.tracer.finish(span, "error"))
             if isinstance(exc, GRHError):
                 raise
-            verdict = "reported" if isinstance(
-                exc, ServiceReportedError) else "unreachable or crashed"
-            raise GRHError(f"service {descriptor.name!r} {verdict}: "
-                           f"{exc}") from exc
+            raise _verdict(descriptor, exc)
         if span is not None:
             obs.observe_request(kind, obs.tracer.finish(span))
         return result
@@ -575,53 +592,179 @@ class GenericRequestHandler:
                        bindings: Relation, guard=None) -> int:
         """Execute the action once per tuple; returns the execution count.
 
-        The component travels **once**, with every tuple in its
-        ``log:answers``; the service runs them in relation order and
-        stops at the first that fails (*ordered prefix commits, suffix is
-        parked*, PROTOCOL.md §7).  A failure raises
-        :class:`ActionExecutionError` carrying the count of tuples the
-        service reported as run (so the engine's audit trail stays
-        truthful) and parks the failed tuple plus every tuple after it in
-        the dead letter queue for replay.  When no answer came back at
-        all, every tuple is uncertain: none is credited and all are
-        parked.
-
-        ``guard`` is the durability layer's exactly-once hook: before
-        anything is dispatched, ``guard.begin(tuples)`` journals every
-        tuple's idempotency key in one intent record and returns the
-        wire ``dedup`` key per tuple (``None`` marks a duplicate tuple,
-        which is left out of the request — one effect per distinct tuple;
-        it neither executes nor counts in the return value).
+        The one-slot case of :meth:`execute_actions`: a failure raises
+        its :class:`ActionExecutionError` (or, when the language is not
+        registered, its :class:`GRHError`).
         """
-        route = self.route(spec.language)
-        content = spec.content if spec.content is not None \
-            else _opaque_element(spec)
-        tuples = list(bindings)
-        dedups = guard.begin(tuples) if guard is not None else None
-        if dedups is not None:
-            tuples = [binding for binding, dedup in zip(tuples, dedups)
-                      if dedup is not None]
-            dedups = tuple(dedup for dedup in dedups if dedup is not None)
-        if not tuples:
-            return 0
+        outcome = self.execute_actions(
+            [ActionSlot(component_id, spec, bindings, guard)])[0]
+        if isinstance(outcome, GRHError):
+            raise outcome
+        return outcome
+
+    def execute_actions(self, slots: Sequence[ActionSlot]) -> list:
+        """Execute several action components at once; one outcome per
+        slot: the count of tuples it executed, or its :class:`GRHError`.
+
+        Each component executes once per tuple of its relation.  Slots
+        of one language travel together: one slot is one ``log:request``
+        carrying every tuple; several are one ``log:batch`` of those
+        requests (PROTOCOL.md §7).  The service runs a request's tuples
+        in relation order and stops at the first that fails (*ordered
+        prefix commits, suffix is parked*).  A failed slot's outcome is
+        an :class:`ActionExecutionError` carrying the count of tuples
+        the service reported as run (so the engine's audit trail stays
+        truthful), and the failed tuple plus every tuple after it are
+        parked in the dead letter queue for replay.  When no answer came
+        back at all, every tuple of every slot that travelled is
+        uncertain: none is credited and all are parked.
+
+        A slot's ``guard`` is the durability layer's exactly-once hook:
+        before anything is dispatched, ``guard.begin(tuples)`` journals
+        every tuple's idempotency key in one intent record and returns
+        the wire ``dedup`` key per tuple (``None`` marks a duplicate
+        tuple, which is left out of the request — one effect per
+        distinct tuple; it neither executes nor counts in the outcome).
+        """
+        outcomes: list = [0] * len(slots)
+        by_route: dict[Route, list] = {}
+        for position, slot in enumerate(slots):
+            spec = slot.spec
+            try:
+                route = self.route(spec.language)
+            except GRHError as exc:
+                outcomes[position] = exc
+                continue
+            content = spec.content if spec.content is not None \
+                else _opaque_element(spec)
+            tuples = list(slot.bindings)
+            guard = slot.guard
+            dedups = guard.begin(tuples) if guard is not None else None
+            if dedups is not None:
+                tuples = [binding for binding, dedup in zip(tuples, dedups)
+                          if dedup is not None]
+                dedups = tuple(dedup for dedup in dedups if dedup is not None)
+            if not tuples:
+                continue
+            request = Request("action", slot.component_id, content,
+                              Relation(tuples), dedups=dedups)
+            members = by_route.get(route)
+            if members is None:
+                by_route[route] = [(position, request)]
+            else:
+                members.append((position, request))
+        for route, members in by_route.items():
+            requests = [request for _, request in members]
+            first = slots[members[0][0]].span
+            previous = bind_span(first) if first is not None else None
+            try:
+                if len(requests) > 1:
+                    failures = self._send_actions(route, requests)
+                else:
+                    try:
+                        self._send(route, requests[0])
+                        failures = [None]
+                    except GRHError as exc:
+                        failures = [exc]
+            finally:
+                if first is not None:
+                    bind_span(previous)
+            for (position, request), failure in zip(members, failures):
+                if failure is None:
+                    outcomes[position] = len(request.bindings)
+                else:
+                    outcomes[position] = self._park_action(
+                        slots[position].spec, request, failure)
+        return outcomes
+
+    def _send_actions(self, route: Route,
+                      requests: list[Request]) -> list[GRHError | None]:
+        """Send several action requests as one ``log:batch``; one
+        failure (or ``None``) per request, in order.
+
+        The envelope is one request to the resilience layer: retried as
+        a whole, failed over only when every tuple carries a key, one
+        latency observation.  A slot's ``log:error`` fails that slot; a
+        failed, malformed or miscounted answer fails every slot with
+        nothing credited.
+        """
+        self._requests.inc()
+        descriptor = route.descriptor
+        obs = self.observability
+        payloads = [request_to_xml(request) for request in requests]
+        span = None
+        if obs is not None:
+            span = obs.tracer.begin(
+                "grh.request",
+                {"kind": "action", "component": requests[0].component_id,
+                 "language": descriptor.name, "slots": len(requests),
+                 "tuples": sum(len(request.bindings)
+                               for request in requests)})
+            if not route.inline and span.traceparent is not None:
+                for payload in payloads:
+                    payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
+        envelope = batch_to_xml(payloads)
+        failover_ok = all(request.dedups is not None
+                          and None not in request.dedups
+                          for request in requests)
+        timeout = self.resilience.timeout_for(descriptor)
+        if timeout is not None:
+            timeout *= min(len(requests), MAX_TIMEOUT_SCALE)
+
+        def attempt_once(address: str) -> list[Element]:
+            reply = self.exchange(self.transport.send, address, envelope,
+                                  timeout, descriptor)
+            try:
+                return xml_to_batch_results(reply, expected=len(requests))
+            except MessageError as exc:
+                raise GRHError(f"service {descriptor.name!r} answered "
+                               f"a malformed envelope: {exc}") from exc
+
+        def dispatch() -> list[Element]:
+            return self.resilience.call_routed(
+                route.addresses, descriptor, attempt_once, kind="action",
+                failover_ok=failover_ok)
         try:
-            self._send(route, Request("action", component_id, content,
-                                      Relation(tuples), dedups=dedups))
+            results = self._mediate("action", descriptor, span, dispatch)
         except GRHError as exc:
-            executed = _reported_prefix(exc, len(tuples))
-            remaining = Relation(tuples[executed:])
-            self.resilience.dead_letters.append(DeadLetter(
-                kind="action", error=str(exc),
-                enqueued_at=self.resilience.clock(),
-                component_id=component_id, spec=spec, content=content,
-                bindings=remaining,
-                dedups=dedups[executed:] if dedups is not None else None))
-            observer = self.resilience.observer
-            if observer is not None:
-                observer("dead_letter", component_id)
-            raise ActionExecutionError(str(exc), executed=executed,
-                                       remaining=remaining) from exc
-        return len(tuples)
+            # whatever the envelope's answer claimed, no slot's progress
+            # is known: every slot is uncertain, credited 0
+            lost = GRHError(str(exc))
+            lost.__cause__ = exc
+            return [lost] * len(requests)
+        failures: list[GRHError | None] = []
+        for result in results:
+            if span is not None and not route.inline:
+                _strip_spans(result, obs.tracer, span)
+            failure = None
+            if is_error(result):
+                failure = _reported(result, descriptor)
+                if not isinstance(failure, GRHError):
+                    failure = _verdict(descriptor, failure)
+            failures.append(failure)
+        return failures
+
+    def _park_action(self, spec: ComponentSpec, request: Request,
+                     exc: GRHError) -> ActionExecutionError:
+        """Park the unexecuted suffix of a failed action request; the
+        error the caller gets for it."""
+        tuples = list(request.bindings)
+        executed = _reported_prefix(exc, len(tuples))
+        remaining = Relation(tuples[executed:])
+        dedups = request.dedups
+        self.resilience.dead_letters.append(DeadLetter(
+            kind="action", error=str(exc),
+            enqueued_at=self.resilience.clock(),
+            component_id=request.component_id, spec=spec,
+            content=request.content, bindings=remaining,
+            dedups=dedups[executed:] if dedups is not None else None))
+        observer = self.resilience.observer
+        if observer is not None:
+            observer("dead_letter", request.component_id)
+        error = ActionExecutionError(str(exc), executed=executed,
+                                     remaining=remaining)
+        error.__cause__ = exc
+        return error
 
     # -- resilience surface --------------------------------------------------
 
@@ -662,6 +805,29 @@ def _strip_spans(response: Element, tracer, span) -> None:
     response.remove(last)
     for record in xml_to_span_dicts(last):
         tracer.adopt(record, span)
+
+
+def _reported(reply: Element, descriptor: LanguageDescriptor) -> Exception:
+    """What a ``log:error`` reply stands for: the service's report with
+    its ``executed`` count, or — when that count is malformed — the
+    caller's :class:`GRHError`."""
+    try:
+        executed = error_executed(reply)
+    except MessageError as exc:
+        error = GRHError(f"service {descriptor.name!r} answered a "
+                         f"malformed log:error: {exc}")
+        error.__cause__ = exc
+        return error
+    return ServiceReportedError(error_text(reply), executed)
+
+
+def _verdict(descriptor: LanguageDescriptor, exc: Exception) -> GRHError:
+    """The caller's error for a service's report or a transient failure."""
+    verdict = "reported" if isinstance(exc, ServiceReportedError) \
+        else "unreachable or crashed"
+    error = GRHError(f"service {descriptor.name!r} {verdict}: {exc}")
+    error.__cause__ = exc
+    return error
 
 
 def _log_dispatch_failure(obs, kind: str, language: str, exc) -> None:

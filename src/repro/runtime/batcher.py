@@ -15,9 +15,10 @@ Scope is deliberately narrow:
 
 * only ``query`` and ``test`` requests batch — they are read-only, so
   retrying a whole envelope after a transient failure re-evaluates but
-  never re-effects.  An action is already one request per component
-  (every tuple in its ``log:answers``, each under its own dedup key) and
-  is never put into an envelope with other requests.
+  never re-effects.  Action envelopes are not built here: the engine
+  builds them from one group's actions (``GenericRequestHandler.
+  execute_actions``, PROTOCOL.md §7), each slot under its own dedup
+  keys.
 * only non-inline addresses batch — an in-process service is a plain
   function call, there is no round-trip to amortize.
 * resilience is per-envelope: the batch goes through
@@ -34,6 +35,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
+from ..grh.handler import MAX_TIMEOUT_SCALE
 from ..grh.messages import (batch_to_xml, error_text, is_error,
                             xml_to_batch_results)
 from ..grh.resilience import ServiceReportedError, TransientServiceFailure
@@ -102,7 +104,8 @@ class DispatchBatcher:
     """
 
     def __init__(self, grh: "GenericRequestHandler", window: float = 0.005,
-                 max_batch: int = 16, max_timeout_scale: int = 4) -> None:
+                 max_batch: int = 16,
+                 max_timeout_scale: int = MAX_TIMEOUT_SCALE) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_timeout_scale < 1:

@@ -17,7 +17,12 @@ and the submitting thread runs it until it is empty.  The caller queue
 has one permit, which makes it the synchronous engine: one evaluation
 at a time, in priority order, a detection chained by a rule queued
 behind the running instance rather than nested in it, and an escaping
-exception delivered to the producer.  With a single permit no two
+exception delivered to the producer.  The detections of one feed
+arrive as a *group* (:meth:`Runtime.submit_group`): when nothing holds
+the permit the group is evaluated at once, in arrival order, its
+actions leaving together (PROTOCOL.md §7); otherwise its detections
+join the queue one by one.  The lanes shard per detection, so there a
+group is one detection.  With a single permit no two
 detections of one source can ever overlap, so the caller queue needs
 none of the lanes' per-source bookkeeping, and it is not part of the
 lanes' admission count.
@@ -399,6 +404,50 @@ class Runtime:
         if self._running and not here and self._enqueue(detection, priority):
             return
         self._caller.push(priority, detection)
+        self._run_here()
+
+    def submit_group(self, detections: "list[Detection]",
+                     priorities: list[int]) -> None:
+        """Admit the detections of one feed, with their priorities.
+
+        With running lanes each is hashed to its shard, as by
+        :meth:`submit`; when one is refused (:class:`BackpressureError`)
+        the durable records of the rest are closed as well before the
+        error propagates.  Otherwise, when nothing holds the caller
+        queue and nothing waits in it, this thread evaluates the group
+        at once, in arrival order (``engine._handle_group``, or
+        ``engine._handle`` for a group of one); else its detections join
+        the caller queue and run by priority, one at a time.
+        """
+        if self._running:
+            pending = []
+            for position, detection in enumerate(detections):
+                try:
+                    queued = self._enqueue(detection, priorities[position])
+                except BaseException:
+                    for rest in detections[position + 1:]:
+                        self._engine._discard(rest)
+                    raise
+                if not queued:
+                    pending.append(position)
+            if not pending:
+                return
+            # the lanes stopped under us: what they refused runs here
+            detections = [detections[position] for position in pending]
+            priorities = [priorities[position] for position in pending]
+        queue = self._caller
+        permit = self._caller_permit
+        if not queue and permit.acquire(blocking=False):
+            try:
+                if len(detections) == 1:
+                    self._engine._handle(detections[0])
+                else:
+                    self._engine._handle_group(detections)
+            finally:
+                permit.release()
+        else:
+            for detection, priority in zip(detections, priorities):
+                queue.push(priority, detection)
         self._run_here()
 
     def _enqueue(self, detection: "Detection", priority: int) -> bool:

@@ -3,9 +3,10 @@
 One service per event language: the Atomic Event Matcher, a SNOOP
 detection service ([Spa06]-style) and an XChange-style service.  All
 three share the same machinery: they keep one detector per registered
-component id, subscribe to an event stream, and signal each detection to
-the GRH as a ``log:detection`` message carrying the component id, the
-occurrence interval and the variable bindings.
+component id, subscribe to an event stream, and hand the GRH every
+detection one event completes as one sequence of
+:class:`~repro.grh.messages.Detection` values — component id,
+occurrence interval, variable bindings, constituents (PROTOCOL.md §3).
 
 Since PROTOCOL.md §13 the shared machinery routes events through a
 Rete-style :class:`~repro.match.DiscriminationNetwork`: each incoming
@@ -22,12 +23,12 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..events import (Detector, Event, EventStream, parse_atomic,
                       parse_snoop, parse_xchange)
 from ..events.snoop import Atomic
-from ..grh.messages import Request, detection_to_xml, Detection
+from ..grh.messages import Detection, Request
 from ..match import DiscriminationNetwork
 from ..xmlmodel import Element
 from .base import LanguageService, ServiceError
@@ -59,14 +60,14 @@ class EventDetectionService(LanguageService):
 
     service_name = "event-detection"
 
-    def __init__(self, notify: Callable[[Element], None], *,
+    def __init__(self, notify: Callable[[Sequence[Detection]], None], *,
                  incarnation: str | None = None) -> None:
         self._notify = notify
         self._detectors: dict[str, Detector] = {}
         self._lock = threading.RLock()
         self._network = DiscriminationNetwork(self.service_name)
         #: per-service monotonic detection sequence; stamped on every
-        #: log:detection as ``detection-id`` so a durable engine can
+        #: detection as its ``detection-id`` so a durable engine can
         #: deduplicate at-least-once redelivery (PROTOCOL.md §7).
         #: Ids are namespaced by an *incarnation* nonce: a recovered
         #: engine remembers completed ids, so a restarted service that
@@ -114,20 +115,23 @@ class EventDetectionService(LanguageService):
         stream.subscribe(self.feed)
 
     def feed(self, event: Event) -> None:
-        """Process one event; signal every detection to the GRH.
+        """Process one event; hand its detections to the GRH at once.
 
         The event is offered only to the detectors the discrimination
         network routes it to; a component whose whole pattern is one
         indexed leaf reuses the network's shared alpha memory instead of
-        re-matching.
+        re-matching.  Every detection the event completes goes to the
+        GRH in one ``notify`` call — the group whose actions leave
+        together (PROTOCOL.md §3, §7).
 
-        Detectors are fed under the lock; their detections are signalled
-        outside it.  A signal can wait for queue space in a ``block``
-        runtime, and the worker that would free it may need this lock to
-        feed an event its own action raised.
+        Detectors are fed under the lock; the group is handed over
+        outside it.  The hand-over can wait for queue space in a
+        ``block`` runtime, and the worker that would free it may need
+        this lock to feed an event its own action raised.
         """
         with self._lock:
             candidates = self._network.route(event)
+        detections = []
         for component_id, detector, shared in candidates:
             with self._lock:
                 if self._detectors.get(component_id) is not detector:
@@ -135,34 +139,42 @@ class EventDetectionService(LanguageService):
                 occurrences = (shared if shared is not None
                                else detector.feed(event))
             for occurrence in occurrences:
-                self._signal(component_id, occurrence)
+                detections.append(self._detection(component_id,
+                                                  occurrence))
+        if detections:
+            self._notify(detections)
 
     def poll(self, now: float) -> None:
         """Drive time-based operators (snoop:periodic).
 
         Only time-driven (and fallback) detectors are polled — every
         other built-in operator's ``poll`` provably yields nothing.
-        Signals leave the lock as in :meth:`feed`.
+        The detections leave the lock as one group, as in :meth:`feed`.
         """
         with self._lock:
             pollable = self._network.pollable()
+        detections = []
         for component_id, detector in pollable:
             with self._lock:
                 if self._detectors.get(component_id) is not detector:
                     continue  # unregistered since the snapshot
                 occurrences = detector.poll(now)
             for occurrence in occurrences:
-                self._signal(component_id, occurrence)
+                detections.append(self._detection(component_id,
+                                                  occurrence))
+        if detections:
+            self._notify(detections)
 
-    def _signal(self, component_id: str, occurrence) -> None:
-        """One ``log:detection`` to the GRH: the bindings plus the event
-        sequence that matched the pattern (Fig. 6 (1) of the paper)."""
-        self._notify(detection_to_xml(Detection(
-            component_id, occurrence.start, occurrence.end,
+    def _detection(self, component_id: str, occurrence) -> Detection:
+        """One detection for the GRH: the bindings plus the event
+        sequence that matched the pattern (Fig. 6 (1) of the paper),
+        each payload copied here and nowhere else."""
+        return Detection(
+            component_id, float(occurrence.start), float(occurrence.end),
             occurrence.bindings,
-            tuple(constituent.payload
+            tuple(constituent.payload.copy()
                   for constituent in occurrence.constituents),
-            detection_id=self._next_detection_id())))
+            detection_id=self._next_detection_id())
 
     @property
     def registered_ids(self) -> list[str]:

@@ -166,8 +166,10 @@ def serve(handler: AwareHandler, message: Element) -> Element:
     services need no batching code of their own.  A ``ConnectionError``
     is a crash, not a verdict: it aborts the whole envelope, exactly as
     it aborts a single request, and the caller sees a transient failure.
-    Only read-only kinds batch, so nothing is lost by running the
-    envelope again elsewhere.
+    An envelope of queries and tests is read-only, so running it again
+    elsewhere loses nothing; an envelope of actions (one group's, §7)
+    runs again elsewhere only when every tuple carries a ``dedup`` key,
+    which the service honours per slot.
     """
     if not is_batch(message):
         return handler(message)

@@ -6,7 +6,8 @@ its state — the event-detection and action services of the paper are
 autonomous, possibly remote (Sec. 4.4).  A :class:`CrashWorld` therefore
 owns the long-lived halves (event stream, detection service, action
 runtime with its mailboxes, the durability directory, and the captured
-detection messages that model an at-least-once delivery channel), while
+``log:detection`` messages that model an at-least-once delivery channel —
+the wire form a broker between service and engine would carry), while
 :meth:`CrashWorld.boot` builds the crashable halves fresh each time:
 transport, registry, GRH, engine, durability manager.
 
@@ -25,7 +26,7 @@ from repro.durability import (DurabilityManager, JOURNAL_NAME, Journal,
                               SimulatedCrash)
 from repro.events import ATOMIC_NS, EventStream
 from repro.grh import (GenericRequestHandler, GRHError, LanguageDescriptor,
-                       LanguageRegistry)
+                       LanguageRegistry, detection_to_xml, xml_to_detection)
 from repro.services.action_service import ActionExecutionService
 from repro.services.event_service import AtomicEventService
 from repro.services.transports import InProcessTransport
@@ -103,17 +104,19 @@ class CrashWorld:
         self.atomic = AtomicEventService(self._deliver, incarnation="")
         self.atomic.attach(self.stream)
         self.actions = ActionExecutionService(self.runtime)
-        #: every detection message the service ever emitted, in order —
-        #: the at-least-once channel a real broker would re-deliver from
+        #: every detection the service ever handed over, in order, as a
+        #: serialized log:detection — the at-least-once channel a real
+        #: broker would re-deliver from
         self.captured: list[str] = []
         self._notify = None
         self.engine: ECAEngine | None = None
         self.grh: GenericRequestHandler | None = None
 
-    def _deliver(self, detection_xml) -> None:
-        self.captured.append(serialize(detection_xml))
+    def _deliver(self, detections) -> None:
+        for detection in detections:
+            self.captured.append(serialize(detection_to_xml(detection)))
         if self._notify is not None:
-            self._notify(detection_xml)
+            self._notify(detections)
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -165,7 +168,7 @@ class CrashWorld:
     def redeliver(self) -> None:
         """At-least-once redelivery of every captured detection."""
         for xml in list(self.captured):
-            self._notify(parse(xml))
+            self._notify([xml_to_detection(parse(xml))])
 
     def run_script(self, script=SCRIPT, start: int = 0) -> int:
         """Emit ``script[start:]``; returns the index to resume from

@@ -124,7 +124,8 @@ class TestDetectionDedupe:
                                 if a.local == "detection-id"))
         anonymous = xml_to_detection(raw)
         assert anonymous.detection_id is None
-        world._notify(raw)   # same payload, no id: the engine stamps one
+        # same payload, no id: the engine stamps one
+        world._notify([anonymous])
         assert world.engine.stats["instances"] == 2
         assert world.engine.durability.next_detection == 2
 
@@ -170,7 +171,7 @@ class TestInFlightReplay:
                               detection_id="manual:1")
         world.captured.append(serialize(detection_to_xml(detection)))
         with pytest.raises(SimulatedCrash):
-            world._notify(detection_to_xml(detection))
+            world._notify([detection])
         world.crash()
         # the first tuple's effect landed before the crash
         assert world.effects() == {"out": ['<pong n="1"/>']}

@@ -9,9 +9,10 @@ event and is the point: it defines the detection sequence — order,
 intervals, bindings, constituents and detection ids — the network-routed
 service must reproduce byte for byte.
 
-Registration, locking, detection ids and the ``log:detection`` message
-are the service's own (they were not replaced); only the choice of which
-detectors see an event is the code as it was.
+Registration, locking, detection ids and the ``Detection`` values are
+the service's own (they were not replaced), and so is the hand-over: one
+``notify`` per feed or poll with every detection it produced.  Only the
+choice of which detectors see an event is the code as it was.
 """
 
 from repro.events import Event
@@ -25,15 +26,23 @@ def linear(service_cls: type[EventDetectionService]
     class Linear(service_cls):
         def feed(self, event: Event) -> None:
             with self._lock:
-                for component_id, detector in list(self._detectors.items()):
-                    for occurrence in detector.feed(event):
-                        self._signal(component_id, occurrence)
+                detections = [
+                    self._detection(component_id, occurrence)
+                    for component_id, detector in list(
+                        self._detectors.items())
+                    for occurrence in detector.feed(event)]
+            if detections:
+                self._notify(detections)
 
         def poll(self, now: float) -> None:
             with self._lock:
-                for component_id, detector in list(self._detectors.items()):
-                    for occurrence in detector.poll(now):
-                        self._signal(component_id, occurrence)
+                detections = [
+                    self._detection(component_id, occurrence)
+                    for component_id, detector in list(
+                        self._detectors.items())
+                    for occurrence in detector.poll(now)]
+            if detections:
+                self._notify(detections)
 
     Linear.__name__ = f"Linear{service_cls.__name__}"
     return Linear

@@ -16,7 +16,7 @@ import pytest
 
 from repro.bindings import Relation
 from repro.events.base import Event
-from repro.grh.messages import Request, xml_to_detection
+from repro.grh.messages import Request
 from repro.services.event_service import AtomicEventService, SnoopService
 from repro.xmlmodel import parse
 
@@ -36,9 +36,9 @@ def test_churn_hammer(service_cls):
     delivered = []
     delivered_lock = threading.Lock()
 
-    def notify(element):
+    def notify(detections):
         with delivered_lock:
-            delivered.append(xml_to_detection(element))
+            delivered.extend(detections)
 
     service = service_cls(notify, incarnation="")
     errors = []
@@ -101,7 +101,7 @@ def test_churn_hammer(service_cls):
 def test_registration_is_atomic_wrt_feed():
     """A component never appears in the table without its index entry:
     a feed running between the two would silently drop its events."""
-    service = AtomicEventService(lambda element: None, incarnation="")
+    service = AtomicEventService(lambda detections: None, incarnation="")
     stop = threading.Event()
     mismatches = []
 

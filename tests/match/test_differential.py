@@ -4,9 +4,10 @@ For every event service and seeds 0–9: register the same random rule
 set on the service and on its offer-to-all oracle
 (``tests/match/linear_oracle.py``), drive the same seeded
 event storm (with mid-storm polls and registration churn), and assert
-the two emit **identical detection sequences** — same canonical XML,
-which pins component ids, intervals, bindings, constituents *and*
-detection ids (so ordering too).
+the two emit **identical detection sequences** — the same hand-overs,
+each holding detections with the same canonical wire form, which pins
+component ids, intervals, bindings, constituents *and* detection ids
+(so ordering too).
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from repro.bindings import Relation
 from repro.events import EventStream
-from repro.grh.messages import Request
+from repro.grh.messages import Request, detection_to_xml
 from repro.services.event_service import (AtomicEventService, SnoopService,
                                           XChangeService)
 from repro.xmlmodel import canonicalize
@@ -42,7 +43,8 @@ def unregister(service, component_id):
 
 
 def run_storm(service_cls, make_rule, seed, rules=24, events=110):
-    """Drive one seeded storm through both paths; return both outputs."""
+    """Drive one seeded storm through both paths; return both outputs,
+    one tuple of canonical ``log:detection`` texts per hand-over."""
     outputs = {"network": [], "linear": []}
     services = {
         "network": service_cls(outputs["network"].append, incarnation=""),
@@ -83,8 +85,10 @@ def run_storm(service_cls, make_rule, seed, rules=24, events=110):
     final_poll = next(iter(streams.values())).now + 25.0
     for service in services.values():
         service.poll(final_poll)
-    return ([canonicalize(element) for element in outputs["network"]],
-            [canonicalize(element) for element in outputs["linear"]])
+    return tuple([tuple(canonicalize(detection_to_xml(detection))
+                        for detection in group)
+                  for group in outputs[name]]
+                 for name in ("network", "linear"))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -100,7 +104,8 @@ def test_network_equals_linear(service_cls, seed):
 def test_detection_ids_are_monotonic_per_service():
     network, _ = run_storm(SnoopService, SERVICES[SnoopService], seed=3)
     ids = [line.split('detection-id="')[1].split('"')[0]
-           for line in network if 'detection-id="' in line]
+           for group in network for line in group
+           if 'detection-id="' in line]
     sequence = [int(identifier.rsplit(":", 1)[1]) for identifier in ids]
     assert sequence == sorted(sequence)
     assert len(set(sequence)) == len(sequence)

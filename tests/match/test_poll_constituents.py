@@ -11,7 +11,7 @@ import pytest
 
 from repro.bindings import Relation
 from repro.events.base import Event
-from repro.grh.messages import Request, xml_to_detection
+from repro.grh.messages import Request
 from repro.services.event_service import SnoopService
 from repro.xmlmodel import parse
 
@@ -33,15 +33,14 @@ PERIODIC = f"""
                          ids=["network", "linear"])
 def test_periodic_poll_carries_constituents(service_cls):
     delivered = []
-    service = service_cls(delivered.append, incarnation="")
+    service = service_cls(delivered.extend, incarnation="")
     service.register_event(Request("register-event", "tick::event",
                                    parse(PERIODIC), Relation.unit()))
     opener = parse(f'<d:open {D} job="j1"/>')
     service.feed(Event(opener, 0.0, 0))
     service.poll(11.0)
     assert len(delivered) == 2  # fires at t=5 and t=10
-    for element in delivered:
-        detection = xml_to_detection(element)
+    for detection in delivered:
         assert detection.component_id == "tick::event"
         assert [payload.name.local for payload in detection.events] \
             == ["open"]

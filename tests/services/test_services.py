@@ -4,8 +4,7 @@ import pytest
 
 from repro.bindings import Relation, Uri, answers_to_relation
 from repro.domain import (classes_document, fleet_graph, persons_document)
-from repro.grh import (Request, error_text, is_error, request_to_xml,
-                       xml_to_detection)
+from repro.grh import Request, error_text, is_error, request_to_xml
 from repro.services import (ActionExecutionService, AtomicEventService,
                             DatalogService, ExistLikeService, SnoopService,
                             TestLanguageService, XQService)
@@ -170,7 +169,7 @@ class TestActionService:
 class TestEventServices:
     def test_register_detect_signal(self):
         signals = []
-        service = AtomicEventService(signals.append)
+        service = AtomicEventService(signals.extend)
         service.handle(request_to_xml(Request(
             "register-event", "r::event",
             parse('<booking person="{P}"/>'), Relation.unit())))
@@ -179,10 +178,30 @@ class TestEventServices:
         service.attach(stream)
         stream.emit(E("booking", {"person": "John Doe"}))
         assert len(signals) == 1
-        detection = xml_to_detection(signals[0])
+        detection = signals[0]
         assert detection.component_id == "r::event"
         (binding,) = detection.bindings
         assert binding["P"] == "John Doe"
+
+    def test_one_feed_is_one_hand_over(self):
+        """Every detection an event completes reaches the GRH in one
+        ``notify`` call, in detection-id order (PROTOCOL.md §3)."""
+        groups = []
+        service = AtomicEventService(groups.append, incarnation="")
+        for rule_id in ("r1", "r2", "r3"):
+            service.handle(request_to_xml(Request(
+                "register-event", f"{rule_id}::event",
+                parse('<booking person="{P}"/>'), Relation.unit())))
+        from repro.events import Event
+        service.feed(Event(E("booking", {"person": "Jo"}), 1))
+        service.feed(Event(E("other"), 2))
+        (group,) = groups
+        assert [d.component_id for d in group] \
+            == ["r1::event", "r2::event", "r3::event"]
+        assert [d.detection_id for d in group] \
+            == ["atomic-event-matcher:1", "atomic-event-matcher:2",
+                "atomic-event-matcher:3"]
+        assert all(d.events[0].get("person") == "Jo" for d in group)
 
     def test_duplicate_registration_rejected(self):
         service = AtomicEventService(lambda x: None)
@@ -193,7 +212,7 @@ class TestEventServices:
 
     def test_unregister_stops_detection(self):
         signals = []
-        service = AtomicEventService(signals.append)
+        service = AtomicEventService(signals.extend)
         service.handle(request_to_xml(Request(
             "register-event", "r::event", parse("<e/>"), Relation.unit())))
         service.handle(request_to_xml(Request(
@@ -204,7 +223,7 @@ class TestEventServices:
 
     def test_snoop_service_composite(self):
         signals = []
-        service = SnoopService(signals.append)
+        service = SnoopService(signals.extend)
         from repro.events import SNOOP_NS
         service.handle(request_to_xml(Request(
             "register-event", "r::event",
@@ -214,12 +233,12 @@ class TestEventServices:
         service.feed(Event(E("a"), 0))
         service.feed(Event(E("b"), 1))
         assert len(signals) == 1
-        detection = xml_to_detection(signals[0])
+        detection = signals[0]
         assert detection.start == 0 and detection.end == 1
 
     def test_poll_drives_periodic(self):
         signals = []
-        service = SnoopService(signals.append)
+        service = SnoopService(signals.extend)
         from repro.events import SNOOP_NS, Event
         service.handle(request_to_xml(Request(
             "register-event", "r::event",
