@@ -5,6 +5,7 @@ priority-bucketed detection queue."""
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -243,6 +244,61 @@ class TestSynchronousScheduler:
         assert engine.stats["instances"] == total
         assert sorted(int(m.content.get("n")) for m in
                       deployment.runtime.messages("out")) == list(range(total))
+
+    def test_concurrent_producers_of_groups_evaluate_each_once(self, world):
+        """The same, with three rules per event: every event's group is
+        evaluated whole or queued detection by detection, never two
+        evaluations at once, and every detection exactly once."""
+        deployment, engine = world
+        for rule_id in ("g1", "g2", "g3"):
+            engine.register_rule(send_rule(rule_id))
+        lock = threading.Lock()
+        seen: list[str] = []
+        state = {"running": 0, "overlaps": 0}
+
+        original = engine._handle_group
+
+        # a whole group and a detection queued behind a busy permit
+        # (through _handle) both arrive here
+        def spy(detections, *rest):
+            with lock:
+                state["running"] += 1
+                if state["running"] > 1:
+                    state["overlaps"] += 1
+                seen.extend(d.detection_id for d in detections)
+            try:
+                original(detections, *rest)
+            finally:
+                with lock:
+                    state["running"] -= 1
+
+        engine._handle_group = spy
+        producers, per_producer = 8, 25
+
+        def produce(base):
+            for n in range(base, base + per_producer):
+                deployment.stream.emit(E("ping", {"n": str(n)}))
+
+        threads = [threading.Thread(target=produce, args=(i * per_producer,))
+                   for i in range(producers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        total = 3 * producers * per_producer
+        assert not any(thread.is_alive() for thread in threads)
+        assert state["overlaps"] == 0
+        assert len(seen) == total and len(set(seen)) == total
+        assert engine.stats["instances"] == total
+        assert engine.stats["actions"] == total
+        assert Counter(int(m.content.get("n")) for m in
+                       deployment.runtime.messages("out")) \
+            == Counter({n: 3 for n in range(producers * per_producer)})
 
     def test_escaping_exception_reaches_the_producer(self, world):
         """An exception raised inside an evaluation reaches the emit
