@@ -92,6 +92,47 @@ class TestRejectPolicy:
         assert not manager.in_flight
 
 
+    def test_refused_detection_closes_the_rest_of_its_group(self,
+                                                            tmp_path):
+        """One event completes three rules; when one of its detections
+        is refused, the ones after it are never queued, and their
+        journal records are closed as ``dropped`` too."""
+        from repro.durability import DurabilityManager
+        manager = DurabilityManager(str(tmp_path), sync="none")
+        runtime = Runtime(workers=1, queue_capacity=1, backpressure="reject")
+        deployment, engine = build_world(runtime)
+        engine.durability = manager  # late attach: simplest durable wiring
+        release = threading.Event()
+        original = engine._handle
+
+        def gated(detection, *rest):
+            release.wait(10)
+            original(detection, *rest)
+
+        engine._handle = gated
+        for rule_id in ("r1", "r2", "r3"):
+            engine.register_rule(simple_rule_markup(rule_id))
+        payloads = booking_payloads(WorkloadConfig(), 3)
+        try:
+            for payload in payloads:
+                try:
+                    deployment.stream.emit(payload)
+                except BackpressureError:
+                    pass
+            release.set()
+            assert engine.drain(10)
+        finally:
+            release.set()
+            engine.shutdown(5)
+        dropped = sum(1 for status in manager.done.values()
+                      if status == "dropped")
+        assert not manager.in_flight
+        # one refusal per event at most, yet more detections closed
+        assert runtime.rejected <= len(payloads) < dropped
+        assert dropped + engine.stats["detections"] == 3 * len(payloads)
+        manager.close()
+
+
 class TestDropOldestPolicy:
     def test_oldest_is_shed_and_counted(self):
         runtime = Runtime(workers=1, queue_capacity=2,
