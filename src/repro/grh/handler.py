@@ -48,6 +48,7 @@ __all__ = ["GenericRequestHandler", "GRHError", "ActionSlot",
 _ANSWERS = QName(LOG_NS, "answers")
 _ANSWER = QName(LOG_NS, "answer")
 _TRACEPARENT_ATTR = QName(None, "traceparent")
+_KIND_ATTR = QName(None, "kind")
 
 #: an envelope of n requests gets ``min(n, MAX_TIMEOUT_SCALE)`` times
 #: one request's timeout budget (PROTOCOL.md §10)
@@ -292,60 +293,132 @@ class GenericRequestHandler:
     # -- dispatch ------------------------------------------------------------------
 
     def _send(self, route: Route, request: Request) -> Element:
-        self._requests.inc()
-        descriptor = route.descriptor
-        inline = route.inline
-        obs = self.observability
-        span = None
-        payload = request_to_xml(request)
-        if obs is not None:
-            # the request span's identity rides in the envelope; an
-            # observability-aware service across a process boundary
-            # answers with a log:spans annotation that _strip_spans()
-            # adopts into this trace, while a co-located one appends its
-            # record to the open span.  stamped onto the payload element
-            # directly — the Request object itself needs no copy
-            span = obs.tracer.begin("grh.request",
-                                    {"kind": request.kind,
-                                     "component": request.component_id,
-                                     "language": descriptor.name,
-                                     "tuples": len(request.bindings)})
-            if not inline and span.traceparent is not None:
-                payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
-        kind = request.kind
+        """One query, test or event (un)registration request; its reply,
+        or its :class:`GRHError` raised."""
+        span, payloads = self._begin(route, [request])
         batcher = self.batcher
-        if batcher is not None and not inline and kind in ("query", "test"):
+        if batcher is not None and not route.inline \
+                and request.kind in ("query", "test"):
             # read-only request under a concurrent runtime: park it with
-            # the batcher, which ships one log:batch per language/window
-            # through the same routing, retry and failover a single
-            # request gets, and fans the log:batchresults back per caller
+            # the batcher, which ships the requests of one language and
+            # window through deliver() and hands this caller its slot
+            obs = self.observability
+
             def dispatch() -> Element:
-                result = batcher.submit(route, payload)
+                result = batcher.submit(route, payloads[0])
                 if span is not None:
                     _strip_spans(result, obs.tracer, span)
                 return result
-        else:
-            # failover is always safe for read-only kinds; an action may
-            # only retarget when every tuple's dedup key makes
-            # re-dispatch exactly once on the service side (PROTOCOL.md
-            # §12)
-            failover_ok = kind != "action" or (
-                request.dedups is not None and None not in request.dedups)
-            timeout = self.resilience.timeout_for(descriptor)
-            # an inline service records onto the open span and never
-            # annotates its reply
-            annotated = None if inline else span
+            return self._mediate(request.kind, route.descriptor, span,
+                                 dispatch)
+        outcome = self.deliver(route, payloads, span)[0]
+        if isinstance(outcome, GRHError):
+            raise outcome
+        return outcome
 
-            def attempt_once(address: str) -> Element:
-                return self.exchange(self.transport.send, address, payload,
-                                     timeout, descriptor, annotated)
+    def _begin(self, route: Route,
+               requests: Sequence[Request]) -> tuple[object, list[Element]]:
+        """Count one mediated message and open its ``grh.request`` span;
+        the requests' payloads, each stamped with the span's identity
+        when the message leaves the process.
 
-            def dispatch() -> Element:
-                return self.resilience.call_routed(
-                    route.addresses, descriptor, attempt_once, kind=kind,
-                    failover_ok=failover_ok,
-                    hedge_ok=kind in ("query", "test"))
-        return self._mediate(kind, descriptor, span, dispatch)
+        An observability-aware service across a process boundary
+        answers with a ``log:spans`` annotation that :func:`_strip_spans`
+        adopts into this trace, while a co-located one appends its
+        record to the open span.  The payload element is stamped
+        directly — the Request object itself needs no copy.
+        """
+        self._requests.inc()
+        payloads = [request_to_xml(request) for request in requests]
+        obs = self.observability
+        if obs is None:
+            return None, payloads
+        first = requests[0]
+        attributes = {"kind": first.kind, "component": first.component_id,
+                      "language": route.descriptor.name}
+        if len(requests) > 1:
+            attributes["slots"] = len(requests)
+        attributes["tuples"] = sum(len(request.bindings)
+                                   for request in requests)
+        span = obs.tracer.begin("grh.request", attributes)
+        if not route.inline and span.traceparent is not None:
+            for payload in payloads:
+                payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
+        return span, payloads
+
+    def deliver(self, route: Route, payloads: Sequence[Element], span=None,
+                failover_ok: bool = True) -> list:
+        """Send requests of one language as one message; one outcome per
+        request, in order: its reply element, or its :class:`GRHError`.
+
+        The one place a message to a framework-aware service is built,
+        timed, retried or failed over, and judged (PROTOCOL.md §7,
+        §10).  One request travels as the plain ``log:request``, and its
+        ``log:error`` follows the language's retry policy.  Several
+        travel as one ``log:batch`` — one request to the resilience
+        layer, never hedged, with ``min(n, MAX_TIMEOUT_SCALE)`` times
+        one request's timeout; a slot's ``log:error`` fails that slot
+        alone.  A failed, malformed or miscounted answer fails every
+        slot, each with its own :class:`GRHError` chained to that
+        failure.
+
+        ``span`` is the message's open request span (from
+        :meth:`_begin`), finished here; the batcher passes none, its
+        callers holding theirs.  ``failover_ok``: whether the message
+        may retarget another replica — always for reads, for actions
+        only when every tuple carries its key (PROTOCOL.md §12).
+        """
+        descriptor = route.descriptor
+        count = len(payloads)
+        lone = count == 1
+        kind = payloads[0].get(_KIND_ATTR)
+        message = payloads[0] if lone else batch_to_xml(payloads)
+        timeout = self.resilience.timeout_for(descriptor)
+        if timeout is not None:
+            # the policy's timeout budgets ONE request; an envelope of n
+            # requests gets n budgets, capped
+            timeout *= min(count, MAX_TIMEOUT_SCALE)
+        # an inline service records onto the open span and never
+        # annotates its reply
+        annotated = None if route.inline else span
+
+        def attempt_once(address: str) -> list[Element]:
+            reply = self.exchange(self.transport.send, address, message,
+                                  timeout, descriptor,
+                                  annotated if lone else None)
+            if lone:
+                return [reply]
+            try:
+                return xml_to_batch_results(reply, expected=count)
+            except MessageError as exc:
+                raise GRHError(f"service {descriptor.name!r} answered "
+                               f"a malformed envelope: {exc}") from exc
+
+        def dispatch() -> list[Element]:
+            return self.resilience.call_routed(
+                route.addresses, descriptor, attempt_once,
+                failover_ok=failover_ok,
+                hedge_ok=lone and kind in ("query", "test"))
+        try:
+            results = self._mediate(kind, descriptor, span, dispatch)
+        except GRHError as exc:
+            if lone:
+                return [exc]
+            # whatever the envelope's answer claimed, no slot's outcome
+            # is known; each slot raises its own error on its own thread
+            return [_chained(exc) for _ in payloads]
+        if lone:
+            return results
+        outcomes: list = []
+        for result in results:
+            if annotated is not None:
+                _strip_spans(result, self.observability.tracer, annotated)
+            if is_error(result):
+                failure = _reported(result, descriptor)
+                result = failure if isinstance(failure, GRHError) \
+                    else _verdict(descriptor, failure)
+            outcomes.append(result)
+        return outcomes
 
     def exchange(self, call, address: str, argument, timeout: float | None,
                  descriptor: LanguageDescriptor, span=None):
@@ -528,7 +601,7 @@ class GenericRequestHandler:
 
         def dispatch() -> str:
             return self.resilience.call_routed(
-                route.addresses, descriptor, attempt_once, kind="fetch",
+                route.addresses, descriptor, attempt_once,
                 failover_ok=True, hedge_ok=True)
         return self._mediate("fetch", descriptor, span, dispatch)
 
@@ -658,91 +731,22 @@ class GenericRequestHandler:
             first = slots[members[0][0]].span
             previous = bind_span(first) if first is not None else None
             try:
-                if len(requests) > 1:
-                    failures = self._send_actions(route, requests)
-                else:
-                    try:
-                        self._send(route, requests[0])
-                        failures = [None]
-                    except GRHError as exc:
-                        failures = [exc]
+                span, payloads = self._begin(route, requests)
+                replies = self.deliver(
+                    route, payloads, span,
+                    failover_ok=all(request.dedups is not None
+                                    and None not in request.dedups
+                                    for request in requests))
             finally:
                 if first is not None:
                     bind_span(previous)
-            for (position, request), failure in zip(members, failures):
-                if failure is None:
-                    outcomes[position] = len(request.bindings)
-                else:
+            for (position, request), reply in zip(members, replies):
+                if isinstance(reply, GRHError):
                     outcomes[position] = self._park_action(
-                        slots[position].spec, request, failure)
+                        slots[position].spec, request, reply)
+                else:
+                    outcomes[position] = len(request.bindings)
         return outcomes
-
-    def _send_actions(self, route: Route,
-                      requests: list[Request]) -> list[GRHError | None]:
-        """Send several action requests as one ``log:batch``; one
-        failure (or ``None``) per request, in order.
-
-        The envelope is one request to the resilience layer: retried as
-        a whole, failed over only when every tuple carries a key, one
-        latency observation.  A slot's ``log:error`` fails that slot; a
-        failed, malformed or miscounted answer fails every slot with
-        nothing credited.
-        """
-        self._requests.inc()
-        descriptor = route.descriptor
-        obs = self.observability
-        payloads = [request_to_xml(request) for request in requests]
-        span = None
-        if obs is not None:
-            span = obs.tracer.begin(
-                "grh.request",
-                {"kind": "action", "component": requests[0].component_id,
-                 "language": descriptor.name, "slots": len(requests),
-                 "tuples": sum(len(request.bindings)
-                               for request in requests)})
-            if not route.inline and span.traceparent is not None:
-                for payload in payloads:
-                    payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
-        envelope = batch_to_xml(payloads)
-        failover_ok = all(request.dedups is not None
-                          and None not in request.dedups
-                          for request in requests)
-        timeout = self.resilience.timeout_for(descriptor)
-        if timeout is not None:
-            timeout *= min(len(requests), MAX_TIMEOUT_SCALE)
-
-        def attempt_once(address: str) -> list[Element]:
-            reply = self.exchange(self.transport.send, address, envelope,
-                                  timeout, descriptor)
-            try:
-                return xml_to_batch_results(reply, expected=len(requests))
-            except MessageError as exc:
-                raise GRHError(f"service {descriptor.name!r} answered "
-                               f"a malformed envelope: {exc}") from exc
-
-        def dispatch() -> list[Element]:
-            return self.resilience.call_routed(
-                route.addresses, descriptor, attempt_once, kind="action",
-                failover_ok=failover_ok)
-        try:
-            results = self._mediate("action", descriptor, span, dispatch)
-        except GRHError as exc:
-            # whatever the envelope's answer claimed, no slot's progress
-            # is known: every slot is uncertain, credited 0
-            lost = GRHError(str(exc))
-            lost.__cause__ = exc
-            return [lost] * len(requests)
-        failures: list[GRHError | None] = []
-        for result in results:
-            if span is not None and not route.inline:
-                _strip_spans(result, obs.tracer, span)
-            failure = None
-            if is_error(result):
-                failure = _reported(result, descriptor)
-                if not isinstance(failure, GRHError):
-                    failure = _verdict(descriptor, failure)
-            failures.append(failure)
-        return failures
 
     def _park_action(self, spec: ComponentSpec, request: Request,
                      exc: GRHError) -> ActionExecutionError:
@@ -819,6 +823,15 @@ def _reported(reply: Element, descriptor: LanguageDescriptor) -> Exception:
         error.__cause__ = exc
         return error
     return ServiceReportedError(error_text(reply), executed)
+
+
+def _chained(failure: GRHError) -> GRHError:
+    """One slot's own copy of a whole-message failure, chained to it:
+    each slot's caller raises on its own thread, and one shared object
+    would collect tracebacks from all of them."""
+    error = GRHError(str(failure))
+    error.__cause__ = failure
+    return error
 
 
 def _verdict(descriptor: LanguageDescriptor, exc: Exception) -> GRHError:

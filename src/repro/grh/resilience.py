@@ -524,7 +524,6 @@ class ResilienceManager:
     def call_routed(self, addresses: Sequence[str],
                     descriptor: "LanguageDescriptor",
                     attempt: Callable[[str], object], *,
-                    kind: str | None = None,
                     failover_ok: bool | None = None,
                     hedge_ok: bool = False):
         """Run one logical request against a replica set.

@@ -5,28 +5,27 @@ the same language service at nearly the same moment.  Each one is a
 full transport round-trip — and for HTTP endpoints the round-trip, not
 the evaluation, dominates.  :class:`DispatchBatcher` parks outgoing
 ``query``/``test`` requests for up to a *window* and ships every
-request bound for the same language as one ``log:batch`` envelope
-(PROTOCOL.md §10); the ``log:batchresults`` answer fans back
-positionally, waking each blocked caller with exactly its own
-response.  The envelope is a message like any other: it travels
-through the transport's one ``send``.
+request bound for the same language as one message through
+``GenericRequestHandler.deliver`` — the GRH's one way a message
+leaves it (PROTOCOL.md §10): several travel as one ``log:batch``
+envelope, whose ``log:batchresults`` answer fans back positionally,
+waking each blocked caller with exactly its own outcome; a lone one
+travels as the plain ``log:request``.
 
 Scope is deliberately narrow:
 
 * only ``query`` and ``test`` requests batch — they are read-only, so
   retrying a whole envelope after a transient failure re-evaluates but
   never re-effects.  Action envelopes are not built here: the engine
-  builds them from one group's actions (``GenericRequestHandler.
-  execute_actions``, PROTOCOL.md §7), each slot under its own dedup
+  hands one group's actions to ``GenericRequestHandler.
+  execute_actions`` (PROTOCOL.md §7), each slot under its own dedup
   keys.
 * only non-inline addresses batch — an in-process service is a plain
   function call, there is no round-trip to amortize.
-* resilience is per-envelope: the batch goes through
-  ``ResilienceManager.call_routed`` like any single request, so
-  replica routing, failover, retry policies and circuit breakers see
-  batch failures exactly as they see single-request failures.  A
-  per-request ``log:error`` *inside* a successful envelope is scoped
-  to its one caller.
+* the batcher runs no thread: the caller that opens a bucket leads it
+  and ships it when the window closes, unless the caller that filled
+  it, :meth:`DispatchBatcher.flush` or :meth:`DispatchBatcher.stop`
+  shipped it first.
 """
 
 from __future__ import annotations
@@ -35,10 +34,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from ..grh.handler import MAX_TIMEOUT_SCALE
-from ..grh.messages import (batch_to_xml, error_text, is_error,
-                            xml_to_batch_results)
-from ..grh.resilience import ServiceReportedError, TransientServiceFailure
+from ..grh.resilience import GRHError, TransientServiceFailure
 from ..obs.trace import bind_span, record_wait
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,34 +42,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..xmlmodel import Element
 
 
-def _scoped_copy(exc: BaseException) -> BaseException:
-    """Per-caller copy of a whole-envelope failure.
-
-    Every parked caller re-raises its error on its own thread; handing
-    all of them the *same* exception object means concurrent raises
-    mutate its ``__traceback__`` racily and produce tracebacks mixing
-    frames from different callers.  The copy chains to the original via
-    ``__cause__`` so the envelope failure stays visible.
-    """
-    try:
-        copy = type(exc)(*exc.args)
-    except Exception:
-        copy = TransientServiceFailure(str(exc))
-    copy.__cause__ = exc
-    return copy
-
-
 class _Entry:
     """One parked request: its payload and the caller's wakeup slot."""
 
-    __slots__ = ("payload", "event", "result", "error", "parked_at",
-                 "parked")
+    __slots__ = ("payload", "event", "outcome", "parked_at", "parked")
 
     def __init__(self, payload: "Element") -> None:
         self.payload = payload
         self.event = threading.Event()
-        self.result: Element | None = None
-        self.error: BaseException | None = None
+        #: the reply element, or this request's :class:`GRHError`
+        self.outcome: Element | GRHError | None = None
         #: when this request was parked; the flush stamps ``parked``
         #: (seconds spent waiting for co-travellers) so the caller can
         #: attribute its park time (PROTOCOL.md §14)
@@ -81,184 +59,117 @@ class _Entry:
         self.parked: float | None = None
 
 
-class _Bucket:
-    """Requests accumulating for one language within one window."""
-
-    __slots__ = ("route", "deadline", "entries")
-
-    def __init__(self, route: "Route", deadline: float) -> None:
-        self.route = route
-        self.deadline = deadline
-        self.entries: list[_Entry] = []
-
-
 class DispatchBatcher:
-    """Coalesces same-language GRH requests into ``log:batch`` envelopes.
+    """Coalesces same-language GRH requests into one message each.
 
-    A bucket flushes when it reaches *max_batch* requests (flushed by
-    the submitting thread, zero added latency) or when its *window*
-    deadline passes (flushed by the background flusher thread).  The
-    concurrent runtime wires one of these into
+    The request that opens a bucket leads it: it waits up to *window*
+    on its own answer, then ships the bucket unless it has already
+    gone.  The request that fills a bucket to *max_batch* ships it at
+    once (zero added latency).  So a parked request waits at most one
+    window.  The concurrent runtime wires one of these into
     ``GenericRequestHandler.batcher`` when built with
     ``Runtime(batching=True)``.
     """
 
     def __init__(self, grh: "GenericRequestHandler", window: float = 0.005,
-                 max_batch: int = 16,
-                 max_timeout_scale: int = MAX_TIMEOUT_SCALE) -> None:
+                 max_batch: int = 16) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_timeout_scale < 1:
-            raise ValueError("max_timeout_scale must be >= 1")
         self.grh = grh
         self.window = window
         self.max_batch = max_batch
-        #: a deep envelope gets proportionally more wall-clock budget
-        #: than a single request, capped at this factor (PROTOCOL.md §10)
-        self.max_timeout_scale = max_timeout_scale
         self._lock = threading.Lock()
         #: one bucket per language route — never per address: languages
         #: served at one URL keep their own envelopes, names and
         #: policies (PROTOCOL.md §10)
-        self._buckets: dict["Route", _Bucket] = {}
+        self._buckets: dict["Route", list[_Entry]] = {}
         self._stop = False
         # lifetime counters (monitoring snapshots); mutated under
-        # ``_lock`` — submitters and the flusher increment concurrently,
-        # and unlocked ``+= 1`` loses increments
+        # ``_lock`` — concurrent flushes increment them, and unlocked
+        # ``+= 1`` loses increments.  A flush of one counts as a batch
+        # of one, though it travels as the plain request
         self.batches = 0
         self.batched_requests = 0
         self.size_flushes = 0
         self.deadline_flushes = 0
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="eca-batch-flusher", daemon=True)
-        self._flusher.start()
-
-    # -- caller side ---------------------------------------------------------
 
     def submit(self, route: "Route", payload: "Element") -> "Element":
         """Park *payload* for the language of *route*; block until its
-        batch answers.
+        message answers.
 
-        Returns this request's own response element, or raises its
-        scoped error (``ServiceReportedError`` for a per-request
-        ``log:error``, the envelope's failure for a whole-batch one).
+        Returns this request's own reply element, or raises its own
+        :class:`GRHError` (a slot's ``log:error``, or its copy of a
+        whole-message failure).
         """
         entry = _Entry(payload)
-        ripe: _Bucket | None = None
         with self._lock:
             if self._stop:
                 raise TransientServiceFailure("dispatch batcher is stopped")
-            bucket = self._buckets.get(route)
-            if bucket is None:
-                bucket = _Bucket(route, time.monotonic() + self.window)
-                self._buckets[route] = bucket
-            bucket.entries.append(entry)
-            if len(bucket.entries) >= self.max_batch:
+            bucket = self._buckets.setdefault(route, [])
+            bucket.append(entry)
+            leads = len(bucket) == 1
+            full = len(bucket) >= self.max_batch
+            if full:
                 del self._buckets[route]
                 self.size_flushes += 1
-                ripe = bucket
-        if ripe is not None:
-            self._flush_bucket(ripe)
-        while not entry.event.wait(1.0):
-            if self._stop:
-                raise TransientServiceFailure(
-                    "dispatch batcher stopped while request was parked")
+        if full:
+            self._ship(route, bucket)
+        elif leads and not entry.event.wait(self.window):
+            with self._lock:
+                due = self._buckets.get(route) is bucket
+                if due:
+                    del self._buckets[route]
+                    self.deadline_flushes += 1
+            if due:
+                self._ship(route, bucket)
+        entry.event.wait()
         if entry.parked is not None:
             # attributed on the caller's thread, where this dispatch's
             # request span is open
             record_wait("batch_park", entry.parked)
-        if entry.error is not None:
-            raise entry.error
-        return entry.result
+        if isinstance(entry.outcome, GRHError):
+            raise entry.outcome
+        return entry.outcome
 
-    # -- flushing ------------------------------------------------------------
-
-    def _flush_loop(self) -> None:
-        pause = max(self.window / 2, 0.001)
-        while not self._stop:
-            time.sleep(pause)
-            now = time.monotonic()
-            due: list[_Bucket] = []
-            with self._lock:
-                for route, bucket in list(self._buckets.items()):
-                    if bucket.deadline <= now:
-                        del self._buckets[route]
-                        self.deadline_flushes += 1
-                        due.append(bucket)
-            for bucket in due:
-                self._flush_bucket(bucket)
-
-    def _flush_bucket(self, bucket: _Bucket) -> None:
-        grh = self.grh
-        entries = bucket.entries
-        route = bucket.route
-        descriptor = route.descriptor
+    def _ship(self, route: "Route", entries: list[_Entry]) -> None:
         flush_started = time.monotonic()
         for entry in entries:
-            # park time ends when the envelope starts travelling; the
+            # park time ends when the message starts travelling; the
             # round-trip after this point is network/service time
             entry.parked = flush_started - entry.parked_at
-        envelope = batch_to_xml([entry.payload for entry in entries])
-        timeout = grh.resilience.timeout_for(descriptor)
-        if timeout is not None:
-            # the policy's timeout budgets ONE request; an envelope of n
-            # requests gets n budgets, capped — otherwise a deep batch
-            # is held to a single request's deadline (PROTOCOL.md §10)
-            timeout *= min(len(entries), self.max_timeout_scale)
-
-        def attempt_once(address: str) -> list:
-            # the envelope is a message like any other: one send, the
-            # GRH's one failure taxonomy
-            response = grh.exchange(grh.transport.send, address, envelope,
-                                    timeout, descriptor)
-            return xml_to_batch_results(response, expected=len(entries))
-
-        # the envelope is every parked caller's, not the flushing one's:
+        outcomes = None
+        # the message is every parked caller's, not the shipping one's:
         # ship it with no request span open, so a co-located service
         # annotates each slot for its own caller instead of recording
-        # them all onto the flusher's span
+        # them all onto the shipping caller's span
         previous = bind_span(None)
         try:
-            # read-only requests only: failing over to another replica
-            # re-evaluates, never re-effects
-            results = grh.resilience.call_routed(route.addresses, descriptor,
-                                                 attempt_once)
-        except BaseException as exc:
-            for entry in entries:
-                entry.error = _scoped_copy(exc)
-                entry.event.set()
-            return
+            outcomes = self.grh.deliver(
+                route, [entry.payload for entry in entries])
+            with self._lock:
+                self.batches += 1
+                self.batched_requests += len(entries)
         finally:
             bind_span(previous)
-        with self._lock:
-            self.batches += 1
-            self.batched_requests += len(entries)
-        for entry, result in zip(entries, results):
-            if is_error(result):
-                entry.error = ServiceReportedError(error_text(result))
-            else:
-                entry.result = result
-            entry.event.set()
+            # never strand a parked caller, whatever escaped deliver()
+            for position, entry in enumerate(entries):
+                entry.outcome = outcomes[position] if outcomes is not None \
+                    else GRHError("the batched message was never answered")
+                entry.event.set()
 
     def flush(self) -> None:
-        """Flush every pending bucket now (the runtime's drain path)."""
+        """Ship every pending bucket now (the runtime's drain path)."""
         with self._lock:
-            due = list(self._buckets.values())
+            due = list(self._buckets.items())
             self._buckets.clear()
-        for bucket in due:
-            self._flush_bucket(bucket)
+        for route, bucket in due:
+            self._ship(route, bucket)
 
     def stop(self) -> None:
-        """Flush residuals and stop the flusher thread."""
-        self.flush()
-        self._stop = True
-        self._flusher.join(timeout=2.0)
-        # wake anything still parked (a submit that raced the stop)
+        """Refuse new requests and ship the parked ones."""
         with self._lock:
-            residual = list(self._buckets.values())
-            self._buckets.clear()
-        for bucket in residual:
-            self._flush_bucket(bucket)
+            self._stop = True
+        self.flush()
 
     def counters(self) -> dict:
         """Lifetime batching counters (monitoring snapshot)."""

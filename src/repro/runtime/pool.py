@@ -243,7 +243,7 @@ class Runtime:
         :class:`BackpressureError` is raised anyway (``None`` = forever).
     batching:
         when true, a :class:`~repro.runtime.DispatchBatcher` is wired
-        into the engine's GRH on attach: same-address component
+        into the engine's GRH on attach: same-language component
         requests from concurrent instances coalesce into one
         ``log:batch`` envelope (PROTOCOL.md §10).
     batch_window / max_batch:

@@ -35,8 +35,7 @@ class TestHedgedReads:
 
             # turn 0 routes to "slow" first (equal scores, stable order)
             result = manager.call_routed(("slow", "fast"), DESCRIPTOR,
-                                         attempt, kind="query",
-                                         hedge_ok=True)
+                                         attempt, hedge_ok=True)
             assert result == "fast"
             assert manager.hedges_launched == 1
             assert manager.hedge_outcomes["hedge_won"] == 1
@@ -54,7 +53,7 @@ class TestHedgedReads:
                 return address
 
             result = manager.call_routed(("a", "b"), DESCRIPTOR, attempt,
-                                         kind="query", hedge_ok=True)
+                                         hedge_ok=True)
             assert result == "a"  # head start beats the hedge
             assert manager.hedge_outcomes["primary_won"] == 1
             assert wait_for(
@@ -66,7 +65,7 @@ class TestHedgedReads:
         manager = make_manager(delay=0.2)
         try:
             result = manager.call_routed(("a", "b"), DESCRIPTOR,
-                                         lambda address: "ok", kind="query",
+                                         lambda address: "ok",
                                          hedge_ok=True)
             assert result == "ok"
             assert manager.hedges_launched == 0
@@ -77,7 +76,7 @@ class TestHedgedReads:
         manager = make_manager(delay=0.0)
         try:
             manager.call_routed(("only",), DESCRIPTOR, lambda address: "ok",
-                                kind="query", hedge_ok=True)
+                                hedge_ok=True)
             assert manager.hedges_launched == 0
         finally:
             manager.close()
@@ -95,8 +94,7 @@ class TestHedgedReads:
             # primary (a) stalls past the hedge delay, then dies; with
             # failover disabled the race is decided by the hedge branch
             result = manager.call_routed(("a", "b"), DESCRIPTOR, attempt,
-                                         kind="query", failover_ok=False,
-                                         hedge_ok=True)
+                                         failover_ok=False, hedge_ok=True)
             assert result == "ok:b"
         finally:
             manager.close()
@@ -119,8 +117,7 @@ class TestHedgedReads:
             results = []
             caller = threading.Thread(
                 target=lambda: results.append(manager.call_routed(
-                    ("a", "b"), DESCRIPTOR, attempt, kind="query",
-                    hedge_ok=True)))
+                    ("a", "b"), DESCRIPTOR, attempt, hedge_ok=True)))
             caller.start()
             # the hedge delay expires while the primary is still queued
             # behind the blocker — it has not routed yet, so a hedge
@@ -140,7 +137,7 @@ class TestHedgedReads:
         manager = make_manager(delay=0.0)
         manager.close()
         result = manager.call_routed(("a", "b"), DESCRIPTOR,
-                                     lambda address: "ok", kind="query",
+                                     lambda address: "ok",
                                      hedge_ok=True)
         assert result == "ok"
         assert manager.hedges_launched == 0

@@ -85,8 +85,7 @@ class TestFailover:
                 raise TransientServiceFailure("connection reset")
             return "ok:" + address
 
-        result = manager.call_routed(("a", "b"), DESCRIPTOR, attempt,
-                                     kind="query")
+        result = manager.call_routed(("a", "b"), DESCRIPTOR, attempt)
         assert result == "ok:b"
         assert calls == ["a", "b"]
         assert manager.failovers == 1
@@ -97,8 +96,7 @@ class TestFailover:
         manager.health.mark_down("a")
         calls = []
         manager.call_routed(("a", "b"), DESCRIPTOR,
-                            lambda address: calls.append(address) or "ok",
-                            kind="query")
+                            lambda address: calls.append(address) or "ok")
         assert calls == ["b"]
         assert manager.failovers == 0
 
@@ -109,8 +107,7 @@ class TestFailover:
             raise TransientServiceFailure("dead")
 
         with pytest.raises(TransientServiceFailure):
-            manager.call_routed(("a", "b"), DESCRIPTOR, attempt,
-                                kind="query")
+            manager.call_routed(("a", "b"), DESCRIPTOR, attempt)
         assert manager.failovers == 1  # a → b, then nothing left
 
     def test_failover_reports_to_observer(self):
@@ -124,7 +121,7 @@ class TestFailover:
                 raise TransientServiceFailure("reset")
             return "ok"
 
-        manager.call_routed(("a", "b"), DESCRIPTOR, attempt, kind="query")
+        manager.call_routed(("a", "b"), DESCRIPTOR, attempt)
         assert ("failover", "a") in events
 
     def test_router_prefers_the_less_loaded_replica(self):

@@ -152,13 +152,12 @@ def test_one_deployment_equals_the_sum_of_one_rule_deployments(seed, workers):
 
 
 def test_slots_fanned_back_out_of_order_are_caught(monkeypatch):
-    original = GenericRequestHandler._send_actions
+    original = GenericRequestHandler.deliver
 
-    def reversed_fan_back(self, route, requests):
-        return original(self, route, requests)[::-1]
+    def reversed_fan_back(self, route, payloads, *rest, **options):
+        return original(self, route, payloads, *rest, **options)[::-1]
 
-    monkeypatch.setattr(GenericRequestHandler, "_send_actions",
-                        reversed_fan_back)
+    monkeypatch.setattr(GenericRequestHandler, "deliver", reversed_fan_back)
     caught = []
     for seed in SEEDS:
         together, apart = together_and_apart(seed, 0)
@@ -171,15 +170,15 @@ def test_slots_fanned_back_out_of_order_are_caught(monkeypatch):
 def test_the_generator_reaches_the_envelope_path():
     """Most seeds put several slots of one language into one round."""
     envelopes = 0
-    original = GenericRequestHandler._send_actions
+    original = GenericRequestHandler.deliver
 
-    def counting(self, route, requests):
+    def counting(self, route, payloads, *rest, **options):
         nonlocal envelopes
-        envelopes += 1
-        return original(self, route, requests)
+        envelopes += len(payloads) > 1
+        return original(self, route, payloads, *rest, **options)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GenericRequestHandler, "_send_actions", counting)
+        patch.setattr(GenericRequestHandler, "deliver", counting)
         for seed in SEEDS:
             run(generate_rules(seed), generate_events(seed), 0)
     assert envelopes >= len(SEEDS) * 6

@@ -207,6 +207,28 @@ class TestDispatchBatcher:
         assert len(results) == 2
         assert batcher.size_flushes == 1
 
+    def test_a_lone_request_leaves_as_the_plain_request(self):
+        """A bucket nobody joins ships when its leader's window closes,
+        as the ordinary ``log:request`` (PROTOCOL.md §10)."""
+        transport = _SpyBatchTransport()
+        grh = GenericRequestHandler(LanguageRegistry(), transport)
+        address = transport.bind("svc:lone", lambda m: relation_to_answers(
+            Relation([{"Q": "ok"}])))
+        grh.add_remote_language(
+            LanguageDescriptor("urn:test:lone", "query", "lone"), address)
+        batcher = DispatchBatcher(grh, window=0.2, max_batch=8)
+        started = time.monotonic()
+        try:
+            answer = batcher.submit(grh.route("urn:test:lone"),
+                                    request_to_xml(_request(0)))
+        finally:
+            batcher.stop()
+        waited = time.monotonic() - started
+        assert answer.name.local == "answers"
+        assert transport.batch_timeouts == []     # no log:batch travelled
+        assert batcher.deadline_flushes == 1
+        assert 0.19 <= waited < 1.0
+
     def test_envelope_failure_is_scoped_per_caller(self):
         """Regression: a whole-envelope failure handed the *same*
         exception object to every parked caller; concurrent re-raises
@@ -442,7 +464,7 @@ class TestOneBatchPerLanguage:
 
 class TestEnvelopeTimeoutScaling:
     """PROTOCOL.md §10: a deep envelope gets one per-request budget per
-    entry, capped at max_timeout_scale — not a single request's."""
+    entry, capped at MAX_TIMEOUT_SCALE — not a single request's."""
 
     def _world(self, per_request_timeout, **batcher_kwargs):
         from repro.grh import ResilienceManager, RetryPolicy
@@ -472,7 +494,7 @@ class TestEnvelopeTimeoutScaling:
             while time.monotonic() < deadline:
                 with batcher._lock:
                     bucket = batcher._buckets.get(route)
-                    parked = len(bucket.entries) if bucket else 0
+                    parked = len(bucket) if bucket else 0
                 if parked >= flush_at:
                     break
                 time.sleep(0.005)
@@ -481,8 +503,7 @@ class TestEnvelopeTimeoutScaling:
             thread.join(10)
 
     def test_full_envelope_scales_to_the_cap(self):
-        transport, batcher, route = self._world(
-            0.5, max_batch=8, max_timeout_scale=4)
+        transport, batcher, route = self._world(0.5, max_batch=8)
         try:
             self._submit_n(batcher, route, 8)
         finally:
@@ -491,8 +512,7 @@ class TestEnvelopeTimeoutScaling:
         assert transport.batch_timeouts == [pytest.approx(2.0)]
 
     def test_small_envelope_scales_linearly(self):
-        transport, batcher, route = self._world(
-            0.5, max_batch=8, max_timeout_scale=4)
+        transport, batcher, route = self._world(0.5, max_batch=8)
         try:
             self._submit_n(batcher, route, 2, flush_at=2)
         finally:
@@ -508,8 +528,110 @@ class TestEnvelopeTimeoutScaling:
             batcher.stop()
         assert transport.batch_timeouts == [None]
 
-    def test_rejects_bad_scale(self):
-        registry = LanguageRegistry()
-        grh = GenericRequestHandler(registry, InProcessTransport())
-        with pytest.raises(ValueError):
-            DispatchBatcher(grh, max_timeout_scale=0)
+
+class _ShortAnswers(InProcessTransport):
+    """Serves every ``log:batch`` but answers it one result short; every
+    address counts as remote, so the batcher sees the query language."""
+
+    def dispatches_inline(self, address):
+        return False
+
+    def send(self, address, message, timeout=None):
+        reply = super().send(address, message, timeout)
+        if not is_batch(message):
+            return reply
+        return batch_results_to_xml(
+            [result.copy() for result in xml_to_batch_results(reply)[:-1]])
+
+
+class TestMiscountedEnvelope:
+    """PROTOCOL.md §10: a miscounted ``log:batchresults`` fails every
+    slot as a GRHError — the instance fails and is dead-lettered, and
+    nothing escapes to the runtime."""
+
+    QUERY = "urn:test:short"
+
+    def _grh(self):
+        transport = _ShortAnswers()
+        grh = GenericRequestHandler(LanguageRegistry(), transport)
+        transport.bind("svc:short", lambda m: relation_to_answers(
+            Relation([{"Q": "ok"}])))
+        grh.add_remote_language(
+            LanguageDescriptor(self.QUERY, "query", "short"), "svc:short")
+        return grh
+
+    def test_evaluate_query_raises_grh_error(self):
+        from repro.grh import ComponentSpec, GRHError
+        from repro.xmlmodel import E
+        grh = self._grh()
+        grh.batcher = DispatchBatcher(grh, window=10.0, max_batch=2)
+        spec = ComponentSpec("query", self.QUERY,
+                             content=E("{%s}q" % self.QUERY))
+        errors = []
+
+        def read(n):
+            try:
+                grh.evaluate_query(f"c{n}", spec, Relation.unit())
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(n,))
+                   for n in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            grh.batcher.stop()
+        assert len(errors) == 2
+        assert all(isinstance(error, GRHError) for error in errors)
+        assert errors[0] is not errors[1]
+        assert errors[0].__cause__ is errors[1].__cause__
+        assert "answers 1 requests, expected 2" in str(errors[0])
+
+    def test_instances_fail_and_are_dead_lettered(self):
+        import zlib
+        from repro.actions import ACTION_NS, ActionRuntime
+        from repro.core import ECAEngine
+        from repro.events import ATOMIC_NS
+        from repro.grh.messages import Detection
+        from repro.services import ActionExecutionService, AtomicEventService
+        from repro.xmlmodel import ECA_NS
+        grh = self._grh()
+        grh.add_service(LanguageDescriptor(ATOMIC_NS, "event", "atomic"),
+                        AtomicEventService(grh.notify))
+        grh.add_service(LanguageDescriptor(ACTION_NS, "action", "actions"),
+                        ActionExecutionService(ActionRuntime()))
+        runtime = Runtime(workers=2, batching=True, max_batch=2,
+                          batch_window=5.0)
+        engine = ECAEngine(grh, runtime=runtime)
+        engine.register_rule(f"""
+        <eca:rule xmlns:eca="{ECA_NS}" id="short">
+          <eca:event><ping id="{{Id}}"/></eca:event>
+          <eca:query><q xmlns="{self.QUERY}"/></eca:query>
+          <eca:action><out q="{{Q}}"/></eca:action>
+        </eca:rule>""")
+        # two detections per shard (crc32 of component#detection, §10):
+        # each shard's query always finds the other's to travel with
+        shards = {0: [], 1: []}
+        for n in range(64):
+            key = f"d{n}"
+            shard = zlib.crc32(f"short::event#{key}".encode()) % 2
+            if len(shards[shard]) < 2:
+                shards[shard].append(key)
+        ids = shards[0] + shards[1]
+        try:
+            grh.notify([Detection("short::event", 0.0, 1.0,
+                                  Relation([{"Id": key}]), detection_id=key)
+                        for key in ids])
+            assert engine.drain(30)
+        finally:
+            engine.shutdown(10)
+        assert [instance.status for instance in engine.instances] \
+            == ["failed"] * 4
+        letters = grh.resilience.dead_letters.drain()
+        assert sorted(letter.detection.detection_id for letter in letters
+                      if letter.kind == "detection") == sorted(ids)
+        assert runtime.errors == 0
+        assert runtime.batcher is None      # detached on shutdown

@@ -12,6 +12,7 @@ import random
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -94,6 +95,20 @@ class TestConstruction:
         finally:
             runtime.shutdown(5)
         assert not runtime_threads() - before
+
+    def test_a_batching_runtime_runs_only_its_lanes(self):
+        """The batcher is a rendezvous on its callers' threads: with
+        batching on, w shards × n lanes are still every thread."""
+        engine = _StubEngine({})
+        engine.grh = SimpleNamespace(batcher=None)
+        before = set(threading.enumerate())
+        runtime = _windowed_runtime(engine, workers=2, inflight=3,
+                                    batching=True)
+        try:
+            assert engine.grh.batcher is runtime.batcher is not None
+            assert len(set(threading.enumerate()) - before) == 2 * 3
+        finally:
+            runtime.shutdown(5)
 
     def test_monitoring_shapes(self):
         tags = {}
