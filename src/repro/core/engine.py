@@ -211,9 +211,9 @@ class ECAEngine:
                 if key in self.stats:
                     self.stats[key] = value
             durability.attach(self)
-        # attach before observability installs so the runtime (and its
-        # batcher, when batching is on) is fully built by the time
-        # install() registers the runtime metric callbacks; no
+        # attach before observability installs so the runtime is fully
+        # built by the time install() registers the runtime metric
+        # callbacks; no
         # detection can arrive until on_detection below
         runtime.attach(self)
         if self._obs is not None:
@@ -470,10 +470,9 @@ class ECAEngine:
         """Quiesce: block until every queued detection has been handled.
 
         With lanes running this waits for all shard queues to empty and
-        all lanes to go idle, flushes the GRH dispatch batcher, and runs
-        the durability commit barrier; without, it runs the queue on
-        this thread.  Returns ``True`` once idle, ``False`` if *timeout*
-        (seconds) elapsed first.
+        all lanes to go idle, then runs the durability commit barrier;
+        without, it runs the queue on this thread.  Returns ``True`` once
+        idle, ``False`` if *timeout* (seconds) elapsed first.
         """
         return self.runtime.drain(timeout)
 

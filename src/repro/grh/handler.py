@@ -80,11 +80,10 @@ class Route:
 
     ``addresses`` is the replica set in declared order.  ``inline``: the
     transport runs the one address on the caller's thread, so trace
-    context need not ride the envelope and there is no round-trip to
-    batch (PROTOCOL.md §8, §10).  ``service`` is the in-process object
-    :meth:`GenericRequestHandler.add_service` bound, ``None`` for a
-    remote language.  Routes hash by identity; re-pointing a language
-    makes a new one.
+    context need not ride the envelope (PROTOCOL.md §8).  ``service`` is
+    the in-process object :meth:`GenericRequestHandler.add_service`
+    bound, ``None`` for a remote language.  Routes hash by identity;
+    re-pointing a language makes a new one.
     """
 
     descriptor: LanguageDescriptor
@@ -135,13 +134,6 @@ class GenericRequestHandler:
         #: effectively read-only sources).
         self.cache_opaque_requests = cache_opaque_requests
         self._opaque_cache: dict[tuple[str, str], str] = {}
-        #: a :class:`repro.runtime.DispatchBatcher`, installed by a
-        #: concurrent runtime built with ``batching=True``; ``None``
-        #: (the default) sends every request on its own round-trip.
-        #: When present, ``query``/``test`` requests to non-inline
-        #: addresses coalesce into ``log:batch`` envelopes, which the
-        #: transport carries like any other message (PROTOCOL.md §10)
-        self.batcher = None
 
     @property
     def request_count(self) -> int:
@@ -296,21 +288,6 @@ class GenericRequestHandler:
         """One query, test or event (un)registration request; its reply,
         or its :class:`GRHError` raised."""
         span, payloads = self._begin(route, [request])
-        batcher = self.batcher
-        if batcher is not None and not route.inline \
-                and request.kind in ("query", "test"):
-            # read-only request under a concurrent runtime: park it with
-            # the batcher, which ships the requests of one language and
-            # window through deliver() and hands this caller its slot
-            obs = self.observability
-
-            def dispatch() -> Element:
-                result = batcher.submit(route, payloads[0])
-                if span is not None:
-                    _strip_spans(result, obs.tracer, span)
-                return result
-            return self._mediate(request.kind, route.descriptor, span,
-                                 dispatch)
         outcome = self.deliver(route, payloads, span)[0]
         if isinstance(outcome, GRHError):
             raise outcome
@@ -346,7 +323,7 @@ class GenericRequestHandler:
                 payload.attributes[_TRACEPARENT_ATTR] = span.traceparent
         return span, payloads
 
-    def deliver(self, route: Route, payloads: Sequence[Element], span=None,
+    def deliver(self, route: Route, payloads: Sequence[Element], span,
                 failover_ok: bool = True) -> list:
         """Send requests of one language as one message; one outcome per
         request, in order: its reply element, or its :class:`GRHError`.
@@ -363,10 +340,10 @@ class GenericRequestHandler:
         failure.
 
         ``span`` is the message's open request span (from
-        :meth:`_begin`), finished here; the batcher passes none, its
-        callers holding theirs.  ``failover_ok``: whether the message
-        may retarget another replica — always for reads, for actions
-        only when every tuple carries its key (PROTOCOL.md §12).
+        :meth:`_begin`; ``None`` when untraced), finished here.
+        ``failover_ok``: whether the message may retarget another
+        replica — always for reads, for actions only when every tuple
+        carries its key (PROTOCOL.md §12).
         """
         descriptor = route.descriptor
         count = len(payloads)
@@ -462,9 +439,9 @@ class GenericRequestHandler:
         into the caller's :class:`GRHError`.
 
         While the span is open, the layers below add where the dispatch
-        blocked (batcher park, pool acquisition, backoff, hedge race) to
-        it for the critical-path analyzer; finishing it feeds the
-        request latency histogram.
+        blocked (pool acquisition, backoff, hedge race) to it for the
+        critical-path analyzer; finishing it feeds the request latency
+        histogram.
         """
         obs = self.observability
         try:

@@ -10,8 +10,8 @@ this package makes that pipeline visible:
   the envelope-carried ``traceparent`` (PROTOCOL.md §8).  The tracer
   owns all trace state: a finished trace is handed to the exporters
   once, and the open GRH request span is where the layers below record
-  their waits (batch park, pool acquisition, retry backoff, hedge
-  waits) and co-located services their work;
+  their waits (pool acquisition, retry backoff, hedge waits) and
+  co-located services their work;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket latency
   histograms with Prometheus text exposition;
 * :mod:`repro.obs.config` — the :class:`Observability` object that owns

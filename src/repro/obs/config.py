@@ -346,16 +346,6 @@ class Observability:
                 "eca_runtime_queue_wait_seconds",
                 "Time a detection waited queued before a worker ran it",
                 callback=lambda: runtime.queue_wait)
-            batcher = runtime.batcher
-            if batcher is not None:
-                metrics.counter(
-                    "eca_runtime_batches_total",
-                    "GRH dispatch batches shipped",
-                    callback=lambda: batcher.batches)
-                metrics.counter(
-                    "eca_runtime_batched_requests_total",
-                    "Requests that travelled inside a batch envelope",
-                    callback=lambda: batcher.batched_requests)
 
         durability = engine.durability
         if durability is not None:

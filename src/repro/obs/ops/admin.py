@@ -16,7 +16,7 @@ standalone :class:`ObsAdminServer`:
   rule table, retained rule instances (``?rule=…&limit=…``),
   per-endpoint breaker/retry state, parked dead letters, the durability
   journal, the concurrent runtime (per-shard queue depths, utilization,
-  admission and batcher counters), the replica health board
+  admission counters), the replica health board
   (per-replica state, failover/hedge counters, prober status —
   PROTOCOL.md §12), the event discrimination networks of the services
   the engine hosts (alpha nodes, shared memories, fallback buckets,
@@ -317,9 +317,6 @@ class IntrospectionSurface:
             "utilization": [round(u, 4) for u in runtime.utilization()],
             "counters": runtime.counters(),
         }
-        batcher = runtime.batcher
-        if batcher is not None:
-            view["batcher"] = batcher.counters()
         if self._pool_stats is not None:
             view["http_pools"] = self._pool_stats()
         return view

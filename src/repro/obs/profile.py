@@ -20,8 +20,8 @@ Two complementary answers to *where does a detection's millisecond go*:
     to finish on one thread (the runtime's unit of parallelism), so its
     wall time splits into disjoint intervals: shard queue wait, engine
     bookkeeping, per-phase component evaluation, and — inside each GRH
-    request — batcher park, pool acquisition, retry backoff, hedge
-    wait, remote service time, and the network/transport remainder.
+    request — pool acquisition, retry backoff, hedge wait, remote
+    service time, and the network/transport remainder.
     The analyzer sits in the tracer's exporter chain like
     :class:`~repro.obs.ops.sampling.TailSampler`: the tracer hands it
     each completed trace whole; for a ``rule`` root it walks the tree,
@@ -381,7 +381,7 @@ class CriticalPathAnalyzer:
     * ``event``/``query``/``test``/``action`` — phase-span time not
       inside any GRH request span (local evaluation: joins, binding,
       markup);
-    * ``batch_park``/``pool_wait``/``retry_backoff``/``hedge_wait`` —
+    * ``pool_wait``/``retry_backoff``/``hedge_wait`` —
       request-span wait attributes (:func:`~repro.obs.trace.record_wait`),
       each clamped into the request's remaining budget;
     * ``service`` — summed durations of the request span's adopted

@@ -67,7 +67,7 @@ _SPAN = QName(LOG_NS, "span")
 #: the wait kinds the layers under a GRH dispatch record, and the
 #: span-attribute keys the critical-path analyzer reads back
 #: (PROTOCOL.md §14)
-WAIT_KINDS = ("batch_park", "pool_wait", "retry_backoff", "hedge_wait")
+WAIT_KINDS = ("pool_wait", "retry_backoff", "hedge_wait")
 
 #: span ids formatted per refill of a tracer's id pool
 _ID_BLOCK = 256

@@ -79,7 +79,6 @@ from ..obs.metrics import Histogram
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.engine import ECAEngine
     from ..grh.messages import Detection
-    from .batcher import DispatchBatcher
 
 #: admission-control policies accepted by :class:`Runtime`
 BACKPRESSURE_POLICIES = ("block", "drop-oldest", "reject")
@@ -241,14 +240,6 @@ class Runtime:
     submit_timeout:
         with ``block``, how long a producer waits for space before
         :class:`BackpressureError` is raised anyway (``None`` = forever).
-    batching:
-        when true, a :class:`~repro.runtime.DispatchBatcher` is wired
-        into the engine's GRH on attach: same-language component
-        requests from concurrent instances coalesce into one
-        ``log:batch`` envelope (PROTOCOL.md §10).
-    batch_window / max_batch:
-        batcher tuning — how long a request may wait for co-travellers
-        and the envelope size that forces an immediate flush.
     inflight:
         per-shard in-flight window: the number of lane threads each
         shard runs, so up to ``inflight`` *distinct* sources execute
@@ -266,9 +257,7 @@ class Runtime:
 
     def __init__(self, workers: int = 4, queue_capacity: int = 1024,
                  backpressure: str = "block", *,
-                 submit_timeout: float | None = None,
-                 batching: bool = False, batch_window: float = 0.005,
-                 max_batch: int = 16, inflight: int = 1,
+                 submit_timeout: float | None = None, inflight: int = 1,
                  poll_interval: float = 0.2) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -284,9 +273,6 @@ class Runtime:
         self.queue_capacity = queue_capacity
         self.backpressure = backpressure
         self.submit_timeout = submit_timeout
-        self.batching = batching
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.inflight = inflight
         self._poll_interval = poll_interval
 
@@ -302,7 +288,6 @@ class Runtime:
         #: ident matched a dead lane's
         self._worker_local = threading.local()
         self._engine: ECAEngine | None = None
-        self.batcher: DispatchBatcher | None = None
 
         self._lock = threading.Lock()
         self._space = threading.Condition(self._lock)   # capacity freed
@@ -345,12 +330,6 @@ class Runtime:
             self._stop = False
             self._running = self.workers > 0
             self._started_at = time.monotonic()
-        if self.batching and self.workers:
-            from .batcher import DispatchBatcher
-            self.batcher = DispatchBatcher(
-                engine.grh, window=self.batch_window,
-                max_batch=self.max_batch)
-            engine.grh.batcher = self.batcher
         for index in range(self.workers):
             for lane in range(self.inflight):
                 thread = threading.Thread(
@@ -689,10 +668,9 @@ class Runtime:
         also runs the durability commit barrier, ``workers=0`` does not
         (its emptied queue already took its checkpoint opportunity).
         With lanes it waits for every shard queue to empty and every
-        lane to finish its current instance, flushes the dispatch
-        batcher, then runs the commit barrier (journal fsync +
-        checkpoint opportunity).  Returns ``True`` once idle, ``False``
-        if *timeout* seconds elapsed first.  With lanes it must not be
+        lane to finish its current instance, then runs the commit
+        barrier (journal fsync + checkpoint opportunity).  Returns
+        ``True`` once idle, ``False`` if *timeout* seconds elapsed first.  With lanes it must not be
         called from rule code (a lane waiting for itself never becomes
         idle).
         """
@@ -715,15 +693,12 @@ class Runtime:
                 self._idle.wait(
                     self._poll_interval if remaining is None
                     else min(remaining, self._poll_interval))
-        batcher = self.batcher
-        if batcher is not None:
-            batcher.flush()
         if engine.durability is not None:
             engine.durability.commit_barrier()
         return True
 
     def shutdown(self, timeout: float | None = None) -> bool:
-        """Drain, stop the lanes, and detach the batcher.
+        """Drain and stop the lanes.
 
         The engine remains usable afterwards: with no lanes running,
         detections are evaluated on the submitting thread.  Returns the
@@ -740,11 +715,6 @@ class Runtime:
         for thread in self._threads:
             thread.join(timeout=self._poll_interval * 4)
         self._threads.clear()
-        batcher = self.batcher
-        if batcher is not None:
-            batcher.stop()
-            self._engine.grh.batcher = None
-            self.batcher = None
         return quiesced
 
     # -- monitoring ----------------------------------------------------------

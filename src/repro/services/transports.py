@@ -327,6 +327,11 @@ class _ServiceHTTPHandler(BaseHTTPRequestHandler):
             self.send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
             return
         raw = self.rfile.read(length)
+        if len(raw) < length:
+            # the client stopped sending early: acting on the prefix
+            # would serve a message the client never finished
+            self.send_error(400, "request body shorter than Content-Length")
+            return
         try:
             body = raw.decode("utf-8")
         except UnicodeDecodeError:

@@ -1,9 +1,7 @@
 """End-to-end replica failover: a real HTTP cluster losing and
-regaining a replica while queries keep completing, a batched read
+regaining a replica while queries keep completing, a ``log:batch``
 failing over off a crashing replica, and the ``/introspect/replicas``
 operator view over the same state."""
-
-import threading
 
 from repro.bindings import Relation
 from repro.chaos import ChaosService, FaultPlan, ReplicaCluster
@@ -11,7 +9,6 @@ from repro.core import ECAEngine
 from repro.grh import (ComponentSpec, GenericRequestHandler,
                        LanguageDescriptor, LanguageRegistry)
 from repro.obs.ops import IntrospectionSurface
-from repro.runtime import Runtime
 from repro.services import HybridTransport
 from repro.services.base import LanguageService
 
@@ -100,11 +97,12 @@ class TestClusterLifecycle:
 
 class TestBatchedFailover:
     def test_crash_inside_an_envelope_fails_over(self, chaos_seed):
-        """A replica that resets every connection must cost a batched
-        read a failover, not its answer: the crash aborts the whole
-        ``log:batch`` (transient), where it used to come back as one
+        """A replica that resets every connection must cost a
+        ``log:batch`` a failover, not its answers: the crash aborts the
+        whole envelope (transient), where it used to come back as one
         ``log:error`` per slot — the service's verdict, never failed
         over."""
+        from repro.grh.messages import Request, request_to_xml
         crashing = {}
 
         def wrap(index, handler):
@@ -123,31 +121,16 @@ class TestBatchedFailover:
         grh.add_remote_language(
             LanguageDescriptor(QUERY_URI, "query", "cluster-query",
                                replicas=addresses))
-        runtime = Runtime(workers=2, batching=True, batch_window=0.05,
-                          max_batch=8)
-        engine = ECAEngine(grh, runtime=runtime)
-        answers, errors = [], []
-
-        def read(n):
-            try:
-                answers.append(len(grh.evaluate_query(
-                    f"c{n}", spec(), Relation.unit())))
-            except Exception as exc:
-                errors.append(exc)
-
+        payloads = [request_to_xml(Request("query", f"c{n}", spec().content,
+                                           Relation.unit()))
+                    for n in range(8)]
         try:
-            callers = [threading.Thread(target=read, args=(n,))
-                       for n in range(8)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(10)
-            counters = runtime.batcher.counters()
+            # the first routing turn of a fresh board picks r0
+            outcomes = grh.deliver(grh.route(QUERY_URI), payloads, None)
         finally:
-            engine.shutdown(10)
+            grh.close()
             cluster.stop()
-        assert errors == []
-        assert answers == [1] * 8
+        assert [outcome.name.local for outcome in outcomes] \
+            == ["answers"] * 8
         assert crashing["r0"].injected          # r0 was reached and crashed
-        assert grh.resilience.failovers >= 1
-        assert counters["batched_requests"] == 8
+        assert grh.resilience.failovers == 1

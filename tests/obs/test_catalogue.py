@@ -2,10 +2,9 @@
 
 PROTOCOL.md §8's table is the one list of ``eca_*`` families and §9's
 the one list of admin routes.  A fully wired engine — durable
-(``sync="commit"``), two runtime lanes with batching, the profiler and
-the latency analyzer on, a pooled HTTP transport, the standard
-deployment's event and SPARQL services — must declare exactly the
-families of the table, each with the table's type and label names, and
+(``sync="commit"``), two runtime lanes, the profiler and the latency
+analyzer on, a pooled HTTP transport, the standard deployment's event
+and SPARQL services — must declare exactly the families of the table, each with the table's type and label names, and
 the surface must answer exactly the table's routes.
 """
 
@@ -66,7 +65,7 @@ def wired(tmp_path):
     durability = DurabilityManager(str(tmp_path), sync="commit")
     obs = Observability(profiler=True, critical=True)
     engine = ECAEngine(deployment.grh, durability=durability,
-                       runtime=Runtime(workers=2, batching=True),
+                       runtime=Runtime(workers=2),
                        observability=obs)
     try:
         yield obs.metrics

@@ -1,8 +1,8 @@
 """Exposition parity of the engine-side metric families.
 
-A fully wired engine — durable (``sync="commit"``), two runtime lanes
-with batching, the profiler and the latency analyzer on, one language
-behind localhost HTTP and one replicated language — is scraped once,
+A fully wired engine — durable (``sync="commit"``), two runtime lanes,
+the profiler and the latency analyzer on, one language behind
+localhost HTTP and one replicated language — is scraped once,
 and every family ``Observability`` declares for an engine is pinned
 here: its kind, its help text, the label names its samples carry and,
 for histograms, the bucket bounds.  Where the families are declared
@@ -126,11 +126,6 @@ ENGINE_FAMILIES = {
     "eca_runtime_accepting": (
         "gauge", "Admission gate (1 accepting, 0 saturated/stopped)", (),
         None),
-    "eca_runtime_batched_requests_total": (
-        "counter", "Requests that travelled inside a batch envelope", (),
-        None),
-    "eca_runtime_batches_total": ("counter", "GRH dispatch batches shipped",
-                                  (), None),
     "eca_runtime_detections_total": (
         "counter", "Detections by runtime admission outcome", ("outcome",),
         None),
@@ -205,7 +200,7 @@ def scraped(tmp_path):
     durability = DurabilityManager(str(tmp_path), sync="commit")
     obs = Observability(profiler=True, critical=True)
     engine = ECAEngine(grh, durability=durability,
-                       runtime=Runtime(workers=2, batching=True),
+                       runtime=Runtime(workers=2),
                        observability=obs)
     try:
         engine.register_rule(RULE)

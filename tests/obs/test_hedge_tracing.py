@@ -8,32 +8,24 @@ the losing branch's service finish.  Its record must arrive on its own,
 as a rootless fragment: not lost, and not appended to the list the
 exporters already hold.  Waits both branches added to the request span
 while it was open must sum exactly.
-
-A batched read is the other seam: the caller that fills a bucket ships
-the whole envelope on its own thread, so the co-located service must
-still report each slot to that slot's own request span.
 """
 
-import threading
 import time
 
 from repro.actions import ACTION_NS, ActionRuntime
-from repro.bindings import Relation
 from repro.chaos import ChaosTransport, FaultPlan
 from repro.core import ECAEngine
 from repro.domain import TRAVEL_NS, booking_event
 from repro.events import ATOMIC_NS, EventStream
-from repro.grh import (ComponentSpec, GenericRequestHandler, HedgePolicy,
+from repro.grh import (GenericRequestHandler, HedgePolicy,
                        LanguageDescriptor, LanguageRegistry,
                        ResilienceManager)
 from repro.obs import Observability, expand, record_wait
 from repro.obs.ops import TailSampler
-from repro.runtime import DispatchBatcher
 from repro.services import (ActionExecutionService, AtomicEventService,
                             DATALOG_LANG, DatalogService,
                             InProcessTransport)
-from repro.services.base import LanguageService
-from repro.xmlmodel import E, ECA_NS
+from repro.xmlmodel import ECA_NS
 
 RULE = f"""
 <eca:rule xmlns:eca="{ECA_NS}" id="offers">
@@ -197,56 +189,3 @@ class TestHedgedTrace:
         finally:
             engine.shutdown()
 
-
-class Echo(LanguageService):
-    service_name = "echo"
-
-    def query(self, request):
-        return Relation([{"Q": "ok"}])
-
-
-class TestBatchedTrace:
-    def test_each_batched_caller_gets_its_own_service_span(self):
-        transport = InProcessTransport()
-        grh = GenericRequestHandler(
-            LanguageRegistry(), transport,
-            resilience=ResilienceManager(hedge=None))
-        echo = Echo()
-        for address in ("svc:echo-a", "svc:echo-b"):
-            transport.bind(address, echo.handle)
-        grh.add_remote_language(LanguageDescriptor(
-            "urn:test:echo", "query", "echo",
-            replicas=("svc:echo-a", "svc:echo-b")))
-        # the second caller fills the bucket and ships it itself
-        grh.batcher = DispatchBatcher(grh, window=10.0, max_batch=2)
-        obs = Observability()
-        grh.observability = obs
-        spec = ComponentSpec("query", "urn:test:echo",
-                             content=E("{urn:test:echo}q"))
-        roots = []
-
-        def read(tag):
-            root = obs.tracer.begin("rule", {"tag": tag}, parent=None)
-            grh.evaluate_query(f"r::{tag}", spec, Relation.unit())
-            obs.tracer.finish(root)
-            roots.append(root)
-
-        try:
-            threads = [threading.Thread(target=read, args=(tag,))
-                       for tag in ("a", "b")]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(10)
-        finally:
-            grh.batcher.stop()
-        assert grh.batcher.size_flushes == 1
-        assert len(roots) == 2
-        for root in roots:
-            spans = obs.trace(root.trace_id)
-            (request,) = [span for span in spans
-                          if span.name == "grh.request"]
-            served = [span for span in spans
-                      if span.parent_id == request.span_id]
-            assert [span.name for span in served] == ["service:query"]
-            assert served[0].remote

@@ -33,12 +33,3 @@ def test_sync_vs_concurrent_effects_identical(seed):
         assert concurrent == baseline, (
             f"seed {seed}, {workers} workers: effects diverged")
 
-
-def test_batched_dispatch_preserves_effects():
-    """Batching on top of the pool must not change semantics either."""
-    config = _config(42)
-    baseline = run_workload(config, EVENTS)
-    batched = run_workload(
-        config, EVENTS,
-        runtime=Runtime(workers=4, batching=True, batch_window=0.01))
-    assert batched == baseline

@@ -12,7 +12,6 @@ import random
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -96,20 +95,6 @@ class TestConstruction:
             runtime.shutdown(5)
         assert not runtime_threads() - before
 
-    def test_a_batching_runtime_runs_only_its_lanes(self):
-        """The batcher is a rendezvous on its callers' threads: with
-        batching on, w shards × n lanes are still every thread."""
-        engine = _StubEngine({})
-        engine.grh = SimpleNamespace(batcher=None)
-        before = set(threading.enumerate())
-        runtime = _windowed_runtime(engine, workers=2, inflight=3,
-                                    batching=True)
-        try:
-            assert engine.grh.batcher is runtime.batcher is not None
-            assert len(set(threading.enumerate()) - before) == 2 * 3
-        finally:
-            runtime.shutdown(5)
-
     def test_monitoring_shapes(self):
         tags = {}
         engine = _StubEngine(tags)
@@ -133,16 +118,6 @@ class TestDifferentialWithWindow:
             config, EVENTS, runtime=Runtime(workers=2, inflight=4))
         assert windowed == baseline, (
             f"seed {seed}: effects diverged with the in-flight window")
-
-    def test_batching_plus_window_preserves_effects(self):
-        config = _config(42)
-        baseline = run_workload(config, EVENTS)
-        combined = run_workload(
-            config, EVENTS,
-            runtime=Runtime(workers=2, inflight=4, batching=True,
-                            batch_window=0.01))
-        assert combined == baseline
-
 
 class TestPerSourceOrdering:
     @pytest.mark.parametrize("inflight", [1, 2, 8])

@@ -26,17 +26,6 @@ class TestRuntimeMetrics:
         assert 'eca_runtime_accepting 1' in text
         assert 'outcome="submitted"' in text
 
-    def test_batcher_metrics_register_when_batching(self):
-        # regression: runtime.attach() must run before obs.install()
-        # or the batcher gauge block never fires
-        _, engine, obs = _observed_world(Runtime(workers=2, batching=True))
-        try:
-            text = obs.render_prometheus()
-        finally:
-            engine.shutdown(5)
-        assert "eca_runtime_batches_total" in text
-        assert "eca_runtime_batched_requests_total" in text
-
     def test_queue_wait_histogram_observes_real_work(self):
         obs = Observability()
         effects = run_workload(WorkloadConfig(seed=7), 10,
@@ -61,7 +50,7 @@ class TestRuntimeAdminSurface:
 
     def test_runtime_view_concurrent_engine(self):
         _, engine, _ = _observed_world(
-            Runtime(workers=3, queue_capacity=64, batching=True))
+            Runtime(workers=3, queue_capacity=64))
         try:
             status, view = IntrospectionSurface(engine).handle(
                 "/introspect/runtime")
@@ -75,7 +64,6 @@ class TestRuntimeAdminSurface:
         assert len(view["queue_depths"]) == 3
         assert len(view["utilization"]) == 3
         assert "submitted" in view["counters"]
-        assert "batches" in view["batcher"]
 
     def test_readyz_reflects_admission_gate(self):
         _, engine, _ = _observed_world(Runtime(workers=2))

@@ -6,9 +6,7 @@ job sets ``RUNTIME_STRESS=1`` to run the full 30-second soak instead:
 multiple producer threads emitting continuously while the HTTP query
 service randomly fails ~15% of requests; at the end, every admitted
 detection must be accounted for — completed, failed, or dead-lettered
-— and the pool must quiesce.  Smoke and soak each run the plain and
-the batching runtime (``Runtime(batching=True)``); the soak gives each
-half of its 30 seconds.
+— and the pool must quiesce.
 """
 
 import os
@@ -54,7 +52,7 @@ class FlakyHttpService:
         return relation_to_answers(Relation([{"Q": "ok"}]))
 
 
-def _stress_world(workers: int, batching: bool):
+def _stress_world(workers: int):
     registry = LanguageRegistry()
     resilience = ResilienceManager(retry=RetryPolicy(max_attempts=2),
                                    sleep=lambda s: None)
@@ -74,7 +72,7 @@ def _stress_world(workers: int, batching: bool):
     grh.add_remote_language(
         LanguageDescriptor(FLAKY_LANG, "query", "stress-flaky"), url)
     runtime = Runtime(workers=workers, queue_capacity=512,
-                      backpressure="block", batching=batching)
+                      backpressure="block")
     engine = ECAEngine(grh, runtime=runtime, keep_instances=False)
     engine.register_rule(f"""
     <eca:rule xmlns:eca="{ECA_NS}" id="stress">
@@ -88,9 +86,8 @@ def _stress_world(workers: int, batching: bool):
     return engine, stream, server, service
 
 
-def _soak(duration: float, producers: int = 3, workers: int = 4,
-          batching: bool = False) -> None:
-    engine, stream, server, service = _stress_world(workers, batching)
+def _soak(duration: float, producers: int = 3, workers: int = 4) -> None:
+    engine, stream, server, service = _stress_world(workers)
     emitted = [0] * producers
     stop = threading.Event()
 
@@ -140,15 +137,8 @@ def test_stress_smoke():
     _soak(duration=2.0)
 
 
-def test_stress_smoke_batched():
-    """The same smoke with the dispatch batcher coalescing the queries."""
-    _soak(duration=2.0, batching=True)
-
-
 @pytest.mark.skipif(os.environ.get("RUNTIME_STRESS") != "1",
                     reason="30s soak only runs with RUNTIME_STRESS=1")
-@pytest.mark.parametrize("batching", [False, True],
-                         ids=["plain", "batched"])
-def test_stress_soak_30s(batching):
-    """Thirty seconds in all: half plain, half batched."""
-    _soak(duration=15.0, batching=batching)
+def test_stress_soak_30s():
+    """Thirty seconds of continuous load."""
+    _soak(duration=30.0)

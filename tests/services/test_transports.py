@@ -1,5 +1,8 @@
 """Transports: in-process broker and the real localhost HTTP endpoints."""
 
+import socket
+import urllib.parse
+
 import pytest
 
 from repro.bindings import Relation, relation_to_answers
@@ -87,6 +90,33 @@ class TestHttpTransport:
         with HttpServiceServer(aware_handler=lambda m: m) as url:
             with pytest.raises(TransportError):
                 http.fetch(url, "q")
+
+
+class TestTruncatedBody:
+    def test_body_shorter_than_content_length_is_refused(self):
+        """A client that declares 100 bytes, sends 4 and half-closes
+        gets a 400 and a closed connection; the service never runs."""
+        calls = []
+
+        def handler(message):
+            calls.append(message)
+            return message
+
+        with HttpServiceServer(aware_handler=handler) as url:
+            parts = urllib.parse.urlsplit(url)
+            with socket.create_connection((parts.hostname, parts.port),
+                                          timeout=5) as sock:
+                sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 100\r\n\r\n<a/>")
+                sock.shutdown(socket.SHUT_WR)
+                answer = b""
+                while chunk := sock.recv(65536):
+                    answer += chunk
+        status_line, _, rest = answer.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 400")
+        assert b"shorter than Content-Length" in answer
+        assert b"connection: close" in rest.lower()
+        assert calls == []
 
 
 class TestHttpServiceServerLifecycle:
