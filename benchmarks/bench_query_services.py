@@ -19,7 +19,7 @@ import pytest
 
 from repro.bindings import Relation
 from repro.datalog import DatalogEngine
-from repro.domain import WorkloadConfig, synthetic_fleet, CLASS_NAMES
+from repro.domain import WorkloadConfig, synthetic_fleet
 from repro.grh import (ComponentSpec, GenericRequestHandler,
                        LanguageDescriptor, LanguageRegistry)
 from repro.rdf import Literal, Namespace
@@ -27,7 +27,6 @@ from repro.services import (DATALOG_LANG, DatalogService, InProcessTransport,
                             XQ_LANG, XQService)
 from repro.sparql import (RDF_SPARQL_LANG, SparqlQueryService, TripleStore,
                           plan_query, run_select)
-from repro.xmlmodel import serialize
 from repro.xpath import evaluate
 from repro.xq import evaluate_query
 

@@ -38,7 +38,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from repro.bindings import Relation, Uri
+from repro.bindings import Relation
 from repro.grh.messages import Request
 from repro.rdf import Graph, Literal, URIRef, XSD
 from repro.rdf.sparql import parse_sparql

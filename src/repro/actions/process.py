@@ -13,7 +13,6 @@ templates inside actions are instantiated with the tuple first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence as Seq
 
 from ..bindings import PLACEHOLDER, Binding
 from ..conditions import TestExpression

@@ -14,7 +14,7 @@ explicit message sending, or actions on the domain ontology level"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..rdf import Graph
 from ..xmlmodel import Element

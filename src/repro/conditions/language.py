@@ -18,8 +18,8 @@ from __future__ import annotations
 from ..bindings import Binding, Relation, Uri
 from ..xmlmodel import Document, Element
 from ..xpath.ast import (And, Arithmetic, Comparison, ContextItem, Expr,
-                         Filter, FunctionCall, Literal, Negate, NumberLiteral,
-                         Or, Path, Root, Union, VariableRef)
+                         Filter, FunctionCall, Negate, Or, Path, Root, Union,
+                         VariableRef)
 from ..xpath.evaluator import (Focus, XPathEvaluationError, as_boolean,
                                compile_expr)
 from ..xpath.parser import parse_xpath, XPathSyntaxError

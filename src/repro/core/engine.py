@@ -42,7 +42,7 @@ from ..runtime import Runtime
 from ..xmlmodel import Element, serialize
 from .markup import parse_rule, rule_to_xml
 from .model import ECARule
-from .validation import RuleValidationError, validate_rule
+from .validation import validate_rule
 
 __all__ = ["ECAEngine", "RuleInstance", "EngineError"]
 
@@ -202,12 +202,12 @@ class ECAEngine:
         #: unfinished work is NOT ready until :meth:`recover` has
         #: replayed it, so load balancers hold traffic while
         #: exactly-once replay is still pending
-        self.ready = durability is None or not durability.in_flight
+        self.ready = durability is None or not durability.state.in_flight
         if durability is not None:
             # continue counters and stats where the journal left off
             self._instance_counter = itertools.count(
-                durability.first_instance_id())
-            for key, value in durability.recovered_stats.items():
+                durability.state.max_instance + 1)
+            for key, value in durability.state.stats.items():
                 if key in self.stats:
                     self.stats[key] = value
             durability.attach(self)
@@ -256,13 +256,14 @@ class ECAEngine:
                 directory, sync=sync,
                 checkpoint_interval=checkpoint_interval)
         engine = cls(grh, durability=manager, **engine_options)
+        state = manager.state
         log = engine._obs.log if engine._obs is not None else None
         if log is not None:
             log.info("engine.recovery.started", directory=directory,
-                     rules=len(manager.rule_sources),
-                     in_flight=len(manager.in_flight),
-                     dead_letters=len(manager.restored_letters))
-        for rule_id, source in manager.rule_sources.items():
+                     rules=len(state.rules),
+                     in_flight=len(state.in_flight),
+                     dead_letters=len(state.dead_letters))
+        for rule_id, source in state.rules.items():
             rule = None
             if repository is not None:
                 try:
@@ -272,7 +273,7 @@ class ECAEngine:
             if rule is None:
                 rule = parse_rule(source)
             engine._register_recovered(rule)
-        grh.resilience.dead_letters.restore(manager.restored_letters)
+        grh.resilience.dead_letters.restore(state.dead_letters)
         if replay:
             engine._replay_in_flight()
             manager.checkpoint()
@@ -291,19 +292,26 @@ class ECAEngine:
 
         Detections whose dead letter was parked before the crash are
         closed as failed instead — their remediation already sits in
-        the queue, and re-driving them would park a duplicate letter.
+        the queue, and re-driving them would park a duplicate letter —
+        and counted as the uncrashed run counted them.
         """
         from ..durability.codec import decode_detection
         manager = self.durability
+        state = manager.state
         runtime = self.runtime
         # replay runs on this thread, by priority, even with lanes
         # running; rule chaining during it may route follow-on
         # detections to the lanes, so quiesce before the post-recovery
         # checkpoint snapshots state
         with runtime.batch(here=True):
-            for det_id, entry in list(manager.in_flight.items()):
+            for det_id, entry in list(state.in_flight.items()):
                 if entry.parked:
-                    manager.detection_done(det_id, "failed")
+                    actions = state.credited(entry.instance_id)
+                    manager.detection_done(det_id, "failed",
+                                           entry.instance_id, actions)
+                    for key, n in (("detections", 1), ("instances", 1),
+                                   ("failed", 1), ("actions", actions)):
+                        self._bump(key, n)
                     continue
                 detection = decode_detection(entry.data)
                 runtime.submit(detection, self._priority_of(detection),
@@ -544,8 +552,11 @@ class ECAEngine:
                 # actions)
                 self.grh.dead_letter_detection(run.detection, failure)
             if durability is not None:
+                instance = run.instance
                 durability.detection_done(run.detection.detection_id,
-                                          run.instance.status)
+                                          instance.status,
+                                          instance.instance_id,
+                                          instance.actions_executed)
 
     def _start(self, detection: Detection, waited: float | None,
                counts: dict) -> _Run | None:

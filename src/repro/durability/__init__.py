@@ -9,9 +9,9 @@ that property:
 
 * :mod:`~repro.durability.journal` — an append-only, CRC-checked,
   optionally fsync'd write-ahead journal of every state transition:
-  rule (de)registrations, detection arrivals, instance creations,
-  per-tuple action executions, instance outcomes and dead-letter
-  park/drain events;
+  rule (de)registrations, detection arrivals, one intent record per
+  action (every tuple key, before dispatch), instance outcomes with
+  their credited action counts, and dead-letter park/drain events;
 * :mod:`~repro.durability.checkpoint` — a compacting checkpointer that
   atomically snapshots engine + dead-letter state and truncates the
   journal (epoch-numbered so a crash between snapshot and truncation is
@@ -21,8 +21,10 @@ that property:
   enforces exactly-once action effects via
   ``(instance_id, action_index, tuple_key)`` idempotency keys journaled
   before dispatch;
-* :mod:`~repro.durability.recovery` — rebuilds engine state from
-  checkpoint + journal; surfaced as :meth:`repro.core.ECAEngine.recover`.
+* :mod:`~repro.durability.recovery` — the durable state itself and its
+  transitions, which the manager applies as it journals and recovery
+  applies as it reads checkpoint + journal back; surfaced as
+  :meth:`repro.core.ECAEngine.recover`.
 
 Durability is opt-in: the engine's default constructor journals
 nothing, so existing callers are unaffected.

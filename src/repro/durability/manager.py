@@ -1,19 +1,14 @@
 """The durability manager: the engine's façade over journal + checkpoint.
 
 One manager owns one durability directory (``wal.log`` +
-``checkpoint.json``) and tracks, mirroring what recovery would compute
-from those files:
-
-* the sources of currently registered rules,
-* completed detection ids (bounded; deduplicates at-least-once
-  redelivery — "exactly-once detection replay"),
-* in-flight detections (journaled on arrival, not yet completed) with
-  their assigned instance ids,
-* journaled idempotency keys ``(instance_id, action_index, tuple_key)``
-  of in-flight instances — written *before* dispatch (one ``exec``
-  intent record per action, carrying all tuple keys), carried into
-  checkpoints so a re-driven instance re-dispatches under the same wire
-  keys and the service-side dedup memory keeps effects exactly-once.
+``checkpoint.json``) and its durable state, a
+:class:`~repro.durability.RecoveredState` read back from that directory
+when the manager is built.  Each change is journaled first and then
+applied through the transition :func:`read_state` applies to the same
+record, so the live state always equals what recovery would compute:
+rule sources, completed detection ids (bounded; they drop at-least-once
+redelivery), in-flight detections, the ``exec`` keys of unfinished
+instances, the dead-letter queue and the stats of ``done`` records.
 
 The engine calls in at well-defined points (see ``core/engine.py``);
 everything here is synchronous and ordered, so the journal is a total
@@ -24,7 +19,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _esc
 from time import perf_counter as _perf_counter
@@ -35,26 +29,9 @@ from ..xmlmodel import serialize
 from .checkpoint import CHECKPOINT_NAME, Checkpointer
 from .codec import encode_detection, tuple_key
 from .journal import JOURNAL_NAME, Journal
+from .recovery import read_state
 
 __all__ = ["DurabilityManager", "tuple_key"]
-
-
-class _InFlight:
-    """One journaled-but-not-completed detection.
-
-    ``data`` is the codec's detection encoding — the raw JSON text when
-    the entry was journaled live (``admit`` keeps the string it framed),
-    the parsed object when it was folded back from disk; the codec's
-    ``decode_detection`` accepts either.
-    """
-
-    __slots__ = ("data", "instance_id", "parked")
-
-    def __init__(self, data: dict | str, instance_id: int | None = None,
-                 parked: bool = False) -> None:
-        self.data = data
-        self.instance_id = instance_id
-        self.parked = parked
 
 
 class _ActionGuard:
@@ -64,14 +41,9 @@ class _ActionGuard:
     :meth:`begin` journals *one* ``exec`` intent record carrying every
     distinct tuple key of the relation, before the dispatch, and hands
     back the wire ``dedup`` key for each tuple (stamped on the tuple's
-    ``log:answer``).  Recovery treats
-    every journaled key of an instance without a ``done`` record as
-    *uncertain*: the re-driven instance re-dispatches them under the
-    same wire keys (journaled instance id + positional action index +
-    canonical tuple digest) and the service-side dedup memory suppresses
-    the ones whose original dispatch did land.  The ``done`` record is
-    what retires an instance's keys — only then is redelivery dropped
-    outright.
+    ``log:answer``): journaled instance id + positional action index +
+    canonical tuple digest, so a re-driven instance re-dispatches under
+    the same keys and the service suppresses those that already landed.
     """
 
     __slots__ = ("_manager", "_instance_id", "_action_index",
@@ -105,17 +77,16 @@ class _ActionGuard:
         if ordered:
             manager = self._manager
             det_id = self._detection_id
-            # one lock span for the intent record and the in-memory key
-            # set: a checkpoint racing between the two would snapshot an
+            # one lock span for the intent record and its transition: a
+            # checkpoint racing between the two would snapshot an
             # instance whose journaled keys it does not know about
             with manager._lock:
-                manager._journal_text(
+                manager.journal.append_encoded(
                     f'{{"t":"exec","inst":{instance_id},"a":{action_index}'
                     ',"id":' + ("null" if det_id is None else _esc(det_id))
                     + ',"k":["' + '","'.join(ordered) + '"]}')
-                manager.executed.setdefault(
-                    instance_id, set()).update(
-                        [(action_index, key) for key in ordered])
+                manager.state.intended(instance_id, action_index, ordered,
+                                       det_id)
         return dedups
 
 
@@ -125,43 +96,28 @@ class DurabilityManager:
     def __init__(self, directory: str, *, sync: str = "always",
                  checkpoint_interval: int = 1000,
                  max_remembered_detections: int = 100_000,
-                 journal: Journal | None = None,
-                 resume: "object | None" = None) -> None:
+                 journal: Journal | None = None) -> None:
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.checkpoint_interval = checkpoint_interval
         self.max_remembered_detections = max_remembered_detections
         self.checkpointer = Checkpointer(
             os.path.join(directory, CHECKPOINT_NAME))
-
-        if resume is None:
-            from .recovery import read_state
-            resume = read_state(directory)
-        self.rule_sources: dict[str, str] = dict(resume.rules)
-        self.done: OrderedDict[str, str] = OrderedDict(resume.done)
-        self.in_flight: dict[str, _InFlight] = {
-            det_id: _InFlight(entry.data, entry.instance_id, entry.parked)
-            for det_id, entry in resume.in_flight.items()}
-        self.executed: dict[int, set[tuple[int, str]]] = {
-            inst: set(keys) for inst, keys in resume.executed.items()}
-        self.next_detection = resume.next_detection
-        self.max_instance = resume.max_instance
-        self.epoch = resume.epoch
-        self.recovered_stats = dict(resume.stats)
-        self.restored_letters = list(resume.dead_letters)
-
+        #: the durable state (``recovery.py``), continued from disk
+        self.state = read_state(directory)
+        epoch = self.state.epoch
         if journal is None:
             journal = Journal(os.path.join(directory, JOURNAL_NAME),
-                              sync=sync, epoch=self.epoch)
+                              sync=sync, epoch=epoch)
         self.journal = journal
-        if self.journal.epoch != self.epoch:
+        if journal.epoch != epoch:
             # stale pre-checkpoint journal (crash between checkpoint
             # rename and truncation): its records are already folded in
-            self.journal.restart(self.epoch)
-        self.records_since_checkpoint = 0
+            journal.restart(epoch)
+        self._appended_at_checkpoint = journal.appended
         self.engine = None
-        #: serializes every journal append and all bookkeeping mutation:
-        #: with a concurrent runtime, detections are admitted on producer
+        #: serializes every journal append and state transition: with a
+        #: concurrent runtime, detections are admitted on producer
         #: threads while worker shards journal intents and completions —
         #: the journal must stay a total order of state transitions.
         #: Reentrant because a checkpoint taken inside a journaling call
@@ -183,31 +139,23 @@ class DurabilityManager:
         queue.on_append = self._on_dead_letter_append
         queue.on_drain = self._on_dead_letter_drain
 
-    def first_instance_id(self) -> int:
-        return self.max_instance + 1
+    @property
+    def records_since_checkpoint(self) -> int:
+        return self.journal.appended - self._appended_at_checkpoint
 
     def _journal(self, record: dict) -> None:
+        """Journal a cold-path record and apply it to the state."""
         with self._lock:
             self.journal.append(record)
-            self.records_since_checkpoint += 1
-
-    def _journal_text(self, payload: str) -> None:
-        """Hot-path variant: the caller hand-assembled the JSON text."""
-        with self._lock:
-            self.journal.append_encoded(payload)
-            self.records_since_checkpoint += 1
+            self.state.apply(record)
 
     # -- rule lifecycle ------------------------------------------------------
 
     def record_rule_registered(self, rule_id: str, source: str) -> None:
-        with self._lock:
-            self._journal({"t": "rule-add", "rule": rule_id, "src": source})
-            self.rule_sources[rule_id] = source
+        self._journal({"t": "rule-add", "rule": rule_id, "src": source})
 
     def record_rule_deregistered(self, rule_id: str) -> None:
-        with self._lock:
-            self._journal({"t": "rule-del", "rule": rule_id})
-            self.rule_sources.pop(rule_id, None)
+        self._journal({"t": "rule-del", "rule": rule_id})
 
     # -- detection lifecycle -------------------------------------------------
 
@@ -219,17 +167,18 @@ class DurabilityManager:
         — this is the exactly-once half the journal cannot give alone.
         """
         with self._lock:
+            state = self.state
             if detection.detection_id is None:
                 detection = replace(
-                    detection, detection_id=f"engine:{self.next_detection}")
-                self.next_detection += 1
+                    detection,
+                    detection_id=f"engine:{state.next_detection}")
             det_id = detection.detection_id
-            if det_id in self.done or det_id in self.in_flight:
+            if det_id in state.done or det_id in state.in_flight:
                 return None
             data = encode_detection(detection)
-            self._journal_text('{"t":"det","id":' + _esc(det_id)
-                               + ',"d":' + data + "}")
-            self.in_flight[det_id] = _InFlight(data)
+            self.journal.append_encoded('{"t":"det","id":' + _esc(det_id)
+                                        + ',"d":' + data + "}")
+            state.detected(det_id, data)
             return detection
 
     def instance_for(self, detection: Detection, counter) -> int:
@@ -244,15 +193,10 @@ class DurabilityManager:
         idempotency key, no dispatched ``dedup`` key (dispatch happens
         only after the ``exec`` intent is journaled) — so its id can be
         re-minted safely."""
-        with self._lock:
-            entry = self.in_flight.get(detection.detection_id)
-            if entry is not None and entry.instance_id is not None:
-                return entry.instance_id
-            instance_id = next(counter)
-            if entry is not None:
-                entry.instance_id = instance_id
-            self.max_instance = max(self.max_instance, instance_id)
-            return instance_id
+        entry = self.state.in_flight.get(detection.detection_id)
+        if entry is not None and entry.instance_id is not None:
+            return entry.instance_id
+        return next(counter)
 
     def action_guard(self, instance_id: int, action_index: int,
                      detection_id: str | None) -> _ActionGuard:
@@ -266,24 +210,25 @@ class DurabilityManager:
         must first clear the duplicate filter.
         """
         with self._lock:
-            if self.done.pop(detection_id, None) is not None:
+            if detection_id in self.state.done:
                 self._journal({"t": "forget", "id": detection_id})
 
-    def detection_done(self, detection_id: str, status: str) -> None:
+    def detection_done(self, detection_id: str, status: str,
+                       instance_id: int | None = None,
+                       actions: int = 0) -> None:
+        """Journal a detection's outcome: its instance's status and the
+        action executions the engine credited it (``dropped`` when it
+        never became an instance)."""
         with self._lock:
-            entry = self.in_flight.pop(detection_id, None)
-            inst = "null"
-            if entry is not None and entry.instance_id is not None:
-                inst = str(entry.instance_id)
-                # keys are only consulted while a detection can still be
-                # re-driven; dropping them keeps memory flat
-                self.executed.pop(entry.instance_id, None)
-            self._journal_text('{"t":"done","id":' + _esc(detection_id)
-                               + ',"s":"' + status + '","inst":' + inst
-                               + "}")
-            self.done[detection_id] = status
-            while len(self.done) > self.max_remembered_detections:
-                self.done.popitem(last=False)
+            self.journal.append_encoded(
+                '{"t":"done","id":' + _esc(detection_id) + ',"s":"' + status
+                + '","inst":' + ("null" if instance_id is None
+                                 else str(instance_id))
+                + ',"n":' + str(actions) + "}")
+            state = self.state
+            state.finished(detection_id, status, instance_id, actions)
+            while len(state.done) > self.max_remembered_detections:
+                state.done.popitem(last=False)
             self.journal.commit()
 
     # -- dead letter durability ----------------------------------------------
@@ -293,22 +238,17 @@ class DurabilityManager:
         settles: a detection letter names its detection, an action
         letter's keys name the instance that journaled them."""
         record = {"t": "park", "xml": serialize(letter.to_xml())}
+        det_id = instance_id = None
         with self._lock:
             if letter.kind == "detection":
-                detection = letter.detection
-                det_id = detection.detection_id if detection is not None \
-                    else None
-                entry = self.in_flight.get(det_id)
-                if entry is not None:
-                    record["det"] = det_id
-                    entry.parked = True
+                if letter.detection is not None and \
+                        letter.detection.detection_id in self.state.in_flight:
+                    det_id = record["det"] = letter.detection.detection_id
             elif letter.dedups and letter.dedups[0]:
-                instance_id = int(letter.dedups[0].split(":", 1)[0])
-                record["inst"] = instance_id
-                for entry in self.in_flight.values():
-                    if entry.instance_id == instance_id:
-                        entry.parked = True
-            self._journal(record)
+                instance_id = record["inst"] = \
+                    int(letter.dedups[0].split(":", 1)[0])
+            self.journal.append(record)
+            self.state.parked(letter, det_id, instance_id)
 
     def _on_dead_letter_drain(self, count: int) -> None:
         self._journal({"t": "drain", "n": count})
@@ -335,42 +275,22 @@ class DurabilityManager:
             return True
 
     def checkpoint(self) -> None:
-        """Snapshot everything, bump the epoch, truncate the journal."""
+        """Snapshot the state, bump the epoch, truncate the journal."""
         started = _perf_counter()
         with self._lock:
-            self.epoch += 1
-            self.checkpointer.write(self.snapshot())
-            self.journal.restart(self.epoch)
-            self.records_since_checkpoint = 0
+            state = self.state
+            state.epoch += 1
+            if self.engine is not None:
+                # the engine's counters also hold what no record carries
+                # (evictions, dead-letter replays): rebase on them
+                state.stats = dict(self.engine.stats)
+            self.checkpointer.write(state.snapshot())
+            self.journal.restart(state.epoch)
+            self._appended_at_checkpoint = self.journal.appended
         elapsed = _perf_counter() - started
         self.checkpoint_seconds.observe(elapsed)
         if self.checkpoint_observer is not None:
             self.checkpoint_observer(elapsed)
-
-    def snapshot(self) -> dict:
-        in_flight = [{"id": det_id, "d": entry.data,
-                      "inst": entry.instance_id, "parked": entry.parked}
-                     for det_id, entry in self.in_flight.items()]
-        executed = [[inst, action, key]
-                    for inst, keys in self.executed.items()
-                    for action, key in sorted(keys)]
-        letters = []
-        stats: dict = dict(self.recovered_stats)
-        if self.engine is not None:
-            letters = [serialize(letter.to_xml()) for letter in
-                       self.engine.grh.resilience.dead_letters]
-            stats = dict(self.engine.stats)
-        return {
-            "epoch": self.epoch,
-            "rules": dict(self.rule_sources),
-            "next_detection": self.next_detection,
-            "max_instance": self.max_instance,
-            "done": list(self.done.items()),
-            "in_flight": in_flight,
-            "executed": executed,
-            "dlq": letters,
-            "stats": stats,
-        }
 
     # -- introspection -------------------------------------------------------
 
@@ -381,12 +301,12 @@ class DurabilityManager:
         return {
             "directory": self.directory,
             "sync": journal.sync,
-            "epoch": self.epoch,
+            "epoch": self.state.epoch,
             "appended": journal.appended,
             "records_since_checkpoint": self.records_since_checkpoint,
             "checkpoint_interval": self.checkpoint_interval,
-            "in_flight": len(self.in_flight),
-            "completed": len(self.done),
+            "in_flight": len(self.state.in_flight),
+            "completed": len(self.state.done),
             "writable": journal._file is not None
             and not journal._file.closed,
         }

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from ..bindings import Binding, BindingError, Relation
-from ..xmlmodel import Element, QName
+from ..xmlmodel import Element
 from .base import Event, Occurrence
 
 __all__ = ["AtomicPattern", "PatternError"]

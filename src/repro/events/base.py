@@ -10,7 +10,7 @@ stream it occurred on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from ..xmlmodel import Element, QName

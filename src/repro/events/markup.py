@@ -19,7 +19,7 @@ binds the whole matched event to a variable.
 from __future__ import annotations
 
 from ..xmlmodel import ECA_NS, Element, QName
-from .atomic import AtomicPattern, PatternError
+from .atomic import AtomicPattern
 from .snoop import (And, Any, Aperiodic, AperiodicCumulative, Atomic,
                     Detector, Not, Or, Periodic, Seq, SnoopError)
 from .xchange import (AndQuery, EventQuery, OrQuery, PatternQuery, SeqQuery,

@@ -24,8 +24,8 @@ terminator pairs with and which are consumed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..bindings import Relation
 from .base import Event, Occurrence

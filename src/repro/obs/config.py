@@ -355,7 +355,7 @@ class Observability:
                             callback=lambda: journal.appended)
             metrics.gauge("eca_in_flight_detections",
                           "Journaled detections not yet completed",
-                          callback=lambda: len(durability.in_flight))
+                          callback=lambda: len(durability.state.in_flight))
             metrics.histogram("eca_journal_fsync_seconds",
                               "Journal fsync latency",
                               callback=lambda: journal.fsync_seconds)

@@ -10,7 +10,7 @@ through the Generic Request Handler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..actions import ACTION_NS, ActionRuntime
 from ..conditions import TEST_NS

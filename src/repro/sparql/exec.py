@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 from ..rdf.sparql import (SparqlEvaluationError, Solution, Variable,
                           filter_passes, finalize_select)
-from .plan import (FilterStep, GroupPlan, OptionalStep, QueryPlan, ScanStep,
-                   UnionStep)
+from .plan import FilterStep, GroupPlan, QueryPlan, ScanStep, UnionStep
 from .store import TripleStore
 
 __all__ = ["ABSENT", "Table", "ExecStats", "run_plan", "run_select",

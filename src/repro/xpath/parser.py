@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .ast import (And, Arithmetic, Comparison, ContextItem, Expr, Filter,
-                  FunctionCall, KindTest, Literal, NameTest, Negate, NodeTest,
-                  NumberLiteral, Or, Path, Root, Step, Union, VariableRef)
+from .ast import (And, Arithmetic, Comparison, Expr, Filter, FunctionCall,
+                  KindTest, Literal, NameTest, Negate, NodeTest, NumberLiteral,
+                  Or, Path, Root, Step, Union, VariableRef)
 from .lexer import Lexer, Token, TokenError
 
 __all__ = ["XPathSyntaxError", "parse_xpath", "XPathParser"]

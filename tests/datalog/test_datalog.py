@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog import (Atom, Const, DatalogEngine, DatalogSyntaxError,
+from repro.datalog import (Const, DatalogEngine, DatalogSyntaxError,
                            SafetyError, StratificationError, Var, evaluate,
                            parse_atom, parse_program, query)
 

@@ -1,6 +1,5 @@
 """Domain data, event constructors and synthetic workload generation."""
 
-from repro.bindings import Relation
 from repro.core import parse_rule
 from repro.domain import (CAR_RENTAL_RULE, TRAVEL_NS, WorkloadConfig,
                           booking_event, booking_payloads, classes_document,

@@ -199,7 +199,8 @@ class CrashWorld:
     def state(self) -> dict:
         return {"rules": sorted(self.engine.rules),
                 "dead_letters": self.dead_letters(),
-                "effects": self.effects()}
+                "effects": self.effects(),
+                "stats": dict(self.engine.stats)}
 
 
 class _ScriptCrash(SimulatedCrash):

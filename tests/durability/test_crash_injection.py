@@ -21,8 +21,7 @@ from repro.runtime import Runtime
 from repro.services import standard_deployment
 from repro.xmlmodel import E, ECA_NS
 
-from .harness import (CrashWorld, CrashingJournal, RULES, SCRIPT,
-                      run_crashing, run_oracle)
+from .harness import CrashWorld, CrashingJournal, run_crashing, run_oracle
 
 SEED = int(os.environ.get("DURABILITY_SEED", "0"))
 
@@ -170,7 +169,7 @@ class TestRecoveryOntoWorkerRuntime:
         engine._handle = lambda detection, waited=None: None
         for n in range(in_flight):
             deployment.stream.emit(E("ping", {"n": str(n)}))
-        assert len(manager.in_flight) == in_flight
+        assert len(manager.state.in_flight) == in_flight
         manager.close()
 
         survivor = standard_deployment()

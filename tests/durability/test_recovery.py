@@ -1,14 +1,18 @@
 """Recovery semantics: rule rebuild, dedupe, DLQ restore, exactly-once."""
 
+import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.actions import ACTION_NS
 from repro.core import ECAEngine, RuleRepository
 from repro.durability import (CHECKPOINT_NAME, DurabilityManager,
                               JOURNAL_NAME, read_state)
+from repro.grh import xml_to_detection
 from repro.services import standard_deployment
-from repro.xmlmodel import E, parse, serialize
+from repro.xmlmodel import E, ECA_NS, parse, serialize
 
 from .harness import BAD_RULE, OK_RULE, CrashWorld, CrashingJournal, RULES
 
@@ -51,6 +55,65 @@ class TestReadState:
         engine.register_rule(OK_RULE)
         deployment.stream.emit(E("ping", {"n": "1"}))
         assert engine.stats["completed"] == 1
+
+
+def assert_read_back_equals(directory, state):
+    """``read_state`` over the files equals the live state, field by
+    field (in-flight data compared decoded: live entries keep the
+    journaled JSON text, read-back ones the parsed object)."""
+    back = read_state(directory)
+    for name in ("rules", "next_detection", "max_instance", "done",
+                 "executed", "stats", "epoch"):
+        assert getattr(back, name) == getattr(state, name), name
+
+    def in_flight(entries):
+        return {det_id: (json.loads(entry.data)
+                         if isinstance(entry.data, str) else entry.data,
+                         entry.instance_id, entry.parked)
+                for det_id, entry in entries.items()}
+    assert in_flight(back.in_flight) == in_flight(state.in_flight)
+    assert [serialize(letter.to_xml()) for letter in back.dead_letters] \
+        == [serialize(letter.to_xml()) for letter in state.dead_letters]
+
+
+class TestLiveStateIsItsReadBack:
+    def test_every_transition_reads_back_equal(self, directory):
+        world = CrashWorld(directory)
+        world.boot(sync="always")
+        manager = world.engine.durability
+        state = manager.state
+        world.setup_rules()                                 # rule-add
+        assert_read_back_equals(directory, state)
+        # det/exec/done for a ping, det/exec/park/done for a boom
+        world.run_script((E("ping", {"n": "1"}), E("boom", {"n": "2"})))
+        assert state.stats["actions"] == 1 and state.stats["failed"] == 1
+        assert_read_back_equals(directory, state)
+        # an anonymous detection admitted, its intent journaled, a
+        # letter parked for it, and nothing finished yet
+        (raw,) = world.captured[:1]
+        pending = manager.admit(replace(xml_to_detection(parse(raw)),
+                                        detection_id=None))
+        assert pending.detection_id == "engine:1"
+        manager.action_guard(9, 0, "engine:1").begin(pending.bindings)
+        world.grh.dead_letter_detection(pending, "parked by hand")
+        assert state.in_flight["engine:1"].instance_id == 9
+        assert state.in_flight["engine:1"].parked
+        assert len(state.dead_letters) == 2
+        assert_read_back_equals(directory, state)
+        # a checkpoint encodes all of it
+        manager.checkpoint()
+        assert state.epoch == 1
+        assert_read_back_equals(directory, state)
+        # drain one letter, forget a finished id, finish the pending one
+        world.grh.resilience.dead_letters.drain(1)
+        manager.forget("atomic-event-matcher:1")
+        manager.detection_done("engine:1", "failed", 9, 1)
+        assert not state.in_flight and not state.executed
+        assert_read_back_equals(directory, state)
+        world.run_script((E("ping", {"n": "3"}),))
+        assert state.stats["completed"] == 2
+        assert state.stats["failed"] == 2 and state.stats["actions"] == 3
+        assert_read_back_equals(directory, state)
 
 
 class TestRuleRebuild:
@@ -127,7 +190,7 @@ class TestDetectionDedupe:
         # same payload, no id: the engine stamps one
         world._notify([anonymous])
         assert world.engine.stats["instances"] == 2
-        assert world.engine.durability.next_detection == 2
+        assert world.engine.durability.state.next_detection == 2
 
 
 class TestInFlightReplay:
@@ -192,7 +255,39 @@ class TestInFlightReplay:
         world.engine._replay_in_flight()
         assert len(world.grh.resilience.dead_letters) == 1
         manager = world.engine.durability
-        assert manager.done.get("atomic-event-matcher:1") == "failed"
+        assert manager.state.done.get("atomic-event-matcher:1") == "failed"
+
+    def test_parked_close_counts_what_the_uncrashed_run_counted(
+            self, tmp_path):
+        # first action runs, the second parks; the crash hits the done
+        # record (writes: epoch, rule-add, det, exec, exec, park)
+        script = (E("twice", {"n": "1"}),)
+        oracle = CrashWorld(str(tmp_path / "oracle"))
+        oracle.boot()
+        oracle.setup_rules((TWO_ACTION_RULE,))
+        oracle.run_script(script)
+        world = crash_at(str(tmp_path / "crash"), fuse=6, script=script,
+                         rules=(TWO_ACTION_RULE,))
+        world.boot()
+        world.engine._replay_in_flight()
+        assert world.engine.stats["actions"] == 1
+        assert world.engine.stats == oracle.engine.stats
+        assert world.engine.durability.state.stats == \
+            {"detections": 1, "instances": 1, "failed": 1, "actions": 1}
+
+
+TWO_ACTION_RULE = f"""
+<eca:rule xmlns:eca="{ECA_NS}" id="two">
+  <eca:event><twice n="{{N}}"/></eca:event>
+  <eca:action>
+    <act:send xmlns:act="{ACTION_NS}" to="out"><pong n="{{N}}"/></act:send>
+  </eca:action>
+  <eca:action>
+    <act:insert xmlns:act="{ACTION_NS}" document="missing" at="/x"><y/>
+    </act:insert>
+  </eca:action>
+</eca:rule>
+"""
 
 
 class TestDeadLetterDurability:
@@ -203,9 +298,12 @@ class TestDeadLetterDurability:
         world.run_script((E("boom", {"n": "1"}), E("boom", {"n": "2"})))
         before = world.dead_letters()
         assert len(before) == 2
+        stats = dict(world.engine.stats)
         world.crash()
         world.boot()
         assert world.dead_letters() == before
+        # a failed tuple's exec key is no credited action
+        assert world.engine.stats == stats
 
     def test_restored_action_letters_replay(self, directory):
         world = CrashWorld(directory)
@@ -290,7 +388,7 @@ class TestCheckpointing:
         world.run_script(script)
         manager = world.engine.durability
         assert manager.checkpointer.taken >= 1
-        assert manager.epoch >= 1
+        assert manager.state.epoch >= 1
         # the journal was truncated: pre-checkpoint records (e.g. the
         # rule registrations) now live only in the checkpoint
         from repro.durability import JournalReader
@@ -310,8 +408,8 @@ class TestCheckpointing:
         world.setup_rules()
         world.run_script((E("ping", {"n": "1"}),))
         manager = world.engine.durability
-        manager.epoch += 1
-        manager.checkpointer.write(manager.snapshot())
+        manager.state.epoch += 1
+        manager.checkpointer.write(manager.state.snapshot())
         world.crash()   # journal restart never happened
         state = read_state(directory)
         assert state.stale_journal

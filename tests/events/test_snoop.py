@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.events import (And, Any, Aperiodic, Atomic, AtomicPattern, Event,
+from repro.events import (And, Any, Aperiodic, Atomic, AtomicPattern,
                           EventStream, Not, Or, Periodic, Seq, SnoopError)
 from repro.xmlmodel import E, parse
 

@@ -8,7 +8,7 @@ from repro.grh import (ComponentSpec, GenericRequestHandler, GRHError,
                        ResilienceManager, RetryPolicy, error_message,
                        ok_message, request_to_xml, xml_to_request)
 from repro.services import InProcessTransport, LanguageService
-from repro.xmlmodel import Element, LOG_NS, QName, Text, parse, serialize
+from repro.xmlmodel import Element, LOG_NS, QName, parse, serialize
 from repro.bindings import binding_to_answer
 
 

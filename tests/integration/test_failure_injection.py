@@ -9,8 +9,7 @@ import pytest
 
 from repro.bindings import Relation
 from repro.core import ECAEngine
-from repro.grh import (GRHError, LanguageDescriptor, error_message,
-                       ok_message)
+from repro.grh import LanguageDescriptor, error_message
 from repro.services import standard_deployment
 from repro.xmlmodel import E, ECA_NS, parse
 
@@ -324,7 +323,7 @@ class TestHttpFlakyServices:
         assert all(binding["Q"] == "fine" for binding in final)
 
     def test_breaker_opens_then_half_open_recovery_over_http(self):
-        from repro.grh import BreakerPolicy, GRHError, ResilienceManager
+        from repro.grh import BreakerPolicy, ResilienceManager
 
         class Clock:
             now = 0.0

@@ -11,7 +11,6 @@ Every intermediate binding table the paper prints is asserted here.
 
 import pytest
 
-from repro.bindings import Binding
 from repro.core import ECAEngine
 from repro.domain import (CAR_RENTAL_RULE, booking_event, classes_document,
                           fleet_document, persons_document)

@@ -1,11 +1,9 @@
 """Observability wired into a full engine: traces, metrics, switches."""
 
-import pytest
-
 from repro.core import ECAEngine
 from repro.domain import TRAVEL_NS, booking_event, fleet_graph
 from repro.obs import Observability
-from repro.services import DATALOG_LANG, SPARQL_LANG, standard_deployment
+from repro.services import DATALOG_LANG, standard_deployment
 
 ECA = 'xmlns:eca="http://www.semwebtech.org/languages/2006/eca-ml"'
 ACT = 'xmlns:act="http://www.semwebtech.org/languages/2006/actions"'

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.rdf import (Graph, Literal, Namespace, SparqlEvaluationError,
-                       SparqlSyntaxError, URIRef, parse_sparql, parse_turtle)
+from repro.rdf import (Namespace, SparqlEvaluationError, SparqlSyntaxError,
+                       parse_sparql, parse_turtle)
 
 from .both_paths import ask, select
 

@@ -1,6 +1,5 @@
 """SPARQL join-ordering equivalence and the GRH opaque-request cache."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bindings import Relation

@@ -89,7 +89,7 @@ class TestRejectPolicy:
             engine.shutdown(5)
         # nothing is left in flight: every admitted detection finished,
         # every rejected one was journalled "dropped" at rejection time
-        assert not manager.in_flight
+        assert not manager.state.in_flight
 
 
     def test_refused_detection_closes_the_rest_of_its_group(self,
@@ -124,9 +124,9 @@ class TestRejectPolicy:
         finally:
             release.set()
             engine.shutdown(5)
-        dropped = sum(1 for status in manager.done.values()
+        dropped = sum(1 for status in manager.state.done.values()
                       if status == "dropped")
-        assert not manager.in_flight
+        assert not manager.state.in_flight
         # one refusal per event at most, yet more detections closed
         assert runtime.rejected <= len(payloads) < dropped
         assert dropped + engine.stats["detections"] == 3 * len(payloads)

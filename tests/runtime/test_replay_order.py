@@ -2,11 +2,9 @@
 
 import threading
 
-from repro.core import ECAEngine
 from repro.grh import LanguageDescriptor, error_message
 from repro.grh.resilience import DeadLetter, DeadLetterQueue
 from repro.runtime import Runtime
-from repro.services import standard_deployment
 from repro.bindings import Relation, relation_to_answers
 
 from .harness import build_world

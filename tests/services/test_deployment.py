@@ -29,7 +29,6 @@ class TestStandardDeployment:
         assert unaware == [EXIST_LANG]
 
     def test_registry_rdf_export_covers_all_languages(self):
-        from repro.grh import ECA_ONTOLOGY
         from repro.rdf import RDF
         deployment = standard_deployment()
         graph = deployment.registry.to_rdf()

@@ -1,7 +1,5 @@
 """Unit tests of the component-language services."""
 
-import pytest
-
 from repro.bindings import Relation, Uri, answers_to_relation
 from repro.domain import (classes_document, fleet_graph, persons_document)
 from repro.grh import Request, error_text, is_error, request_to_xml
@@ -9,7 +7,7 @@ from repro.services import (ActionExecutionService, AtomicEventService,
                             DatalogService, ExistLikeService, SnoopService,
                             TestLanguageService, XQService)
 from repro.sparql import SparqlQueryService
-from repro.xmlmodel import E, parse, serialize
+from repro.xmlmodel import E, parse
 
 
 def query_request(content_markup, bindings=None, component_id="r::q"):

@@ -1,7 +1,6 @@
 """The join planner: ordering, filter placement, index hints, explain."""
 
 from repro.rdf import Literal, URIRef
-from repro.rdf.sparql import parse_sparql
 from repro.sparql import (FilterStep, OptionalStep, ScanStep, TripleStore,
                           UnionStep, explain, plan_query)
 

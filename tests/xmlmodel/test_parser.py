@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.xmlmodel import (Comment, Element, ProcessingInstruction, QName,
-                            Text, XMLSyntaxError, parse, parse_document,
+from repro.xmlmodel import (Comment, ProcessingInstruction, QName,
+                            XMLSyntaxError, parse, parse_document,
                             parse_fragment, serialize)
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.xmlmodel import Element, QName, Text
-from repro.xpath import evaluate, string_value
+from repro.xpath import evaluate
 
 
 @st.composite
