@@ -31,7 +31,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..bindings import Relation
 from ..conditions import TEST_NS, TestExpression
@@ -185,15 +185,14 @@ class ECAEngine:
         self._stats_lock = threading.Lock()
         #: guards the retained-instance list and per-rule buckets
         self._retain_lock = threading.Lock()
-        #: callbacks fired with ``(instance, detection)`` for every
-        #: instance created; registered/iterated under ``_observer_lock``
-        #: because replay mutates the list while runtime workers read it
-        self._instance_observers: list[
-            Callable[[RuleInstance, Detection], None]] = []
-        self._observer_lock = threading.Lock()
         #: serializes replay_dead_letters() calls: concurrent replays
-        #: would interleave their deterministic drain orders
+        #: would interleave their deterministic letter orders
         self._replay_lock = threading.Lock()
+        #: ``[detection, attempts, instance]`` while a replay re-drives a
+        #: parked detection (under ``_replay_lock``): ``_start`` fills in
+        #: the instance *that* detection starts, not a chained or
+        #: concurrent one, and a failure re-parks it with ``attempts + 1``
+        self._replay_slot: list | None = None
         self.stats = {"detections": 0, "instances": 0, "completed": 0,
                       "dead": 0, "failed": 0, "actions": 0, "evicted": 0}
         #: readiness for ``GET /readyz`` (repro.obs.ops.admin): a fresh
@@ -273,7 +272,7 @@ class ECAEngine:
             if rule is None:
                 rule = parse_rule(source)
             engine._register_recovered(rule)
-        grh.resilience.dead_letters.restore(state.dead_letters)
+        grh.resilience.dead_letters.restore(state.dead_letters.values())
         if replay:
             engine._replay_in_flight()
             manager.checkpoint()
@@ -550,7 +549,11 @@ class ECAEngine:
                 # as the unexecuted suffix of the action's relation
                 # (replaying the whole detection would re-run executed
                 # actions)
-                self.grh.dead_letter_detection(run.detection, failure)
+                slot = self._replay_slot
+                self.grh.dead_letter_detection(
+                    run.detection, failure,
+                    slot[1] + 1 if slot is not None
+                    and slot[0] is run.detection else 1)
             if durability is not None:
                 instance = run.instance
                 durability.detection_done(run.detection.detection_id,
@@ -589,11 +592,9 @@ class ECAEngine:
         counts["instances"] += 1
         if self.keep_instances:
             self._retain(instance)
-        if self._instance_observers:
-            with self._observer_lock:
-                observers = list(self._instance_observers)
-            for observer in observers:
-                observer(instance, detection)
+        slot = self._replay_slot
+        if slot is not None and slot[0] is detection:
+            slot[2] = instance
         obs = self._obs
         root_span = None
         if obs is not None:
@@ -798,27 +799,27 @@ class ECAEngine:
         Detection letters re-run the whole rule instance (a fresh
         instance is created, so the failed one stays in the audit
         trail); action letters execute only the tuples that never ran.
-        Letters that fail again are re-parked by the normal failure
-        path.  Returns a summary: letters replayed / succeeded / failed,
-        and how many action executions the replay performed.
+        Letters replay in park order (their journal sequence), one
+        replay at a time, and each is settled after its own work, in the
+        record that makes its outcome durable (PROTOCOL.md §6/§7): a
+        crash mid-replay keeps every letter not yet settled.  A letter
+        that fails again is re-parked with ``attempts + 1``; one whose
+        action reaches no service stays parked as it is.
 
-        Replay order is deterministic: letters drain in park order
-        (their journal sequence), regardless of which worker thread
-        parked them — the same set of letters always replays the same
-        way, so a replay after crash recovery is reproducible even when
-        the failures themselves happened concurrently.  Concurrent
-        calls are serialized (one replay's drain order would otherwise
-        interleave with another's).
+        Returns a summary: letters ``replayed``, ``succeeded``,
+        ``failed`` and ``deferred`` (a detection queued behind an open
+        :meth:`batch` or evaluation, which runs when that ends), and the
+        ``actions`` the replay executed.
         """
+        summary = dict.fromkeys(("replayed", "succeeded", "failed",
+                                 "deferred", "actions"), 0)
+        queue = self.grh.resilience.dead_letters
         with self._replay_lock:
-            return self._replay_drained(limit)
-
-    def _replay_drained(self, limit: int | None) -> dict:
-        letters = self.grh.resilience.dead_letters.drain(limit)
-        summary = {"replayed": 0, "succeeded": 0, "failed": 0, "actions": 0}
-        for letter in letters:
-            summary["replayed"] += 1
-            if letter.kind == "action":
+            for letter in queue.pending(limit):
+                summary["replayed"] += 1
+                if letter.kind != "action":
+                    summary[self._replay_detection(letter)] += 1
+                    continue
                 try:
                     # the letter is its own exactly-once guard: it hands
                     # back the keys its tuples were first dispatched under
@@ -826,66 +827,40 @@ class ECAEngine:
                         letter.component_id, letter.spec, letter.bindings,
                         guard=letter)
                 except GRHError as exc:
-                    # execute_action re-parked the still-failing tuples;
-                    # partial progress still counts as executed actions
-                    if isinstance(exc, ActionExecutionError) and \
-                            exc.executed:
-                        summary["actions"] += exc.executed
-                        self._bump("actions", exc.executed)
-                    summary["failed"] += 1
-                    continue
-                summary["succeeded"] += 1
-                summary["actions"] += executed
-                self._bump("actions", executed)
-            else:
-                # track the replayed instance itself: diffing the global
-                # ``failed`` counter misattributed a *chained* rule's
-                # failure (triggered during this replay) to the letter
-                # even when the letter's own rule completed fine
-                replayed = self._replay_detection(letter.detection)
-                if replayed is not None and replayed.status == "failed":
+                    # a failure part-way parked the rest in the letter's
+                    # place, which settles it; partial progress counts
+                    executed = getattr(exc, "executed", 0)
                     summary["failed"] += 1
                 else:
+                    queue.settle(letter, executed)
                     summary["succeeded"] += 1
+                summary["actions"] += executed
+                self._bump("actions", executed)
         return summary
 
-    def _replay_detection(self, detection: Detection) -> RuleInstance | None:
-        """Re-drive one parked detection; returns *its* instance (not a
-        chained one), or ``None`` if no rule matched it anymore.
-
-        Replay always runs on the caller's thread through the runtime's
-        caller queue — even with lanes running — so letters re-run in
-        their deterministic drain order (journal sequence) and the
-        returned instance is final when this returns.
-        """
-        if self.durability is not None and detection.detection_id is not None:
-            # the detection was marked done when its letter was parked;
-            # an intentional replay must pass the duplicate filter
-            self.durability.forget(detection.detection_id)
+    def _replay_detection(self, letter) -> str:
+        """Re-drive one parked detection on the caller's thread (through
+        the runtime's caller queue, even with lanes running); the
+        outcome of *its* instance."""
+        detection = letter.detection
         if self.durability is not None:
-            admitted = self.durability.admit(detection)
-            if admitted is None:
-                return None
-            detection = admitted
-        captured: list[RuleInstance] = []
-
-        def observe(instance: RuleInstance, handled: Detection) -> None:
-            # match on the exact detection object being replayed:
-            # runtime workers create instances for unrelated detections
-            # concurrently, and capturing "the first instance by any
-            # thread" mis-attributed their outcomes to this letter
-            if handled is detection and not captured:
-                captured.append(instance)
-
-        with self._observer_lock:
-            self._instance_observers.append(observe)
+            # its det record settles the letter and passes the duplicate
+            # filter the detection's first done record set
+            detection = self.durability.admit(detection, letter)
+            if detection is None:
+                return "failed"     # still in flight: the letter stays
+        self.grh.resilience.dead_letters.settle(letter, 0)
+        slot = self._replay_slot = [detection, letter.attempts, None]
         try:
             self.runtime.submit(detection, self._priority_of(detection),
                                 here=True)
         finally:
-            with self._observer_lock:
-                self._instance_observers.remove(observe)
-        return captured[0] if captured else None
+            self._replay_slot = None
+        instance = slot[2]
+        if instance is None:
+            # queued behind a batch, or no rule matches it any more
+            return "deferred" if self.runtime.caller_busy else "succeeded"
+        return "failed" if instance.status == "failed" else "succeeded"
 
     # -- introspection ---------------------------------------------------------------------
 

@@ -11,7 +11,8 @@ that property:
   optionally fsync'd write-ahead journal of every state transition:
   rule (de)registrations, detection arrivals, one intent record per
   action (every tuple key, before dispatch), instance outcomes with
-  their credited action counts, and dead-letter park/drain events;
+  their credited action counts, and each dead letter's park and
+  settlement;
 * :mod:`~repro.durability.checkpoint` — a compacting checkpointer that
   atomically snapshots engine + dead-letter state and truncates the
   journal (epoch-numbered so a crash between snapshot and truncation is

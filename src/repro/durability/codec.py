@@ -1,4 +1,5 @@
-"""Compact journal encodings for detections, bindings and tuple keys.
+"""Compact journal encodings for detections, dead letters, bindings and
+tuple keys.
 
 The journal sits on the engine's hot path (several records per
 detection), so the hot record kinds are encoded straight to JSON *text*
@@ -24,10 +25,13 @@ from json.encoder import encode_basestring_ascii as _esc
 
 from ..bindings import Binding, Relation
 from ..bindings.values import Uri
+from ..grh.component import ComponentSpec
 from ..grh.messages import Detection
+from ..grh.resilience import DeadLetter
 from ..xmlmodel import Element, parse, serialize
 
-__all__ = ["encode_detection", "decode_detection", "tuple_key"]
+__all__ = ["encode_detection", "decode_detection", "encode_letter",
+           "decode_letter", "tuple_key"]
 
 
 def _encode_value(value) -> tuple[str, str]:
@@ -62,21 +66,11 @@ def _decode_value(tag: str, text: str):
     raise ValueError(f"unknown value tag {tag!r}")
 
 
-def encode_detection(detection: Detection) -> str:
-    """The JSON text of one detection, for embedding in a ``det`` record.
-
-    Hand-assembled (C-escaped strings, direct concatenation): this runs
-    once per detection on the happy path.
-    """
-    parts = ['{"c":', _esc(detection.component_id),
-             ',"s":', repr(float(detection.start)),
-             ',"e":', repr(float(detection.end)),
-             ',"id":',
-             "null" if detection.detection_id is None
-             else _esc(detection.detection_id),
-             ',"b":[']
+def _encode_rows(parts: list, relation) -> None:
+    """Append the JSON array of *relation*'s tuples to *parts*."""
+    parts.append("[")
     first_row = True
-    for binding in detection.bindings:
+    for binding in relation:
         # Binding inherits the generic Mapping.items() (one Python
         # __getitem__ per entry); its backing dict iterates at C speed
         row = binding._data if isinstance(binding, Binding) else binding
@@ -95,7 +89,30 @@ def encode_detection(detection: Detection) -> str:
             parts.append(_esc(text))
             parts.append("]")
         parts.append("]")
-    parts.append('],"ev":[')
+    parts.append("]")
+
+
+def _decode_rows(rows) -> Relation:
+    return Relation([Binding({name: _decode_value(tag, text)
+                              for name, tag, text in row})
+                     for row in rows])
+
+
+def encode_detection(detection: Detection) -> str:
+    """The JSON text of one detection, for embedding in a ``det`` record.
+
+    Hand-assembled (C-escaped strings, direct concatenation): this runs
+    once per detection on the happy path.
+    """
+    parts = ['{"c":', _esc(detection.component_id),
+             ',"s":', repr(float(detection.start)),
+             ',"e":', repr(float(detection.end)),
+             ',"id":',
+             "null" if detection.detection_id is None
+             else _esc(detection.detection_id),
+             ',"b":']
+    _encode_rows(parts, detection.bindings)
+    parts.append(',"ev":[')
     parts.append(",".join(_esc(serialize(payload))
                           for payload in detection.events))
     parts.append("]}")
@@ -111,13 +128,49 @@ def decode_detection(data: dict | str) -> Detection:
     """
     if isinstance(data, str):
         data = json.loads(data)
-    bindings = Relation([
-        Binding({name: _decode_value(tag, text)
-                 for name, tag, text in row})
-        for row in data["b"]])
     events = tuple(parse(payload) for payload in data["ev"])
-    return Detection(data["c"], data["s"], data["e"], bindings, events,
+    return Detection(data["c"], data["s"], data["e"],
+                     _decode_rows(data["b"]), events,
                      detection_id=data["id"])
+
+
+def encode_letter(letter: DeadLetter) -> str:
+    """The JSON text of one dead letter, for a ``park`` record or the
+    checkpoint's ``dlq`` (its ``seq`` travels beside it): a detection
+    letter's detection as :func:`encode_detection` writes it; an action
+    letter's component, unexecuted tuples and their ``dedup`` keys."""
+    parts = ['{"k":"', letter.kind, '","e":', _esc(letter.error),
+             ',"a":', str(letter.attempts)]
+    if letter.detection is not None:
+        parts += [',"d":', encode_detection(letter.detection)]
+    spec = letter.spec
+    if spec is not None:
+        opaque = spec.opaque is not None
+        parts += [',"c":', _esc(letter.component_id),
+                  ',"l":', _esc(spec.language), ',"o":' if opaque else ',"x":',
+                  _esc(spec.opaque if opaque else serialize(spec.content)),
+                  ',"dd":', json.dumps(letter.dedups), ',"b":']
+        _encode_rows(parts, letter.bindings)
+    parts.append("}")
+    return "".join(parts)
+
+
+def decode_letter(data: dict | str, seq: int) -> DeadLetter:
+    """Inverse of :func:`encode_letter` (parsed object or JSON text);
+    ``enqueued_at`` is process-local and restores as 0.0."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    letter = DeadLetter(data["k"], data["e"], attempts=data["a"], seq=seq)
+    if "d" in data:
+        letter.detection = decode_detection(data["d"])
+    if "l" in data:
+        letter.component_id = data["c"]
+        letter.spec = ComponentSpec(
+            "action", data["l"], opaque=data.get("o"),
+            content=parse(data["x"]) if "x" in data else None)
+        letter.bindings = _decode_rows(data["b"])
+        letter.dedups = None if data["dd"] is None else tuple(data["dd"])
+    return letter
 
 
 def tuple_key(binding: Binding) -> str:

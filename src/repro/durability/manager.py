@@ -24,10 +24,10 @@ from json.encoder import encode_basestring_ascii as _esc
 from time import perf_counter as _perf_counter
 
 from ..grh.messages import Detection
+from ..grh.resilience import DeadLetter
 from ..obs.metrics import Histogram
-from ..xmlmodel import serialize
 from .checkpoint import CHECKPOINT_NAME, Checkpointer
-from .codec import encode_detection, tuple_key
+from .codec import encode_detection, encode_letter, tuple_key
 from .journal import JOURNAL_NAME, Journal
 from .recovery import read_state
 
@@ -136,8 +136,8 @@ class DurabilityManager:
         """Bind to the engine and make its dead-letter queue durable."""
         self.engine = engine
         queue = engine.grh.resilience.dead_letters
-        queue.on_append = self._on_dead_letter_append
-        queue.on_drain = self._on_dead_letter_drain
+        queue.on_park = self._on_park
+        queue.on_settle = self._on_settle
 
     @property
     def records_since_checkpoint(self) -> int:
@@ -159,12 +159,17 @@ class DurabilityManager:
 
     # -- detection lifecycle -------------------------------------------------
 
-    def admit(self, detection: Detection) -> Detection | None:
+    def admit(self, detection: Detection,
+              replayed: DeadLetter | None = None) -> Detection | None:
         """Journal an arriving detection; ``None`` for duplicates.
 
         Event services deliver at-least-once; a detection id already
         completed (or currently in flight) is redelivery and is dropped
         — this is the exactly-once half the journal cannot give alone.
+        A detection re-driven from its dead letter *replayed* passes a
+        completed id: its ``det`` record carries the letter's ``seq``
+        (``r``), which settles the letter and clears the id from
+        ``done``.
         """
         with self._lock:
             state = self.state
@@ -173,12 +178,15 @@ class DurabilityManager:
                     detection,
                     detection_id=f"engine:{state.next_detection}")
             det_id = detection.detection_id
-            if det_id in state.done or det_id in state.in_flight:
+            if det_id in state.in_flight or (replayed is None
+                                             and det_id in state.done):
                 return None
             data = encode_detection(detection)
-            self.journal.append_encoded('{"t":"det","id":' + _esc(det_id)
-                                        + ',"d":' + data + "}")
-            state.detected(det_id, data)
+            seq = None if replayed is None else replayed.seq
+            self.journal.append_encoded(
+                '{"t":"det","id":' + _esc(det_id) + ',"d":' + data
+                + ("}" if seq is None else ',"r":' + str(seq) + "}"))
+            state.detected(det_id, data, seq)
             return detection
 
     def instance_for(self, detection: Detection, counter) -> int:
@@ -202,17 +210,6 @@ class DurabilityManager:
                      detection_id: str | None) -> _ActionGuard:
         return _ActionGuard(self, instance_id, action_index, detection_id)
 
-    def forget(self, detection_id: str) -> None:
-        """Erase a completed detection id so it can be replayed on purpose.
-
-        Used by ``replay_dead_letters``: a parked detection was marked
-        done when its letter was journaled, so an intentional re-drive
-        must first clear the duplicate filter.
-        """
-        with self._lock:
-            if detection_id in self.state.done:
-                self._journal({"t": "forget", "id": detection_id})
-
     def detection_done(self, detection_id: str, status: str,
                        instance_id: int | None = None,
                        actions: int = 0) -> None:
@@ -233,25 +230,39 @@ class DurabilityManager:
 
     # -- dead letter durability ----------------------------------------------
 
-    def _on_dead_letter_append(self, letter) -> None:
+    def _on_park(self, letter: DeadLetter,
+                 replaces: DeadLetter | None) -> None:
         """Journal a parked letter, linked to the in-flight detection it
-        settles: a detection letter names its detection, an action
-        letter's keys name the instance that journaled them."""
-        record = {"t": "park", "xml": serialize(letter.to_xml())}
+        settles (a detection letter names its detection, an action
+        letter's keys name the instance that journaled them) and to the
+        letter it replaces, which the record settles."""
+        head = '{"t":"park","seq":' + str(letter.seq)
+        replaced = None
+        if replaces is not None:
+            replaced = replaces.seq
+            head += ',"replaces":' + str(replaced)
         det_id = instance_id = None
         with self._lock:
             if letter.kind == "detection":
                 if letter.detection is not None and \
                         letter.detection.detection_id in self.state.in_flight:
-                    det_id = record["det"] = letter.detection.detection_id
+                    det_id = letter.detection.detection_id
+                    head += ',"det":' + _esc(det_id)
             elif letter.dedups and letter.dedups[0]:
-                instance_id = record["inst"] = \
-                    int(letter.dedups[0].split(":", 1)[0])
-            self.journal.append(record)
-            self.state.parked(letter, det_id, instance_id)
+                instance_id = int(letter.dedups[0].split(":", 1)[0])
+                head += ',"inst":' + str(instance_id)
+            self.journal.append_encoded(head + ',"l":' + encode_letter(letter)
+                                        + "}")
+            self.state.parked(letter, det_id, instance_id, replaced)
 
-    def _on_dead_letter_drain(self, count: int) -> None:
-        self._journal({"t": "drain", "n": count})
+    def _on_settle(self, letter: DeadLetter, actions: int) -> None:
+        """Journal a settled letter and the tuples its replay ran — unless
+        the journal already settled it (a replayed detection's ``det``
+        record does)."""
+        with self._lock:
+            if letter.seq in self.state.dead_letters:
+                self._journal({"t": "settle", "seq": letter.seq,
+                               "n": actions})
 
     # -- checkpointing -------------------------------------------------------
 
@@ -282,7 +293,7 @@ class DurabilityManager:
             state.epoch += 1
             if self.engine is not None:
                 # the engine's counters also hold what no record carries
-                # (evictions, dead-letter replays): rebase on them
+                # (evictions): rebase on them
                 state.stats = dict(self.engine.stats)
             self.checkpointer.write(state.snapshot())
             self.journal.restart(state.epoch)

@@ -23,7 +23,11 @@ Replay semantics (PROTOCOL.md §7):
   the narrow window between the park and the ``done`` record) is closed
   as failed instead of re-driven — its remediation already lives in the
   dead-letter queue, and re-driving it would park a duplicate letter;
-* stats are counted from ``done`` records only.
+* a dead letter is parked until a record settles it: ``settle``, the
+  ``park`` that ``replaces`` it, or its replayed detection's ``det``
+  (``r``) — a crash mid-replay keeps every unsettled letter;
+* stats are counted from ``done`` records, plus the tuples a letter's
+  replay ran (``settle``'s ``n``, or what a replacement no longer holds).
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..grh.resilience import DeadLetter
-from ..xmlmodel import parse, serialize
 from .checkpoint import CHECKPOINT_NAME, Checkpointer
+from .codec import decode_letter, encode_letter
 from .journal import JOURNAL_NAME, JournalReader
 
 __all__ = ["RecoveredState", "InFlightRecord", "read_state"]
@@ -69,7 +73,8 @@ class RecoveredState:
     #: journaled idempotency keys ``(action_index, tuple_key)`` of every
     #: instance without a ``done`` record, by instance id
     executed: dict[int, set[tuple[int, str]]] = field(default_factory=dict)
-    dead_letters: list[DeadLetter] = field(default_factory=list)
+    #: the parked letters, by ``seq`` (insertion order is seq order)
+    dead_letters: dict[int, DeadLetter] = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
     epoch: int = 0
     #: the journal's epoch predates the checkpoint (crash between
@@ -78,9 +83,15 @@ class RecoveredState:
 
     # -- transitions ---------------------------------------------------------
 
-    def detected(self, det_id: str, data: dict | str) -> None:
-        """``det``: a detection arrived and is in flight until ``done``."""
+    def detected(self, det_id: str, data: dict | str,
+                 replayed: int | None = None) -> None:
+        """``det``: a detection arrived and is in flight until ``done``;
+        a replayed one settles its letter (*replayed* is its ``seq``)
+        and is no longer done."""
         self.in_flight[det_id] = InFlightRecord(data)
+        if replayed is not None:
+            self.done.pop(det_id, None)
+            self.dead_letters.pop(replayed, None)
         if det_id.startswith("engine:"):
             try:
                 self.next_detection = max(self.next_detection,
@@ -103,7 +114,7 @@ class RecoveredState:
                  actions: int) -> None:
         """``done``: the detection's instance ended with *status* after
         *actions* credited executions (``dropped``: it never became an
-        instance).  This is the only place stats are counted."""
+        instance).  The only place instances are counted."""
         entry = self.in_flight.pop(det_id, None)
         if instance_id is None and entry is not None:
             instance_id = entry.instance_id
@@ -118,15 +129,18 @@ class RecoveredState:
             stats = self.stats
             for key in ("detections", "instances", status):
                 stats[key] = stats.get(key, 0) + 1
-            if actions:
-                stats["actions"] = stats.get("actions", 0) + actions
+            self.credit(actions)
 
     def parked(self, letter: DeadLetter, det_id: str | None,
-               instance_id: int | None) -> None:
+               instance_id: int | None, replaces: int | None = None) -> None:
         """``park``: a letter joined the queue; the in-flight detection
         it settles (named by id, or by the instance its keys belong to)
-        is marked parked."""
-        self.dead_letters.append(letter)
+        is marked parked.  A letter that *replaces* another (the suffix
+        its replay left) settles it, crediting the tuples that ran."""
+        replaced = self.dead_letters.pop(replaces, None)
+        if replaced is not None and replaced.bindings is not None:
+            self.credit(len(replaced.bindings) - len(letter.bindings))
+        self.dead_letters[letter.seq] = letter
         entry = self.in_flight.get(det_id)
         if entry is not None:
             entry.parked = True
@@ -135,11 +149,21 @@ class RecoveredState:
                 if entry.instance_id == instance_id:
                     entry.parked = True
 
+    def settled(self, seq: int, actions: int) -> None:
+        """``settle``: a letter left the queue after its replay ran
+        *actions* tuples (0 for an overflow drop)."""
+        self.dead_letters.pop(seq, None)
+        self.credit(actions)
+
+    def credit(self, actions: int) -> None:
+        if actions:
+            self.stats["actions"] = self.stats.get("actions", 0) + actions
+
     def apply(self, record: dict) -> None:
         """Fold one journal record into the state."""
         kind = record.get("t")
         if kind == "det":
-            self.detected(record["id"], record["d"])
+            self.detected(record["id"], record["d"], record.get("r"))
         elif kind == "exec":
             self.intended(int(record["inst"]), int(record["a"]),
                           record["k"], record.get("id"))
@@ -149,16 +173,15 @@ class RecoveredState:
                           None if instance_id is None else int(instance_id),
                           int(record.get("n", 0)))
         elif kind == "park":
-            self.parked(DeadLetter.from_xml(parse(record["xml"])),
-                        record.get("det"), record.get("inst"))
+            self.parked(decode_letter(record["l"], int(record["seq"])),
+                        record.get("det"), record.get("inst"),
+                        record.get("replaces"))
+        elif kind == "settle":
+            self.settled(int(record["seq"]), int(record["n"]))
         elif kind == "rule-add":
             self.rules[record["rule"]] = record["src"]
         elif kind == "rule-del":
             self.rules.pop(record["rule"], None)
-        elif kind == "forget":
-            self.done.pop(record["id"], None)
-        elif kind == "drain":
-            del self.dead_letters[:int(record["n"])]
         # unknown kinds are skipped: newer writers stay readable by being
         # additive, and a reader never hard-fails on a single odd record
 
@@ -168,7 +191,7 @@ class RecoveredState:
         if instance_id is None:
             return 0
         prefix = f"{instance_id}:"
-        held = sum(1 for letter in self.dead_letters
+        held = sum(1 for letter in self.dead_letters.values()
                    for dedup in letter.dedups or ()
                    if dedup and dedup.startswith(prefix))
         return max(len(self.executed.get(instance_id, ())) - held, 0)
@@ -189,8 +212,8 @@ class RecoveredState:
             "executed": [[inst, action, key]
                          for inst, keys in self.executed.items()
                          for action, key in sorted(keys)],
-            "dlq": [serialize(letter.to_xml())
-                    for letter in self.dead_letters],
+            "dlq": [[seq, encode_letter(letter)]
+                    for seq, letter in self.dead_letters.items()],
             "stats": dict(self.stats),
         }
 
@@ -202,8 +225,8 @@ class RecoveredState:
             max_instance=int(checkpoint.get("max_instance", 0)),
             done=OrderedDict((det_id, status) for det_id, status
                              in checkpoint.get("done", [])),
-            dead_letters=[DeadLetter.from_xml(parse(letter_xml))
-                          for letter_xml in checkpoint.get("dlq", [])],
+            dead_letters={int(seq): decode_letter(data, int(seq))
+                          for seq, data in checkpoint.get("dlq", [])},
             stats=dict(checkpoint.get("stats", {})),
             epoch=int(checkpoint.get("epoch", 0)))
         for entry in checkpoint.get("in_flight", []):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..bindings import PLACEHOLDER
-from ..xmlmodel import Element
+from ..xmlmodel import ECA_NS, Element, QName, Text
 
 __all__ = ["ComponentSpec", "opaque_placeholders"]
 
@@ -41,6 +41,16 @@ class ComponentSpec:
     @property
     def is_opaque(self) -> bool:
         return self.opaque is not None
+
+    def payload(self) -> Element:
+        """The component as a request to a framework-aware service
+        carries it: its markup, or its opaque text in ``eca:opaque``."""
+        if self.content is not None:
+            return self.content
+        element = Element(QName(ECA_NS, "opaque"),
+                          {QName(None, "language"): self.language})
+        element.append(Text(self.opaque))
+        return element
 
     def consumed_variables(self) -> set[str] | None:
         """Input variables, when statically determinable (opaque only)."""

@@ -501,10 +501,8 @@ class GenericRequestHandler:
         route = self.route(spec.language)
         if not route.descriptor.framework_aware:
             return self._evaluate_unaware(route, spec, bindings)
-        content = spec.content if spec.content is not None \
-            else _opaque_element(spec)
         response = self._send(route, Request("query", component_id,
-                                             content, bindings))
+                                             spec.payload(), bindings))
         return self._relation_from_answers(response, spec)
 
     def _relation_from_answers(self, response: Element,
@@ -627,10 +625,8 @@ class GenericRequestHandler:
     def evaluate_test(self, component_id: str, spec: ComponentSpec,
                       bindings: Relation) -> Relation:
         """Delegate a test component to its service; returns survivors."""
-        content = spec.content if spec.content is not None \
-            else _opaque_element(spec)
         response = self._send(self.route(spec.language),
-                              Request("test", component_id, content,
+                              Request("test", component_id, spec.payload(),
                                       bindings))
         if response.name != _ANSWERS:
             raise GRHError("test service must answer log:answers")
@@ -685,8 +681,7 @@ class GenericRequestHandler:
             except GRHError as exc:
                 outcomes[position] = exc
                 continue
-            content = spec.content if spec.content is not None \
-                else _opaque_element(spec)
+            content = spec.payload()
             tuples = list(slot.bindings)
             guard = slot.guard
             dedups = guard.begin(tuples) if guard is not None else None
@@ -720,25 +715,33 @@ class GenericRequestHandler:
             for (position, request), reply in zip(members, replies):
                 if isinstance(reply, GRHError):
                     outcomes[position] = self._park_action(
-                        slots[position].spec, request, reply)
+                        slots[position], request, reply)
                 else:
                     outcomes[position] = len(request.bindings)
         return outcomes
 
-    def _park_action(self, spec: ComponentSpec, request: Request,
+    def _park_action(self, slot: ActionSlot, request: Request,
                      exc: GRHError) -> ActionExecutionError:
         """Park the unexecuted suffix of a failed action request; the
-        error the caller gets for it."""
+        error the caller gets for it.  When the slot replays a dead
+        letter (the letter is its guard), the suffix replaces it."""
         tuples = list(request.bindings)
         executed = _reported_prefix(exc, len(tuples))
         remaining = Relation(tuples[executed:])
         dedups = request.dedups
-        self.resilience.dead_letters.append(DeadLetter(
+        replayed = slot.guard if isinstance(slot.guard, DeadLetter) else None
+        letter = DeadLetter(
             kind="action", error=str(exc),
             enqueued_at=self.resilience.clock(),
-            component_id=request.component_id, spec=spec,
-            content=request.content, bindings=remaining,
-            dedups=dedups[executed:] if dedups is not None else None))
+            attempts=1 if replayed is None else replayed.attempts + 1,
+            component_id=request.component_id, spec=slot.spec,
+            bindings=remaining,
+            dedups=dedups[executed:] if dedups is not None else None)
+        queue = self.resilience.dead_letters
+        if replayed is None:
+            queue.append(letter)
+        else:
+            queue.settle(replayed, executed, letter)
         observer = self.resilience.observer
         if observer is not None:
             observer("dead_letter", request.component_id)
@@ -837,15 +840,6 @@ def _reported_prefix(exc: GRHError, sent: int) -> int:
     executed = cause.executed if isinstance(cause, ServiceReportedError) \
         else None
     return executed if executed is not None and executed < sent else 0
-
-
-def _opaque_element(spec: ComponentSpec) -> Element:
-    """Wrap opaque text for transmission to a framework-aware service."""
-    from ..xmlmodel import ECA_NS, Text
-    element = Element(QName(ECA_NS, "opaque"),
-                      {QName(None, "language"): spec.language})
-    element.append(Text(spec.opaque or ""))
-    return element
 
 
 def _unbound_variable(name: str) -> GRHError:

@@ -33,8 +33,7 @@ from ..xmlmodel.nodes import trusted_element
 __all__ = ["Request", "Detection", "request_to_xml", "xml_to_request",
            "detection_to_xml", "xml_to_detection", "ok_message",
            "error_message", "is_error", "error_text", "error_executed",
-           "dead_letter_to_xml",
-           "xml_to_dead_letter", "MessageError", "REQUEST_KINDS",
+           "dead_letter_to_xml", "MessageError", "REQUEST_KINDS",
            "batch_to_xml", "xml_to_batch", "is_batch",
            "batch_results_to_xml", "xml_to_batch_results"]
 
@@ -278,35 +277,6 @@ def dead_letter_to_xml(kind: str, error: str, attempts: int,
     return trusted_element(_DEADLETTER,
                            {_KIND: kind, _ATTEMPTS: str(attempts)},
                            {"log": LOG_NS}, children)
-
-
-def xml_to_dead_letter(element: Element) -> tuple[str, str, int,
-                                                  Element | None]:
-    """Parse ``log:deadletter`` back into ``(kind, error, attempts,
-    payload)``.
-
-    The inverse of :func:`dead_letter_to_xml`; the durable dead-letter
-    store journals letters as markup and rebuilds them on recovery via
-    :meth:`repro.grh.resilience.DeadLetter.from_xml`.
-    """
-    if element.name != _DEADLETTER:
-        raise MessageError(
-            f"expected log:deadletter, got {element.name.clark}")
-    kind = element.attributes.get(_KIND)
-    if kind not in ("detection", "action"):
-        raise MessageError(f"unknown dead letter kind {kind!r}")
-    try:
-        attempts = int(element.attributes.get(_ATTEMPTS, "1"))
-    except ValueError as exc:
-        raise MessageError("invalid dead letter attempts") from exc
-    error_element = element.find(_ERROR)
-    error = error_element.text() if error_element is not None else ""
-    payload = None
-    for child in element.elements():
-        if child.name != _ERROR:
-            payload = child.copy()
-            break
-    return kind, error, attempts, payload
 
 
 def is_error(element: Element) -> bool:

@@ -36,7 +36,6 @@ import concurrent.futures
 import threading
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TYPE_CHECKING
 
@@ -260,18 +259,19 @@ class DeadLetter:
     kind: str
     error: str
     enqueued_at: float = 0.0
+    #: 1 when first parked; a letter re-parked by a failed replay has
+    #: the replayed letter's count plus one
     attempts: int = 1
-    #: park-order sequence stamped by the queue (the letter's journal
-    #: sequence under a durable engine): replay follows it so the same
-    #: set of letters always replays in the same, reproducible order —
-    #: even when concurrent workers parked them in racing interleavings
+    #: park-order sequence stamped by the queue and journaled with the
+    #: letter: replay follows it so the same set of letters always
+    #: replays in the same, reproducible order — even when concurrent
+    #: workers parked them in racing interleavings
     seq: int = 0
     #: detection letters
     detection: Detection | None = None
     #: action letters
     component_id: str | None = None
     spec: "ComponentSpec | None" = None
-    content: "Element | None" = None
     bindings: "Relation | None" = None
     #: the idempotency key each tuple of ``bindings`` was dispatched
     #: under (``None`` when the engine is not durable): replay sends them
@@ -294,83 +294,39 @@ class DeadLetter:
             payload = detection_to_xml(self.detection)
         elif self.kind == "action" and self.bindings is not None:
             payload = request_to_xml(Request("action", self.component_id,
-                                             self.content, self.bindings,
+                                             self.spec.payload(),
+                                             self.bindings,
                                              dedups=self.dedups))
         return dead_letter_to_xml(self.kind, self.error, self.attempts,
                                   payload)
 
-    @classmethod
-    def from_xml(cls, element: "Element") -> "DeadLetter":
-        """Rebuild a letter from its ``log:deadletter`` markup.
-
-        The inverse of :meth:`to_xml`, used by the durability layer to
-        restore the queue on recovery.  ``enqueued_at`` is not carried
-        on the wire and restores as 0.0; for action letters the
-        component spec is reconstructed from the request payload (an
-        ``eca:opaque`` wrapper round-trips to an opaque spec, anything
-        else to a markup spec in the payload's namespace).
-        """
-        from ..xmlmodel import ECA_NS, QName
-        from .component import ComponentSpec
-        from .messages import (xml_to_dead_letter, xml_to_detection,
-                               xml_to_request)
-        kind, error, attempts, payload = xml_to_dead_letter(element)
-        if kind == "detection":
-            detection = (xml_to_detection(payload)
-                         if payload is not None else None)
-            return cls(kind="detection", error=error, attempts=attempts,
-                       detection=detection)
-        if payload is None:
-            raise GRHError("action dead letter carries no request payload")
-        request = xml_to_request(payload)
-        content = request.content
-        if content is None:
-            raise GRHError("action dead letter request has no component")
-        if content.name == QName(ECA_NS, "opaque"):
-            spec = ComponentSpec("action", content.get("language", ""),
-                                 opaque=content.text())
-        else:
-            spec = ComponentSpec("action", content.name.uri or "",
-                                 content=content)
-        return cls(kind="action", error=error, attempts=attempts,
-                   component_id=request.component_id, spec=spec,
-                   content=content, bindings=request.bindings,
-                   dedups=request.dedups)
-
 
 class DeadLetterQueue:
-    """Bounded FIFO of :class:`DeadLetter`; oldest dropped when full.
+    """Bounded FIFO of :class:`DeadLetter`, in ``seq`` (park) order.
 
-    ``on_append``/``on_drain`` are observer hooks the durability layer
-    installs to journal queue mutations (a drop on overflow is reported
-    as a front drain of one, which is what it is).  :meth:`restore`
-    refills the queue on recovery *without* firing the hooks — the
-    letters are already journaled.
+    A letter joins through :meth:`append` and leaves only through
+    :meth:`settle`; replay walks :meth:`pending`, which removes nothing.
+    ``on_park(letter, replaces)`` and ``on_settle(letter, actions)`` are
+    the hooks the durability layer installs to journal both;
+    :meth:`restore` refills the queue on recovery without them, each
+    letter keeping its journaled ``seq``.
 
-    Thread-safe: concurrent rule instances park letters from several
-    worker threads at once.  Every append stamps the letter's ``seq``
-    under the queue lock — the same total order the durability journal
-    records — and :meth:`drain` returns letters sorted by it, making
-    :meth:`~repro.core.ECAEngine.replay_dead_letters` deterministic
-    regardless of internal queue arrangement.
-
-    Lock discipline: the observer hooks are fired *after* the queue
-    lock is released.  The durability manager's hooks take its own
-    lock, and the manager holds that lock while snapshotting this
-    queue via :meth:`__iter__` (checkpoint) — firing a hook inside the
-    queue lock span is an ABBA deadlock with any concurrent
-    checkpoint.  Journal order still cannot diverge from seq order:
-    ``_hook_lock`` is acquired before the queue lock and held through
-    the hook calls, so mutation order and hook-firing order are the
-    same total order.
+    Thread-safe: workers park concurrently, and every park stamps the
+    letter's ``seq`` under the queue lock.  The hooks fire *after* that
+    lock is released (they take the durability manager's lock, which
+    may be held by whoever iterates this queue — an ABBA deadlock
+    otherwise), but under ``_hook_lock``, acquired first and held
+    through the hooks, so journal order is seq order.
     """
 
     def __init__(self, max_size: int = 1000) -> None:
         self.max_size = max_size
-        self._letters: deque[DeadLetter] = deque()
+        #: by ``seq``; insertion order is seq order
+        self._letters: dict[int, DeadLetter] = {}
         self.dropped = 0
-        self.on_append: Callable[[DeadLetter], None] | None = None
-        self.on_drain: Callable[[int], None] | None = None
+        self.on_park: Callable[[DeadLetter, DeadLetter | None], None] | None \
+            = None
+        self.on_settle: Callable[[DeadLetter, int], None] | None = None
         self._lock = threading.Lock()
         #: serializes mutation + hook firing (see class docstring);
         #: always acquired before ``_lock``, never while holding it
@@ -378,57 +334,54 @@ class DeadLetterQueue:
         self._seq = 0
 
     def append(self, letter: DeadLetter) -> None:
+        """Park a letter."""
+        self._park(letter, None)
+
+    def settle(self, letter: DeadLetter, actions: int,
+               replacement: DeadLetter | None = None) -> None:
+        """Take *letter* out: its replay ran *actions* tuples, and left
+        *replacement* to do, if anything — parked in its place, by one
+        journal record.  A letter no longer held is left alone."""
+        if replacement is not None:
+            self._park(replacement, letter)
+            return
         with self._hook_lock:
-            dropped = 0
             with self._lock:
+                if self._letters.pop(letter.seq, None) is None:
+                    return
+            if self.on_settle is not None:
+                self.on_settle(letter, actions)
+
+    def _park(self, letter: DeadLetter, replaces: DeadLetter | None) -> None:
+        with self._hook_lock:
+            with self._lock:
+                if replaces is not None:
+                    self._letters.pop(replaces.seq, None)
                 self._seq += 1
                 letter.seq = self._seq
-                self._letters.append(letter)
+                self._letters[letter.seq] = letter
+                overflow = []
                 while len(self._letters) > self.max_size:
-                    self._letters.popleft()
-                    self.dropped += 1
-                    dropped += 1
-            if self.on_append is not None:
-                self.on_append(letter)
-            if dropped and self.on_drain is not None:
-                # a drop on overflow is a front drain of one
-                self.on_drain(dropped)
+                    overflow.append(self._letters.pop(next(iter(
+                        self._letters))))
+                self.dropped += len(overflow)
+            if self.on_park is not None:
+                self.on_park(letter, replaces)
+            if self.on_settle is not None:
+                for dropped in overflow:
+                    self.on_settle(dropped, 0)
 
-    def drain(self, limit: int | None = None) -> list[DeadLetter]:
-        """Remove and return up to ``limit`` letters, oldest first.
-
-        The returned letters are sorted by park sequence (journal
-        order), so replay is reproducible: concurrent parking cannot
-        reorder what a later replay will do.
-        """
-        with self._hook_lock:
-            with self._lock:
-                count = len(self._letters) if limit is None else min(
-                    limit, len(self._letters))
-                letters = [self._letters.popleft() for _ in range(count)]
-            if letters and self.on_drain is not None:
-                self.on_drain(len(letters))
-        return sorted(letters, key=lambda letter: letter.seq)
+    def pending(self, limit: int | None = None) -> list[DeadLetter]:
+        """Up to *limit* letters, oldest first, left in the queue."""
+        with self._lock:
+            letters = list(self._letters.values())
+        return letters if limit is None else letters[:limit]
 
     def restore(self, letters: Iterable[DeadLetter]) -> None:
-        """Refill from recovered letters, bypassing the journal hooks.
-
-        Recovery hands letters in journal order; the re-stamped ``seq``
-        preserves it for the first post-recovery replay.
-        """
         with self._lock:
             for letter in letters:
-                self._seq += 1
-                letter.seq = self._seq
-                self._letters.append(letter)
-
-    def clear(self) -> None:
-        with self._hook_lock:
-            with self._lock:
-                count = len(self._letters)
-                self._letters.clear()
-            if count and self.on_drain is not None:
-                self.on_drain(count)
+                self._seq = max(self._seq, letter.seq)
+                self._letters[letter.seq] = letter
 
     def __len__(self) -> int:
         return len(self._letters)
@@ -436,8 +389,7 @@ class DeadLetterQueue:
     def __iter__(self) -> Iterator[DeadLetter]:
         # iterate a snapshot: a worker parking a letter mid-iteration
         # must not blow up a monitoring scrape
-        with self._lock:
-            return iter(list(self._letters))
+        return iter(self.pending())
 
 
 #: sentinel distinguishing "use the default breaker" from "no breaker"

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bindings import (Binding, MarkupError, Relation, Uri,
-                            answers_to_relation, binding_to_answer,
-                            relation_to_answers, results_from_answer,
-                            value_to_text)
+                            answer_to_binding, answers_to_relation,
+                            binding_to_answer, relation_to_answers,
+                            results_from_answer, value_to_text)
 from repro.xmlmodel import E, LOG_NS, QName, parse, serialize
 
 
@@ -16,6 +16,9 @@ class TestValueMarkup:
     ])
     def test_scalar_roundtrip(self, value):
         answer = binding_to_answer(Binding({"V": value}))
+        single = answer_to_binding(answer)
+        assert single == Binding({"V": value})
+        assert type(single["V"]) is type(value)
         relation = answers_to_relation(
             relation_to_answers(Relation([{"V": value}])))
         (binding,) = relation

@@ -156,7 +156,7 @@ class TestPartialActionReporting:
         # the backend recovers; replay executes exactly the missing tuple
         summary = engine.replay_dead_letters()
         assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
-                           "actions": 1}
+                           "deferred": 0, "actions": 1}
         assert engine.stats["actions"] == 2
         assert actions.calls == 3
         assert engine.grh.stats["dead_letters"] == 0
@@ -230,7 +230,7 @@ class TestWideActionRequests:
         # the keys ride on the replay: every tuple is suppressed, counted
         summary = engine.replay_dead_letters()
         assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
-                           "actions": 3}
+                           "deferred": 0, "actions": 3}
         assert actions.effects == ["1", "2", "3"]       # exactly once
 
     def test_no_answer_without_keys_is_at_least_once(self):
@@ -251,7 +251,8 @@ class TestWideActionRequests:
                                       guard=guard)
         assert raised.value.executed == 1
         assert len(raised.value.remaining) == 2
-        engine.grh.resilience.dead_letters.clear()
+        (letter,) = engine.grh.resilience.dead_letters
+        engine.grh.resilience.dead_letters.settle(letter, 0)
         # the very same request again: suppressed prefix, executed
         # suffix, log:ok — every tuple counts as run
         assert engine.grh.execute_action("r::a0", self.SPEC, self.THREE,

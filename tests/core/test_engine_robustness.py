@@ -13,7 +13,8 @@ from repro.actions import ACTION_NS
 from repro.core import (ECAEngine, EngineError, RuleRepository,
                         RuleValidationError)
 from repro.durability import DurabilityManager
-from repro.grh import Detection
+from repro.grh import (ComponentSpec, Detection, LanguageDescriptor,
+                       error_message)
 from repro.grh.resilience import DeadLetter
 from repro.runtime.pool import _DetectionQueue
 from repro.bindings import Binding, Relation
@@ -179,7 +180,96 @@ class TestReplayAttribution:
             kind="detection", error="injected", detection=detection))
         summary = engine.replay_dead_letters()
         assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
-                           "actions": 0}
+                           "deferred": 0, "actions": 0}
+
+
+DOWN_LANG = "urn:test:down-query"
+
+
+def querying_rule(rule_id="asks", event="ask"):
+    """A rule whose query goes to the DOWN_LANG service."""
+    return f"""
+    <eca:rule {ECA} id="{rule_id}">
+      <eca:event><{event} n="{{N}}"/></eca:event>
+      <eca:query><q xmlns="{DOWN_LANG}">anything</q></eca:query>
+      <eca:action>
+        <act:send {ACT} to="out"><pong n="{{N}}"/></act:send>
+      </eca:action>
+    </eca:rule>
+    """
+
+
+class DownQueryService:
+    """Answers every query with ``log:error``: each instance of
+    :func:`querying_rule` fails before its actions, as a detection
+    letter."""
+
+    def handle(self, message):
+        return error_message("down for maintenance")
+
+
+class TestReplayOutcomes:
+    def parked_detection(self, world):
+        deployment, engine = world
+        deployment.grh.add_service(
+            LanguageDescriptor(DOWN_LANG, "query", "down"),
+            DownQueryService())
+        engine.register_rule(querying_rule())
+        deployment.stream.emit(E("ask", {"n": "1"}))
+        (letter,) = deployment.grh.resilience.dead_letters
+        assert letter.kind == "detection" and letter.attempts == 1
+        return deployment.grh.resilience.dead_letters
+
+    def test_replay_inside_a_batch_is_deferred_not_succeeded(self, world):
+        """The replayed detection only queues behind the open batch: its
+        instance runs at batch exit, fails there and parks again."""
+        deployment, engine = world
+        queue = self.parked_detection(world)
+        with engine.batch():
+            summary = engine.replay_dead_letters()
+            assert len(queue) == 0      # settled; the instance is queued
+        assert summary == {"replayed": 1, "succeeded": 0, "failed": 0,
+                           "deferred": 1, "actions": 0}
+        assert engine.stats["failed"] == 2
+        assert len(queue) == 1
+
+    def test_attempts_count_replays_of_a_detection(self, world):
+        deployment, engine = world
+        queue = self.parked_detection(world)
+        for _ in range(2):
+            assert engine.replay_dead_letters()["failed"] == 1
+        (letter,) = queue
+        assert letter.attempts == 3
+        assert letter.to_xml().get("attempts") == "3"
+
+    def test_attempts_count_replays_of_an_action_suffix(self, world):
+        deployment, engine = world
+        engine.register_rule(failing_rule())
+        deployment.stream.emit(E("boom", {"n": "1"}))
+        queue = deployment.grh.resilience.dead_letters
+        (first,) = queue
+        for _ in range(2):
+            assert engine.replay_dead_letters()["failed"] == 1
+        (letter,) = queue
+        assert letter.attempts == 3
+        assert letter.seq == first.seq + 2      # each replacement parks
+        assert list(letter.bindings) == list(first.bindings)
+
+    def test_replay_without_a_route_keeps_the_letter(self, world):
+        """An action whose language has no route reaches no service:
+        nothing ran and nothing re-parked, so the letter stays as it
+        is."""
+        deployment, engine = world
+        queue = deployment.grh.resilience.dead_letters
+        queue.append(DeadLetter(
+            kind="action", error="injected", component_id="gone::action-0",
+            spec=ComponentSpec("action", "urn:test:unrouted", opaque="do"),
+            bindings=Relation([Binding({"N": "1"})])))
+        summary = engine.replay_dead_letters()
+        assert summary == {"replayed": 1, "succeeded": 0, "failed": 1,
+                           "deferred": 0, "actions": 0}
+        (letter,) = queue
+        assert letter.seq == 1 and letter.attempts == 1
 
 
 def raise_rule(rule_id, event, raised):

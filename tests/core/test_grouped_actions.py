@@ -145,7 +145,7 @@ def test_a_slots_error_fails_only_its_own_instance(build, tmp_path):
     world.effects.done.clear()
     summary = world.engine.replay_dead_letters()
     assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
-                       "actions": 2}
+                       "deferred": 0, "actions": 2}
     assert world.effects.done == [("r2::action-0", "2"),
                                   ("r2::action-0", "3")]
 

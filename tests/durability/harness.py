@@ -13,7 +13,13 @@ transport, registry, GRH, engine, durability manager.
 
 After a crash the driver reboots, recovers, re-delivers every captured
 detection (at-least-once), re-runs the idempotent setup, and finishes
-the event script.  The resulting world must equal an uncrashed oracle.
+the script.  The resulting world must equal an uncrashed oracle.
+
+A script is a sequence of steps: an event to emit, or an operation the
+application runs against the live engine (:func:`replay`,
+:func:`register_document`).  An operation a crash cuts short is run
+again after recovery, as an application re-issues a command that never
+returned.
 """
 
 from __future__ import annotations
@@ -62,6 +68,32 @@ RULES = (OK_RULE, BAD_RULE)
 SCRIPT = (E("ping", {"n": "1"}), E("boom", {"n": "2"}),
           E("ping", {"n": "3"}), E("ping", {"n": "4"}),
           E("boom", {"n": "5"}), E("ping", {"n": "6"}))
+
+
+def replay(limit: int | None = None):
+    """A script step: replay up to *limit* dead letters."""
+    def step(world: "CrashWorld") -> None:
+        world.engine.replay_dead_letters(limit)
+    step.__qualname__ = f"replay({limit})"
+    return step
+
+
+def register_document(name: str = "missing", markup: str = "<x/>"):
+    """A script step: the document BAD_RULE inserts into appears (once:
+    the action runtime survives every crash)."""
+    def step(world: "CrashWorld") -> None:
+        if name not in world.runtime.documents:
+            world.runtime.register_document(name, parse(markup))
+    step.__qualname__ = f"register_document({name!r})"
+    return step
+
+
+#: the replay seam: three letters replayed while their document is
+#: still missing (each re-parked), then for real, between live events
+REPLAY_SCRIPT = (E("ping", {"n": "1"}), E("boom", {"n": "2"}),
+                 E("boom", {"n": "3"}), E("boom", {"n": "4"}), replay(2),
+                 register_document(), replay(2), E("ping", {"n": "5"}),
+                 replay(), E("ping", {"n": "6"}))
 
 
 class CrashingJournal(Journal):
@@ -171,17 +203,22 @@ class CrashWorld:
             self._notify([xml_to_detection(parse(xml))])
 
     def run_script(self, script=SCRIPT, start: int = 0) -> int:
-        """Emit ``script[start:]``; returns the index to resume from
+        """Run ``script[start:]``; returns the index to resume from
         after a crash (the crashed emit counts as delivered iff its
-        detection reached the at-least-once channel)."""
+        detection reached the at-least-once channel; a crashed
+        operation is run again)."""
         for index in range(start, len(script)):
+            step = script[index]
             seen = len(self.captured)
             try:
-                self.stream.emit(script[index].copy())
+                if callable(step):
+                    step(self)
+                else:
+                    self.stream.emit(step.copy())
             except SimulatedCrash:
-                raise _ScriptCrash(
-                    index + 1 if len(self.captured) > seen else index
-                ) from None
+                delivered = not callable(step) and len(self.captured) > seen
+                raise _ScriptCrash(index + 1 if delivered else index) \
+                    from None
         return len(script)
 
     # -- observable state ----------------------------------------------------
@@ -251,4 +288,5 @@ def run_crashing(directory: str, fuse: int, tear: int = 0, script=SCRIPT,
 
 
 __all__ = ["CrashWorld", "CrashingJournal", "run_oracle", "run_crashing",
-           "OK_RULE", "BAD_RULE", "RULES", "SCRIPT", "GRHError"]
+           "replay", "register_document", "OK_RULE", "BAD_RULE", "RULES",
+           "SCRIPT", "REPLAY_SCRIPT", "GRHError"]

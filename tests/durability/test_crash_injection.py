@@ -21,12 +21,13 @@ from repro.runtime import Runtime
 from repro.services import standard_deployment
 from repro.xmlmodel import E, ECA_NS
 
-from .harness import CrashWorld, CrashingJournal, run_crashing, run_oracle
+from .harness import (REPLAY_SCRIPT, SCRIPT, CrashWorld, CrashingJournal,
+                      run_crashing, run_oracle)
 
 SEED = int(os.environ.get("DURABILITY_SEED", "0"))
 
 
-def total_journal_writes(tmp_path) -> int:
+def total_journal_writes(tmp_path, script=SCRIPT) -> int:
     """How many journal writes the uncrashed scenario performs."""
     directory = str(tmp_path / "probe")
     world = CrashWorld(directory)
@@ -34,7 +35,7 @@ def total_journal_writes(tmp_path) -> int:
                               fuse=10 ** 9, sync="none")
     world.boot(journal=journal)
     world.setup_rules()
-    world.run_script()
+    world.run_script(script)
     return journal.writes
 
 
@@ -43,52 +44,82 @@ def oracle(tmp_path_factory):
     return run_oracle(str(tmp_path_factory.mktemp("oracle")))
 
 
+@pytest.fixture(scope="module")
+def replay_oracle(tmp_path_factory):
+    return run_oracle(str(tmp_path_factory.mktemp("replay-oracle")),
+                      REPLAY_SCRIPT)
+
+
+def sweep_every_kill_point(tmp_path, oracle, script=SCRIPT) -> int:
+    writes = total_journal_writes(tmp_path, script)
+    for fuse in range(writes):
+        for tear in (0, 3):
+            directory = str(tmp_path / f"crash-{fuse}-{tear}")
+            state, crashed = run_crashing(directory, fuse=fuse, tear=tear,
+                                          script=script)
+            assert crashed, f"fuse {fuse} never fired"
+            assert state == oracle, \
+                f"divergence at kill point {fuse} (tear {tear})"
+    return writes
+
+
+def sweep_seeded_kill_points(tmp_path, oracle, script=SCRIPT) -> None:
+    import random
+    rng = random.Random(SEED)
+    writes = total_journal_writes(tmp_path, script)
+    for case in range(12):
+        fuse = rng.randrange(writes + 4)  # a few land mid-checkpoint
+        tear = rng.choice((0, 1, 3, 7))
+        directory = str(tmp_path / f"ckpt-{case}")
+        world = CrashWorld(directory)
+        resume, crashed = 0, False
+        try:
+            journal = CrashingJournal(
+                os.path.join(directory, JOURNAL_NAME),
+                fuse=fuse, tear=tear, sync="none")
+            world.boot(journal=journal, checkpoint_interval=5)
+            world.setup_rules()
+            resume = world.run_script(script)
+        except SimulatedCrash as crash:
+            crashed = True
+            resume = getattr(crash, "resume", 0)
+            world.crash()
+        if crashed:
+            world.boot(checkpoint_interval=5)
+            world.engine._replay_in_flight()
+            world.setup_rules()
+            world.redeliver()
+            world.run_script(script, start=resume)
+        assert world.state() == oracle, \
+            f"divergence at seeded kill point {fuse} (tear {tear})"
+
+
 class TestKillPointSweep:
     def test_every_kill_point_recovers_to_oracle(self, tmp_path, oracle):
-        writes = total_journal_writes(tmp_path)
-        assert writes > 20  # the scenario really exercises the journal
-        for fuse in range(writes):
-            for tear in (0, 3):
-                directory = str(tmp_path / f"crash-{fuse}-{tear}")
-                state, crashed = run_crashing(directory, fuse=fuse,
-                                              tear=tear)
-                assert crashed, f"fuse {fuse} never fired"
-                assert state == oracle, \
-                    f"divergence at kill point {fuse} (tear {tear})"
+        # the scenario really exercises the journal
+        assert sweep_every_kill_point(tmp_path, oracle) > 20
 
     def test_seeded_random_kill_points_with_checkpoints(self, tmp_path,
                                                         oracle):
         """Same sweep, randomized (fixed seed) and with aggressive
         checkpointing so kill points also land inside checkpoint
         truncation — the stale-journal window."""
-        import random
-        rng = random.Random(SEED)
-        writes = total_journal_writes(tmp_path)
-        for case in range(12):
-            fuse = rng.randrange(writes + 4)  # a few land mid-checkpoint
-            tear = rng.choice((0, 1, 3, 7))
-            directory = str(tmp_path / f"ckpt-{case}")
-            world = CrashWorld(directory)
-            resume, crashed = 0, False
-            try:
-                journal = CrashingJournal(
-                    os.path.join(directory, JOURNAL_NAME),
-                    fuse=fuse, tear=tear, sync="none")
-                world.boot(journal=journal, checkpoint_interval=5)
-                world.setup_rules()
-                resume = world.run_script()
-            except SimulatedCrash as crash:
-                crashed = True
-                resume = getattr(crash, "resume", 0)
-                world.crash()
-            if crashed:
-                world.boot(checkpoint_interval=5)
-                world.engine._replay_in_flight()
-                world.setup_rules()
-                world.redeliver()
-                world.run_script(start=resume)
-            assert world.state() == oracle, \
-                f"divergence at seeded kill point {fuse} (tear {tear})"
+        sweep_seeded_kill_points(tmp_path, oracle)
+
+    def test_every_kill_point_of_a_replay_recovers_to_oracle(
+            self, tmp_path, replay_oracle):
+        """Kill points inside ``replay_dead_letters`` — failed replays
+        re-parking their letters, then successful ones settling them —
+        recover to the uncrashed run: no letter lost, every effect and
+        every credited action counted once."""
+        assert replay_oracle["dead_letters"] == []
+        assert replay_oracle["stats"]["actions"] == 6
+        assert sweep_every_kill_point(tmp_path, replay_oracle,
+                                      REPLAY_SCRIPT) > 20
+
+    def test_seeded_random_kill_points_of_a_replay(self, tmp_path,
+                                                   replay_oracle):
+        sweep_seeded_kill_points(tmp_path, replay_oracle, REPLAY_SCRIPT)
 
 
 class TestRecoveryOntoWorkerRuntime:

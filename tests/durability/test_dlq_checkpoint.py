@@ -1,12 +1,12 @@
 """Dead-letter parking vs. checkpointing must never deadlock.
 
 Regression: ``DeadLetterQueue.append`` used to fire the durability
-``on_append`` hook while holding the queue lock; the hook takes the
-manager lock.  ``DurabilityManager.checkpoint`` takes the manager lock
-and then iterates the queue (snapshot), which takes the queue lock —
-a classic ABBA deadlock once a worker parks a letter while another
-thread checkpoints.  The queue now fires hooks after releasing its
-lock (under a dedicated ordering lock), breaking the cycle.
+park hook while holding the queue lock; the hook takes the manager
+lock.  Anything holding the manager lock while it iterates the queue
+(which takes the queue lock) is then a classic ABBA deadlock once a
+worker parks a letter at the same time.  The queue fires hooks after
+releasing its lock (under a dedicated ordering lock), breaking the
+cycle.
 """
 
 import threading
@@ -55,14 +55,15 @@ class TestParkCheckpointConcurrency:
         seqs = [letter.seq for letter in queue]
         assert seqs == sorted(seqs)
 
-    def test_drain_and_clear_fire_hooks_outside_queue_lock(self, tmp_path):
-        """drain/clear follow the same discipline: their on_drain hook
-        must be able to take the manager lock while a checkpoint holds
-        it and iterates the queue."""
+    def test_settle_fires_hooks_outside_queue_lock(self, tmp_path):
+        """settle follows the same discipline — a plain settle, a
+        replacement's park and an overflow drop alike: their hooks must
+        be able to take the manager lock while a checkpoint holds it."""
         world = CrashWorld(str(tmp_path))
         engine = world.boot()
         manager = engine.durability
         queue = engine.grh.resilience.dead_letters
+        queue.max_size = 40
         for n in range(50):
             queue.append(DeadLetter(kind="detection",
                                     error=f"e{n}", attempts=1))
@@ -72,9 +73,13 @@ class TestParkCheckpointConcurrency:
                 queue.append(DeadLetter(kind="detection",
                                         error=f"c{n}", attempts=1))
                 if n % 3 == 0:
-                    queue.drain(limit=2)
-                if n % 50 == 49:
-                    queue.clear()
+                    for letter in queue.pending(2):
+                        queue.settle(letter, 0)
+                if n % 5 == 0:
+                    (letter,) = queue.pending(1)
+                    queue.settle(letter, 0, DeadLetter(
+                        kind="detection", error=f"r{n}",
+                        attempts=letter.attempts + 1))
 
         def checkpointer():
             for _ in range(ROUNDS):
@@ -87,4 +92,7 @@ class TestParkCheckpointConcurrency:
         for thread in threads:
             thread.join(15)
         assert not any(thread.is_alive() for thread in threads), \
-            "drain/clear vs checkpoint deadlocked"
+            "settle vs checkpoint deadlocked"
+        # every change was journaled: the durable letters are the queue's
+        assert list(manager.state.dead_letters) == \
+            [letter.seq for letter in queue]

@@ -9,7 +9,8 @@ import pytest
 from repro.actions import ACTION_NS
 from repro.core import ECAEngine, RuleRepository
 from repro.durability import (CHECKPOINT_NAME, DurabilityManager,
-                              JOURNAL_NAME, read_state)
+                              JOURNAL_NAME, JournalReader, read_state)
+from repro.durability.codec import encode_letter
 from repro.grh import xml_to_detection
 from repro.services import standard_deployment
 from repro.xmlmodel import E, ECA_NS, parse, serialize
@@ -72,8 +73,17 @@ def assert_read_back_equals(directory, state):
                          entry.instance_id, entry.parked)
                 for det_id, entry in entries.items()}
     assert in_flight(back.in_flight) == in_flight(state.in_flight)
-    assert [serialize(letter.to_xml()) for letter in back.dead_letters] \
-        == [serialize(letter.to_xml()) for letter in state.dead_letters]
+
+    def letters(state):
+        return [(seq, letter.seq, encode_letter(letter))
+                for seq, letter in state.dead_letters.items()]
+    assert letters(back) == letters(state)
+
+
+def journaled_kinds(directory):
+    return [(record["t"], "r" in record or "replaces" in record)
+            for record in JournalReader(
+                os.path.join(directory, JOURNAL_NAME)).records()]
 
 
 class TestLiveStateIsItsReadBack:
@@ -104,15 +114,36 @@ class TestLiveStateIsItsReadBack:
         manager.checkpoint()
         assert state.epoch == 1
         assert_read_back_equals(directory, state)
-        # drain one letter, forget a finished id, finish the pending one
-        world.grh.resilience.dead_letters.drain(1)
-        manager.forget("atomic-event-matcher:1")
+        # finish the pending one
         manager.detection_done("engine:1", "failed", 9, 1)
         assert not state.in_flight and not state.executed
+        assert state.stats["failed"] == 2 and state.stats["actions"] == 2
+        assert_read_back_equals(directory, state)
+        # a failed action replay: a park that replaces the boom letter
+        boom, parked = world.grh.resilience.dead_letters.pending()
+        summary = world.engine.replay_dead_letters(1)
+        assert summary["failed"] == 1
+        assert journaled_kinds(directory)[-1] == ("park", True)
+        assert list(state.dead_letters) == [parked.seq, boom.seq + 2]
+        assert state.dead_letters[boom.seq + 2].attempts == 2
+        assert_read_back_equals(directory, state)
+        # a detection replay: its det record settles the letter and
+        # clears the id from done; its done record counts the instance
+        assert world.engine.replay_dead_letters(1)["succeeded"] == 1
+        assert ("det", True) in journaled_kinds(directory)
+        assert list(state.dead_letters) == [boom.seq + 2]
+        assert state.done["engine:1"] == "completed"
+        assert state.stats["completed"] == 2 and state.stats["actions"] == 3
+        assert_read_back_equals(directory, state)
+        # a successful action replay: a settle record crediting its tuple
+        world.runtime.register_document("missing", parse("<x/>"))
+        assert world.engine.replay_dead_letters()["succeeded"] == 1
+        assert journaled_kinds(directory)[-1] == ("settle", False)
+        assert not state.dead_letters and state.stats["actions"] == 4
         assert_read_back_equals(directory, state)
         world.run_script((E("ping", {"n": "3"}),))
-        assert state.stats["completed"] == 2
-        assert state.stats["failed"] == 2 and state.stats["actions"] == 3
+        assert state.stats["completed"] == 3
+        assert state.stats["failed"] == 2 and state.stats["actions"] == 5
         assert_read_back_equals(directory, state)
 
 
@@ -316,7 +347,7 @@ class TestDeadLetterDurability:
         world.runtime.register_document("missing", parse("<x/>"))
         summary = world.engine.replay_dead_letters()
         assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
-                           "actions": 1}
+                           "deferred": 0, "actions": 1}
         assert len(world.grh.resilience.dead_letters) == 0
         assert serialize(world.runtime.documents["missing"]) == \
             '<x><y n="7"/></x>'
@@ -349,7 +380,7 @@ class TestDeadLetterDurability:
         assert letter.dedups is not None and all(letter.dedups)
         summary = world.engine.replay_dead_letters()
         assert summary == {"replayed": 1, "succeeded": 1, "failed": 0,
-                           "actions": 1}
+                           "deferred": 0, "actions": 1}
         assert world.effects() == {"out": ['<pong n="1"/>']}    # once
 
     def test_parked_keys_survive_checkpoint_and_recovery(self, directory):
@@ -377,6 +408,108 @@ class TestDeadLetterDurability:
         world.crash()
         world.boot()
         assert world.dead_letters() == []
+
+
+    def test_replayed_actions_stay_credited_after_a_crash(self, directory):
+        world = CrashWorld(directory)
+        world.boot()
+        world.setup_rules()
+        world.run_script((E("boom", {"n": "1"}),))
+        world.runtime.register_document("missing", parse("<x/>"))
+        assert world.engine.replay_dead_letters()["actions"] == 1
+        assert world.engine.stats["actions"] == 1
+        world.crash()
+        world.boot()
+        assert world.engine.stats["actions"] == 1     # the settle's n
+
+    def test_crash_inside_a_replayed_dispatch_keeps_unsettled_letters(
+            self, directory):
+        """The process dies inside the second letter's action: the first
+        letter was settled (its tuple credited), the second and third
+        were not — recovery holds both, and replaying them finishes the
+        job with each effect once."""
+        from repro.durability import SimulatedCrash
+        world = CrashWorld(directory)
+        world.boot()
+        world.setup_rules()
+        world.run_script(tuple(E("boom", {"n": str(n)}) for n in (1, 2, 3)))
+        assert len(world.grh.resilience.dead_letters) == 3
+        world.runtime.register_document("missing", parse("<x/>"))
+        real_action = world.actions.action
+        calls = {"n": 0}
+
+        def crashing_action(request, binding):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise SimulatedCrash("second replayed letter")
+            real_action(request, binding)
+
+        world.actions.action = crashing_action
+        with pytest.raises(SimulatedCrash):
+            world.engine.replay_dead_letters()
+        world.crash()
+        world.actions.action = real_action
+        world.boot()
+        remaining = [letter.bindings for letter
+                     in world.grh.resilience.dead_letters]
+        assert [list(bindings)[0]["N"] for bindings in remaining] == \
+            ["2", "3"]
+        assert serialize(world.runtime.documents["missing"]) == \
+            '<x><y n="1"/></x>'
+        assert world.engine.stats["actions"] == 1
+        summary = world.engine.replay_dead_letters()
+        assert summary["succeeded"] == 2 and summary["actions"] == 2
+        assert serialize(world.runtime.documents["missing"]) == \
+            '<x><y n="1"/><y n="2"/><y n="3"/></x>'
+        assert world.engine.stats["actions"] == 3
+
+    def test_crash_inside_a_replayed_detection_redrives_it(self, directory):
+        """The replayed detection's det record settles its letter: a
+        crash inside the replayed instance leaves no letter behind, and
+        recovery re-drives the detection as in-flight work."""
+        from repro.durability import SimulatedCrash
+        world = CrashWorld(directory)
+        world.boot()
+        world.setup_rules((OK_RULE,))
+        world.run_script((E("ping", {"n": "1"}),))
+        (raw,) = world.captured
+        world.grh.dead_letter_detection(xml_to_detection(parse(raw)),
+                                        "parked by hand")
+        real_action = world.actions.action
+
+        def crashing_action(request, binding):
+            raise SimulatedCrash("inside the replayed instance")
+
+        world.actions.action = crashing_action
+        with pytest.raises(SimulatedCrash):
+            world.engine.replay_dead_letters()
+        world.crash()
+        world.actions.action = real_action
+        world.boot()
+        state = world.engine.durability.state
+        assert world.dead_letters() == []
+        assert list(state.in_flight) == ["atomic-event-matcher:1"]
+        assert "atomic-event-matcher:1" not in state.done
+        world.engine._replay_in_flight()
+        assert world.effects() == {"out": ['<pong n="1"/>'] * 2}
+        assert world.engine.stats["completed"] == 2
+
+    def test_replay_without_a_route_keeps_the_letter(self, directory):
+        from repro.bindings import Binding, Relation
+        from repro.grh import ComponentSpec, DeadLetter
+        world = CrashWorld(directory)
+        world.boot()
+        queue = world.grh.resilience.dead_letters
+        queue.append(DeadLetter(
+            kind="action", error="injected", component_id="gone::action-0",
+            spec=ComponentSpec("action", "urn:test:unrouted", opaque="do"),
+            bindings=Relation([Binding({"N": "1"})])))
+        before = world.dead_letters()
+        assert world.engine.replay_dead_letters()["failed"] == 1
+        assert world.dead_letters() == before
+        world.crash()
+        world.boot()
+        assert world.dead_letters() == before
 
 
 class TestCheckpointing:

@@ -130,14 +130,19 @@ class TestDeadLetterQueue:
         assert queue.dropped == 1
         assert [letter.error for letter in queue] == ["e1", "e2"]
 
-    def test_drain_with_limit(self):
+    def test_pending_with_limit(self):
         queue = DeadLetterQueue()
         for n in range(3):
             queue.append(DeadLetter(kind="detection", error=f"e{n}"))
-        first = queue.drain(2)
+        first = queue.pending(2)
         assert [letter.error for letter in first] == ["e0", "e1"]
+        assert len(queue) == 3                  # pending removes nothing
+        for letter in first:
+            queue.settle(letter, 0)
         assert len(queue) == 1
-        assert [letter.error for letter in queue.drain()] == ["e2"]
+        assert [letter.error for letter in queue.pending()] == ["e2"]
+        queue.settle(first[0], 0)               # settled twice: no-op
+        assert len(queue) == 1
 
     def test_dead_letter_markup(self):
         letter = DeadLetter(kind="detection", error="boom", attempts=2)

@@ -25,19 +25,26 @@ class TestDeadLetterQueueOrdering:
             queue.append(_letter(n))
         assert [letter.seq for letter in queue] == [1, 2, 3, 4, 5]
 
-    def test_drain_returns_journal_sequence_order(self):
+    def test_pending_returns_journal_sequence_order(self):
         queue = DeadLetterQueue()
         for n in range(8):
             queue.append(_letter(n))
-        drained = queue.drain()
-        assert [letter.seq for letter in drained] == list(range(1, 9))
+        pending = queue.pending()
+        assert [letter.seq for letter in pending] == list(range(1, 9))
+        assert [letter.seq for letter in queue.pending(3)] == [1, 2, 3]
+        # pending removes nothing; settle takes a letter out, any order
+        queue.settle(pending[4], 0)
+        queue.settle(pending[0], 0)
+        assert [letter.seq for letter in queue.pending()] == \
+            [2, 3, 4, 6, 7, 8]
 
     def test_concurrent_parking_yields_consistent_replay_order(self):
-        """However the racing appends interleave, drain order always
+        """However the racing appends interleave, pending order always
         equals seq order, and journal hooks fired in the same order."""
         queue = DeadLetterQueue()
         journal_order = []
-        queue.on_append = lambda letter: journal_order.append(letter.seq)
+        queue.on_park = lambda letter, replaces: \
+            journal_order.append(letter.seq)
         threads = [threading.Thread(
             target=lambda base=base: [queue.append(_letter(base + n))
                                       for n in range(25)])
@@ -50,37 +57,55 @@ class TestDeadLetterQueueOrdering:
         # the journal saw seqs in stamping order (the queue's hook lock
         # spans stamp + hook, so the orders cannot diverge)
         assert journal_order == sorted(journal_order)
-        drained = queue.drain()
-        assert [letter.seq for letter in drained] == sorted(
-            letter.seq for letter in drained)
+        pending = queue.pending()
+        assert [letter.seq for letter in pending] == sorted(
+            letter.seq for letter in pending)
 
     def test_restore_preserves_recovered_order(self):
         queue = DeadLetterQueue()
         fired = []
-        queue.on_append = lambda letter: fired.append(letter)
+        queue.on_park = lambda letter, replaces: fired.append(letter)
         letters = [_letter(n) for n in range(4)]
+        for letter, seq in zip(letters, (3, 5, 8, 9)):
+            letter.seq = seq                   # as journaled
         queue.restore(letters)
         assert not fired                       # hooks bypassed
-        assert [letter.seq for letter in queue.drain()] == [1, 2, 3, 4]
+        assert [letter.seq for letter in queue.pending()] == [3, 5, 8, 9]
+        queue.append(_letter(4))
+        assert [letter.seq for letter in queue.pending()] == \
+            [3, 5, 8, 9, 10]
 
     def test_overflow_still_drops_oldest(self):
         queue = DeadLetterQueue(max_size=3)
+        settled = []
+        queue.on_settle = lambda letter, actions: \
+            settled.append((letter.seq, actions))
         for n in range(5):
             queue.append(_letter(n))
         assert queue.dropped == 2
-        assert [letter.seq for letter in queue.drain()] == [3, 4, 5]
+        assert settled == [(1, 0), (2, 0)]     # a drop settles, n = 0
+        assert [letter.seq for letter in queue.pending()] == [3, 4, 5]
 
 
 class TestReplayAttribution:
     def test_replay_captures_its_own_instance_not_a_concurrent_one(self):
-        """Regression: the replay observer used to capture the first
-        instance created by ANY thread; an instance a runtime worker
-        created for an unrelated detection mid-replay was mis-attributed
-        to the letter.  The observer now matches the exact detection
-        object being replayed."""
+        """Regression: the replay used to capture the first instance
+        created by ANY thread; an instance a runtime worker created for
+        an unrelated detection mid-replay was mis-attributed to the
+        letter.  The replay slot matches the exact detection object
+        being replayed."""
         deployment, engine = build_world(None)
         engine.register_rule(simple_rule_markup("replayed"))
-        engine.register_rule(simple_rule_markup("bystander"))
+        engine.register_rule(f"""
+        <eca:rule xmlns:eca="{ECA_NS}" id="bystander">
+          <eca:event><travel:booking xmlns:travel="{TRAVEL_NS}"
+                      person="{{Person}}" to="{{To}}"/></eca:event>
+          <eca:query><q xmlns="{FLAKY_LANG}">whatever</q></eca:query>
+          <eca:action><out q="{{Q}}"/></eca:action>
+        </eca:rule>""")
+        deployment.grh.add_service(
+            LanguageDescriptor(FLAKY_LANG, "query", "replay-flaky"),
+            _SwitchableService())
         bindings = Relation([{"Person": "alice", "To": "oslo"}])
         target = Detection("replayed::event", 0.0, 1.0, bindings,
                            detection_id="dT")
@@ -91,14 +116,22 @@ class TestReplayAttribution:
         def interleaving(detection, *rest):
             if detection is target:
                 # simulate a concurrent worker creating an unrelated
-                # instance while the replay's detection is being handled
+                # (failing) instance while the replay's detection is
+                # being handled
                 original(other)
             original(detection, *rest)
 
         engine._handle = interleaving
-        instance = engine._replay_detection(target)
-        assert instance is not None
-        assert instance.rule_id == "replayed"
+        deployment.grh.resilience.dead_letters.append(DeadLetter(
+            kind="detection", error="injected", detection=target))
+        summary = engine.replay_dead_letters()
+        assert summary["succeeded"] == 1 and summary["failed"] == 0
+        statuses = {instance.rule_id: instance.status
+                    for instance in engine.instances}
+        assert statuses == {"bystander": "failed", "replayed": "completed"}
+        # the bystander's failure is a fresh letter, not a replay's
+        (letter,) = deployment.grh.resilience.dead_letters
+        assert letter.detection is other and letter.attempts == 1
 
 
 FLAKY_LANG = "urn:test:replay-flaky"
